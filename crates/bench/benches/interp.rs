@@ -28,6 +28,7 @@
 use std::time::Instant;
 use subword_bench::json::Json;
 use subword_compile::lift_permutes;
+use subword_compile::verify::ENGINES;
 use subword_isa::program::Program;
 use subword_kernels::framework::KernelBuild;
 use subword_kernels::suite::{all_suites, dotprod_example};
@@ -36,13 +37,11 @@ use subword_spu::SHAPE_D;
 
 const REPS: usize = 5;
 
-/// The engines a benchmark row (and a baseline row) must cover, with
-/// their JSON column names.
-const ENGINES: [(ExecEngine, &str); 3] = [
-    (ExecEngine::Reference, "reference_nanos"),
-    (ExecEngine::Decoded, "decoded_nanos"),
-    (ExecEngine::Threaded, "threaded_nanos"),
-];
+/// The JSON column of one engine's best-of-N nanos (`reference_nanos`,
+/// …); a benchmark row (and a baseline row) covers every engine.
+fn column(engine: ExecEngine) -> String {
+    format!("{engine:?}_nanos").to_lowercase()
+}
 
 struct Row {
     kernel: &'static str,
@@ -95,8 +94,8 @@ fn bench_build(
 ) -> Row {
     let mut nanos = [0u64; 3];
     let mut stats = [SimStats::default(); 3];
-    for (k, (engine, _)) in ENGINES.iter().enumerate() {
-        (nanos[k], stats[k]) = time_engine(build, cfg, *engine);
+    for (k, engine) in ENGINES.into_iter().enumerate() {
+        (nanos[k], stats[k]) = time_engine(build, cfg, engine);
     }
     assert_eq!(stats[0], stats[1], "decoded diverges from reference on {kernel}/{variant}");
     assert_eq!(stats[0], stats[2], "threaded diverges from reference on {kernel}/{variant}");
@@ -131,7 +130,7 @@ fn to_json(rows: &[Row]) -> Json {
         ENGINES
             .iter()
             .enumerate()
-            .map(|(k, (_, col))| ((*col).into(), Json::UInt(nanos[k])))
+            .map(|(k, engine)| (column(*engine), Json::UInt(nanos[k])))
             .collect::<Vec<_>>()
     };
     Json::Obj(vec![
@@ -190,9 +189,11 @@ fn baseline_mips(doc: &Json) -> Result<Vec<(String, [f64; 3])>, String> {
     }
     let engine_mips = |obj: &Json, instructions: u64| -> Result<[f64; 3], String> {
         let mut out = [0f64; 3];
-        for (k, (_, col)) in ENGINES.iter().enumerate() {
-            let nanos =
-                obj.field(col).map_err(|e| format!("missing engine coverage: {e}"))?.as_u64()?;
+        for (k, engine) in ENGINES.into_iter().enumerate() {
+            let nanos = obj
+                .field(&column(engine))
+                .map_err(|e| format!("missing engine coverage: {e}"))?
+                .as_u64()?;
             out[k] = mips(instructions, nanos);
         }
         Ok(out)

@@ -332,9 +332,16 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance one UTF-8 scalar.
-                let s = std::str::from_utf8(&b[*pos..]).map_err(|_| "invalid UTF-8")?;
-                let c = s.chars().next().unwrap();
+                // Advance one UTF-8 scalar. It spans at most four bytes, so
+                // only those are decoded: validating the whole rest of the
+                // input for every character made parsing quadratic.
+                let window = &b[*pos..b.len().min(*pos + 4)];
+                let s = match std::str::from_utf8(window) {
+                    Ok(s) => s,
+                    Err(e) => std::str::from_utf8(&window[..e.valid_up_to()])
+                        .expect("the prefix up to the first error is valid"),
+                };
+                let c = s.chars().next().ok_or("invalid UTF-8")?;
                 out.push(c);
                 *pos += c.len_utf8();
             }

@@ -55,7 +55,8 @@ pub fn run_suite(shape: &CrossbarShape) -> Vec<Measurement> {
 /// One-off probes only: batch work belongs in [`run_sweep`], which
 /// shares compiled artifacts across block counts, scales and shapes.
 pub fn run_entry(e: &SuiteEntry, shape: &CrossbarShape) -> Measurement {
-    subword_kernels::framework::measure(e.kernel, e.blocks_small, e.blocks_large, shape)
+    let opts = subword_kernels::MeasureOpts::default();
+    subword_kernels::measure(e.kernel, e.blocks_small, e.blocks_large, shape, &opts)
         .unwrap_or_else(|err| panic!("{}: {err}", e.kernel.name()))
 }
 

@@ -32,10 +32,11 @@ use crate::store::{cell_key, MeasurementStore, StoreStats};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use subword_compile::verify::contained;
 use subword_compile::{analyze_with_result, CompiledKernel, TransformResult};
 use subword_isa::program::Program;
 use subword_kernels::framework::{
-    measure_with_config_opts, Cached, HostNanos, Measurement, MeasurementRecord,
+    measure, Cached, HostNanos, MeasureOpts, Measurement, MeasurementRecord,
 };
 use subword_kernels::suite::{all_suites, dotprod_example, family_suite, Family, SuiteEntry};
 use subword_sim::{MachineConfig, SimStats};
@@ -354,16 +355,6 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepRun, String> {
     run_sweep_with_cache(cfg, &CompileCache::new())
 }
 
-/// Best-effort text of a caught panic payload (`panic!` hands us a
-/// `&str` or a `String`; anything else is opaque).
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> &str {
-    payload
-        .downcast_ref::<&str>()
-        .copied()
-        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-        .unwrap_or("opaque panic payload")
-}
-
 /// [`run_sweep`] against a caller-owned [`CompileCache`], so several
 /// sweeps over the same kernels — e.g. the sensitivity study's one run
 /// per machine configuration — share compiled artifacts (compilation is
@@ -432,48 +423,49 @@ pub fn run_sweep_with_store(
                 // unfilled and re-panic the scope join, poisoning the
                 // whole sweep. Key derivation builds the kernel, so it
                 // lives inside the guard too.
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                    || -> Result<CellOutcome, String> {
-                        let content_key = store.map(|_| {
-                            cell_key(
-                                entry.kernel,
-                                entry.blocks_small * scale,
-                                entry.blocks_large * scale,
-                                &shape,
-                                &cfg.base,
-                                scale,
-                                cfg.measure_scheduled,
-                            )
-                        });
-                        if let (Some(st), Some(k)) = (store, content_key) {
-                            let pipeline = cfg.base.pipeline.name();
-                            if let Some(cell) = st.load(k, key, shape.name, scale, pipeline) {
-                                return Ok(CellOutcome { cell, fresh: None });
-                            }
-                        }
-                        let measurement = measure_with_config_opts(
+                let outcome = contained(|| -> Result<CellOutcome, String> {
+                    let content_key = store.map(|_| {
+                        cell_key(
                             entry.kernel,
                             entry.blocks_small * scale,
                             entry.blocks_large * scale,
                             &shape,
                             &cfg.base,
-                            &lift,
-                            cfg.measure_scheduled,
-                        )?;
-                        let fresh = SweepMeasurement { kernel: key, shape, scale, measurement };
-                        let cell = SweepCell {
-                            shape: shape.name.to_string(),
                             scale,
-                            pipeline: cfg.base.pipeline.name().to_string(),
-                            record: fresh.measurement.record(),
-                        };
-                        if let (Some(st), Some(k)) = (store, content_key) {
-                            st.save(k, &cell);
+                            cfg.measure_scheduled,
+                        )
+                    });
+                    if let (Some(st), Some(k)) = (store, content_key) {
+                        let pipeline = cfg.base.pipeline.name();
+                        if let Some(cell) = st.load(k, key, shape.name, scale, pipeline) {
+                            return Ok(CellOutcome { cell, fresh: None });
                         }
-                        Ok(CellOutcome { cell, fresh: Some(fresh) })
-                    },
-                ))
-                .unwrap_or_else(|payload| Err(format!("panicked: {}", panic_text(&*payload))))
+                    }
+                    let opts = MeasureOpts {
+                        base: cfg.base.clone(),
+                        lift: Some(&lift),
+                        scheduled: cfg.measure_scheduled,
+                    };
+                    let measurement = measure(
+                        entry.kernel,
+                        entry.blocks_small * scale,
+                        entry.blocks_large * scale,
+                        &shape,
+                        &opts,
+                    )?;
+                    let fresh = SweepMeasurement { kernel: key, shape, scale, measurement };
+                    let cell = SweepCell {
+                        shape: shape.name.to_string(),
+                        scale,
+                        pipeline: cfg.base.pipeline.name().to_string(),
+                        record: fresh.measurement.record(),
+                    };
+                    if let (Some(st), Some(k)) = (store, content_key) {
+                        st.save(k, &cell);
+                    }
+                    Ok(CellOutcome { cell, fresh: Some(fresh) })
+                })
+                .unwrap_or_else(|msg| Err(format!("panicked: {msg}")))
                 .map_err(|err| format!("{key}/shape {}: {err}", shape.name));
                 *results[i].lock().expect("result slot poisoned") = Some(outcome);
             });
@@ -694,42 +686,14 @@ impl SweepReport {
     }
 }
 
-/// Accessor pair mapping one [`SimStats`] counter to its JSON field.
-type StatField = (&'static str, fn(&SimStats) -> u64, fn(&mut SimStats, u64));
-
-const STAT_FIELDS: [StatField; 22] = [
-    ("cycles", |s| s.cycles, |s, v| s.cycles = v),
-    ("instructions", |s| s.instructions, |s, v| s.instructions = v),
-    ("mmx_instructions", |s| s.mmx_instructions, |s, v| s.mmx_instructions = v),
-    ("scalar_instructions", |s| s.scalar_instructions, |s, v| s.scalar_instructions = v),
-    ("mmx_realignments", |s| s.mmx_realignments, |s, v| s.mmx_realignments = v),
-    ("mmx_multiplies", |s| s.mmx_multiplies, |s, v| s.mmx_multiplies = v),
-    ("scalar_multiplies", |s| s.scalar_multiplies, |s, v| s.scalar_multiplies = v),
-    ("branches", |s| s.branches, |s, v| s.branches = v),
-    ("mispredicts", |s| s.mispredicts, |s, v| s.mispredicts = v),
-    ("mispredict_cycles", |s| s.mispredict_cycles, |s, v| s.mispredict_cycles = v),
-    ("stall_cycles", |s| s.stall_cycles, |s, v| s.stall_cycles = v),
-    ("imul_block_cycles", |s| s.imul_block_cycles, |s, v| s.imul_block_cycles = v),
-    ("pairs", |s| s.pairs, |s, v| s.pairs = v),
-    ("singles", |s| s.singles, |s, v| s.singles = v),
-    ("mmx_pairs", |s| s.mmx_pairs, |s, v| s.mmx_pairs = v),
-    ("mmx_active_cycles", |s| s.mmx_active_cycles, |s, v| s.mmx_active_cycles = v),
-    ("loads", |s| s.loads, |s, v| s.loads = v),
-    ("stores", |s| s.stores, |s, v| s.stores = v),
-    ("spu_routed", |s| s.spu_routed, |s, v| s.spu_routed = v),
-    ("spu_steps", |s| s.spu_steps, |s, v| s.spu_steps = v),
-    ("spu_activations", |s| s.spu_activations, |s, v| s.spu_activations = v),
-    ("mmio_accesses", |s| s.mmio_accesses, |s, v| s.mmio_accesses = v),
-];
-
 fn stats_to_json(s: &SimStats) -> Json {
-    Json::Obj(STAT_FIELDS.iter().map(|(k, get, _)| (k.to_string(), Json::UInt(get(s)))).collect())
+    Json::Obj(s.counters().into_iter().map(|(k, v)| (k.to_string(), Json::UInt(v))).collect())
 }
 
 fn stats_from_json(v: &Json) -> Result<SimStats, String> {
     let mut s = SimStats::default();
-    for (k, _, set) in STAT_FIELDS.iter() {
-        set(&mut s, v.field(k)?.as_u64()?);
+    for (k, slot) in s.counters_mut() {
+        *slot = v.field(k)?.as_u64()?;
     }
     Ok(s)
 }

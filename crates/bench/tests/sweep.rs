@@ -6,7 +6,7 @@ use subword_bench::run_suite;
 use subword_bench::sweep::{
     run_sweep, run_sweep_with_cache, CacheStats, CompileCache, SweepConfig, SweepReport,
 };
-use subword_kernels::framework::{measure, measure_with, Kernel, KernelBuild};
+use subword_kernels::framework::{measure, Kernel, KernelBuild, MeasureOpts};
 use subword_kernels::suite::{dotprod_example, paper_suite, Family, SuiteEntry};
 use subword_spu::crossbar::CANONICAL_SHAPES;
 use subword_spu::{SHAPE_A, SHAPE_D};
@@ -20,28 +20,19 @@ fn cached_compilation_is_invisible_to_measurements() {
     for shape in [SHAPE_A, SHAPE_D] {
         let cache = CompileCache::new();
         for e in &entries {
-            let uncached = measure(e.kernel, e.blocks_small, e.blocks_large, &shape).unwrap();
+            let measure_under = |opts: &MeasureOpts| {
+                measure(e.kernel, e.blocks_small, e.blocks_large, &shape, opts).unwrap()
+            };
+            let uncached = measure_under(&MeasureOpts::default());
             let key = e.kernel.name();
-            let cached = measure_with(
-                e.kernel,
-                e.blocks_small,
-                e.blocks_large,
-                &shape,
-                &|program, shape| cache.lift(key, program, shape),
-            )
-            .unwrap();
+            let lift = |program: &_, shape: &_| cache.lift(key, program, shape);
+            let cached_opts = MeasureOpts { lift: Some(&lift), ..MeasureOpts::default() };
+            let cached = measure_under(&cached_opts);
             assert_eq!(uncached, cached, "{key} under shape {}", shape.name);
 
             // And a *second* cached measurement (all artifact replays,
             // zero fresh analyses) still agrees.
-            let replayed = measure_with(
-                e.kernel,
-                e.blocks_small,
-                e.blocks_large,
-                &shape,
-                &|program, shape| cache.lift(key, program, shape),
-            )
-            .unwrap();
+            let replayed = measure_under(&cached_opts);
             assert_eq!(uncached, replayed, "{key} replay under shape {}", shape.name);
         }
         let stats = cache.stats();

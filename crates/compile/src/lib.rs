@@ -34,8 +34,9 @@
 //!    (MMX-only) programs, which is how the kernel framework schedules
 //!    the baseline variant.
 //!
-//! [`verify::differential`] re-runs both variants on the simulator and
-//! compares the declared output ranges byte for byte.
+//! [`verify`] is the execution matrix every harness drives: it builds
+//! the compile variants, runs them on fresh machines, and compares the
+//! results under one exemption table ([`verify::Variant`]).
 
 pub mod annotate;
 pub mod artifact;

@@ -1,17 +1,17 @@
 //! End-to-end tests of the live-range register compaction pass: loops
 //! whose route spans exceed a windowed crossbar's reach must lift fully
 //! after renaming, and the renamed programs must be observationally
-//! identical to the originals on **both** hazard engines (the predecoded
-//! fast path and the `Vec<RegRef>` reference oracle).
+//! identical to the originals, with all three engines agreeing on them.
 
 use proptest::prelude::*;
+use subword_compile::verify::{compare, run, Compared, ENGINES};
 use subword_compile::{analyze, differential, lift_permutes, LoopStatus, TestSetup};
 use subword_isa::mem::Mem;
 use subword_isa::op::{AluOp, Cond, MmxOp};
 use subword_isa::reg::gp::*;
 use subword_isa::reg::MmReg;
 use subword_isa::{Program, ProgramBuilder};
-use subword_sim::{Machine, MachineConfig};
+use subword_sim::MachineConfig;
 use subword_spu::crossbar::CrossbarShape;
 use subword_spu::{SHAPE_A, SHAPE_B, SHAPE_C, SHAPE_D};
 
@@ -81,28 +81,20 @@ fn wide_span_setup(trips: u64) -> TestSetup {
     }
 }
 
-/// Run `program` on one machine/engine and return the full MMX file
-/// plus the declared output bytes — the architectural state the rename
-/// must preserve.
-fn arch_state(
+/// First disagreement between the engines running the lifted `program`
+/// on the SPU machine, over the whole state.
+fn engine_divergence(
     program: &Program,
     shape: &CrossbarShape,
-    spu: bool,
     setup: &TestSetup,
-    reference: bool,
-) -> (subword_sim::SimStats, [u64; 8], Vec<u8>) {
-    let cfg = if spu { MachineConfig::with_spu(*shape) } else { MachineConfig::mmx_only() };
-    let mut m = Machine::new(cfg);
-    for (addr, bytes) in &setup.mem_init {
-        m.mem.write_bytes(*addr, bytes).unwrap();
-    }
-    let stats = if reference { m.run_reference(program) } else { m.run(program) }.unwrap();
-    let mms = std::array::from_fn(|i| m.regs.read_mm(mm(i as u8)));
-    let mut out = Vec::new();
-    for (addr, len) in &setup.outputs {
-        out.extend(m.mem.read_bytes(*addr, *len).unwrap());
-    }
-    (stats, mms, out)
+) -> Option<String> {
+    let states = ENGINES.map(|engine| {
+        let cfg = MachineConfig { engine, ..MachineConfig::with_spu(*shape) };
+        run(program, setup, cfg).unwrap()
+    });
+    ENGINES.iter().zip(&states).skip(1).find_map(|(engine, state)| {
+        compare(&states[0], state, Compared::All).map(|d| format!("Reference vs {engine:?}: {d}"))
+    })
 }
 
 /// The targeted acceptance case: a loop whose routes span five registers
@@ -138,7 +130,8 @@ fn five_register_span_lifts_fully_under_windowed_shapes() {
 }
 
 /// The compacted program runs to bit-identical architectural state on
-/// both hazard engines — stats, the whole MMX file, and the outputs.
+/// all three engines — stats, both register files, flags and the
+/// outputs.
 #[test]
 fn compacted_program_agrees_across_engines() {
     let trips = 6u64;
@@ -147,14 +140,13 @@ fn compacted_program_agrees_across_engines() {
     for shape in [SHAPE_B, SHAPE_D] {
         let lifted = lift_permutes(&program, &shape).unwrap();
         assert!(lifted.report.loops[0].renamed_ranges > 0);
-        let decoded = arch_state(&lifted.program, &shape, true, &setup, false);
-        let reference = arch_state(&lifted.program, &shape, true, &setup, true);
-        assert_eq!(decoded, reference, "shape {}: engines diverge", shape.name);
-        // And the renamed machine computes what the original does
-        // (memory is the observable; the MMX file legitimately differs
-        // because registers were renamed).
-        let original = arch_state(&program, &shape, false, &setup, false);
-        assert_eq!(decoded.2, original.2, "shape {}: outputs diverge", shape.name);
+        if let Some(diff) = engine_divergence(&lifted.program, &shape, &setup) {
+            panic!("shape {}: {diff}", shape.name);
+        }
+        // And the renamed machine computes what the original does (the
+        // MMX file legitimately differs because registers were renamed).
+        differential(&program, &lifted.program, &shape, &setup)
+            .unwrap_or_else(|e| panic!("shape {}: {e}", shape.name));
     }
 }
 
@@ -250,9 +242,8 @@ proptest! {
                 .map_err(|e| TestCaseError::fail(format!("{}: {e}", shape.name)))?;
             differential(&program, &lifted.program, &shape, &setup)
                 .map_err(|e| TestCaseError::fail(format!("{}: {e}", shape.name)))?;
-            let decoded = arch_state(&lifted.program, &shape, true, &setup, false);
-            let reference = arch_state(&lifted.program, &shape, true, &setup, true);
-            prop_assert_eq!(decoded, reference, "{}: engines diverge", shape.name);
+            let diverged = engine_divergence(&lifted.program, &shape, &setup);
+            prop_assert!(diverged.is_none(), "{}: {:?}", shape.name, diverged);
         }
     }
 }

@@ -6,12 +6,18 @@
 //!    built on the allocating `Vec<RegRef>` API, not the masks the
 //!    scheduler itself uses), and executing both leaves bit-identical
 //!    architectural state;
-//! 2. a full-suite differential: every kernel (baseline and SPU-lifted,
-//!    shapes A and D), scheduled vs. unscheduled — golden outputs,
-//!    registers, flags and all of memory bit-identical, instruction
-//!    counts equal, and the scheduled variant never costs a cycle.
+//! 2. a full-suite differential through the execution matrix
+//!    (`subword_compile::verify`): every kernel's four variants under
+//!    shapes A, B and D, each checked against its reference variant on
+//!    its row of the exemption table, with all of memory as the output —
+//!    golden outputs, registers, flags and memory bit-identical,
+//!    instruction counts equal, and a scheduled variant never costs a
+//!    cycle.
 
 use proptest::prelude::*;
+use subword_compile::verify::{
+    build_variants, compare, plain_lift, run, ArchState, Compared, TestSetup, Variant,
+};
 use subword_compile::{lift_permutes, schedule_program};
 use subword_isa::instr::{GpOperand, Instr, MmxOperand};
 use subword_isa::mem::Mem;
@@ -19,9 +25,8 @@ use subword_isa::op::{AluOp, MmxOp};
 use subword_isa::program::Program;
 use subword_isa::reg::{GpReg, MmReg};
 use subword_isa::ProgramBuilder;
-use subword_kernels::framework::KernelBuild;
 use subword_kernels::suite::{all_suites, dotprod_example};
-use subword_sim::{Machine, MachineConfig};
+use subword_sim::MachineConfig;
 use subword_spu::{SHAPE_A, SHAPE_B, SHAPE_D};
 
 fn mm(i: u8) -> MmReg {
@@ -92,38 +97,36 @@ fn must_stay_ordered(a: &Instr, b: &Instr) -> bool {
     raw || war || waw || flags || mem
 }
 
-fn fresh_machine() -> Machine {
-    let mut m = Machine::new(MachineConfig::mmx_only());
-    m.regs.write_gp(gp(0), 0x1000);
-    for r in 1..16u8 {
-        m.regs.write_gp(gp(r), 0x40 + 3 * r as u32);
-    }
-    for r in 0..8u8 {
-        m.regs.write_mm(mm(r), 0x0123_4567_89ab_cdef ^ (0x1111_1111_1111_1111 * r as u64));
-    }
-    let pattern: Vec<u8> = (0..0x400u32).map(|i| (i * 7 + 13) as u8).collect();
-    m.mem.write_bytes(0x1000, &pattern).unwrap();
-    m
+/// All of memory, as one output range.
+fn whole_memory() -> Vec<(u32, usize)> {
+    vec![(0, MachineConfig::default().memory_size)]
 }
 
-/// Run `p` from the canonical initial state; return the machine.
-fn run(p: &Program) -> Machine {
-    let mut m = fresh_machine();
-    m.run(p).expect("straight-line program runs to halt");
-    m
+/// The canonical initial state: `r0` pinned to 0x1000 (and never
+/// written), every other register distinct, a patterned 1 KiB arena.
+fn canonical_setup() -> TestSetup {
+    TestSetup {
+        mem_init: vec![(0x1000, (0..0x400u32).map(|i| (i * 7 + 13) as u8).collect())],
+        reg_init: (0..16u8)
+            .map(|r| (gp(r), if r == 0 { 0x1000 } else { 0x40 + 3 * r as u32 }))
+            .collect(),
+        mm_init: (0..8u8)
+            .map(|r| (mm(r), 0x0123_4567_89ab_cdef ^ (0x1111_1111_1111_1111 * r as u64)))
+            .collect(),
+        outputs: whole_memory(),
+    }
 }
 
-fn assert_same_arch_state(a: &Machine, b: &Machine, label: &str) {
-    assert_eq!(a.regs.gp, b.regs.gp, "{label}: scalar registers diverge");
-    assert_eq!(a.regs.mm, b.regs.mm, "{label}: MMX registers diverge");
-    assert_eq!(a.regs.flags, b.regs.flags, "{label}: flags diverge");
-    let len = a.mem.size();
-    assert_eq!(len, b.mem.size());
-    assert_eq!(
-        a.mem.read_bytes(0, len).unwrap(),
-        b.mem.read_bytes(0, len).unwrap(),
-        "{label}: memory diverges"
-    );
+/// Run `p` from `setup` on `cfg`, capturing all of memory.
+fn run_whole(p: &Program, setup: &TestSetup, cfg: MachineConfig) -> ArchState {
+    run(p, setup, cfg).expect("program runs to halt")
+}
+
+/// Registers, flags and all of memory must agree.
+fn assert_same_arch_state(a: &ArchState, b: &ArchState, label: &str) {
+    if let Some(diff) = compare(a, b, Compared::Arch) {
+        panic!("{label}: {diff}");
+    }
 }
 
 proptest! {
@@ -173,8 +176,9 @@ proptest! {
 
         // Bit-identical architectural outcome, same instruction count,
         // never more cycles.
-        let m0 = run(&p);
-        let m1 = run(&s);
+        let setup = canonical_setup();
+        let m0 = run_whole(&p, &setup, MachineConfig::mmx_only());
+        let m1 = run_whole(&s, &setup, MachineConfig::mmx_only());
         assert_same_arch_state(&m0, &m1, "prop");
         prop_assert_eq!(m0.stats.instructions, m1.stats.instructions);
         prop_assert!(
@@ -185,9 +189,10 @@ proptest! {
     }
 }
 
-/// Full-suite differential: scheduled and unscheduled variants of every
-/// kernel are observationally identical (golden outputs, registers,
-/// flags, all of memory) and the scheduled one is never slower.
+/// Full-suite differential: every variant of every kernel is
+/// observationally identical to its reference variant (golden outputs,
+/// registers, flags, all of memory; the MMX file exempt where lifting
+/// renames it) and a scheduled variant is never slower.
 #[test]
 fn suite_scheduled_variants_are_bit_identical_and_never_slower() {
     let mut entries = all_suites();
@@ -196,59 +201,44 @@ fn suite_scheduled_variants_are_bit_identical_and_never_slower() {
         for e in &entries {
             let name = e.kernel.name();
             let build = e.kernel.build(e.blocks_small);
-
-            let run_build = |b: &KernelBuild, cfg: &MachineConfig, label: &str| -> Machine {
-                let mut m = Machine::new(cfg.clone());
-                for (addr, bytes) in &b.setup.mem_init {
-                    m.mem.write_bytes(*addr, bytes).unwrap();
+            let setup = TestSetup { outputs: whole_memory(), ..build.setup.clone() };
+            let built = build_variants(build.program.clone(), &Variant::ALL, &shape, &plain_lift)
+                .unwrap_or_else(|err| panic!("{name}: {err}"));
+            let states: Vec<(Variant, ArchState)> = built
+                .programs
+                .iter()
+                .map(|(variant, program)| {
+                    let label = format!("{name}/{}/{}", variant.name(), shape.name);
+                    let cfg = variant.machine(&MachineConfig::default(), &shape);
+                    let state =
+                        run(program, &setup, cfg).unwrap_or_else(|err| panic!("{label}: {err}"));
+                    build.check_state(&state, &label).unwrap_or_else(|err| panic!("{err}"));
+                    (*variant, state)
+                })
+                .collect();
+            let state_of = |v: Variant| &states.iter().find(|(w, _)| *w == v).unwrap().1;
+            for (variant, state) in &states {
+                let Some((against, compared)) = variant.checked_against() else { continue };
+                let label =
+                    format!("{name}/{} vs {}/{}", variant.name(), against.name(), shape.name);
+                let reference = state_of(against);
+                if let Some(diff) = compare(reference, state, compared) {
+                    panic!("{label}: {diff}");
                 }
-                for (r, v) in &b.setup.reg_init {
-                    m.regs.write_gp(*r, *v);
+                if *variant == Variant::Lifted {
+                    continue;
                 }
-                for (r, v) in &b.setup.mm_init {
-                    m.regs.write_mm(*r, *v);
-                }
-                m.run(&b.program).unwrap_or_else(|err| panic!("{label}: {err}"));
-                b.check(&m, label).unwrap_or_else(|err| panic!("{err}"));
-                m
-            };
-            let rebuilt = |program: &Program| KernelBuild {
-                program: program.clone(),
-                setup: build.setup.clone(),
-                expected: build.expected.clone(),
-            };
-
-            // Baseline vs scheduled baseline on the MMX-only machine.
-            let (sched_base, _) = schedule_program(&build.program);
-            let mmx = MachineConfig::mmx_only();
-            let m0 = run_build(&build, &mmx, "baseline");
-            let m1 = run_build(&rebuilt(&sched_base), &mmx, "sched-baseline");
-            assert_same_arch_state(&m0, &m1, &format!("{name}/baseline/{}", shape.name));
-            assert_eq!(m0.stats.instructions, m1.stats.instructions, "{name}");
-            assert!(
-                m1.stats.cycles <= m0.stats.cycles,
-                "{name}/{}: scheduled baseline slower ({} > {})",
-                shape.name,
-                m1.stats.cycles,
-                m0.stats.cycles
-            );
-
-            // Lifted vs scheduled-lifted on the SPU machine.
-            let lifted = lift_permutes(&build.program, &shape).unwrap();
-            let spu = MachineConfig::with_spu(shape);
-            let m2 = run_build(&rebuilt(&lifted.program), &spu, "spu");
-            let m3 = run_build(&rebuilt(&lifted.scheduled.program), &spu, "sched-spu");
-            assert_same_arch_state(&m2, &m3, &format!("{name}/spu/{}", shape.name));
-            assert_eq!(m2.stats.instructions, m3.stats.instructions, "{name}");
-            assert_eq!(m2.stats.spu_steps, m3.stats.spu_steps, "{name}: controller stepped apart");
-            assert_eq!(m2.stats.spu_routed, m3.stats.spu_routed, "{name}: routed counts differ");
-            assert!(
-                m3.stats.cycles <= m2.stats.cycles,
-                "{name}/{}: scheduled SPU variant slower ({} > {})",
-                shape.name,
-                m3.stats.cycles,
-                m2.stats.cycles
-            );
+                let (s0, s1) = (&reference.stats, &state.stats);
+                assert_eq!(s0.instructions, s1.instructions, "{label}");
+                assert_eq!(s0.spu_steps, s1.spu_steps, "{label}: controller stepped apart");
+                assert_eq!(s0.spu_routed, s1.spu_routed, "{label}: routed counts differ");
+                assert!(
+                    s1.cycles <= s0.cycles,
+                    "{label}: scheduled slower ({} > {})",
+                    s1.cycles,
+                    s0.cycles
+                );
+            }
         }
     }
 }
@@ -296,15 +286,13 @@ fn lifted_loop_reorders_with_routes_permuted() {
     );
 
     // Same values, strictly fewer cycles.
-    let run_spu = |program: &Program| -> Machine {
-        let mut m = Machine::new(MachineConfig::with_spu(SHAPE_A));
-        m.regs.write_mm(mm(0), 0x0004_0003_0002_0001);
-        m.regs.write_mm(mm(1), 0x0008_0007_0006_0005);
-        m.run(program).unwrap();
-        m
+    let setup = TestSetup {
+        mm_init: vec![(mm(0), 0x0004_0003_0002_0001), (mm(1), 0x0008_0007_0006_0005)],
+        outputs: whole_memory(),
+        ..TestSetup::default()
     };
-    let m0 = run_spu(&lifted.program);
-    let m1 = run_spu(&lifted.scheduled.program);
+    let m0 = run_whole(&lifted.program, &setup, MachineConfig::with_spu(SHAPE_A));
+    let m1 = run_whole(&lifted.scheduled.program, &setup, MachineConfig::with_spu(SHAPE_A));
     assert_same_arch_state(&m0, &m1, "reorder");
     assert_eq!(m0.stats.spu_routed, m1.stats.spu_routed);
     assert!(

@@ -100,8 +100,7 @@ fn main() -> ExitCode {
                 Ok(cases) => {
                     println!("{} ({} cases)", path.display(), cases.len());
                     for c in &cases {
-                        let variants: Vec<String> =
-                            c.variants.iter().map(|v| format!("{v:?}").to_lowercase()).collect();
+                        let variants: Vec<&str> = c.variants.iter().map(|v| v.name()).collect();
                         let extra = if variants.is_empty() {
                             String::new()
                         } else {
@@ -181,7 +180,7 @@ fn main() -> ExitCode {
     }
     println!(
         "{total_cases} cases on {} engines: {}",
-        subword_conformance::ENGINES.len(),
+        subword_compile::verify::ENGINES.len(),
         if failures.is_empty() { "all pass" } else { "FAILURES" }
     );
     for f in &failures {

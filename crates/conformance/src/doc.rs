@@ -20,7 +20,9 @@
 //! * `variants=sched,lift` (or `all`) — additionally run the program
 //!   through the compile pipeline: `sched` checks the list-scheduled
 //!   program, `lift` requires the permute-lifting pass to transform a
-//!   loop and checks the lifted (and scheduled-lifted) programs.
+//!   loop and checks the lifted and scheduled-lifted programs. Each
+//!   variant checks the expect keys its row of the exemption table on
+//!   [`Variant`] compares against the baseline.
 //!
 //! ## Init directives
 //!
@@ -44,16 +46,8 @@
 //!
 //! [`SimStats`]: subword_sim::stats::SimStats
 
-/// The two opt-in compile-pipeline variants.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Variant {
-    /// List-scheduled program: registers + memory must match.
-    Scheduled,
-    /// Permute-lifting pass (must actually transform a loop): GP
-    /// registers + memory must match; MMX registers are exempt
-    /// (removed permutes leave stale destinations).
-    Lifted,
-}
+pub use subword_compile::verify::Variant;
+use subword_sim::stats::SimStats;
 
 /// Element encoding of a `mem[..]` value list.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -187,8 +181,7 @@ pub enum Key {
         /// preserves it).
         count: usize,
     },
-    /// A [`SimStats`](subword_sim::stats::SimStats) counter or derived
-    /// rate, by field name.
+    /// A [`SimStats`] counter or derived rate, by field name.
     Stat(&'static str),
 }
 
@@ -224,7 +217,8 @@ pub struct SpecCase {
     pub asm_line: usize,
     /// Crossbar shape name `"A"`–`"D"`.
     pub shape: String,
-    /// Opt-in compile variants.
+    /// Opt-in compile variants (never [`Variant::Baseline`], which every
+    /// case runs).
     pub variants: Vec<Variant>,
     /// Initial state directives, in order.
     pub inits: Vec<Init>,
@@ -234,31 +228,10 @@ pub struct SpecCase {
     pub expect: Vec<ExpectEntry>,
 }
 
-/// `SimStats` counter field names (u64, compared numerically).
-pub const COUNTER_KEYS: &[&str] = &[
-    "cycles",
-    "instructions",
-    "mmx_instructions",
-    "scalar_instructions",
-    "mmx_realignments",
-    "mmx_multiplies",
-    "scalar_multiplies",
-    "branches",
-    "mispredicts",
-    "mispredict_cycles",
-    "stall_cycles",
-    "imul_block_cycles",
-    "pairs",
-    "singles",
-    "mmx_pairs",
-    "mmx_active_cycles",
-    "loads",
-    "stores",
-    "spu_routed",
-    "spu_steps",
-    "spu_activations",
-    "mmio_accesses",
-];
+/// The [`SimStats`] counter named `name` (u64, compared numerically).
+pub fn counter_key(name: &str) -> Option<&'static str> {
+    SimStats::default().counters().into_iter().map(|(k, _)| k).find(|k| *k == name)
+}
 
 /// Derived-rate method names (f64, compared at 3 decimal places).
 pub const DERIVED_KEYS: &[&str] = &[
@@ -397,11 +370,8 @@ fn parse_asm_block<'a>(
                 for part in v.split(',') {
                     match part {
                         "sched" => case.variants.push(Variant::Scheduled),
-                        "lift" => case.variants.push(Variant::Lifted),
-                        "all" => {
-                            case.variants.push(Variant::Scheduled);
-                            case.variants.push(Variant::Lifted);
-                        }
+                        "lift" => case.variants.extend([Variant::Lifted, Variant::ScheduledLifted]),
+                        "all" => case.variants.extend(&Variant::ALL[1..]),
                         _ => errors.push(format!("{fence_line}: unknown variant `{part}`")),
                     }
                 }
@@ -522,7 +492,7 @@ fn parse_expect_key(lhs: &str, raw_value: &str) -> Result<Key, String> {
         }
         return Ok(Key::Mem { addr, format, count });
     }
-    if let Some(k) = COUNTER_KEYS.iter().chain(DERIVED_KEYS).find(|k| **k == lhs) {
+    if let Some(k) = counter_key(lhs).or(DERIVED_KEYS.iter().copied().find(|k| *k == lhs)) {
         return Ok(Key::Stat(k));
     }
     Err(format!("unknown expect key `{lhs}`"))
@@ -553,7 +523,7 @@ fn validate_value(key: &Key, raw: &str) -> Result<(), String> {
             if raw == "?" {
                 return Ok(());
             }
-            if COUNTER_KEYS.contains(name) {
+            if counter_key(name).is_some() {
                 if raw.parse::<u64>().is_err() {
                     return bad("counter");
                 }

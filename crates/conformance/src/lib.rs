@@ -26,7 +26,7 @@ pub mod run;
 use std::path::{Path, PathBuf};
 
 pub use doc::{harvest, SpecCase};
-pub use run::{check_case, CaseOutcome, ENGINES};
+pub use run::{check_case, CaseOutcome};
 
 /// Check every case of one page. Returns one [`CaseOutcome`] per case;
 /// harvest errors come back as `Err` (already prefixed with the doc
@@ -56,9 +56,8 @@ pub fn update_doc_text(doc_name: &str, text: &str) -> Result<(String, usize), Ve
             errors.extend(outcome.failures);
             continue;
         };
-        let ranges = run::watched_ranges(case);
         for entry in &case.expect {
-            let value = run::update_value(entry, &state, &ranges);
+            let value = run::update_value(entry, &state);
             let new_line = format!("{}{} = {value}", entry.indent, entry.lhs);
             let slot = &mut lines[entry.file_line - 1];
             if *slot != new_line {

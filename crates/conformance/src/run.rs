@@ -5,11 +5,10 @@
 //! crossbar shape (idle unless the program arms it), mirroring the fuzz
 //! oracle so MMIO staging stores never fault and cycle accounting is
 //! comparable across variants. Per variant, the three engines must
-//! agree on *everything* — stats, both register files, and every
-//! watched memory range. Across variants the fuzz oracle's exemptions
-//! apply: the scheduled program checks registers + memory (stats are
-//! reordered), the lifted programs check GP registers + memory only
-//! (lifting removes permutes and renames MMX registers).
+//! agree on the whole state over the watched memory ranges; each opted-in
+//! variant is then checked against its reference variant and against
+//! the expect keys its row of the exemption table on [`Variant`]
+//! compares with the baseline.
 //!
 //! The suite pins the **in-order** pipeline model (the config default):
 //! expect blocks assert exact `cycles`/`pairs` values, which are
@@ -19,35 +18,18 @@
 //! where it belongs: the sim differential tests and the fuzz oracle's
 //! ooo-vs-in-order comparison.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
-use subword_compile::{lift_permutes, schedule_program, LoopStatus};
+use subword_compile::verify::{
+    build_variants, compare, contained, plain_lift, run, ArchState, Compared, TestSetup, Variant,
+    ENGINES,
+};
+use subword_compile::LoopStatus;
 use subword_isa::asm::assemble;
-use subword_isa::program::Program;
 use subword_isa::reg::{GpReg, MmReg};
-use subword_sim::machine::{ExecEngine, Machine, MachineConfig};
+use subword_sim::machine::MachineConfig;
 use subword_sim::stats::SimStats;
 use subword_spu::crossbar::{CrossbarShape, CANONICAL_SHAPES};
 
-use crate::doc::{parse_u64, Init, Key, SpecCase, Variant, COUNTER_KEYS};
-
-/// The three engines every case runs on.
-pub const ENGINES: [ExecEngine; 3] =
-    [ExecEngine::Reference, ExecEngine::Decoded, ExecEngine::Threaded];
-
-/// Architectural state captured after a run.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CaseState {
-    /// Run statistics.
-    pub stats: SimStats,
-    /// Final MMX register file.
-    pub mm: [u64; 8],
-    /// Final GP register file.
-    pub gp: [u32; 16],
-    /// Bytes of each watched range, parallel to
-    /// [`watched_ranges`]'s output.
-    pub ranges: Vec<Vec<u8>>,
-}
+use crate::doc::{counter_key, parse_u64, ExpectEntry, Init, Key, SpecCase};
 
 /// Result of checking one case.
 pub struct CaseOutcome {
@@ -58,7 +40,7 @@ pub struct CaseOutcome {
     pub failures: Vec<String>,
     /// Reference-engine baseline state (what `--update` writes back);
     /// `None` if the program never ran.
-    pub baseline: Option<CaseState>,
+    pub baseline: Option<ArchState>,
 }
 
 /// Look up a canonical crossbar shape by its `"A"`–`"D"` name.
@@ -66,28 +48,34 @@ pub fn shape_by_name(name: &str) -> Option<CrossbarShape> {
     CANONICAL_SHAPES.iter().find(|s| s.name == name).copied()
 }
 
-/// The memory ranges a case watches: every init range and every
-/// `mem[..]` expectation, as `(addr, byte_len)`.
-pub fn watched_ranges(case: &SpecCase) -> Vec<(u32, usize)> {
-    let mut ranges = Vec::new();
+/// The case's initial state, with every init range and every `mem[..]`
+/// expectation as an output range.
+fn setup(case: &SpecCase) -> TestSetup {
+    let mut setup = TestSetup::default();
     for init in &case.inits {
-        if let Init::Mem(addr, bytes) = init {
-            ranges.push((*addr, bytes.len()));
+        match init {
+            Init::Mm(n, v) => setup.mm_init.push((MmReg::ALL[*n], *v)),
+            Init::Gp(n, v) => {
+                setup.reg_init.push((GpReg::from_index(*n).expect("index checked in parse"), *v))
+            }
+            Init::Mem(addr, bytes) => {
+                setup.mem_init.push((*addr, bytes.clone()));
+                setup.outputs.push((*addr, bytes.len()));
+            }
         }
     }
     for e in &case.expect {
         if let Key::Mem { addr, format, count } = &e.key {
-            ranges.push((*addr, format.width() * count));
+            setup.outputs.push((*addr, format.width() * count));
         }
     }
-    ranges
+    setup
 }
 
 /// Run and check one case end to end.
 pub fn check_case(doc: &str, case: &SpecCase) -> CaseOutcome {
     let mut failures = Vec::new();
     let at = |line: usize| format!("{doc}:{line}: {}", case.name);
-    let ranges = watched_ranges(case);
 
     let program = match assemble(&case.name, &case.source) {
         Ok(p) => p,
@@ -104,38 +92,39 @@ pub fn check_case(doc: &str, case: &SpecCase) -> CaseOutcome {
     };
 
     // --- Build the variant list. -----------------------------------------
-    let mut variants: Vec<(&str, Program)> = vec![("baseline", program.clone())];
-    if case.variants.contains(&Variant::Scheduled) {
-        match contained(|| schedule_program(&program).0) {
-            Ok(p) => variants.push(("scheduled", p)),
-            Err(msg) => failures.push(format!("{}: schedule panicked: {msg}", at(case.asm_line))),
-        }
-    }
-    if case.variants.contains(&Variant::Lifted) {
-        match contained(|| lift_permutes(&program, &shape)) {
-            Ok(Ok(lift)) => {
-                if lift.report.loops.iter().any(|l| l.status == LoopStatus::Transformed) {
-                    variants.push(("lifted", lift.program));
-                    variants.push(("scheduled-lifted", lift.scheduled.program));
-                } else {
-                    failures.push(format!(
-                        "{}: variants=lift but the lift pass transformed no loop",
-                        at(case.asm_line)
-                    ));
-                }
+    let wanted: Vec<Variant> =
+        [Variant::Baseline].into_iter().chain(case.variants.iter().copied()).collect();
+    let variants = match build_variants(program.clone(), &wanted, &shape, &plain_lift) {
+        Ok(built) => {
+            let transformed = built
+                .report
+                .is_none_or(|r| r.loops.iter().any(|l| l.status == LoopStatus::Transformed));
+            let mut programs = built.programs;
+            if !transformed {
+                failures.push(format!(
+                    "{}: variants=lift but the lift pass transformed no loop",
+                    at(case.asm_line)
+                ));
+                programs.retain(|(v, _)| !v.is_lifted());
             }
-            Ok(Err(e)) => failures.push(format!("{}: lift failed: {e}", at(case.asm_line))),
-            Err(msg) => failures.push(format!("{}: lift panicked: {msg}", at(case.asm_line))),
+            programs
         }
-    }
+        Err(e) => {
+            failures.push(format!("{}: {e}", at(case.asm_line)));
+            vec![(Variant::Baseline, program)]
+        }
+    };
 
     // --- Run every variant on every engine; engines must fully agree. ----
-    let mut baseline: Option<CaseState> = None;
-    for (vname, prog) in &variants {
-        let mut states: Vec<(ExecEngine, CaseState)> = Vec::new();
+    let setup = setup(case);
+    let mut reference: Vec<(Variant, ArchState)> = Vec::new();
+    for (variant, prog) in &variants {
+        let vname = variant.name();
+        let mut states: Vec<ArchState> = Vec::new();
         for engine in ENGINES {
-            match contained(|| run_one(prog, case, shape, engine, &ranges)) {
-                Ok(Ok(state)) => states.push((engine, state)),
+            let cfg = MachineConfig { engine, ..MachineConfig::with_spu(shape) };
+            match contained(|| run(prog, &setup, cfg)) {
+                Ok(Ok(state)) => states.push(state),
                 Ok(Err(e)) => {
                     failures.push(format!("{}: {vname}/{engine:?} failed: {e}", at(case.asm_line)))
                 }
@@ -146,23 +135,35 @@ pub fn check_case(doc: &str, case: &SpecCase) -> CaseOutcome {
         if states.len() != ENGINES.len() {
             continue; // run failures already recorded
         }
-        let (_, reference) = &states[0];
-        for (engine, state) in &states[1..] {
-            if let Some(diff) = diff_states(reference, state, &ranges) {
+        for (engine, state) in ENGINES.iter().zip(&states).skip(1) {
+            if let Some(diff) = compare(&states[0], state, Compared::All) {
                 failures.push(format!(
                     "{}: {vname}: Reference vs {engine:?}: {diff}",
                     at(case.asm_line)
                 ));
             }
         }
+        let state = states.swap_remove(0);
+        // --- Against the reference variant. ------------------------------
+        if let Some((against, compared)) = variant.checked_against() {
+            if let Some((_, base)) = reference.iter().find(|(v, _)| *v == against) {
+                if let Some(diff) = compare(base, &state, compared) {
+                    failures.push(format!(
+                        "{}: {vname} vs {}: {diff}",
+                        at(case.asm_line),
+                        against.name()
+                    ));
+                }
+            }
+        }
         // --- Expectation checks against the Reference state. -------------
-        let state = states.swap_remove(0).1;
+        let compared = variant.compared_to_baseline();
         for entry in &case.expect {
-            if !entry_applies(&entry.key, vname) {
+            if !entry_applies(&entry.key, compared) {
                 continue;
             }
             if entry.is_placeholder() {
-                if *vname == "baseline" {
+                if *variant == Variant::Baseline {
                     failures.push(format!(
                         "{}: `{}` is a placeholder — run `conformance --update`",
                         at(entry.file_line),
@@ -171,71 +172,37 @@ pub fn check_case(doc: &str, case: &SpecCase) -> CaseOutcome {
                 }
                 continue;
             }
-            if let Some(msg) = check_entry(entry, &state, &ranges) {
+            if let Some(msg) = check_entry(entry, &state) {
                 failures.push(format!("{}: [{vname}] {msg}", at(entry.file_line)));
             }
         }
-        if *vname == "baseline" {
-            baseline = Some(state);
-        }
+        reference.push((*variant, state));
     }
 
+    let baseline = reference.into_iter().find(|(v, _)| *v == Variant::Baseline).map(|(_, s)| s);
     CaseOutcome { name: case.name.clone(), failures, baseline }
 }
 
-/// Which expect keys a variant checks: the scheduled program reorders
-/// issue (stats exempt); the lifted programs additionally rewrite the
-/// MMX register file (MMX exempt) — the fuzz oracle's exemption table.
-fn entry_applies(key: &Key, variant: &str) -> bool {
-    match variant {
-        "baseline" => true,
-        "scheduled" => !matches!(key, Key::Stat(_)),
-        _ => matches!(key, Key::Gp(_) | Key::Mem { .. }),
+/// Whether an expect key is among the fields a variant must share with
+/// the baseline.
+fn entry_applies(key: &Key, compared: Compared) -> bool {
+    match key {
+        Key::Stat(_) => compared == Compared::All,
+        Key::Mm(_) => compared >= Compared::Arch,
+        Key::Gp(_) | Key::Mem { .. } => true,
     }
 }
 
-/// The actual value of one expect key, rendered in the entry's own
-/// format (what `--update` writes and what check mode compares).
-pub fn actual_text(
-    entry: &crate::doc::ExpectEntry,
-    state: &CaseState,
-    ranges: &[(u32, usize)],
-) -> String {
-    match &entry.key {
-        Key::Mm(n) => format!("{:#018x}", state.mm[*n]),
-        Key::Gp(n) => {
-            if entry.raw.starts_with("0x") {
-                format!("{:#010x}", state.gp[*n])
-            } else {
-                state.gp[*n].to_string()
-            }
-        }
-        Key::Mem { addr, format, count } => {
-            let bytes = range_bytes(state, ranges, *addr, format.width() * count);
-            format!("{}: {}", format.tag(), format.render(bytes))
-        }
-        Key::Stat(name) => stat_text(&state.stats, name),
-    }
-}
-
-fn range_bytes<'a>(
-    state: &'a CaseState,
-    ranges: &[(u32, usize)],
-    addr: u32,
-    len: usize,
-) -> &'a [u8] {
-    let idx = ranges
-        .iter()
-        .position(|(a, l)| *a == addr && *l == len)
-        .expect("expect range always registered in watched_ranges");
-    &state.ranges[idx]
+/// The bytes an expect key's memory range watches.
+fn range_bytes(state: &ArchState, addr: u32, len: usize) -> &[u8] {
+    state.read(addr, len).expect("expect range always registered as an output")
 }
 
 /// Render one stats field: counters as decimal, derived rates at three
 /// decimal places (the comparison precision of the whole suite).
 pub fn stat_text(stats: &SimStats, name: &str) -> String {
-    if COUNTER_KEYS.contains(&name) {
-        return counter_value(stats, name).to_string();
+    if let Some(v) = stats.counter(name) {
+        return v.to_string();
     }
     let v = match name {
         "ipc" => stats.ipc(),
@@ -249,39 +216,7 @@ pub fn stat_text(stats: &SimStats, name: &str) -> String {
     format!("{v:.3}")
 }
 
-fn counter_value(stats: &SimStats, name: &str) -> u64 {
-    match name {
-        "cycles" => stats.cycles,
-        "instructions" => stats.instructions,
-        "mmx_instructions" => stats.mmx_instructions,
-        "scalar_instructions" => stats.scalar_instructions,
-        "mmx_realignments" => stats.mmx_realignments,
-        "mmx_multiplies" => stats.mmx_multiplies,
-        "scalar_multiplies" => stats.scalar_multiplies,
-        "branches" => stats.branches,
-        "mispredicts" => stats.mispredicts,
-        "mispredict_cycles" => stats.mispredict_cycles,
-        "stall_cycles" => stats.stall_cycles,
-        "imul_block_cycles" => stats.imul_block_cycles,
-        "pairs" => stats.pairs,
-        "singles" => stats.singles,
-        "mmx_pairs" => stats.mmx_pairs,
-        "mmx_active_cycles" => stats.mmx_active_cycles,
-        "loads" => stats.loads,
-        "stores" => stats.stores,
-        "spu_routed" => stats.spu_routed,
-        "spu_steps" => stats.spu_steps,
-        "spu_activations" => stats.spu_activations,
-        "mmio_accesses" => stats.mmio_accesses,
-        _ => unreachable!("unknown counter `{name}` survived parsing"),
-    }
-}
-
-fn check_entry(
-    entry: &crate::doc::ExpectEntry,
-    state: &CaseState,
-    ranges: &[(u32, usize)],
-) -> Option<String> {
+fn check_entry(entry: &ExpectEntry, state: &ArchState) -> Option<String> {
     match &entry.key {
         Key::Mm(n) => {
             let want = parse_u64(&entry.raw).expect("validated at parse time");
@@ -303,7 +238,7 @@ fn check_entry(
                 .split_whitespace()
                 .flat_map(|t| format.elem_bytes(t).expect("validated at parse time"))
                 .collect();
-            let got = range_bytes(state, ranges, *addr, format.width() * count);
+            let got = range_bytes(state, *addr, format.width() * count);
             let off = (0..want.len().min(got.len())).find(|&i| got[i] != want[i])?;
             Some(format!(
                 "mem[{:#x}]+{off} = {:#04x}, expected {:#04x} (as {}: got `{}`)",
@@ -316,7 +251,7 @@ fn check_entry(
         }
         Key::Stat(name) => {
             let got = stat_text(&state.stats, name);
-            let matches = if COUNTER_KEYS.contains(name) {
+            let matches = if counter_key(name).is_some() {
                 got == entry.raw.trim()
             } else {
                 // Rates compare as 3-decimal strings; re-render the
@@ -329,98 +264,13 @@ fn check_entry(
     }
 }
 
-/// First difference between two full states over the watched ranges.
-fn diff_states(a: &CaseState, b: &CaseState, ranges: &[(u32, usize)]) -> Option<String> {
-    if a.stats != b.stats {
-        return Some(format!("stats differ: {:?} vs {:?}", a.stats, b.stats));
-    }
-    if let Some(i) = (0..8).find(|&i| a.mm[i] != b.mm[i]) {
-        return Some(format!("mm{i} differs: {:#018x} vs {:#018x}", a.mm[i], b.mm[i]));
-    }
-    if let Some(i) = (0..16).find(|&i| a.gp[i] != b.gp[i]) {
-        return Some(format!("r{i} differs: {:#010x} vs {:#010x}", a.gp[i], b.gp[i]));
-    }
-    for (ri, (addr, _)) in ranges.iter().enumerate() {
-        let (ra, rb) = (&a.ranges[ri], &b.ranges[ri]);
-        if let Some(i) = (0..ra.len().min(rb.len())).find(|&i| ra[i] != rb[i]) {
-            return Some(format!(
-                "memory differs at {:#x}: {:#04x} vs {:#04x}",
-                *addr as usize + i,
-                ra[i],
-                rb[i]
-            ));
-        }
-    }
-    None
-}
-
-fn run_one(
-    program: &Program,
-    case: &SpecCase,
-    shape: CrossbarShape,
-    engine: ExecEngine,
-    ranges: &[(u32, usize)],
-) -> Result<CaseState, String> {
-    let cfg = MachineConfig { engine, ..MachineConfig::with_spu(shape) };
-    let mut m = Machine::new(cfg);
-    for init in &case.inits {
-        match init {
-            Init::Mm(n, v) => {
-                m.regs.write_mm(MmReg::from_index(*n).expect("index checked in parse"), *v);
-            }
-            Init::Gp(n, v) => {
-                m.regs.write_gp(GpReg::from_index(*n).expect("index checked in parse"), *v);
-            }
-            Init::Mem(addr, bytes) => {
-                m.mem.write_bytes(*addr, bytes).map_err(|e| format!("memory init: {e:?}"))?;
-            }
-        }
-    }
-    let stats = m.run(program).map_err(|e| e.to_string())?;
-    let mut out_ranges = Vec::with_capacity(ranges.len());
-    for (addr, len) in ranges {
-        out_ranges.push(
-            m.mem
-                .read_bytes(*addr, *len)
-                .map(<[u8]>::to_vec)
-                .map_err(|e| format!("memory readback at {addr:#x}: {e:?}"))?,
-        );
-    }
-    Ok(CaseState {
-        stats,
-        mm: std::array::from_fn(|i| {
-            m.regs.read_mm(MmReg::from_index(i).expect("mm file has 8 registers"))
-        }),
-        gp: std::array::from_fn(|i| {
-            m.regs.read_gp(GpReg::from_index(i).expect("gp file has 16 registers"))
-        }),
-        ranges: out_ranges,
-    })
-}
-
-/// Run `f` under `catch_unwind`, mapping a panic to its message.
-fn contained<T>(f: impl FnOnce() -> T) -> Result<T, String> {
-    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
-        if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        }
-    })
-}
-
-/// One entry of "placeholder"-free canonical text for `--update`: the
-/// value part only (memory keeps its `fmt:` prefix).
-pub fn update_value(
-    entry: &crate::doc::ExpectEntry,
-    state: &CaseState,
-    ranges: &[(u32, usize)],
-) -> String {
+/// The actual value of one expect key, rendered in the entry's own
+/// format (what `--update` writes back): memory keeps its `fmt:` prefix,
+/// GP registers their author's radix.
+pub fn update_value(entry: &ExpectEntry, state: &ArchState) -> String {
     match &entry.key {
         Key::Mem { addr, format, count } => {
-            let bytes = range_bytes(state, ranges, *addr, format.width() * count);
+            let bytes = range_bytes(state, *addr, format.width() * count);
             format!("{}: {}", format.tag(), format.render(bytes))
         }
         Key::Gp(n) => {

@@ -24,6 +24,7 @@
 //!   microcode-staging boundary, which bump the threaded engine's
 //!   staging generation and invalidate cached traces.
 
+use subword_compile::TestSetup;
 use subword_isa::mem::Mem;
 use subword_isa::op::{AluOp, Cond, MmxOp};
 use subword_isa::program::Program;
@@ -236,6 +237,17 @@ impl FuzzCase {
     pub fn initial_memory(&self) -> Vec<u8> {
         let mut rng = Rng::new(self.mem_seed);
         (0..MEM_LEN).map(|_| rng.next_u64() as u8).collect()
+    }
+
+    /// The case's initial state for a run: the MMX preloads and the data
+    /// region image, with the data region as the output range.
+    pub fn setup(&self) -> TestSetup {
+        TestSetup {
+            mem_init: vec![(MEM_BASE, self.initial_memory())],
+            mm_init: MmReg::ALL.into_iter().zip(self.mm_init).collect(),
+            outputs: vec![(MEM_BASE, MEM_LEN)],
+            ..TestSetup::default()
+        }
     }
 
     /// Total instructions of the built program (prologue, body, back

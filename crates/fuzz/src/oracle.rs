@@ -1,44 +1,24 @@
 //! The differential oracle: one generated program, four compile
 //! variants, three engines, two pipeline models, everything compared.
 //!
-//! ## Comparison matrix
-//!
-//! Each variant runs on all three engines ([`ExecEngine::Reference`],
-//! [`ExecEngine::Decoded`], [`ExecEngine::Threaded`]) and the three
-//! results must be **fully** bit-identical — [`SimStats`], both register
-//! files, and the data region. Each variant then also runs on the
-//! out-of-order pipeline model ([`PipelineKind::OutOfOrder`]), which
-//! must reproduce the in-order architectural state (both register
-//! files plus memory) and every model-invariant count
-//! ([`SimStats::model_invariant_counts`]); the timing-derived fields are
-//! exempt — they are the measurement. Across variants (Reference
-//! results):
-//!
-//! | pair                        | compared                  | exempt |
-//! |-----------------------------|---------------------------|--------|
-//! | scheduled vs baseline       | registers + memory        | stats (reordering changes cycles) |
-//! | lifted vs baseline          | GP registers + memory     | MMX regs (removed permutes leave stale dests; regalloc renames), stats |
-//! | scheduled-lifted vs lifted  | registers + memory        | stats  |
-//! | ooo vs in-order (per variant) | registers + memory + counts | timing stats |
-//!
-//! Every compile step and every run is wrapped in `catch_unwind`: a
-//! panic anywhere becomes a structured [`FuzzFailure`] naming the stage
-//! that blew up, and the campaign moves on to the next seed.
+//! Every variant runs on all three engines, which must agree on the whole
+//! state, and on the out-of-order pipeline model, which must reproduce
+//! the in-order state and counts; each variant is then checked against
+//! its reference variant. What is compared where is the exemption table
+//! on [`Variant`]; the runs, comparisons and panic containment are
+//! [`subword_compile::verify`]'s. A panic anywhere becomes a structured
+//! [`FuzzFailure`] naming the stage that blew up, and the campaign moves
+//! on to the next seed.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
-use subword_compile::{lift_permutes, schedule_program, LoopStatus};
+use subword_compile::verify::{
+    build_variants, compare, contained, plain_lift, run, ArchState, Compared, Variant, ENGINES,
+};
+use subword_compile::LoopStatus;
 use subword_isa::program::Program;
-use subword_isa::reg::{GpReg, MmReg};
-use subword_sim::machine::{ExecEngine, Machine, MachineConfig};
-use subword_sim::stats::SimStats;
+use subword_sim::machine::{ExecEngine, MachineConfig};
 use subword_sim::PipelineKind;
 
-use crate::gen::{build_program, FuzzCase, MEM_BASE, MEM_LEN};
-
-/// The three engines every variant runs on.
-pub const ENGINES: [ExecEngine; 3] =
-    [ExecEngine::Reference, ExecEngine::Decoded, ExecEngine::Threaded];
+use crate::gen::{build_program, FuzzCase};
 
 /// Why a case failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -125,26 +105,17 @@ pub struct CaseReport {
     pub variants: usize,
 }
 
-/// Full architectural state after a run.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct EngineState {
-    stats: SimStats,
-    mm: [u64; 8],
-    gp: [u32; 16],
-    mem: Vec<u8>,
-}
-
 /// A hook the fault-injection tests use to sabotage one compiled
 /// variant; `None` in real campaigns.
-pub type Tamper<'a> = Option<&'a (dyn Fn(&mut Program) + Sync)>;
+pub type Tamper<'a> = Option<(Variant, &'a (dyn Fn(&mut Program) + Sync))>;
 
 /// Run the full oracle on one case.
 pub fn run_case(case: &FuzzCase) -> Result<CaseReport, FuzzFailure> {
     run_case_with(case, None)
 }
 
-/// [`run_case`], with an optional tamper hook applied to the scheduled
-/// baseline variant after scheduling (fault-injection tests only).
+/// [`run_case`], with an optional tamper hook applied to one variant
+/// after it is compiled (fault-injection tests only).
 pub fn run_case_with(case: &FuzzCase, tamper: Tamper<'_>) -> Result<CaseReport, FuzzFailure> {
     let fail = |kind, stage: &str, detail: String| FuzzFailure {
         case: case.clone(),
@@ -152,48 +123,52 @@ pub fn run_case_with(case: &FuzzCase, tamper: Tamper<'_>) -> Result<CaseReport, 
         stage: stage.to_string(),
         detail,
     };
+    let contain = |stage: &str, f: &mut dyn FnMut() -> Result<ArchState, String>| {
+        contained(f)
+            .map_err(|msg| fail(FailureKind::Panic, stage, msg))?
+            .map_err(|e| fail(FailureKind::SimError, stage, e))
+    };
 
-    let program = contained(case, "build", || build_program(case))?
+    let program = contained(|| build_program(case))
+        .map_err(|msg| fail(FailureKind::Panic, "build", msg))?
         .map_err(|e| fail(FailureKind::BuildError, "build", e))?;
 
     // --- Compile the variants (each stage panic-contained). -------------
-    let mut scheduled = contained(case, "schedule", || schedule_program(&program).0)?;
-    if let Some(t) = tamper {
-        t(&mut scheduled);
-    }
-
     let shape = case.crossbar();
-    let lift = contained(case, "lift", || lift_permutes(&program, &shape))?
-        .map_err(|e| fail(FailureKind::CompileError, "lift", e.to_string()))?;
-    let lifted_any = lift.report.loops.iter().any(|l| l.status == LoopStatus::Transformed);
-    let compacted = lift.report.loops.iter().any(|l| l.renamed_ranges > 0);
-    let (lifted, sched_lifted) = if lifted_any {
-        (Some(lift.program), Some(lift.scheduled.program))
-    } else {
+    let built = build_variants(program, &Variant::ALL, &shape, &plain_lift).map_err(|e| {
+        let kind = if e.panicked { FailureKind::Panic } else { FailureKind::CompileError };
+        fail(kind, e.stage, e.detail)
+    })?;
+    let loops = &built.report.as_ref().expect("lifted variants requested").loops;
+    let lifted = loops.iter().any(|l| l.status == LoopStatus::Transformed);
+    let compacted = loops.iter().any(|l| l.renamed_ranges > 0);
+    let mut variants = built.programs;
+    if !lifted {
         // Nothing lifted: the "lifted" program is the input plus a no-op
         // report; diffing it against baseline would compare a program
         // with itself.
-        (None, None)
-    };
-
-    let mut variants: Vec<(&str, &Program)> =
-        vec![("baseline", &program), ("scheduled", &scheduled)];
-    if let Some(p) = &lifted {
-        variants.push(("lifted", p));
+        variants.retain(|(v, _)| !v.is_lifted());
     }
-    if let Some(p) = &sched_lifted {
-        variants.push(("scheduled-lifted", p));
+    if let Some((target, t)) = tamper {
+        variants.iter_mut().filter(|(v, _)| *v == target).for_each(|(_, p)| t(p));
     }
 
-    // --- Run everything: per-variant, all engines must fully agree. -----
-    let mut reference: Vec<(&str, EngineState)> = Vec::new();
-    for (name, prog) in &variants {
-        let mut states: Vec<(ExecEngine, EngineState)> = Vec::new();
+    // All variants run on the *same* machine — SPU fitted with the case's
+    // shape (idle unless a lift prologue arms it) — so cycle accounting
+    // is comparable and generated MMIO stores never fault.
+    let setup = case.setup();
+    let machine =
+        |engine, pipeline| MachineConfig { engine, pipeline, ..MachineConfig::with_spu(shape) };
+
+    // --- Run everything: per variant, all engines must fully agree. -----
+    let mut reference: Vec<(Variant, ArchState)> = Vec::new();
+    for (variant, prog) in &variants {
+        let name = variant.name();
+        let mut states: Vec<ArchState> = Vec::new();
         for engine in ENGINES {
             let stage = format!("run {name}/{engine:?}");
-            let run =
-                contained(case, &stage, || run_program(prog, case, engine, PipelineKind::InOrder))?;
-            let state = run.map_err(|e| fail(FailureKind::SimError, &stage, e))?;
+            let state =
+                contain(&stage, &mut || run(prog, &setup, machine(engine, PipelineKind::InOrder)))?;
             if state.stats.cycles > case.static_cycle_bound() {
                 return Err(fail(
                     FailureKind::CycleBound,
@@ -205,148 +180,40 @@ pub fn run_case_with(case: &FuzzCase, tamper: Tamper<'_>) -> Result<CaseReport, 
                     ),
                 ));
             }
-            states.push((engine, state));
-        }
-        let (_, base) = &states[0];
-        for (engine, state) in &states[1..] {
-            if let Some(diff) = diff_states(base, state, true, true) {
-                return Err(fail(
-                    FailureKind::Divergence,
-                    &format!("compare {name}: Reference vs {engine:?}"),
-                    diff,
-                ));
+            if let Some(base) = states.first() {
+                if let Some(diff) = compare(base, &state, Compared::All) {
+                    let stage = format!("compare {name}: Reference vs {engine:?}");
+                    return Err(fail(FailureKind::Divergence, &stage, diff));
+                }
             }
+            states.push(state);
         }
+        let base = states.swap_remove(0);
 
         // Pipeline-model dimension: the out-of-order core must land on
         // the identical architectural state and model-invariant counts
         // (timing statistics are the measurement, so they are exempt —
         // including the static cycle bound, which is an in-order bound).
         let stage = format!("run {name}/ooo");
-        let run = contained(case, &stage, || {
-            run_program(prog, case, ExecEngine::default(), PipelineKind::OutOfOrder)
+        let ooo = contain(&stage, &mut || {
+            run(prog, &setup, machine(ExecEngine::default(), PipelineKind::OutOfOrder))
         })?;
-        let ooo = run.map_err(|e| fail(FailureKind::SimError, &stage, e))?;
-        if let Some(diff) =
-            diff_states(base, &ooo, false, true).or_else(|| base.stats.count_divergence(&ooo.stats))
-        {
-            return Err(fail(
-                FailureKind::Divergence,
-                &format!("compare {name}: in-order vs ooo"),
-                diff,
-            ));
+        if let Some(diff) = compare(&base, &ooo, Compared::Counts) {
+            let stage = format!("compare {name}: in-order vs ooo");
+            return Err(fail(FailureKind::Divergence, &stage, diff));
         }
-
-        reference.push((name, states.swap_remove(0).1));
+        reference.push((*variant, base));
     }
 
     // --- Cross-variant comparisons (Reference results). ------------------
-    let state_of = |name: &str| &reference.iter().find(|(n, _)| *n == name).unwrap().1;
-    let base = state_of("baseline");
-    let check = |name: &str, against: &EngineState, compare_mm: bool| match diff_states(
-        against,
-        state_of(name),
-        false,
-        compare_mm,
-    ) {
-        Some(diff) => {
-            Err(fail(FailureKind::Divergence, &format!("compare {name} vs baseline"), diff))
-        }
-        None => Ok(()),
-    };
-    check("scheduled", base, true)?;
-    if lifted.is_some() {
-        check("lifted", base, false)?;
-        let lifted_state = state_of("lifted").clone();
-        check("scheduled-lifted", &lifted_state, true)?;
-    }
-
-    Ok(CaseReport { lifted: lifted_any, compacted, variants: variants.len() })
-}
-
-/// Run `f` under `catch_unwind`, mapping a panic to a [`FuzzFailure`].
-fn contained<T>(case: &FuzzCase, stage: &str, f: impl FnOnce() -> T) -> Result<T, FuzzFailure> {
-    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| FuzzFailure {
-        case: case.clone(),
-        kind: FailureKind::Panic,
-        stage: stage.to_string(),
-        detail: panic_message(payload.as_ref()),
-    })
-}
-
-/// Best-effort text of a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Run one program on one engine with the case's initial state. All
-/// variants run on the *same* machine configuration — SPU fitted with
-/// the case's shape (idle unless a lift prologue arms it) — so cycle
-/// accounting is comparable and generated MMIO stores never fault.
-fn run_program(
-    program: &Program,
-    case: &FuzzCase,
-    engine: ExecEngine,
-    pipeline: PipelineKind,
-) -> Result<EngineState, String> {
-    let cfg = MachineConfig { engine, pipeline, ..MachineConfig::with_spu(case.crossbar()) };
-    let mut m = Machine::new(cfg);
-    for (i, v) in case.mm_init.iter().enumerate() {
-        m.regs.write_mm(MmReg::from_index(i).expect("mm file has 8 registers"), *v);
-    }
-    m.mem
-        .write_bytes(MEM_BASE, &case.initial_memory())
-        .map_err(|e| format!("memory init: {e:?}"))?;
-    let stats = m.run(program).map_err(|e| e.to_string())?;
-    Ok(EngineState {
-        stats,
-        mm: std::array::from_fn(|i| {
-            m.regs.read_mm(MmReg::from_index(i).expect("mm file has 8 registers"))
-        }),
-        gp: std::array::from_fn(|i| {
-            m.regs.read_gp(GpReg::from_index(i).expect("gp file has 16 registers"))
-        }),
-        mem: m
-            .mem
-            .read_bytes(MEM_BASE, MEM_LEN)
-            .map(<[u8]>::to_vec)
-            .map_err(|e| format!("memory readback: {e:?}"))?,
-    })
-}
-
-/// First difference between two states, or `None` if they agree on the
-/// compared subset (`stats`/`mm` participation is the caller's choice;
-/// GP registers and memory are always compared).
-fn diff_states(
-    a: &EngineState,
-    b: &EngineState,
-    compare_stats: bool,
-    compare_mm: bool,
-) -> Option<String> {
-    if compare_stats && a.stats != b.stats {
-        return Some(format!("stats differ: {:?} vs {:?}", a.stats, b.stats));
-    }
-    if compare_mm {
-        if let Some(i) = (0..8).find(|&i| a.mm[i] != b.mm[i]) {
-            return Some(format!("mm{i} differs: {:#018x} vs {:#018x}", a.mm[i], b.mm[i]));
+    let state_of = |v: Variant| &reference.iter().find(|(w, _)| *w == v).expect("variant ran").1;
+    for (variant, state) in &reference {
+        let Some((against, compared)) = variant.checked_against() else { continue };
+        if let Some(diff) = compare(state_of(against), state, compared) {
+            let stage = format!("compare {} vs {}", variant.name(), against.name());
+            return Err(fail(FailureKind::Divergence, &stage, diff));
         }
     }
-    if let Some(i) = (0..16).find(|&i| a.gp[i] != b.gp[i]) {
-        return Some(format!("r{i} differs: {:#010x} vs {:#010x}", a.gp[i], b.gp[i]));
-    }
-    if let Some(i) = (0..a.mem.len().min(b.mem.len())).find(|&i| a.mem[i] != b.mem[i]) {
-        return Some(format!(
-            "memory differs at {:#x}: {:#04x} vs {:#04x}",
-            MEM_BASE as usize + i,
-            a.mem[i],
-            b.mem[i]
-        ));
-    }
-    None
+
+    Ok(CaseReport { lifted, compacted, variants: variants.len() })
 }

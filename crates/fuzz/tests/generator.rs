@@ -2,10 +2,10 @@
 //! within its static cycle bound, and the targeted grammar features
 //! appear at healthy rates.
 
+use subword_compile::verify::run;
 use subword_fuzz::census;
-use subword_fuzz::gen::{build_program, generate, MEM_BASE};
-use subword_isa::reg::MmReg;
-use subword_sim::machine::{ExecEngine, Machine, MachineConfig};
+use subword_fuzz::gen::{build_program, generate};
+use subword_sim::machine::{ExecEngine, MachineConfig};
 
 const SAMPLE: u64 = 10_000;
 
@@ -23,13 +23,9 @@ fn generated_programs_are_valid_and_halt_within_bound() {
             max_cycles: case.static_cycle_bound(),
             ..MachineConfig::with_spu(case.crossbar())
         };
-        let mut m = Machine::new(cfg);
-        for (i, v) in case.mm_init.iter().enumerate() {
-            m.regs.write_mm(MmReg::from_index(i).unwrap(), *v);
-        }
-        m.mem.write_bytes(MEM_BASE, &case.initial_memory()).expect("data region fits");
-        let stats =
-            m.run(&program).unwrap_or_else(|e| panic!("seed {seed}: baseline run failed: {e}"));
+        let stats = run(&program, &case.setup(), cfg)
+            .unwrap_or_else(|e| panic!("seed {seed}: baseline run failed: {e}"))
+            .stats;
         assert!(
             stats.cycles <= case.static_cycle_bound(),
             "seed {seed}: {} cycles exceeds static bound {}",

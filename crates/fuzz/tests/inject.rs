@@ -2,14 +2,14 @@
 //! transform, the minimizer shrinks the catch, and the repro file
 //! replays it.
 //!
-//! The injected fault flips the first `paddw` of the scheduled variant
-//! into `psubw` — the flavor of bug a miscompiled schedule or a bad
-//! route permutation would produce (right instruction count, wrong
-//! dataflow).
+//! The injected fault flips the first `paddw` of one variant into
+//! `psubw` — the flavor of bug a miscompiled schedule or a bad route
+//! permutation would produce (right instruction count, wrong dataflow).
 
+use subword_compile::verify::Variant;
 use subword_fuzz::gen::{generate, FuzzCase};
 use subword_fuzz::minimize::minimize;
-use subword_fuzz::oracle::{run_case_with, FailureKind};
+use subword_fuzz::oracle::{run_case_with, FailureKind, Tamper};
 use subword_fuzz::{corpus, run_campaign_with, CampaignConfig};
 use subword_isa::instr::Instr;
 use subword_isa::op::MmxOp;
@@ -27,29 +27,42 @@ fn break_first_paddw(p: &mut Program) {
     }
 }
 
+/// The fault, injected into the scheduled baseline.
+const FAULT: Tamper<'static> = Some((Variant::Scheduled, &break_first_paddw));
+
 /// A seed whose case (a) diverges under the injected fault and (b) is
 /// big enough that a ≤⅓ shrink is meaningful.
 fn victim() -> (u64, FuzzCase) {
     for seed in 0..500 {
         let case = generate(seed);
-        if case.instruction_count() >= 18 && run_case_with(&case, Some(&break_first_paddw)).is_err()
-        {
+        if case.instruction_count() >= 18 && run_case_with(&case, FAULT).is_err() {
             return (seed, case);
         }
     }
     panic!("no seed in 0..500 diverges under the injected fault");
 }
 
+/// A broken scheduled-lifted program is reported against the variant
+/// it is checked against — `lifted`, not `baseline`.
+#[test]
+fn divergence_names_the_reference_variant() {
+    let fault: Tamper<'_> = Some((Variant::ScheduledLifted, &break_first_paddw));
+    let failure = (0..500)
+        .find_map(|seed| run_case_with(&generate(seed), fault).err())
+        .expect("no seed in 0..500 diverges under the injected fault");
+    assert_eq!(failure.kind, FailureKind::Divergence, "caught as {failure}");
+    assert_eq!(failure.stage, "compare scheduled-lifted vs lifted", "{failure}");
+}
+
 #[test]
 fn injected_fault_is_caught_minimized_and_replayable() {
     let (seed, case) = victim();
-    let failure = run_case_with(&case, Some(&break_first_paddw))
-        .expect_err("victim() returned a passing case");
+    let failure = run_case_with(&case, FAULT).expect_err("victim() returned a passing case");
     assert_eq!(failure.kind, FailureKind::Divergence, "caught as {failure}");
 
     // Minimize against the same fault; the shrink must reach ≤ 1/3 of
     // the original instruction count.
-    let fails = |c: &FuzzCase| run_case_with(c, Some(&break_first_paddw)).is_err();
+    let fails = |c: &FuzzCase| run_case_with(c, FAULT).is_err();
     let (small, report) = minimize(&case, &fails);
     assert!(
         small.instruction_count() * 3 <= case.instruction_count(),
@@ -62,7 +75,7 @@ fn injected_fault_is_caught_minimized_and_replayable() {
 
     // The emitted repro file replays the failure bit-for-bit.
     let dir = std::env::temp_dir().join(format!("subword-fuzz-inject-{seed}"));
-    let small_failure = run_case_with(&small, Some(&break_first_paddw)).unwrap_err();
+    let small_failure = run_case_with(&small, FAULT).unwrap_err();
     let path = corpus::write_repro(&dir, &small, Some(&small_failure)).expect("repro written");
     let text = std::fs::read_to_string(&path).expect("repro readable");
     let replayed = corpus::parse(&text).expect("repro parses");
@@ -84,7 +97,7 @@ fn campaign_contains_and_persists_injected_faults() {
         failures_dir: Some(dir.clone()),
         ..CampaignConfig::default()
     };
-    let stats = run_campaign_with(&cfg, Some(&break_first_paddw), &mut |_, _| {});
+    let stats = run_campaign_with(&cfg, FAULT, &mut |_, _| {});
     assert_eq!(stats.cases, 1);
     assert_eq!(stats.failures.len(), 1, "campaign must catch the fault");
     let (failure, path) = &stats.failures[0];

@@ -10,18 +10,14 @@
 
 use crate::paper::PaperRow;
 use crate::suite::Family;
-use subword_compile::{lift_permutes, schedule_program, CompileReport, TestSetup, TransformResult};
+use std::time::Instant;
+use subword_compile::verify::{
+    build_variants, plain_lift, run, ArchState, LiftFn, Variant, Variants,
+};
+use subword_compile::{CompileReport, TestSetup};
 use subword_isa::program::Program;
 use subword_sim::{Machine, MachineConfig, SimStats};
 use subword_spu::crossbar::CrossbarShape;
-
-/// Hook producing the MMX+SPU variant of a program for [`measure_with`]:
-/// given the MMX-only program and the target crossbar shape, return the
-/// lifted result. The default ([`measure`]) runs a fresh
-/// [`lift_permutes`]; the sweep harness plugs in a compiled-program cache
-/// that replays a [`subword_compile::CompiledKernel`] instead.
-pub type LiftFn<'a> =
-    &'a (dyn Fn(&Program, &CrossbarShape) -> Result<TransformResult, String> + Sync);
 
 /// A fully materialised kernel instance.
 pub struct KernelBuild {
@@ -37,11 +33,36 @@ pub struct KernelBuild {
 impl KernelBuild {
     /// Check a machine's memory against the golden outputs.
     pub fn check(&self, m: &Machine, label: &str) -> Result<(), String> {
+        self.check_with(label, |addr, len| m.mem.read_bytes(addr, len).ok())
+    }
+
+    /// Check a run's captured output ranges against the golden outputs.
+    pub fn check_state(&self, state: &ArchState, label: &str) -> Result<(), String> {
+        self.check_with(label, |addr, len| state.read(addr, len))
+    }
+
+    /// Run `program` — this build's, or a compiled variant of it — from
+    /// this build's setup on a machine configured by `cfg`, and check the
+    /// golden outputs.
+    pub fn run_checked(
+        &self,
+        program: &Program,
+        cfg: MachineConfig,
+        label: &str,
+    ) -> Result<ArchState, String> {
+        let state = run(program, &self.setup, cfg).map_err(|e| format!("{label}: {e}"))?;
+        self.check_state(&state, label)?;
+        Ok(state)
+    }
+
+    fn check_with<'m>(
+        &self,
+        label: &str,
+        read: impl Fn(u32, usize) -> Option<&'m [u8]>,
+    ) -> Result<(), String> {
         for (addr, bytes) in &self.expected {
-            let got = m
-                .mem
-                .read_bytes(*addr, bytes.len())
-                .map_err(|_| format!("{label}: expected range {addr:#x} out of bounds"))?;
+            let got = read(*addr, bytes.len())
+                .ok_or_else(|| format!("{label}: expected range {addr:#x} out of bounds"))?;
             if got != bytes.as_slice() {
                 let off = got.iter().zip(bytes).position(|(a, b)| a != b).unwrap();
                 return Err(format!(
@@ -146,7 +167,7 @@ impl HostNanos {
 /// and after the pairing-aware list scheduler reordered it
 /// ([`Measurement::sched_baseline`]/[`Measurement::sched_spu`]) — the
 /// scheduled-vs-unscheduled delta is the orchestration signal the sweep
-/// reports per kernel. The one-off probes ([`measure`] and friends)
+/// reports per kernel. One-off probes ([`MeasureOpts::scheduled`] unset)
 /// skip the scheduled runs; their `sched_*` fields mirror the
 /// unscheduled ones.
 #[derive(Clone, Debug, PartialEq)]
@@ -171,11 +192,10 @@ pub struct Measurement {
     pub report: CompileReport,
     /// Block counts used (small, large).
     pub blocks: (u64, u64),
-    /// Host wall-clock spent inside the measurement's simulator runs —
-    /// eight (baseline, SPU, and their scheduled forms, at both block
-    /// counts), or four when scheduled measurement is disabled
-    /// ([`measure_with_config_opts`]) — the interpreter-throughput
-    /// signal.
+    /// Host wall-clock spent in the measurement's simulator runs — eight
+    /// (baseline, SPU, and their scheduled forms, at both block counts),
+    /// or four without [`MeasureOpts::scheduled`] — the
+    /// interpreter-throughput signal.
     pub wall_nanos: HostNanos,
     /// Dynamic instructions those runs retired (deterministic, so it
     /// participates in equality).
@@ -248,7 +268,8 @@ impl Measurement {
     }
 
     /// Host-side simulator throughput: simulated instructions retired per
-    /// wall-clock second across this measurement's four runs.
+    /// wall-clock second across this measurement's runs (eight in a
+    /// sweep cell).
     pub fn sim_ips(&self) -> f64 {
         self.wall_nanos.per_second(self.sim_instructions)
     }
@@ -297,8 +318,8 @@ pub struct MeasurementRecord {
     pub family: Family,
     /// Block counts used (small, large).
     pub blocks: (u64, u64),
-    /// Host wall-clock spent inside the measurement's four simulator
-    /// runs (exempt from equality — see [`HostNanos`]).
+    /// Host wall-clock spent in the measurement's simulator runs, eight
+    /// in a sweep cell (exempt from equality — see [`HostNanos`]).
     pub wall_nanos: HostNanos,
     /// Dynamic instructions those runs retired.
     pub sim_instructions: u64,
@@ -395,209 +416,86 @@ impl MeasurementRecord {
     }
 }
 
-/// Run one variant at one block count, checking outputs. The returned
-/// nanoseconds cover only [`Machine::run`] — not machine construction,
-/// state initialisation or the golden check — so they are a pure
-/// interpreter-throughput signal.
-fn run_checked(
-    build: &KernelBuild,
-    cfg: MachineConfig,
-    label: &str,
-) -> Result<(SimStats, u64), String> {
-    let mut m = Machine::new(cfg);
-    for (addr, bytes) in &build.setup.mem_init {
-        m.mem.write_bytes(*addr, bytes).map_err(|_| format!("{label}: init oob"))?;
-    }
-    for (r, v) in &build.setup.reg_init {
-        m.regs.write_gp(*r, *v);
-    }
-    for (r, v) in &build.setup.mm_init {
-        m.regs.write_mm(*r, *v);
-    }
-    let t = std::time::Instant::now();
-    let stats = m.run(&build.program).map_err(|e| format!("{label}: {e}"))?;
-    let nanos = t.elapsed().as_nanos() as u64;
-    build.check(&m, label)?;
-    Ok((stats, nanos))
+/// How [`measure`] builds and runs a kernel's variants.
+#[derive(Clone, Default)]
+pub struct MeasureOpts<'a> {
+    /// Micro-architectural parameters (multiplier latencies, BTB,
+    /// mispredict penalty, pipeline model, …) for every variant; the SPU
+    /// flag and crossbar are set per variant ([`Variant::machine`]).
+    pub base: MachineConfig,
+    /// Lift hook, called once per block count; `None` runs a fresh
+    /// [`plain_lift`]. The sweep plugs its compiled-program cache in here.
+    pub lift: Option<LiftFn<'a>>,
+    /// Also measure the list-scheduled form of both variants: eight
+    /// simulator runs instead of four. Unset, the `sched_*` fields mirror
+    /// the unscheduled ones (zero deltas, zero moved instructions). Keep
+    /// it unset for non-default `base` parameters: the scheduler's
+    /// acceptance cost model replays the *default* latencies, so its
+    /// never-slower contract only holds there (DESIGN.md §7).
+    pub scheduled: bool,
 }
 
-/// Measure a kernel with the paper's methodology: baseline and SPU
-/// variants at two block counts; steady-state = difference. Runs a fresh
-/// lifting pass per block count; see [`measure_with`] to plug in a
-/// compiled-program cache.
+/// Measure a kernel with the paper's methodology: the MMX-only and lifted
+/// variants (plus their scheduled forms with [`MeasureOpts::scheduled`])
+/// at two block counts, every run checked against the golden outputs;
+/// steady-state per-block counters are the difference.
 pub fn measure(
     kernel: &dyn Kernel,
     blocks_small: u64,
     blocks_large: u64,
     shape: &CrossbarShape,
-) -> Result<Measurement, String> {
-    measure_with(kernel, blocks_small, blocks_large, shape, &|program, shape| {
-        lift_permutes(program, shape).map_err(|e| e.to_string())
-    })
-}
-
-/// [`measure`] with an injectable lifting hook: `lift` is called once per
-/// block-count variant and may serve compiled artifacts from a cache
-/// instead of re-running the pass.
-pub fn measure_with(
-    kernel: &dyn Kernel,
-    blocks_small: u64,
-    blocks_large: u64,
-    shape: &CrossbarShape,
-    lift: LiftFn<'_>,
-) -> Result<Measurement, String> {
-    measure_with_config(kernel, blocks_small, blocks_large, shape, &MachineConfig::default(), lift)
-}
-
-/// [`measure_with`] on a non-default machine: `base` supplies the
-/// micro-architectural parameters (multiplier latencies, BTB, mispredict
-/// penalty, …) for *both* variants; the SPU flag and crossbar are
-/// overridden per variant.
-///
-/// Like the other one-off probes ([`measure`], [`measure_with`]) this
-/// runs the paper-faithful four simulations only; the `sched_*` fields
-/// mirror the unscheduled ones. Scheduled measurement — on by default
-/// in the sweep layer — is opted into via
-/// [`measure_with_config_opts`].
-pub fn measure_with_config(
-    kernel: &dyn Kernel,
-    blocks_small: u64,
-    blocks_large: u64,
-    shape: &CrossbarShape,
-    base: &MachineConfig,
-    lift: LiftFn<'_>,
-) -> Result<Measurement, String> {
-    measure_with_config_opts(kernel, blocks_small, blocks_large, shape, base, lift, false)
-}
-
-/// [`measure_with_config`] with the scheduled measurements optional —
-/// the full entry point the sweep layer drives. With
-/// `measure_scheduled` set, the list-scheduled form of both variants is
-/// simulated too (eight runs per measurement); unset, those four runs
-/// are skipped and the `sched_*` fields mirror the unscheduled ones
-/// (zero deltas, zero moved instructions). Keep it unset for
-/// non-default `base` machine parameters: the scheduler's acceptance
-/// cost model replays the *default* latencies, so its never-slower
-/// contract is only asserted on default-config measurements
-/// (DESIGN.md §7).
-#[allow(clippy::too_many_arguments)]
-pub fn measure_with_config_opts(
-    kernel: &dyn Kernel,
-    blocks_small: u64,
-    blocks_large: u64,
-    shape: &CrossbarShape,
-    base: &MachineConfig,
-    lift: LiftFn<'_>,
-    measure_scheduled: bool,
+    opts: &MeasureOpts<'_>,
 ) -> Result<Measurement, String> {
     assert!(blocks_small < blocks_large);
-    let mmx_cfg = MachineConfig { spu_fitted: false, ..base.clone() };
-    let spu_cfg = MachineConfig { spu_fitted: true, crossbar: *shape, ..base.clone() };
-    let b_small = kernel.build(blocks_small);
-    let b_large = kernel.build(blocks_large);
-
-    let (base_small, t_bs) = run_checked(&b_small, mmx_cfg.clone(), "baseline/small")?;
-    let (base_large, t_bl) = run_checked(&b_large, mmx_cfg.clone(), "baseline/large")?;
-
-    // The list-scheduled baseline: same program, regions reordered for
-    // dual-issue; golden outputs re-checked on every run.
-    let rebuilt = |program: Program, of: &KernelBuild| KernelBuild {
-        program,
-        setup: of.setup.clone(),
-        expected: of.expected.clone(),
+    let wanted: &[Variant] =
+        if opts.scheduled { &Variant::ALL } else { &[Variant::Baseline, Variant::Lifted] };
+    let lift = opts.lift.unwrap_or(&plain_lift);
+    let mut wall_nanos = 0;
+    let mut sim_instructions = 0;
+    // One block count: every wanted variant's statistics, in `wanted`
+    // order, and the compile results.
+    let mut measure_at = |blocks: u64| -> Result<(Vec<SimStats>, Variants), String> {
+        let build = kernel.build(blocks);
+        let variants = build_variants(build.program.clone(), wanted, shape, lift)
+            .map_err(|e| e.to_string())?;
+        let mut stats = Vec::with_capacity(wanted.len());
+        for (variant, program) in &variants.programs {
+            let label = format!("{}/{blocks}", variant.name());
+            let t = Instant::now();
+            let state = build.run_checked(program, variant.machine(&opts.base, shape), &label)?;
+            wall_nanos += t.elapsed().as_nanos() as u64;
+            sim_instructions += state.stats.instructions;
+            stats.push(state.stats);
+        }
+        Ok((stats, variants))
     };
-    let ((sched_base_small, t_sbs), (sched_base_large, t_sbl), sched_base_moved) =
-        if measure_scheduled {
-            let (sb_prog_small, _) = schedule_program(&b_small.program);
-            let (sb_prog_large, sb_report) = schedule_program(&b_large.program);
-            (
-                run_checked(&rebuilt(sb_prog_small, &b_small), mmx_cfg.clone(), "sched-base/s")?,
-                run_checked(&rebuilt(sb_prog_large, &b_large), mmx_cfg, "sched-base/l")?,
-                sb_report.moved as u64,
-            )
-        } else {
-            ((base_small, 0), (base_large, 0), 0)
-        };
-
-    let lifted_small = lift(&b_small.program, shape)?;
-    let lifted_large = lift(&b_large.program, shape)?;
-    let spu_build_small = rebuilt(lifted_small.program, &b_small);
-    let spu_build_large = rebuilt(lifted_large.program, &b_large);
-    let (spu_small, t_ss) = run_checked(&spu_build_small, spu_cfg.clone(), "spu/small")?;
-    let (spu_large, t_sl) = run_checked(&spu_build_large, spu_cfg.clone(), "spu/large")?;
-
-    // The scheduled SPU variant the lifting pass carries alongside the
-    // plain one (loop bodies reordered, SPU routes permuted to match).
-    let ((sched_spu_small, t_xs), (sched_spu_large, t_xl), sched_moved) = if measure_scheduled {
-        let small = rebuilt(lifted_small.scheduled.program, &b_small);
-        let large = rebuilt(lifted_large.scheduled.program, &b_large);
-        (
-            run_checked(&small, spu_cfg.clone(), "sched-spu/small")?,
-            run_checked(&large, spu_cfg, "sched-spu/large")?,
-            (sched_base_moved, lifted_large.scheduled.moved as u64),
-        )
-    } else {
-        ((spu_small, 0), (spu_large, 0), (0, 0))
-    };
+    let (small, _) = measure_at(blocks_small)?;
+    let (large, variants) = measure_at(blocks_large)?;
 
     let nblocks = blocks_large - blocks_small;
-    let scale = |s: SimStats| {
-        let mut d = s;
-        d.cycles /= nblocks;
-        d.instructions /= nblocks;
-        d.mmx_instructions /= nblocks;
-        d.scalar_instructions /= nblocks;
-        d.mmx_realignments /= nblocks;
-        d.mmx_multiplies /= nblocks;
-        d.scalar_multiplies /= nblocks;
-        d.branches /= nblocks;
-        d.mispredicts /= nblocks;
-        d.mispredict_cycles /= nblocks;
-        d.stall_cycles /= nblocks;
-        d.imul_block_cycles /= nblocks;
-        d.pairs /= nblocks;
-        d.singles /= nblocks;
-        d.mmx_pairs /= nblocks;
-        d.mmx_active_cycles /= nblocks;
-        d.loads /= nblocks;
-        d.stores /= nblocks;
-        d.spu_routed /= nblocks;
-        d.spu_steps /= nblocks;
-        d.spu_activations /= nblocks;
-        d.mmio_accesses /= nblocks;
-        d
+    let index = |v: Variant| wanted.iter().position(|w| *w == v);
+    // A variant's steady state, or its unscheduled form's when the
+    // scheduled runs were skipped.
+    let steady = |v: Variant, unscheduled: Variant| {
+        let i = index(v).or(index(unscheduled)).expect("baseline and lifted always run");
+        let mut per_block = large[i] - small[i];
+        for (_, c) in per_block.counters_mut() {
+            *c /= nblocks;
+        }
+        VariantStats { per_block, total: large[i] }
     };
-
     Ok(Measurement {
         name: kernel.name(),
         family: kernel.family(),
-        baseline: VariantStats { per_block: scale(base_large - base_small), total: base_large },
-        spu: VariantStats { per_block: scale(spu_large - spu_small), total: spu_large },
-        sched_baseline: VariantStats {
-            per_block: scale(sched_base_large - sched_base_small),
-            total: sched_base_large,
-        },
-        sched_spu: VariantStats {
-            per_block: scale(sched_spu_large - sched_spu_small),
-            total: sched_spu_large,
-        },
-        sched_moved,
-        report: lifted_large.report,
+        baseline: steady(Variant::Baseline, Variant::Baseline),
+        spu: steady(Variant::Lifted, Variant::Lifted),
+        sched_baseline: steady(Variant::Scheduled, Variant::Baseline),
+        sched_spu: steady(Variant::ScheduledLifted, Variant::Lifted),
+        sched_moved: (variants.scheduled_moved as u64, variants.lifted_moved as u64),
+        report: variants.report.expect("the lifted variant always builds"),
         blocks: (blocks_small, blocks_large),
-        wall_nanos: HostNanos(t_bs + t_bl + t_sbs + t_sbl + t_ss + t_sl + t_xs + t_xl),
-        sim_instructions: {
-            let mut n = base_small.instructions
-                + base_large.instructions
-                + spu_small.instructions
-                + spu_large.instructions;
-            if measure_scheduled {
-                n += sched_base_small.instructions
-                    + sched_base_large.instructions
-                    + sched_spu_small.instructions
-                    + sched_spu_large.instructions;
-            }
-            n
-        },
+        wall_nanos: HostNanos(wall_nanos),
+        sim_instructions,
     })
 }
 

@@ -98,25 +98,20 @@ impl Kernel for AlphaBlend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::measure;
-    use subword_sim::{Machine, MachineConfig};
+    use crate::framework::{measure, MeasureOpts};
+    use subword_sim::MachineConfig;
     use subword_spu::{SHAPE_A, SHAPE_B};
 
     #[test]
     fn mmx_variant_matches_reference() {
         let build = AlphaBlend.build(1);
-        let mut m = Machine::new(MachineConfig::mmx_only());
-        for (a, bytes) in &build.setup.mem_init {
-            m.mem.write_bytes(*a, bytes).unwrap();
-        }
-        m.run(&build.program).unwrap();
-        build.check(&m, "blend").unwrap();
+        build.run_checked(&build.program, MachineConfig::mmx_only(), "blend").unwrap();
     }
 
     #[test]
     fn operand_interleaves_lift_including_the_multiplier() {
         // 3 widening unpacks + 1 copy per 4-pixel group.
-        let meas = measure(&AlphaBlend, 2, 6, &SHAPE_A).unwrap();
+        let meas = measure(&AlphaBlend, 2, 6, &SHAPE_A, &MeasureOpts::default()).unwrap();
         assert_eq!(meas.offloaded_per_block(), 4 * (PIXELS as u64 / 4));
         // The SPU variant still multiplies every group: the pmullw reads
         // its alpha operand through a route instead of an unpacked
@@ -124,7 +119,7 @@ mod tests {
         assert_eq!(meas.spu.per_block.mmx_multiplies, meas.baseline.per_block.mmx_multiplies);
         assert!(meas.speedup() > 1.0, "blend should speed up, got {:.3}", meas.speedup());
         // The whole network sits in the mm4..mm7 window.
-        let meas_b = measure(&AlphaBlend, 2, 6, &SHAPE_B).unwrap();
+        let meas_b = measure(&AlphaBlend, 2, 6, &SHAPE_B, &MeasureOpts::default()).unwrap();
         assert_eq!(meas_b.offloaded_per_block(), 4 * (PIXELS as u64 / 4));
     }
 }

@@ -130,34 +130,29 @@ impl Kernel for Conv3x3 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::measure;
-    use subword_sim::{Machine, MachineConfig};
+    use crate::framework::{measure, MeasureOpts};
+    use subword_sim::MachineConfig;
     use subword_spu::{SHAPE_A, SHAPE_B, SHAPE_C};
 
     #[test]
     fn mmx_variant_matches_reference() {
         let build = Conv3x3.build(1);
-        let mut m = Machine::new(MachineConfig::mmx_only());
-        for (a, bytes) in &build.setup.mem_init {
-            m.mem.write_bytes(*a, bytes).unwrap();
-        }
-        m.run(&build.program).unwrap();
-        build.check(&m, "conv3x3").unwrap();
+        build.run_checked(&build.program, MachineConfig::mmx_only(), "conv3x3").unwrap();
     }
 
     #[test]
     fn nine_tap_widens_lift_per_group() {
         // 9 liftable widens per group, 3 groups per row, 14 rows.
         let per_block = 9 * (OUT_W as u64 / 4) * OUT_H as u64;
-        let meas = measure(&Conv3x3, 2, 4, &SHAPE_A).unwrap();
+        let meas = measure(&Conv3x3, 2, 4, &SHAPE_A, &MeasureOpts::default()).unwrap();
         assert_eq!(meas.offloaded_per_block(), per_block);
         assert!(meas.speedup() > 1.0, "conv should speed up, got {:.3}", meas.speedup());
         // The window shape absorbs the same network...
-        let meas_b = measure(&Conv3x3, 2, 4, &SHAPE_B).unwrap();
+        let meas_b = measure(&Conv3x3, 2, 4, &SHAPE_B, &MeasureOpts::default()).unwrap();
         assert_eq!(meas_b.offloaded_per_block(), per_block);
         // ...but 16-bit ports cannot express byte-granular widening even
         // with whole-file reach.
-        let meas_c = measure(&Conv3x3, 2, 4, &SHAPE_C).unwrap();
+        let meas_c = measure(&Conv3x3, 2, 4, &SHAPE_C, &MeasureOpts::default()).unwrap();
         assert_eq!(meas_c.offloaded_per_block(), 0);
     }
 }

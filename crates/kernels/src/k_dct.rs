@@ -147,24 +147,19 @@ impl Kernel for Dct8x8 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::measure;
-    use subword_sim::{Machine, MachineConfig};
+    use crate::framework::{measure, MeasureOpts};
+    use subword_sim::MachineConfig;
     use subword_spu::SHAPE_A;
 
     #[test]
     fn mmx_variant_matches_reference() {
         let build = Dct8x8.build(1);
-        let mut m = Machine::new(MachineConfig::mmx_only());
-        for (a, bytes) in &build.setup.mem_init {
-            m.mem.write_bytes(*a, bytes).unwrap();
-        }
-        m.run(&build.program).unwrap();
-        build.check(&m, "dct").unwrap();
+        build.run_checked(&build.program, MachineConfig::mmx_only(), "dct").unwrap();
     }
 
     #[test]
     fn spu_lifts_transpose_and_horizontal_adds() {
-        let meas = measure(&Dct8x8, 2, 5, &SHAPE_A).unwrap();
+        let meas = measure(&Dct8x8, 2, 5, &SHAPE_A, &MeasureOpts::default()).unwrap();
         // Row+col passes: 8 rows × 8 outputs × 2 copies × 2 passes;
         // transpose: 4 tiles × 6 liftable.
         assert_eq!(meas.offloaded_per_block(), 256 + 24);

@@ -94,29 +94,24 @@ impl Kernel for DotProd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::measure;
-    use subword_sim::{Machine, MachineConfig};
+    use crate::framework::{measure, MeasureOpts};
+    use subword_sim::MachineConfig;
     use subword_spu::{SHAPE_A, SHAPE_D};
 
     #[test]
     fn mmx_variant_matches_reference() {
         let build = DotProd.build(1);
-        let mut m = Machine::new(MachineConfig::mmx_only());
-        for (a, bytes) in &build.setup.mem_init {
-            m.mem.write_bytes(*a, bytes).unwrap();
-        }
-        m.run(&build.program).unwrap();
-        build.check(&m, "dotprod").unwrap();
+        build.run_checked(&build.program, MachineConfig::mmx_only(), "dotprod").unwrap();
     }
 
     #[test]
     fn measured_speedup_and_offload() {
-        let meas = measure(&DotProd, 2, 6, &SHAPE_A).unwrap();
+        let meas = measure(&DotProd, 2, 6, &SHAPE_A, &MeasureOpts::default()).unwrap();
         // Four realignments per group lift.
         assert_eq!(meas.offloaded_per_block(), 4 * GROUPS as u64);
         assert!(meas.speedup() > 1.05, "dot product should speed up, got {:.3}", meas.speedup());
         // Shape D suffices (paper §5.1).
-        let meas_d = measure(&DotProd, 2, 6, &SHAPE_D).unwrap();
+        let meas_d = measure(&DotProd, 2, 6, &SHAPE_D, &MeasureOpts::default()).unwrap();
         assert_eq!(meas_d.offloaded_per_block(), 4 * GROUPS as u64);
     }
 }

@@ -187,18 +187,13 @@ impl<const N: usize> Kernel for Fft<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::measure;
-    use subword_sim::{Machine, MachineConfig};
+    use crate::framework::{measure, MeasureOpts};
+    use subword_sim::MachineConfig;
     use subword_spu::SHAPE_A;
 
     fn check_mmx<const N: usize>() {
         let build = Fft::<N>.build(1);
-        let mut m = Machine::new(MachineConfig::mmx_only());
-        for (a, bytes) in &build.setup.mem_init {
-            m.mem.write_bytes(*a, bytes).unwrap();
-        }
-        m.run(&build.program).unwrap();
-        build.check(&m, "fft").unwrap();
+        build.run_checked(&build.program, MachineConfig::mmx_only(), "fft").unwrap();
     }
 
     #[test]
@@ -213,7 +208,7 @@ mod tests {
 
     #[test]
     fn fft128_scalar_dominated_with_high_offload_share() {
-        let meas = measure(&Fft::<128>, 1, 3, &SHAPE_A).unwrap();
+        let meas = measure(&Fft::<128>, 1, 3, &SHAPE_A, &MeasureOpts::default()).unwrap();
         // Tiny MMX fraction (paper: ~7%).
         assert!(
             meas.baseline.per_block.mmx_fraction() < 0.15,

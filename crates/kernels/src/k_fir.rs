@@ -138,18 +138,13 @@ impl<const TAPS: usize> Kernel for Fir<TAPS> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::measure;
-    use subword_sim::{Machine, MachineConfig};
+    use crate::framework::{measure, MeasureOpts};
+    use subword_sim::MachineConfig;
     use subword_spu::SHAPE_A;
 
     fn check_mmx<const T: usize>() {
         let build = Fir::<T>.build(1);
-        let mut m = Machine::new(MachineConfig::mmx_only());
-        for (a, bytes) in &build.setup.mem_init {
-            m.mem.write_bytes(*a, bytes).unwrap();
-        }
-        m.run(&build.program).unwrap();
-        build.check(&m, "fir").unwrap();
+        build.run_checked(&build.program, MachineConfig::mmx_only(), "fir").unwrap();
     }
 
     #[test]
@@ -164,7 +159,7 @@ mod tests {
 
     #[test]
     fn fir12_modest_speedup_and_low_offload_share() {
-        let meas = measure(&Fir::<12>, 2, 5, &SHAPE_A).unwrap();
+        let meas = measure(&Fir::<12>, 2, 5, &SHAPE_A, &MeasureOpts::default()).unwrap();
         // One liftable copy per phase per group.
         assert_eq!(meas.offloaded_per_block(), 4 * (BLOCK_SAMPLES as u64 / 4));
         // The FIR idiom leaves little for the SPU: off-loaded share of
@@ -179,7 +174,7 @@ mod tests {
 
     #[test]
     fn fir22_similar_shape() {
-        let meas = measure(&Fir::<22>, 2, 5, &SHAPE_A).unwrap();
+        let meas = measure(&Fir::<22>, 2, 5, &SHAPE_A, &MeasureOpts::default()).unwrap();
         assert!(meas.pct_mmx_instr() < 15.0);
         assert!(meas.speedup() > 1.0);
     }

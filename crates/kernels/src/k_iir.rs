@@ -159,24 +159,19 @@ impl Kernel for Iir10 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::measure;
-    use subword_sim::{Machine, MachineConfig};
+    use crate::framework::{measure, MeasureOpts};
+    use subword_sim::MachineConfig;
     use subword_spu::SHAPE_A;
 
     #[test]
     fn mmx_variant_matches_reference() {
         let build = Iir10.build(1);
-        let mut m = Machine::new(MachineConfig::mmx_only());
-        for (a, bytes) in &build.setup.mem_init {
-            m.mem.write_bytes(*a, bytes).unwrap();
-        }
-        m.run(&build.program).unwrap();
-        build.check(&m, "iir").unwrap();
+        build.run_checked(&build.program, MachineConfig::mmx_only(), "iir").unwrap();
     }
 
     #[test]
     fn scalar_recurrence_dominates_and_spu_barely_helps() {
-        let meas = measure(&Iir10, 2, 4, &SHAPE_A).unwrap();
+        let meas = measure(&Iir10, 2, 4, &SHAPE_A, &MeasureOpts::default()).unwrap();
         // MMX is a sliver of the instruction stream (paper: ~7%).
         assert!(
             meas.baseline.per_block.mmx_fraction() < 0.15,

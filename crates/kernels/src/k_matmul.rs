@@ -152,24 +152,19 @@ impl Kernel for MatMul16 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::measure;
-    use subword_sim::{Machine, MachineConfig};
+    use crate::framework::{measure, MeasureOpts};
+    use subword_sim::MachineConfig;
     use subword_spu::SHAPE_A;
 
     #[test]
     fn mmx_variant_matches_reference() {
         let build = MatMul16.build(1);
-        let mut m = Machine::new(MachineConfig::mmx_only());
-        for (a, bytes) in &build.setup.mem_init {
-            m.mem.write_bytes(*a, bytes).unwrap();
-        }
-        m.run(&build.program).unwrap();
-        build.check(&m, "matmul").unwrap();
+        build.run_checked(&build.program, MachineConfig::mmx_only(), "matmul").unwrap();
     }
 
     #[test]
     fn spu_lifts_transpose_and_horizontal_adds() {
-        let meas = measure(&MatMul16, 2, 4, &SHAPE_A).unwrap();
+        let meas = measure(&MatMul16, 2, 4, &SHAPE_A, &MeasureOpts::default()).unwrap();
         // Transpose tiles: 6×16 (two row copies per tile stay, clobbered
         // by the kept memory-source unpacks); j-loop: 3 copies × 256
         // outputs.

@@ -181,31 +181,21 @@ impl Kernel for Sad16x16 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::measure;
-    use subword_sim::{Machine, MachineConfig};
+    use crate::framework::{measure, MeasureOpts};
+    use subword_sim::MachineConfig;
     use subword_spu::{SHAPE_A, SHAPE_B, SHAPE_C, SHAPE_D};
 
     #[test]
     fn mmx_variant_matches_reference() {
         let build = Sad16x16.build(1);
-        let mut m = Machine::new(MachineConfig::mmx_only());
-        for (a, bytes) in &build.setup.mem_init {
-            m.mem.write_bytes(*a, bytes).unwrap();
-        }
-        m.run(&build.program).unwrap();
-        build.check(&m, "sad").unwrap();
+        build.run_checked(&build.program, MachineConfig::mmx_only(), "sad").unwrap();
     }
 
     #[test]
     fn planted_candidate_wins() {
         let build = Sad16x16.build(1);
-        let mut m = Machine::new(MachineConfig::mmx_only());
-        for (a, bytes) in &build.setup.mem_init {
-            m.mem.write_bytes(*a, bytes).unwrap();
-        }
-        m.run(&build.program).unwrap();
-        let best = m.mem.read_bytes(A_BEST, 4).unwrap();
-        assert_eq!(best[0] as usize, PLANTED);
+        let state = build.run_checked(&build.program, MachineConfig::mmx_only(), "sad").unwrap();
+        assert_eq!(state.read(A_BEST, 4).unwrap()[0] as usize, PLANTED);
     }
 
     #[test]
@@ -221,7 +211,7 @@ mod tests {
         // loop and stay pinned), so the windowed byte crossbar lifts
         // exactly what the full one does.
         for shape in [SHAPE_A, SHAPE_B] {
-            let meas = measure(&Sad16x16, 2, 4, &shape).unwrap();
+            let meas = measure(&Sad16x16, 2, 4, &shape, &MeasureOpts::default()).unwrap();
             assert_eq!(meas.offloaded_per_block(), 8 * 16 * 8, "shape {}", shape.name);
             assert!(
                 meas.speedup() > 1.0,
@@ -244,7 +234,7 @@ mod tests {
         // keep the two whole-register pre-subtract copies; the window no
         // longer costs shape D anything relative to full-reach C.
         for shape in [SHAPE_C, SHAPE_D] {
-            let m = measure(&Sad16x16, 2, 4, &shape).unwrap();
+            let m = measure(&Sad16x16, 2, 4, &shape, &MeasureOpts::default()).unwrap();
             assert_eq!(m.offloaded_per_block(), 2 * 16 * 8, "shape {}", shape.name);
             assert!(
                 m.spu.per_block.mmx_realignments > 0,

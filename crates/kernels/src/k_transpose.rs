@@ -124,24 +124,19 @@ impl Kernel for Transpose16 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::measure;
-    use subword_sim::{Machine, MachineConfig};
+    use crate::framework::{measure, MeasureOpts};
+    use subword_sim::MachineConfig;
     use subword_spu::{SHAPE_A, SHAPE_D};
 
     #[test]
     fn mmx_variant_matches_reference() {
         let build = Transpose16.build(1);
-        let mut m = Machine::new(MachineConfig::mmx_only());
-        for (a, bytes) in &build.setup.mem_init {
-            m.mem.write_bytes(*a, bytes).unwrap();
-        }
-        m.run(&build.program).unwrap();
-        build.check(&m, "transpose").unwrap();
+        build.run_checked(&build.program, MachineConfig::mmx_only(), "transpose").unwrap();
     }
 
     #[test]
     fn spu_removes_all_register_permutes() {
-        let meas = measure(&Transpose16, 2, 5, &SHAPE_A).unwrap();
+        let meas = measure(&Transpose16, 2, 5, &SHAPE_A, &MeasureOpts::default()).unwrap();
         // Per tile: the two column-assembly copies and the four dq
         // unpacks lift. The two row copies (mm1, mm3) must stay: their
         // source registers are clobbered by the kept memory-source
@@ -158,7 +153,7 @@ mod tests {
 
     #[test]
     fn word_granular_tiles_fit_shape_d() {
-        let meas = measure(&Transpose16, 2, 4, &SHAPE_D).unwrap();
+        let meas = measure(&Transpose16, 2, 4, &SHAPE_D, &MeasureOpts::default()).unwrap();
         assert_eq!(meas.offloaded_per_block(), 6 * 16);
     }
 }

@@ -149,19 +149,14 @@ impl Kernel for YuvToRgb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::measure;
-    use subword_sim::{Machine, MachineConfig};
+    use crate::framework::{measure, MeasureOpts};
+    use subword_sim::MachineConfig;
     use subword_spu::{SHAPE_A, SHAPE_B};
 
     #[test]
     fn mmx_variant_matches_reference() {
         let build = YuvToRgb.build(1);
-        let mut m = Machine::new(MachineConfig::mmx_only());
-        for (a, bytes) in &build.setup.mem_init {
-            m.mem.write_bytes(*a, bytes).unwrap();
-        }
-        m.run(&build.program).unwrap();
-        build.check(&m, "yuv").unwrap();
+        build.run_checked(&build.program, MachineConfig::mmx_only(), "yuv").unwrap();
     }
 
     #[test]
@@ -178,11 +173,11 @@ mod tests {
     #[test]
     fn interleave_network_lifts_on_byte_shapes() {
         // 3 widening unpacks + 5 copies lift per 4-pixel group.
-        let meas = measure(&YuvToRgb, 2, 6, &SHAPE_A).unwrap();
+        let meas = measure(&YuvToRgb, 2, 6, &SHAPE_A, &MeasureOpts::default()).unwrap();
         assert_eq!(meas.offloaded_per_block(), 8 * (PIXELS as u64 / 4));
         assert!(meas.speedup() > 1.0, "YUV should speed up, got {:.3}", meas.speedup());
         // The whole network sits in the mm4..mm7 window.
-        let meas_b = measure(&YuvToRgb, 2, 6, &SHAPE_B).unwrap();
+        let meas_b = measure(&YuvToRgb, 2, 6, &SHAPE_B, &MeasureOpts::default()).unwrap();
         assert_eq!(meas_b.offloaded_per_block(), 8 * (PIXELS as u64 / 4));
     }
 }

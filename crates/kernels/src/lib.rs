@@ -25,8 +25,8 @@
 //! [`suite`] assembles the per-family benchmark lists and [`paper`]
 //! records the published Table 2/3 numbers for paper-vs-measured
 //! reporting.
-//! [`measure`] runs the four simulations (baseline/SPU × two block
-//! counts) that extract steady-state per-block statistics.
+//! [`measure`] runs the simulations (baseline/SPU, optionally scheduled,
+//! × two block counts) that extract steady-state per-block statistics.
 
 pub mod fixed;
 pub mod framework;
@@ -47,8 +47,7 @@ pub mod suite;
 pub mod workload;
 
 pub use framework::{
-    measure, measure_with, Kernel, KernelBuild, LiftFn, Measurement, MeasurementRecord,
-    VariantStats,
+    measure, Kernel, KernelBuild, MeasureOpts, Measurement, MeasurementRecord, VariantStats,
 };
 pub use paper::PaperRow;
 pub use suite::{all_suites, family_suite, paper_suite, pixel_suite, Family, SuiteEntry};

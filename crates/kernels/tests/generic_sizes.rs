@@ -5,31 +5,17 @@
 use subword_compile::lift_permutes;
 use subword_kernels::k_fft::Fft;
 use subword_kernels::k_fir::Fir;
-use subword_kernels::{Kernel, KernelBuild};
-use subword_sim::{Machine, MachineConfig};
+use subword_kernels::Kernel;
+use subword_sim::MachineConfig;
 use subword_spu::SHAPE_A;
 
 fn check_both_variants(kernel: &dyn Kernel) {
     let build = kernel.build(2);
-    let mut m = Machine::new(MachineConfig::mmx_only());
-    for (a, bytes) in &build.setup.mem_init {
-        m.mem.write_bytes(*a, bytes).unwrap();
-    }
-    m.run(&build.program).unwrap();
-    build.check(&m, kernel.name()).unwrap();
+    build.run_checked(&build.program, MachineConfig::mmx_only(), kernel.name()).unwrap();
 
     let lifted = lift_permutes(&build.program, &SHAPE_A).unwrap();
-    let spu = KernelBuild {
-        program: lifted.program,
-        setup: build.setup.clone(),
-        expected: build.expected.clone(),
-    };
-    let mut m = Machine::new(MachineConfig::with_spu(SHAPE_A));
-    for (a, bytes) in &spu.setup.mem_init {
-        m.mem.write_bytes(*a, bytes).unwrap();
-    }
-    m.run(&spu.program).unwrap();
-    spu.check(&m, &format!("{}+spu", kernel.name())).unwrap();
+    let label = format!("{}+spu", kernel.name());
+    build.run_checked(&lifted.program, MachineConfig::with_spu(SHAPE_A), &label).unwrap();
 }
 
 #[test]

@@ -1,114 +1,52 @@
 //! Differential test of the pixel/video kernel family: every kernel's
 //! **four variants** — as-built MMX, list-scheduled MMX, SPU-lifted, and
-//! scheduled SPU-lifted — run at **both** suite block scales, on **both**
-//! hazard engines.
+//! scheduled SPU-lifted — run at **both** suite block scales, on all
+//! three engines, through the execution matrix
+//! (`subword_compile::verify`).
 //!
 //! Checks, per (kernel, variant, scale):
 //!
 //! * the golden scalar-reference outputs hold byte for byte;
-//! * the predecoded engine (`Machine::run`) and the allocating reference
-//!   engine (`Machine::run_reference`) agree bit-for-bit on `SimStats`,
-//!   the general-purpose register file, the MMX register file and every
-//!   declared output range — the full architectural state two engines
-//!   can legally be compared on.
+//! * the engines agree bit-for-bit on `SimStats`, both register files,
+//!   the flags and every declared output range.
 //!
 //! This is the pixel-family counterpart of `subword-sim`'s full-suite
 //! differential: the byte-lane routes these kernels lift (zero-extension
 //! interleaves, routed multiplier operands) exercise crossbar paths the
 //! word-granular signal kernels never touch.
 
-use subword_compile::{lift_permutes, schedule_program};
-use subword_isa::reg::{GpReg, MmReg};
-use subword_kernels::framework::KernelBuild;
+use subword_compile::verify::{build_variants, compare, plain_lift, Compared, Variant, ENGINES};
 use subword_kernels::suite::pixel_suite;
-use subword_sim::{Machine, MachineConfig, SimStats};
+use subword_sim::MachineConfig;
 use subword_spu::SHAPE_A;
-
-/// Architectural state observable after a run.
-#[derive(PartialEq, Eq, Debug)]
-struct ArchState {
-    stats: SimStats,
-    gp: Vec<u32>,
-    mm: Vec<u64>,
-    outputs: Vec<(u32, Vec<u8>)>,
-}
-
-/// Run one build on one engine; golden-check and capture the state.
-fn run_engine(build: &KernelBuild, cfg: MachineConfig, reference: bool, label: &str) -> ArchState {
-    let mut m = Machine::new(cfg);
-    for (addr, bytes) in &build.setup.mem_init {
-        m.mem.write_bytes(*addr, bytes).unwrap();
-    }
-    for (r, v) in &build.setup.reg_init {
-        m.regs.write_gp(*r, *v);
-    }
-    for (r, v) in &build.setup.mm_init {
-        m.regs.write_mm(*r, *v);
-    }
-    let stats = if reference { m.run_reference(&build.program) } else { m.run(&build.program) }
-        .unwrap_or_else(|e| panic!("{label}: {e}"));
-    build.check(&m, label).unwrap_or_else(|e| panic!("golden mismatch: {e}"));
-    ArchState {
-        stats,
-        gp: (0..GpReg::COUNT).map(|i| m.regs.read_gp(GpReg::from_index(i).unwrap())).collect(),
-        mm: MmReg::ALL.iter().map(|&r| m.regs.read_mm(r)).collect(),
-        outputs: build
-            .setup
-            .outputs
-            .iter()
-            .map(|&(addr, len)| (addr, m.mem.read_bytes(addr, len).unwrap().to_vec()))
-            .collect(),
-    }
-}
-
-/// Both engines, one variant: golden outputs + bit-identical state.
-fn assert_variant(build: &KernelBuild, cfg: &MachineConfig, label: &str) {
-    let decoded = run_engine(build, cfg.clone(), false, &format!("{label}/decoded"));
-    let reference = run_engine(build, cfg.clone(), true, &format!("{label}/reference"));
-    assert_eq!(decoded, reference, "architectural state diverges for {label}");
-}
 
 #[test]
 fn pixel_kernels_four_variants_two_scales() {
     for e in pixel_suite() {
         for blocks in [e.blocks_small, e.blocks_large] {
-            let base = e.kernel.build(blocks);
-            let rebuilt = |program| KernelBuild {
-                program,
-                setup: base.setup.clone(),
-                expected: base.expected.clone(),
-            };
             let name = e.kernel.name();
-
-            // 1. As-built MMX baseline.
-            assert_variant(&base, &MachineConfig::mmx_only(), &format!("{name}/{blocks}/mmx"));
-
-            // 2. List-scheduled MMX baseline.
-            let (sched, _) = schedule_program(&base.program);
-            assert_variant(
-                &rebuilt(sched),
-                &MachineConfig::mmx_only(),
-                &format!("{name}/{blocks}/sched-mmx"),
-            );
-
-            // 3. SPU-lifted variant (shape A routes the full byte-lane
-            // networks of every pixel kernel).
-            let lifted =
-                lift_permutes(&base.program, &SHAPE_A).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let build = e.kernel.build(blocks);
+            // Shape A routes the full byte-lane networks of every pixel
+            // kernel.
+            let built = build_variants(build.program.clone(), &Variant::ALL, &SHAPE_A, &plain_lift)
+                .unwrap_or_else(|err| panic!("{name}: {err}"));
             assert!(
-                lifted.report.removed_static > 0,
+                built.report.as_ref().is_some_and(|r| r.removed_static > 0),
                 "{name}: the pixel kernels must actually lift under shape A"
             );
-            let spu_cfg = MachineConfig::with_spu(SHAPE_A);
-            assert_variant(&rebuilt(lifted.program), &spu_cfg, &format!("{name}/{blocks}/spu"));
-
-            // 4. Scheduled SPU variant (loop bodies reordered with their
-            // routes permuted in lockstep).
-            assert_variant(
-                &rebuilt(lifted.scheduled.program),
-                &spu_cfg,
-                &format!("{name}/{blocks}/sched-spu"),
-            );
+            for (variant, program) in &built.programs {
+                let label = format!("{name}/{blocks}/{}", variant.name());
+                let machine = variant.machine(&MachineConfig::default(), &SHAPE_A);
+                let states = ENGINES.map(|engine| {
+                    let cfg = MachineConfig { engine, ..machine.clone() };
+                    build.run_checked(program, cfg, &label).unwrap()
+                });
+                for (engine, state) in ENGINES.iter().zip(&states).skip(1) {
+                    if let Some(diff) = compare(&states[0], state, Compared::All) {
+                        panic!("{label}: Reference vs {engine:?}: {diff}");
+                    }
+                }
+            }
         }
     }
 }
@@ -122,18 +60,16 @@ fn lift_coverage_across_the_family() {
     for e in pixel_suite() {
         let name = e.kernel.name();
         let base = e.kernel.build(e.blocks_small);
-        let lifted = lift_permutes(&base.program, &SHAPE_A).unwrap();
+        let lifted = subword_compile::lift_permutes(&base.program, &SHAPE_A).unwrap();
         if !lifted.spu_programs.is_empty() {
             lifted_kernels += 1;
         }
-        let spu_build = KernelBuild {
-            program: lifted.program,
-            setup: base.setup.clone(),
-            expected: base.expected.clone(),
-        };
-        let mmx = run_engine(&base, MachineConfig::mmx_only(), false, &format!("{name}/mmx"));
-        let spu =
-            run_engine(&spu_build, MachineConfig::with_spu(SHAPE_A), false, &format!("{name}/spu"));
+        let [mmx, spu] = [(Variant::Baseline, &base.program), (Variant::Lifted, &lifted.program)]
+            .map(|(variant, program)| {
+                let machine = variant.machine(&MachineConfig::default(), &SHAPE_A);
+                let label = format!("{name}/{}", variant.name());
+                base.run_checked(program, machine, &label).unwrap()
+            });
         assert_eq!(
             mmx.stats.mmx_multiplies, spu.stats.mmx_multiplies,
             "{name}: lifting must not change dynamic multiply counts"

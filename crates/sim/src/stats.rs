@@ -61,36 +61,73 @@ pub struct SimStats {
     pub mmio_accesses: u64,
 }
 
+/// The timing-derived counters, which each pipeline model defines for
+/// itself: `cycles`, `stall_cycles`, `imul_block_cycles` and the
+/// per-cycle pairing/occupancy counters.
+pub const TIMING_COUNTERS: [&str; 7] = [
+    "cycles",
+    "stall_cycles",
+    "imul_block_cycles",
+    "pairs",
+    "singles",
+    "mmx_pairs",
+    "mmx_active_cycles",
+];
+
 impl SimStats {
+    /// Every counter with its field name, in declaration order — the one
+    /// list the report schema, the conformance `expect` keys and the
+    /// field-wise arithmetic derive from.
+    pub fn counters_mut(&mut self) -> [(&'static str, &mut u64); 22] {
+        [
+            ("cycles", &mut self.cycles),
+            ("instructions", &mut self.instructions),
+            ("mmx_instructions", &mut self.mmx_instructions),
+            ("scalar_instructions", &mut self.scalar_instructions),
+            ("mmx_realignments", &mut self.mmx_realignments),
+            ("mmx_multiplies", &mut self.mmx_multiplies),
+            ("scalar_multiplies", &mut self.scalar_multiplies),
+            ("branches", &mut self.branches),
+            ("mispredicts", &mut self.mispredicts),
+            ("mispredict_cycles", &mut self.mispredict_cycles),
+            ("stall_cycles", &mut self.stall_cycles),
+            ("imul_block_cycles", &mut self.imul_block_cycles),
+            ("pairs", &mut self.pairs),
+            ("singles", &mut self.singles),
+            ("mmx_pairs", &mut self.mmx_pairs),
+            ("mmx_active_cycles", &mut self.mmx_active_cycles),
+            ("loads", &mut self.loads),
+            ("stores", &mut self.stores),
+            ("spu_routed", &mut self.spu_routed),
+            ("spu_steps", &mut self.spu_steps),
+            ("spu_activations", &mut self.spu_activations),
+            ("mmio_accesses", &mut self.mmio_accesses),
+        ]
+    }
+
+    /// [`SimStats::counters_mut`] by value.
+    pub fn counters(&self) -> [(&'static str, u64); 22] {
+        let mut copy = *self;
+        copy.counters_mut().map(|(name, v)| (name, *v))
+    }
+
+    /// One counter by field name.
+    pub fn counter(&self, name: &str) -> Option<u64> {
+        self.counters().into_iter().find(|(k, _)| *k == name).map(|(_, v)| v)
+    }
+
     /// The count-type fields that must be **pipeline-model invariant**:
     /// they describe *what* the program did (instruction classes, memory
     /// traffic, branch outcomes, SPU activity), not *when*, so the
     /// in-order and out-of-order models ([`crate::model`]) must agree on
     /// them bit-for-bit. The cross-model differential tests and the fuzz
-    /// oracle compare exactly this set; the timing-derived fields
-    /// (`cycles`, `stall_cycles`, `imul_block_cycles` and the per-cycle
-    /// pairing/occupancy counters) are deliberately absent.
+    /// oracle compare exactly this set: every counter but the
+    /// [`TIMING_COUNTERS`].
     ///
     /// `mispredict_cycles` qualifies even though it is measured in
     /// cycles: it is penalty × mispredict count under both models.
-    pub fn model_invariant_counts(&self) -> [(&'static str, u64); 15] {
-        [
-            ("instructions", self.instructions),
-            ("mmx_instructions", self.mmx_instructions),
-            ("scalar_instructions", self.scalar_instructions),
-            ("mmx_realignments", self.mmx_realignments),
-            ("mmx_multiplies", self.mmx_multiplies),
-            ("scalar_multiplies", self.scalar_multiplies),
-            ("branches", self.branches),
-            ("mispredicts", self.mispredicts),
-            ("mispredict_cycles", self.mispredict_cycles),
-            ("loads", self.loads),
-            ("stores", self.stores),
-            ("spu_routed", self.spu_routed),
-            ("spu_steps", self.spu_steps),
-            ("spu_activations", self.spu_activations),
-            ("mmio_accesses", self.mmio_accesses),
-        ]
+    pub fn model_invariant_counts(&self) -> impl Iterator<Item = (&'static str, u64)> {
+        self.counters().into_iter().filter(|(name, _)| !TIMING_COUNTERS.contains(name))
     }
 
     /// First model-invariant count on which `self` and `other` disagree
@@ -98,7 +135,6 @@ impl SimStats {
     /// it must.
     pub fn count_divergence(&self, other: &SimStats) -> Option<String> {
         self.model_invariant_counts()
-            .iter()
             .zip(other.model_invariant_counts())
             .find(|(a, b)| a.1 != b.1)
             .map(|(a, b)| format!("{} differs: {} vs {}", a.0, a.1, b.1))
@@ -167,37 +203,19 @@ impl Sub for SimStats {
 
     /// Field-wise difference — used to extract steady-state windows
     /// (`stats(K2 blocks) - stats(K1 blocks)`).
-    fn sub(self, o: SimStats) -> SimStats {
-        SimStats {
-            cycles: self.cycles - o.cycles,
-            instructions: self.instructions - o.instructions,
-            mmx_instructions: self.mmx_instructions - o.mmx_instructions,
-            scalar_instructions: self.scalar_instructions - o.scalar_instructions,
-            mmx_realignments: self.mmx_realignments - o.mmx_realignments,
-            mmx_multiplies: self.mmx_multiplies - o.mmx_multiplies,
-            scalar_multiplies: self.scalar_multiplies - o.scalar_multiplies,
-            branches: self.branches - o.branches,
-            mispredicts: self.mispredicts - o.mispredicts,
-            mispredict_cycles: self.mispredict_cycles - o.mispredict_cycles,
-            stall_cycles: self.stall_cycles - o.stall_cycles,
-            imul_block_cycles: self.imul_block_cycles - o.imul_block_cycles,
-            pairs: self.pairs - o.pairs,
-            singles: self.singles - o.singles,
-            mmx_pairs: self.mmx_pairs - o.mmx_pairs,
-            mmx_active_cycles: self.mmx_active_cycles - o.mmx_active_cycles,
-            loads: self.loads - o.loads,
-            stores: self.stores - o.stores,
-            spu_routed: self.spu_routed - o.spu_routed,
-            spu_steps: self.spu_steps - o.spu_steps,
-            spu_activations: self.spu_activations - o.spu_activations,
-            mmio_accesses: self.mmio_accesses - o.mmio_accesses,
+    fn sub(mut self, o: SimStats) -> SimStats {
+        for ((_, a), (_, b)) in self.counters_mut().into_iter().zip(o.counters()) {
+            *a -= b;
         }
+        self
     }
 }
 
 impl AddAssign for SimStats {
     /// Field-wise accumulation — used by the trace replayer to apply a
-    /// region's pre-counted statistics in one shot.
+    /// region's pre-counted statistics in one shot. Written out field by
+    /// field rather than over [`SimStats::counters_mut`]: it runs once
+    /// per trace replay.
     fn add_assign(&mut self, o: SimStats) {
         self.cycles += o.cycles;
         self.instructions += o.instructions;

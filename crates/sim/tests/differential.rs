@@ -1,5 +1,6 @@
-//! Differential test of the **three** execution engines over the full
-//! kernel suite:
+//! Differential test of the **three** execution engines and the two
+//! pipeline models over the full kernel suite, driven through the
+//! execution matrix (`subword_compile::verify`):
 //!
 //! * [`ExecEngine::Reference`] — the allocating `Vec<RegRef>` oracle,
 //! * [`ExecEngine::Decoded`] — the predecoded, mask-based stepper,
@@ -13,70 +14,88 @@
 //!   mask-based pairing path and trace invalidation around MMIO
 //!   barriers) under shapes A–D, both unscheduled and scheduled.
 //!
-//! For every run the engines must agree **bit-for-bit** on [`SimStats`]
-//! and produce the golden kernel outputs. Any divergence indicts the
-//! predecode layer, the mask-based hazard checks, or the trace
-//! translator's pre-resolved issue schedules.
+//! Every run must produce the golden kernel outputs. The engines must
+//! agree **bit-for-bit** on the whole state — `SimStats`, both register
+//! files, flags and all of memory; the in-order and out-of-order models
+//! on all of it except the timing statistics. Any divergence indicts
+//! the predecode layer, the mask-based hazard checks, the trace
+//! translator's pre-resolved issue schedules or the out-of-order model.
 
-use subword_compile::lift_permutes;
+use subword_compile::verify::{
+    build_variants, compare, plain_lift, run, ArchState, Compared, TestSetup, Variant, ENGINES,
+};
+use subword_isa::program::Program;
 use subword_kernels::framework::KernelBuild;
-use subword_kernels::suite::{all_suites, dotprod_example, SuiteEntry};
-use subword_sim::{ExecEngine, Machine, MachineConfig, PipelineKind, SimStats};
-use subword_spu::{SHAPE_A, SHAPE_B, SHAPE_C, SHAPE_D};
+use subword_kernels::suite::{all_suites, dotprod_example};
+use subword_sim::{MachineConfig, PipelineKind};
+use subword_spu::{CrossbarShape, SHAPE_A, SHAPE_B, SHAPE_C, SHAPE_D};
 
-fn full_suite() -> Vec<SuiteEntry> {
+/// Run `program` (a variant of `build`'s) under `cfg`, check the goldens
+/// and capture the whole state, all of memory included.
+fn run_checked(
+    build: &KernelBuild,
+    program: &Program,
+    cfg: MachineConfig,
+    label: &str,
+) -> ArchState {
+    let setup = TestSetup { outputs: vec![(0, cfg.memory_size)], ..build.setup.clone() };
+    let state = run(program, &setup, cfg).unwrap_or_else(|e| panic!("{label}: {e}"));
+    build.check_state(&state, label).unwrap_or_else(|e| panic!("golden mismatch: {e}"));
+    state
+}
+
+/// For every suite kernel, each of `variants` with its machine under
+/// `shape`: `check(build, program, machine, label)`.
+fn for_each_variant(
+    shape: &CrossbarShape,
+    variants: &[Variant],
+    check: impl Fn(&KernelBuild, &Program, &MachineConfig, &str),
+) {
     let mut entries = all_suites();
     entries.push(dotprod_example());
-    entries
+    for e in entries {
+        let build = e.kernel.build(e.blocks_small);
+        let built = build_variants(build.program.clone(), variants, shape, &plain_lift)
+            .unwrap_or_else(|err| panic!("{}: {err}", e.kernel.name()));
+        for (variant, program) in &built.programs {
+            let machine = variant.machine(&MachineConfig::default(), shape);
+            let label = format!("{}/{}-{}", e.kernel.name(), variant.name(), shape.name);
+            check(&build, program, &machine, &label);
+        }
+    }
 }
 
-/// Run one build on one engine, checking the golden outputs.
-fn run_engine(
-    build: &KernelBuild,
-    cfg: &MachineConfig,
-    engine: ExecEngine,
-    label: &str,
-) -> SimStats {
-    let mut m = Machine::new(MachineConfig { engine, ..cfg.clone() });
-    for (addr, bytes) in &build.setup.mem_init {
-        m.mem.write_bytes(*addr, bytes).unwrap();
+fn assert_engines_agree(build: &KernelBuild, program: &Program, cfg: &MachineConfig, label: &str) {
+    let states = ENGINES
+        .map(|engine| run_checked(build, program, MachineConfig { engine, ..cfg.clone() }, label));
+    for (engine, state) in ENGINES.iter().zip(&states).skip(1) {
+        if let Some(diff) = compare(&states[0], state, Compared::All) {
+            panic!("{label}: Reference vs {engine:?}: {diff}");
+        }
     }
-    for (r, v) in &build.setup.reg_init {
-        m.regs.write_gp(*r, *v);
-    }
-    for (r, v) in &build.setup.mm_init {
-        m.regs.write_mm(*r, *v);
-    }
-    let stats = m.run(&build.program).unwrap_or_else(|e| panic!("{label}: {e}"));
-    build.check(&m, label).unwrap_or_else(|e| panic!("golden mismatch: {e}"));
-    stats
 }
 
-fn assert_engines_agree(build: &KernelBuild, cfg: &MachineConfig, label: &str) {
-    let reference = run_engine(build, cfg, ExecEngine::Reference, &format!("{label}/reference"));
-    for (engine, name) in [(ExecEngine::Decoded, "decoded"), (ExecEngine::Threaded, "threaded")] {
-        let got = run_engine(build, cfg, engine, &format!("{label}/{name}"));
-        assert_eq!(got, reference, "SimStats diverge for {label}/{name}");
+/// Architectural state, all of memory and golden outputs must be
+/// bit-identical between the in-order and out-of-order pipeline models;
+/// every model-invariant count must match too. Only the timing
+/// statistics may differ.
+fn assert_models_agree(build: &KernelBuild, program: &Program, cfg: &MachineConfig, label: &str) {
+    let [inorder, ooo] = [PipelineKind::InOrder, PipelineKind::OutOfOrder].map(|pipeline| {
+        run_checked(build, program, MachineConfig { pipeline, ..cfg.clone() }, label)
+    });
+    if let Some(diff) = compare(&inorder, &ooo, Compared::Counts) {
+        panic!("{label}: in-order vs ooo: {diff}");
     }
 }
+
+const BASELINES: [Variant; 2] = [Variant::Baseline, Variant::Scheduled];
+const LIFTED: [Variant; 2] = [Variant::Lifted, Variant::ScheduledLifted];
 
 /// MMX-only baseline: every suite kernel, all three engines, in both the
 /// builder's emission order and the list-scheduled order.
 #[test]
 fn baseline_suite_engines_agree() {
-    for e in full_suite() {
-        let build = e.kernel.build(e.blocks_small);
-        let cfg = MachineConfig::mmx_only();
-        assert_engines_agree(&build, &cfg, &format!("{}/mmx", e.kernel.name()));
-
-        let (scheduled, _) = subword_compile::schedule_program(&build.program);
-        let sched_build = KernelBuild {
-            program: scheduled,
-            setup: build.setup.clone(),
-            expected: build.expected.clone(),
-        };
-        assert_engines_agree(&sched_build, &cfg, &format!("{}/mmx-sched", e.kernel.name()));
-    }
+    for_each_variant(&SHAPE_A, &BASELINES, assert_engines_agree);
 }
 
 /// SPU-lifted variants under shapes A–D, unscheduled and scheduled: the
@@ -86,84 +105,7 @@ fn baseline_suite_engines_agree() {
 #[test]
 fn spu_suite_engines_agree() {
     for shape in [SHAPE_A, SHAPE_B, SHAPE_C, SHAPE_D] {
-        for e in full_suite() {
-            let base = e.kernel.build(e.blocks_small);
-            let lifted = lift_permutes(&base.program, &shape)
-                .unwrap_or_else(|err| panic!("{}: {err}", e.kernel.name()));
-            let cfg = MachineConfig::with_spu(shape);
-            for (program, variant) in
-                [(lifted.program, "spu"), (lifted.scheduled.program, "spu-sched")]
-            {
-                let build = KernelBuild {
-                    program,
-                    setup: base.setup.clone(),
-                    expected: base.expected.clone(),
-                };
-                let label = format!("{}/{variant}-{}", e.kernel.name(), shape.name);
-                assert_engines_agree(&build, &cfg, &label);
-            }
-        }
-    }
-}
-
-/// Full architectural state after one run (cross-model comparison
-/// surface; timing statistics deliberately excluded).
-struct ArchState {
-    stats: SimStats,
-    mm: [u64; 8],
-    gp: [u32; 16],
-    mem_digest: u64,
-}
-
-/// Run one build under an explicit pipeline model and capture the full
-/// architectural state (goldens checked on the way).
-fn run_model(
-    build: &KernelBuild,
-    cfg: &MachineConfig,
-    model: PipelineKind,
-    label: &str,
-) -> ArchState {
-    let mut m = Machine::new(MachineConfig { pipeline: model, ..cfg.clone() });
-    for (addr, bytes) in &build.setup.mem_init {
-        m.mem.write_bytes(*addr, bytes).unwrap();
-    }
-    for (r, v) in &build.setup.reg_init {
-        m.regs.write_gp(*r, *v);
-    }
-    for (r, v) in &build.setup.mm_init {
-        m.regs.write_mm(*r, *v);
-    }
-    let stats = m.run(&build.program).unwrap_or_else(|e| panic!("{label}: {e}"));
-    build.check(&m, label).unwrap_or_else(|e| panic!("golden mismatch: {e}"));
-    // FNV-1a over all of memory: cheap whole-state equality without
-    // holding two 4 MiB images per comparison.
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    for &b in m.mem.read_bytes(0, m.mem.size()).unwrap() {
-        digest = (digest ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    ArchState {
-        stats,
-        mm: std::array::from_fn(|i| {
-            m.regs.read_mm(subword_isa::reg::MmReg::from_index(i).unwrap())
-        }),
-        gp: std::array::from_fn(|i| {
-            m.regs.read_gp(subword_isa::reg::GpReg::from_index(i).unwrap())
-        }),
-        mem_digest: digest,
-    }
-}
-
-/// Architectural state and golden outputs must be bit-identical between
-/// the in-order and out-of-order pipeline models; every model-invariant
-/// count must match too. Only the timing statistics may differ.
-fn assert_models_agree(build: &KernelBuild, cfg: &MachineConfig, label: &str) {
-    let inorder = run_model(build, cfg, PipelineKind::InOrder, &format!("{label}/in-order"));
-    let ooo = run_model(build, cfg, PipelineKind::OutOfOrder, &format!("{label}/ooo"));
-    assert_eq!(inorder.mm, ooo.mm, "MMX state diverges for {label}");
-    assert_eq!(inorder.gp, ooo.gp, "GP state diverges for {label}");
-    assert_eq!(inorder.mem_digest, ooo.mem_digest, "memory diverges for {label}");
-    if let Some(diff) = inorder.stats.count_divergence(&ooo.stats) {
-        panic!("model-invariant counts diverge for {label}: {diff}");
+        for_each_variant(&shape, &LIFTED, assert_engines_agree);
     }
 }
 
@@ -171,19 +113,7 @@ fn assert_models_agree(build: &KernelBuild, cfg: &MachineConfig, label: &str) {
 /// emission order and list-scheduled, in-order vs out-of-order.
 #[test]
 fn baseline_suite_pipeline_models_agree() {
-    for e in full_suite() {
-        let build = e.kernel.build(e.blocks_small);
-        let cfg = MachineConfig::mmx_only();
-        assert_models_agree(&build, &cfg, &format!("{}/mmx", e.kernel.name()));
-
-        let (scheduled, _) = subword_compile::schedule_program(&build.program);
-        let sched_build = KernelBuild {
-            program: scheduled,
-            setup: build.setup.clone(),
-            expected: build.expected.clone(),
-        };
-        assert_models_agree(&sched_build, &cfg, &format!("{}/mmx-sched", e.kernel.name()));
-    }
+    for_each_variant(&SHAPE_A, &BASELINES, assert_models_agree);
 }
 
 /// Pipeline-model differential, SPU-lifted variants under shapes A–D:
@@ -193,23 +123,7 @@ fn baseline_suite_pipeline_models_agree() {
 #[test]
 fn spu_suite_pipeline_models_agree() {
     for shape in [SHAPE_A, SHAPE_B, SHAPE_C, SHAPE_D] {
-        for e in full_suite() {
-            let base = e.kernel.build(e.blocks_small);
-            let lifted = lift_permutes(&base.program, &shape)
-                .unwrap_or_else(|err| panic!("{}: {err}", e.kernel.name()));
-            let cfg = MachineConfig::with_spu(shape);
-            for (program, variant) in
-                [(lifted.program, "spu"), (lifted.scheduled.program, "spu-sched")]
-            {
-                let build = KernelBuild {
-                    program,
-                    setup: base.setup.clone(),
-                    expected: base.expected.clone(),
-                };
-                let label = format!("{}/{variant}-{}", e.kernel.name(), shape.name);
-                assert_models_agree(&build, &cfg, &label);
-            }
-        }
+        for_each_variant(&shape, &LIFTED, assert_models_agree);
     }
 }
 
@@ -218,14 +132,10 @@ fn spu_suite_pipeline_models_agree() {
 #[test]
 fn engines_agree_on_max_cycles_fault() {
     let p = subword_isa::asm::assemble("t", "l:\n jmp l\n halt\n").unwrap();
-    let base = MachineConfig { max_cycles: 1000, ..Default::default() };
-    let faults: Vec<String> = [ExecEngine::Reference, ExecEngine::Decoded, ExecEngine::Threaded]
-        .into_iter()
-        .map(|engine| {
-            let mut m = Machine::new(MachineConfig { engine, ..base.clone() });
-            m.run(&p).unwrap_err().to_string()
-        })
-        .collect();
+    let faults = ENGINES.map(|engine| {
+        let cfg = MachineConfig { engine, max_cycles: 1000, ..Default::default() };
+        run(&p, &TestSetup::default(), cfg).unwrap_err()
+    });
     assert_eq!(faults[0], faults[1]);
     assert_eq!(faults[0], faults[2]);
 }

@@ -5,17 +5,7 @@
 
 use subword::compile::lift_permutes;
 use subword::kernels::suite::{dotprod_example, paper_suite};
-use subword::kernels::KernelBuild;
 use subword::prelude::*;
-
-fn run_and_check(build: &KernelBuild, cfg: MachineConfig, label: &str) {
-    let mut m = Machine::new(cfg);
-    for (a, bytes) in &build.setup.mem_init {
-        m.mem.write_bytes(*a, bytes).unwrap();
-    }
-    m.run(&build.program).unwrap_or_else(|e| panic!("{label}: {e}"));
-    build.check(&m, label).unwrap();
-}
 
 #[test]
 fn all_kernels_match_reference_on_both_variants_and_shapes() {
@@ -23,20 +13,12 @@ fn all_kernels_match_reference_on_both_variants_and_shapes() {
     entries.push(dotprod_example());
     for e in entries {
         let base = e.kernel.build(2);
-        run_and_check(&base, MachineConfig::mmx_only(), e.kernel.name());
+        base.run_checked(&base.program, MachineConfig::mmx_only(), e.kernel.name()).unwrap();
         for shape in [SHAPE_A, SHAPE_D] {
             let lifted = lift_permutes(&base.program, &shape)
                 .unwrap_or_else(|err| panic!("{}: {err}", e.kernel.name()));
-            let spu = KernelBuild {
-                program: lifted.program,
-                setup: base.setup.clone(),
-                expected: base.expected.clone(),
-            };
-            run_and_check(
-                &spu,
-                MachineConfig::with_spu(shape),
-                &format!("{}+spu/{}", e.kernel.name(), shape.name),
-            );
+            let label = format!("{}+spu/{}", e.kernel.name(), shape.name);
+            base.run_checked(&lifted.program, MachineConfig::with_spu(shape), &label).unwrap();
         }
     }
 }

@@ -2,14 +2,17 @@
 //! the full pipeline (kernel assembly → lifting pass → cycle simulation)
 //! must reproduce the *shape* of Figure 9 and Tables 2–3.
 
-use subword::kernels::framework::{measure, Measurement};
+use subword::kernels::framework::{measure, MeasureOpts, Measurement};
 use subword::kernels::suite::paper_suite;
 use subword::prelude::*;
 
 fn measure_all(shape: &CrossbarShape) -> Vec<Measurement> {
     paper_suite()
         .iter()
-        .map(|e| measure(e.kernel, e.blocks_small, e.blocks_large, shape).expect("measure"))
+        .map(|e| {
+            measure(e.kernel, e.blocks_small, e.blocks_large, shape, &MeasureOpts::default())
+                .expect("measure")
+        })
         .collect()
 }
 
@@ -139,7 +142,8 @@ fn spu_pipe_stage_is_benign() {
     // §5.1: the extra pipeline stage costs ≤ mispredicts × 1 cycle,
     // which is < 0.5% of cycles on every kernel.
     for e in paper_suite() {
-        let m = measure(e.kernel, e.blocks_small, e.blocks_large, &SHAPE_A).unwrap();
+        let opts = MeasureOpts::default();
+        let m = measure(e.kernel, e.blocks_small, e.blocks_large, &SHAPE_A, &opts).unwrap();
         let extra = m.baseline.per_block.mispredicts as f64;
         let frac = extra / m.baseline.per_block.cycles as f64;
         assert!(frac < 0.005, "{}: pipe-stage cost {frac:.4}", e.kernel.name());

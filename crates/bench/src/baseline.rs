@@ -299,7 +299,7 @@ mod tests {
     fn small_report() -> SweepReport {
         let mut cfg = SweepConfig::pixel(&[SHAPE_A]);
         cfg.entries.truncate(2); // SAD + YUV
-        run_sweep(&cfg).unwrap().report
+        run_sweep(&cfg, None).unwrap().report
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //! *"All the applications used in this paper can be realized with
 //! configuration D"*.
 //!
-//! The A–D matrix comes from **one** parallel [`run_sweep`] pass (with
-//! per-(kernel, shape) compilation cached) instead of the former four
-//! serial per-shape suite runs.
+//! The A–D matrix comes from **one** parallel [`run_sweep`] pass instead
+//! of the former four serial per-shape suite runs.
 
 use subword_bench::sweep::{run_sweep, SweepConfig};
 use subword_bench::Table;
@@ -16,7 +15,7 @@ use subword_spu::crossbar::CANONICAL_SHAPES;
 fn main() {
     println!("Ablation — SPU benefit vs crossbar configuration\n");
     let xbar = CrossbarModel::default();
-    let run = run_sweep(&SweepConfig::paper(&CANONICAL_SHAPES)).expect("shape sweep");
+    let run = run_sweep(&SweepConfig::paper(&CANONICAL_SHAPES), None).expect("shape sweep");
     let report = &run.report;
 
     let mut t =

@@ -16,7 +16,7 @@ use subword_spu::SHAPE_A;
 
 fn main() {
     println!("Figure 9 — cycles executed on MMX and MMX+SPU (shape A crossbar)\n");
-    let run = run_sweep(&SweepConfig::paper(&[SHAPE_A])).expect("figure 9 sweep");
+    let run = run_sweep(&SweepConfig::paper(&[SHAPE_A]), None).expect("figure 9 sweep");
     let report: &SweepReport = &run.report;
 
     let mut t = Table::new(&[

@@ -4,13 +4,12 @@
 //! mispredict penalty/predictor, and reports the SPU's cycle savings on a
 //! representative kernel triplet under each.
 //!
-//! Each parameter setting is one small [`run_sweep_with_cache`] pass
-//! (three kernels, shape A, custom [`MachineConfig`]) — the
-//! measurement loop, golden
-//! output checking and compile caching all come from the shared sweep
-//! layer instead of a private harness.
+//! Each parameter setting is one small [`run_sweep`] pass (three
+//! kernels, shape A, custom [`MachineConfig`]) — the measurement loop
+//! and golden output checking come from the shared sweep layer instead
+//! of a private harness.
 
-use subword_bench::sweep::{run_sweep_with_cache, CompileCache, SweepConfig};
+use subword_bench::sweep::{run_sweep, SweepConfig};
 use subword_bench::Table;
 use subword_sim::MachineConfig;
 use subword_spu::SHAPE_A;
@@ -20,10 +19,8 @@ use subword_spu::SHAPE_A;
 /// suite reordering cannot silently change what this study measures.
 const PICKS: [&str; 3] = ["FIR12", "DCT", "Matrix Transpose"];
 
-/// Cycle savings (%) for the three picked kernels under `cfg`. The
-/// shared cache keeps compilation (machine-config independent) to one
-/// analysis per kernel across every parameter setting.
-fn saved_pcts(base: &MachineConfig, cache: &CompileCache) -> Vec<f64> {
+/// Cycle savings (%) for the three picked kernels under `base`.
+fn saved_pcts(base: &MachineConfig) -> Vec<f64> {
     let mut cfg = SweepConfig::paper(&[SHAPE_A]);
     cfg.entries.retain(|e| PICKS.contains(&e.kernel.name()));
     cfg.entries.sort_by_key(|e| PICKS.iter().position(|p| *p == e.kernel.name()));
@@ -32,13 +29,12 @@ fn saved_pcts(base: &MachineConfig, cache: &CompileCache) -> Vec<f64> {
     // scheduler's default-latency cost model makes no never-slower
     // promise — and only the unscheduled columns are read below.
     cfg.measure_scheduled = false;
-    let run = run_sweep_with_cache(&cfg, cache).expect("sensitivity sweep");
+    let run = run_sweep(&cfg, None).expect("sensitivity sweep");
     run.report.cells.iter().map(|c| c.record.pct_cycles_saved()).collect()
 }
 
 fn main() {
     println!("Sensitivity of SPU cycle savings to machine parameters\n");
-    let cache = CompileCache::new();
 
     let mut t = Table::new(&["parameter", "value", "FIR12 %", "DCT %", "Transpose %"]);
     for (label, cfgs) in [
@@ -89,7 +85,7 @@ fn main() {
         ),
     ] {
         for (vlabel, cfg) in cfgs {
-            let vals = saved_pcts(&cfg, &cache);
+            let vals = saved_pcts(&cfg);
             t.row(vec![
                 label.to_string(),
                 vlabel.to_string(),

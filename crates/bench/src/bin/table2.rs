@@ -4,6 +4,8 @@
 
 use subword_bench::{run_suite, sci, Table};
 use subword_kernels::paper::paper_row;
+use subword_kernels::KernelBuild;
+use subword_sim::MachineConfig;
 use subword_spu::SHAPE_A;
 
 fn main() {
@@ -44,16 +46,12 @@ fn main() {
         let b1 = e.kernel.build(e.blocks_small);
         let b2 = e.kernel.build(e.blocks_large);
         let run = |penalty: u64| -> u64 {
-            let cfg = subword_sim::MachineConfig {
-                mispredict_penalty: penalty,
-                ..subword_sim::MachineConfig::mmx_only()
-            };
-            let run_one = |b: &subword_kernels::KernelBuild| {
-                let mut m = subword_sim::Machine::new(cfg.clone());
-                for (a, bytes) in &b.setup.mem_init {
-                    m.mem.write_bytes(*a, bytes).unwrap();
-                }
-                m.run(&b.program).unwrap().cycles
+            let cfg = MachineConfig { mispredict_penalty: penalty, ..MachineConfig::mmx_only() };
+            let run_one = |b: &KernelBuild| {
+                b.run_checked(&b.program, cfg.clone(), e.kernel.name())
+                    .unwrap_or_else(|err| panic!("{err}"))
+                    .stats
+                    .cycles
             };
             (run_one(&b2) - run_one(&b1)) / (e.blocks_large - e.blocks_small)
         };

@@ -21,11 +21,11 @@
 //!
 //! All batch measurement traffic flows through the [`sweep`]
 //! orchestration layer (DESIGN.md §4): a parallel job matrix over
-//! kernel × crossbar shape × block count with a shared compiled-program
-//! cache. ([`run_entry`] remains as an uncached one-off probe.) On top
-//! of that sits the persistent, content-addressed [`store`] (DESIGN.md
-//! §13): with `sweep --cache-dir`, cells whose inputs are unchanged are
-//! replayed from disk instead of re-simulated.
+//! kernel × crossbar shape × block count that lifts each job once.
+//! ([`run_entry`] remains as a one-off probe.) On top of that sits the
+//! persistent, content-addressed [`store`] (DESIGN.md §13): with
+//! `sweep --cache-dir`, cells whose inputs are unchanged are replayed
+//! from disk instead of re-simulated.
 
 pub mod baseline;
 pub mod json;
@@ -37,23 +37,18 @@ use subword_kernels::suite::SuiteEntry;
 use subword_spu::crossbar::CrossbarShape;
 
 pub use store::{cell_key, CellKey, MeasurementStore, StoreStats, PIPELINE_VERSION};
-pub use sweep::{
-    run_sweep, run_sweep_with_cache, run_sweep_with_store, CompileCache, SweepConfig, SweepReport,
-    SweepRun,
-};
+pub use sweep::{run_sweep, CompileCache, SweepConfig, SweepReport, SweepRun};
 
 /// Run the whole Figure 9 suite under one shape — a single-shape
-/// [`run_sweep`] pass (parallel over kernels, compilation cached across
-/// block counts).
+/// [`run_sweep`] pass, parallel over kernels.
 pub fn run_suite(shape: &CrossbarShape) -> Vec<Measurement> {
-    let run = run_sweep(&SweepConfig::paper(std::slice::from_ref(shape)))
+    let run = run_sweep(&SweepConfig::paper(std::slice::from_ref(shape)), None)
         .unwrap_or_else(|e| panic!("suite sweep: {e}"));
     run.measurements.into_iter().map(|m| m.measurement).collect()
 }
 
-/// Measure one suite entry directly — a fresh, uncached lift and run.
-/// One-off probes only: batch work belongs in [`run_sweep`], which
-/// shares compiled artifacts across block counts, scales and shapes.
+/// Measure one suite entry directly, outside the worker pool. One-off
+/// probes only: batch work belongs in [`run_sweep`].
 pub fn run_entry(e: &SuiteEntry, shape: &CrossbarShape) -> Measurement {
     let opts = subword_kernels::MeasureOpts::default();
     subword_kernels::measure(e.kernel, e.blocks_small, e.blocks_large, shape, &opts)

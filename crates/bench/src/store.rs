@@ -249,7 +249,7 @@ const ENTRY_SCHEMA: &str = "subword-store/v1";
 
 /// A persistent, content-addressed measurement store rooted at a cache
 /// directory. See the module docs for the layout and invalidation
-/// rules; [`crate::sweep::run_sweep_with_store`] is the consumer.
+/// rules; [`crate::sweep::run_sweep`] is the consumer.
 pub struct MeasurementStore {
     dir: PathBuf,
     hits: AtomicU64,

@@ -1,14 +1,10 @@
 //! The sweep orchestration layer: one parallel pass over the whole
 //! kernel × crossbar-shape × block-count job matrix.
 //!
-//! The paper's evaluation repeats the same expensive measurement loop in
-//! several harnesses (Figure 9 at shape A, the §6 ablation at shapes
-//! A–D, the parameter-sensitivity study). Each measurement runs the
-//! `subword-compile` lifting pass — whose chain extraction is the single
-//! most expensive analysis in the tree — once per *block-count variant*,
-//! even though the pass's inputs only depend on (kernel, shape).
-//!
-//! This module replaces the per-harness loops with a shared job matrix:
+//! The paper's evaluation repeats the same measurement loop in several
+//! harnesses (Figure 9 at shape A, the §6 ablation at shapes A–D, the
+//! parameter-sensitivity study). This module replaces the per-harness
+//! loops with a shared job matrix:
 //!
 //! * [`SweepConfig`] names the kernels, shapes, block scales and machine
 //!   parameters to cover;
@@ -18,10 +14,10 @@
 //!   (rayon would be the off-the-shelf choice here; the build container
 //!   has no network access, so the pool is ~40 lines of `std::thread` —
 //!   see DESIGN.md §4);
-//! * every job draws its lifted programs from a shared [`CompileCache`],
-//!   so chain extraction and refinement run **exactly once per (kernel,
-//!   shape)** — both block-count variants and every additional scale
-//!   replay the cached [`subword_compile::CompiledKernel`] artifact;
+//! * a measurement's two block counts run one program (the count is a
+//!   setup input, see [`subword_kernels::framework::BLOCKS`]), so every
+//!   job lifts through a per-sweep [`CompileCache`] that hands the first
+//!   lift to the second: the lifting pass runs **once per job**;
 //! * results land in a [`SweepReport`] — a plain-data, JSON-serializable
 //!   table of [`MeasurementRecord`]s — which the `figure9`,
 //!   `ablation_shapes`, `sensitivity` and `sweep` binaries all consume
@@ -31,9 +27,9 @@ use crate::json::Json;
 use crate::store::{cell_key, MeasurementStore, StoreStats};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use subword_compile::verify::contained;
-use subword_compile::{analyze_with_result, CompiledKernel, TransformResult};
+use subword_compile::{lift_permutes, TransformResult};
 use subword_isa::program::Program;
 use subword_kernels::framework::{
     measure, Cached, HostNanos, MeasureOpts, Measurement, MeasurementRecord,
@@ -50,7 +46,7 @@ pub struct SweepConfig {
     /// Crossbar shapes to measure under.
     pub shapes: Vec<CrossbarShape>,
     /// Multipliers applied to each entry's block counts (`1` = the
-    /// suite's own counts). Extra scales reuse the compiled artifacts.
+    /// suite's own counts).
     pub block_scales: Vec<u64>,
     /// Machine parameters for both variants of every measurement.
     pub base: MachineConfig,
@@ -125,39 +121,30 @@ impl SweepConfig {
 /// Cache-effectiveness counters for one sweep.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lift requests served by replaying a cached artifact.
+    /// Lift requests served a stored lift.
     pub hits: u64,
-    /// Lift requests that ran the full analysis (one per distinct
-    /// (kernel, shape) in a healthy sweep).
+    /// Lift requests that ran the lifting pass (one per job in a
+    /// one-scale sweep).
     pub misses: u64,
-    /// Cached artifacts that no longer matched their program and were
-    /// re-analyzed (0 in a healthy sweep).
-    pub stale_fallbacks: u64,
 }
 
-/// One cache slot: the artifact for a (kernel, shape) key, locked
-/// independently so racing misses on the same key serialize on one
-/// analysis without blocking the whole cache.
-type CacheSlot = Arc<Mutex<Option<Arc<CompiledKernel>>>>;
-
-/// Shared compiled-program cache keyed by (kernel, crossbar shape).
+/// A per-sweep memo of lifted programs, keyed by (kernel, crossbar
+/// shape).
 ///
-/// The first lift request for a key runs [`subword_compile::analyze`]
-/// (the expensive planning pass) and stores the resulting
-/// [`CompiledKernel`]; every later request — the second block-count
-/// variant of the same measurement, other scales, other harnesses
-/// holding the same cache — replays the artifact at instantiation cost.
-/// Per-key locking means concurrent jobs on the same key block on one
-/// analysis rather than duplicating it, keeping the miss counter an
-/// exact "compilations performed" count. The artifact carries the
-/// scheduled order alongside the plan, so one analysis serves both the
-/// scheduled and unscheduled variants of every measurement.
+/// A miss runs [`lift_permutes`] and stores the lift with the program it
+/// was lifted from. The next request under the same key takes the entry
+/// out: it is a hit only if its program equals the stored one, and a
+/// miss (lifted afresh, never served the stored lift) otherwise. A job's
+/// second block count is therefore a hit exactly when the kernel keeps
+/// its block count out of the program ([`subword_kernels::Kernel::build`]),
+/// and an entry lives only from a job's first lift to its second.
+/// Concurrent scales of one kernel share a key and may take each other's
+/// entries, so only one-scale sweeps have exact hit and miss counts.
 #[derive(Default)]
 pub struct CompileCache {
-    slots: Mutex<HashMap<(String, CrossbarShape), CacheSlot>>,
+    memo: Mutex<HashMap<(String, CrossbarShape), (Program, TransformResult)>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    stale_fallbacks: AtomicU64,
 }
 
 impl CompileCache {
@@ -166,70 +153,26 @@ impl CompileCache {
         CompileCache::default()
     }
 
-    /// Lift `program` for `shape`, reusing the artifact cached under
-    /// `(key, shape)` when possible.
+    /// Lift `program` for `shape`, taking the lift stored under
+    /// `(key, shape)` when it was lifted from an equal program.
     pub fn lift(
         &self,
         key: &str,
         program: &Program,
         shape: &CrossbarShape,
     ) -> Result<TransformResult, String> {
-        let slot = {
-            let mut slots = self.slots.lock().expect("cache poisoned");
-            Arc::clone(slots.entry((key.to_string(), *shape)).or_default())
-        };
-        // Replay outside the slot lock so concurrent hits on the same
-        // key instantiate in parallel. `apply` performs the full
-        // structural verification itself and reports any divergence as
-        // `StaleArtifact`, which falls back to re-analysis rather than
-        // failing the job.
-        let cached = slot.lock().expect("cache slot poisoned").clone();
-        if let Some(artifact) = &cached {
-            if let Some(outcome) = self.try_replay(key, artifact, program)? {
-                return Ok(outcome);
-            }
-        }
-        // Miss (or stale): analysis runs under the slot lock so racing
-        // jobs on the same key wait for one analysis instead of
-        // duplicating it — the miss counter stays an exact count.
-        let mut guard = slot.lock().expect("cache slot poisoned");
-        if let Some(current) = guard.as_ref() {
-            let installed_since = match &cached {
-                Some(old) => !Arc::ptr_eq(current, old),
-                None => true,
-            };
-            if installed_since {
-                if let Some(outcome) = self.try_replay(key, current, program)? {
-                    return Ok(outcome);
-                }
+        let slot = (key.to_string(), *shape);
+        let stored = self.memo.lock().expect("cache poisoned").remove(&slot);
+        if let Some((lifted_from, result)) = stored {
+            if lifted_from == *program {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(result);
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let (artifact, result) =
-            analyze_with_result(program, shape).map_err(|e| format!("{key}: {e}"))?;
-        *guard = Some(Arc::new(artifact));
+        let result = lift_permutes(program, shape).map_err(|e| format!("{key}: {e}"))?;
+        self.memo.lock().expect("cache poisoned").insert(slot, (program.clone(), result.clone()));
         Ok(result)
-    }
-
-    /// Replay one artifact: `Ok(Some)` on a hit, `Ok(None)` when the
-    /// artifact is stale for `program` (counted), `Err` otherwise.
-    fn try_replay(
-        &self,
-        key: &str,
-        artifact: &CompiledKernel,
-        program: &Program,
-    ) -> Result<Option<TransformResult>, String> {
-        match artifact.apply(program) {
-            Ok(result) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Ok(Some(result))
-            }
-            Err(subword_compile::CompileError::StaleArtifact(_)) => {
-                self.stale_fallbacks.fetch_add(1, Ordering::Relaxed);
-                Ok(None)
-            }
-            Err(e) => Err(format!("{key}: {e}")),
-        }
     }
 
     /// Current counters.
@@ -237,7 +180,6 @@ impl CompileCache {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            stale_fallbacks: self.stale_fallbacks.load(Ordering::Relaxed),
         }
     }
 }
@@ -339,29 +281,13 @@ pub struct SweepRun {
     pub report: SweepReport,
     /// Freshly *simulated* measurements, in job order. Without a
     /// measurement store this is every cell, 1:1 with `report.cells`;
-    /// under [`run_sweep_with_store`], cells replayed from the store
-    /// have no in-memory [`Measurement`] (the compile report is not
-    /// persisted) and are absent here — `report.cells` remains the
-    /// complete matrix.
+    /// with one, cells replayed from the store have no in-memory
+    /// [`Measurement`] (the compile report is not persisted) and are
+    /// absent here — `report.cells` remains the complete matrix.
     pub measurements: Vec<SweepMeasurement>,
     /// Cross-run measurement-store counters for this run (all zero when
     /// no store was attached).
     pub store: StoreStats,
-}
-
-/// Execute the job matrix. See the module docs for the orchestration
-/// model; errors carry the failing (kernel, shape) context.
-pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepRun, String> {
-    run_sweep_with_cache(cfg, &CompileCache::new())
-}
-
-/// [`run_sweep`] against a caller-owned [`CompileCache`], so several
-/// sweeps over the same kernels — e.g. the sensitivity study's one run
-/// per machine configuration — share compiled artifacts (compilation is
-/// machine-config independent). The report's [`CacheStats`] are the
-/// cache's **cumulative** counters.
-pub fn run_sweep_with_cache(cfg: &SweepConfig, cache: &CompileCache) -> Result<SweepRun, String> {
-    run_sweep_with_store(cfg, cache, None)
 }
 
 /// One finished job: the serializable cell, plus the in-memory
@@ -371,8 +297,9 @@ struct CellOutcome {
     fresh: Option<SweepMeasurement>,
 }
 
-/// The cache-aware sweep: [`run_sweep_with_cache`] plus an optional
-/// cross-run [`MeasurementStore`].
+/// Execute the job matrix, optionally against a cross-run
+/// [`MeasurementStore`]. See the module docs for the orchestration
+/// model; errors carry the failing (kernel, shape) context.
 ///
 /// With a store attached, every job first derives its content hash
 /// ([`crate::store::cell_key`] over the built kernel bodies, shape,
@@ -383,11 +310,7 @@ struct CellOutcome {
 /// invalidated (corrupt, truncated, stale-version) cells run through
 /// the normal worker-pool measurement and are written back. Store
 /// counters for the run land in [`SweepRun::store`].
-pub fn run_sweep_with_store(
-    cfg: &SweepConfig,
-    cache: &CompileCache,
-    store: Option<&MeasurementStore>,
-) -> Result<SweepRun, String> {
+pub fn run_sweep(cfg: &SweepConfig, store: Option<&MeasurementStore>) -> Result<SweepRun, String> {
     if cfg.entries.is_empty() || cfg.shapes.is_empty() || cfg.block_scales.is_empty() {
         return Err("sweep config needs at least one kernel, shape and block scale".into());
     }
@@ -395,6 +318,7 @@ pub fn run_sweep_with_store(
         return Err("block scales must be >= 1 (a zero scale would measure nothing)".into());
     }
     let wall = std::time::Instant::now();
+    let cache = CompileCache::new();
     let jobs = cfg.jobs();
     let next = AtomicUsize::new(0);
     let results: Vec<Mutex<Option<Result<CellOutcome, String>>>> =
@@ -608,7 +532,7 @@ impl SweepReport {
 
     fn to_json_value(&self) -> Json {
         Json::Obj(vec![
-            ("schema".into(), Json::Str("subword-sweep/v6".into())),
+            ("schema".into(), Json::Str(SCHEMA.into())),
             ("wall_nanos".into(), Json::UInt(self.wall_nanos.0)),
             (
                 "shapes".into(),
@@ -633,7 +557,6 @@ impl SweepReport {
                 Json::Obj(vec![
                     ("hits".into(), Json::UInt(self.cache.hits)),
                     ("misses".into(), Json::UInt(self.cache.misses)),
-                    ("stale_fallbacks".into(), Json::UInt(self.cache.stale_fallbacks)),
                 ]),
             ),
         ])
@@ -643,7 +566,7 @@ impl SweepReport {
     pub fn from_json(text: &str) -> Result<SweepReport, String> {
         let root = Json::parse(text)?;
         let schema = root.field("schema")?.as_str()?;
-        if schema != "subword-sweep/v6" {
+        if schema != SCHEMA {
             return Err(format!("unsupported schema `{schema}`"));
         }
         let shapes = root
@@ -653,9 +576,9 @@ impl SweepReport {
             .map(|s| {
                 Ok(ShapeInfo {
                     name: s.field("name")?.as_str()?.to_string(),
-                    in_ports: s.field("in_ports")?.as_u64()? as u16,
-                    out_ports: s.field("out_ports")?.as_u64()? as u16,
-                    port_bits: s.field("port_bits")?.as_u64()? as u8,
+                    in_ports: narrow(s, "in_ports")?,
+                    out_ports: narrow(s, "out_ports")?,
+                    port_bits: narrow(s, "port_bits")?,
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
@@ -679,11 +602,22 @@ impl SweepReport {
             cache: CacheStats {
                 hits: cache.field("hits")?.as_u64()?,
                 misses: cache.field("misses")?.as_u64()?,
-                stale_fallbacks: cache.field("stale_fallbacks")?.as_u64()?,
             },
             wall_nanos: HostNanos(root.field("wall_nanos")?.as_u64()?),
         })
     }
+}
+
+/// Schema tag of a serialized [`SweepReport`].
+const SCHEMA: &str = "subword-sweep/v7";
+
+/// Unsigned field `key` of `obj`, narrowed to `T`; a value that does not
+/// fit is an error naming the field, never a truncation.
+fn narrow<T: TryFrom<u64>>(obj: &Json, key: &str) -> Result<T, String> {
+    let v = obj.field(key)?.as_u64()?;
+    T::try_from(v).map_err(|_| {
+        format!("field `{key}`: {v} does not fit {} bits", 8 * std::mem::size_of::<T>())
+    })
 }
 
 fn stats_to_json(s: &SimStats) -> Json {
@@ -765,6 +699,8 @@ pub(crate) fn cell_from_json(v: &Json) -> Result<SweepCell, String> {
 mod tests {
     use super::*;
 
+    /// A job's two block counts build one program: the second lift is
+    /// the first one handed back, equal to a fresh lift of either build.
     #[test]
     fn cache_compiles_once_per_kernel_shape() {
         let cache = CompileCache::new();
@@ -775,16 +711,39 @@ mod tests {
 
         let a = cache.lift("DotProd", &small.program, &shape).unwrap();
         let b = cache.lift("DotProd", &large.program, &shape).unwrap();
-        let c = cache.lift("DotProd", &small.program, &shape).unwrap();
-        assert_eq!(cache.stats(), CacheStats { hits: 2, misses: 1, stale_fallbacks: 0 });
+        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
+        let fresh = lift_permutes(&large.program, &shape).unwrap();
+        for lifted in [&a, &b] {
+            assert_eq!(lifted.program, fresh.program);
+            assert_eq!(lifted.scheduled.program, fresh.scheduled.program);
+            assert_eq!(lifted.report, fresh.report);
+        }
 
-        let fresh_small = subword_compile::lift_permutes(&small.program, &shape).unwrap();
-        let fresh_large = subword_compile::lift_permutes(&large.program, &shape).unwrap();
-        assert_eq!(a.program.instrs, fresh_small.program.instrs);
-        assert_eq!(a.report, fresh_small.report);
-        assert_eq!(b.program.instrs, fresh_large.program.instrs);
-        assert_eq!(b.report, fresh_large.report);
-        assert_eq!(c.program.instrs, fresh_small.program.instrs);
+        // The stored lift was handed out once: the next job lifts again.
+        cache.lift("DotProd", &small.program, &shape).unwrap();
+        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 2 });
+    }
+
+    /// A different program under a stored key is a miss, lifted afresh —
+    /// never served the stored lift.
+    #[test]
+    fn a_different_program_under_the_same_key_is_lifted_again() {
+        let cache = CompileCache::new();
+        let shape = subword_spu::SHAPE_A;
+        let dotprod = dotprod_example().kernel.build(2).program;
+        let fir = subword_kernels::paper_suite()[0].kernel.build(2).program;
+        assert_ne!(dotprod, fir);
+
+        cache.lift("DotProd", &dotprod, &shape).unwrap();
+        let lifted = cache.lift("DotProd", &fir, &shape).unwrap();
+        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2 });
+        let fresh = lift_permutes(&fir, &shape).unwrap();
+        assert_eq!(lifted.program, fresh.program);
+        assert_eq!(lifted.report, fresh.report);
+
+        // The key now holds the second program's lift.
+        cache.lift("DotProd", &fir, &shape).unwrap();
+        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 2 });
     }
 
     #[test]
@@ -795,5 +754,32 @@ mod tests {
         cache.lift("DotProd", &p.program, &subword_spu::SHAPE_A).unwrap();
         cache.lift("DotProd", &p.program, &subword_spu::SHAPE_D).unwrap();
         assert_eq!(cache.stats().misses, 2);
+    }
+
+    /// Shape geometry wider than its field is a parse error naming the
+    /// field, not a silent truncation (65552 used to parse as 16).
+    #[test]
+    fn from_json_rejects_out_of_range_shape_fields() {
+        let report = SweepReport {
+            shapes: vec![ShapeInfo::from(&subword_spu::SHAPE_A)],
+            scales: vec![1],
+            cells: vec![],
+            cache: CacheStats::default(),
+            wall_nanos: HostNanos(0),
+        };
+        let json = report.to_json();
+        assert_eq!(SweepReport::from_json(&json).unwrap(), report);
+        let field = |key: &str, value: u64| format!("\"{key}\": {value}");
+        let a = &subword_spu::SHAPE_A;
+        for (key, old, bad) in [
+            ("in_ports", a.in_ports as u64, 65552),
+            ("out_ports", a.out_ports as u64, 1 << 16),
+            ("port_bits", a.port_bits as u64, 264),
+        ] {
+            let broken = json.replace(&field(key, old), &field(key, bad));
+            assert_ne!(broken, json, "{key} rewrite must hit");
+            let err = SweepReport::from_json(&broken).unwrap_err();
+            assert!(err.contains(key) && err.contains(&bad.to_string()), "{key}: {err}");
+        }
     }
 }

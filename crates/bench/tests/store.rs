@@ -4,7 +4,7 @@
 //! exactly one re-simulation — never the sweep.
 
 use subword_bench::store::{cell_key, MeasurementStore};
-use subword_bench::sweep::{run_sweep_with_store, CompileCache, SweepConfig, SweepRun};
+use subword_bench::sweep::{run_sweep, SweepConfig, SweepRun};
 use subword_isa::program::LoopInfo;
 use subword_kernels::framework::{Kernel, KernelBuild};
 use subword_kernels::suite::{dotprod_example, Family};
@@ -39,8 +39,7 @@ fn small_config() -> SweepConfig {
 }
 
 fn sweep(cfg: &SweepConfig, store: Option<&MeasurementStore>) -> SweepRun {
-    let cache = CompileCache::new();
-    run_sweep_with_store(cfg, &cache, store).unwrap()
+    run_sweep(cfg, store).unwrap()
 }
 
 /// (a) A warm store replays every cell — zero simulations — and the
@@ -58,6 +57,10 @@ fn warm_store_replays_the_cold_report_exactly() {
     assert_eq!(cold.store.invalidated, 0);
     assert_eq!(cold.measurements.len(), cells);
     assert!(cold.report.cells.iter().all(|c| !c.record.cached.0));
+    // Two lifts per simulated cell (exact hit/miss split varies: the
+    // two scales of a kernel share a cache key).
+    let lifts = cold.report.cache.hits + cold.report.cache.misses;
+    assert_eq!(lifts, 2 * cells as u64);
 
     let warm_store = MeasurementStore::open(&scratch.0).unwrap();
     let warm = sweep(&cfg, Some(&warm_store));
@@ -66,6 +69,8 @@ fn warm_store_replays_the_cold_report_exactly() {
     assert_eq!(warm.store.invalidated, 0);
     assert_eq!(warm.measurements.len(), 0, "nothing was simulated");
     assert!(warm.report.cells.iter().all(|c| c.record.cached.0));
+    let lifts = warm.report.cache.hits + warm.report.cache.misses;
+    assert_eq!(lifts, 0, "replayed cells compile nothing");
 
     // The replayed report equals the simulated one — including, by
     // hand, the equality-exempt per-cell wall clocks and the ordering.

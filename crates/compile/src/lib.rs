@@ -39,7 +39,6 @@
 //! results under one exemption table ([`verify::Variant`]).
 
 pub mod annotate;
-pub mod artifact;
 pub mod chains;
 pub mod liveness;
 pub mod pass;
@@ -49,8 +48,6 @@ pub mod schedule;
 pub mod verify;
 
 pub use annotate::annotate;
-
-pub use artifact::{analyze, analyze_with_result, CompiledKernel};
 
 pub use pass::{
     lift_permutes, CompileError, CompileReport, LoopReport, LoopStatus, ScheduledVariant,

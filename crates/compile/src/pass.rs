@@ -30,9 +30,6 @@ pub enum CompileError {
     BadProgram(String),
     /// The rewritten program failed validation (internal error).
     RewriteFailed(String),
-    /// A cached [`crate::CompiledKernel`] no longer matches the program
-    /// it was applied to (see [`crate::analyze`]).
-    StaleArtifact(String),
 }
 
 impl fmt::Display for CompileError {
@@ -40,7 +37,6 @@ impl fmt::Display for CompileError {
         match self {
             CompileError::BadProgram(e) => write!(f, "input program invalid: {e}"),
             CompileError::RewriteFailed(e) => write!(f, "rewrite produced invalid program: {e}"),
-            CompileError::StaleArtifact(e) => write!(f, "stale compilation artifact: {e}"),
         }
     }
 }
@@ -118,6 +114,7 @@ impl CompileReport {
 }
 
 /// Result of [`lift_permutes`].
+#[derive(Clone)]
 pub struct TransformResult {
     /// The rewritten program (setup prologue + GO stores, permutes
     /// removed), in the builder's original emission order.
@@ -137,6 +134,7 @@ pub struct TransformResult {
 /// The scheduled form of a [`TransformResult`] — semantically identical
 /// to the unscheduled program (same architectural results, same golden
 /// outputs), reordered for dual-issue.
+#[derive(Clone)]
 pub struct ScheduledVariant {
     /// The scheduled program (prologue + GO stores included).
     pub program: Program,
@@ -166,8 +164,7 @@ pub(crate) struct LoopPlan {
     /// `spu_program` with its states permuted by `order`.
     pub sched_spu_program: SpuProgram,
     /// The live-range renames that produced `body` (empty = no
-    /// compaction). Cached by `PlanTemplate` so artifact replay rebuilds
-    /// the same body deterministically.
+    /// compaction).
     pub renames: RenameMap,
 }
 
@@ -207,47 +204,12 @@ pub fn lift_permutes(
 ) -> Result<TransformResult, CompileError> {
     program.validate().map_err(|e| CompileError::BadProgram(e.to_string()))?;
     let live_in = mm_live_in(program);
-    let shape = *shape;
-    transform_with(program, move |program, l, trips, _ordinal, next_ctx| {
-        plan_loop(program, &live_in, l, trips, &shape, next_ctx)
-    })
-}
-
-/// Innermost loops in head order: a loop is innermost if no other loop
-/// nests strictly inside it.
-pub(crate) fn innermost_loops(program: &Program) -> Vec<&LoopInfo> {
-    let mut loops: Vec<&LoopInfo> = program
-        .loops
-        .iter()
-        .filter(|l| {
-            !program.loops.iter().any(|o| {
-                (o.head > l.head && o.back_edge <= l.back_edge)
-                    || (o.head >= l.head && o.back_edge < l.back_edge)
-            })
-        })
-        .collect();
-    loops.sort_by_key(|l| l.head);
-    loops
-}
-
-/// Shared transformation skeleton: structural checks, reporting, context
-/// allocation and the final rewrite. `planner` is asked for a [`LoopPlan`]
-/// for every structurally eligible innermost loop (arguments: program,
-/// loop, trip count, loop ordinal among innermost loops, next free
-/// context) — the full pass plugs in [`plan_loop`], a cached
-/// [`crate::CompiledKernel`] replays a stored plan instead.
-pub(crate) fn transform_with(
-    program: &Program,
-    mut planner: impl FnMut(&Program, &LoopInfo, u64, usize, usize) -> Option<LoopPlan>,
-) -> Result<TransformResult, CompileError> {
-    // Callers (`lift_permutes`, `analyze`, `apply`) have already
-    // validated `program`; validating again here would double the cost
-    // on the sweep's hot path.
     let mut reports = Vec::new();
+    // Transformed loops, in head order; a loop's SPU context is its
+    // index here.
     let mut plans: Vec<LoopPlan> = Vec::new();
-    let mut next_ctx = 0usize;
 
-    for (ordinal, l) in innermost_loops(program).into_iter().enumerate() {
+    for l in innermost_loops(program) {
         let mut rep = LoopReport {
             head: l.head,
             body_len: l.body_len(),
@@ -263,7 +225,7 @@ pub(crate) fn transform_with(
         let body = &program.instrs[l.head..=l.back_edge];
         rep.candidates = body.iter().filter(|i| is_liftable(i)).count();
 
-        let status = check_loop(program, l, next_ctx);
+        let status = check_loop(program, l, plans.len());
         if let Some(status) = status {
             rep.status = status;
             reports.push(rep);
@@ -278,7 +240,7 @@ pub(crate) fn transform_with(
             continue;
         };
 
-        match planner(program, l, trips, ordinal, next_ctx) {
+        match plan_loop(program, &live_in, l, trips, shape, plans.len()) {
             Some(plan) => {
                 rep.removed = plan.removal.len();
                 rep.states_used = plan.routes.len();
@@ -288,7 +250,6 @@ pub(crate) fn transform_with(
                 if rep.removed == 0 {
                     rep.status = LoopStatus::NothingRemovable;
                 } else {
-                    next_ctx += 1;
                     plans.push(plan);
                 }
             }
@@ -329,16 +290,30 @@ pub(crate) fn transform_with(
     })
 }
 
+/// Innermost loops in head order: a loop is innermost if no other loop
+/// nests strictly inside it.
+fn innermost_loops(program: &Program) -> Vec<&LoopInfo> {
+    let mut loops: Vec<&LoopInfo> = program
+        .loops
+        .iter()
+        .filter(|l| {
+            !program.loops.iter().any(|o| {
+                (o.head > l.head && o.back_edge <= l.back_edge)
+                    || (o.head >= l.head && o.back_edge < l.back_edge)
+            })
+        })
+        .collect();
+    loops.sort_by_key(|l| l.head);
+    loops
+}
+
 /// Does `states × trips` fit the controller's 32-bit loop counter?
-/// Shared by [`try_routes`] and the artifact replay path
-/// ([`crate::CompiledKernel::apply`]) — the two must agree or cached and
-/// fresh lifts diverge.
-pub(crate) fn counter_fits(states: usize, trips: u64) -> bool {
+fn counter_fits(states: usize, trips: u64) -> bool {
     (states as u64).checked_mul(trips).is_some_and(|c| c <= u32::MAX as u64)
 }
 
 /// Structural checks; `Some(status)` = skip with that status.
-pub(crate) fn check_loop(program: &Program, l: &LoopInfo, next_ctx: usize) -> Option<LoopStatus> {
+fn check_loop(program: &Program, l: &LoopInfo, next_ctx: usize) -> Option<LoopStatus> {
     let body = &program.instrs[l.head..=l.back_edge];
     if !body.iter().any(is_liftable) {
         return Some(LoopStatus::NoCandidates);
@@ -383,7 +358,7 @@ pub(crate) fn check_loop(program: &Program, l: &LoopInfo, next_ctx: usize) -> Op
 /// only if no renaming exists does the pass fall back to un-deleting
 /// candidates (the pre-compaction behaviour, which degrades byte-heavy
 /// kernels to copy elisions).
-pub(crate) fn plan_loop(
+fn plan_loop(
     program: &Program,
     live_in: &[MmMask],
     l: &LoopInfo,
@@ -480,33 +455,18 @@ fn plan_compacted(
     finish_plan(program, l, trips, shape, context, renamed, removal.clone(), routed.routes, renames)
 }
 
-/// The MM liveness masks planning consumes at a loop's boundary:
-/// `(live into the body at its head, live on the loop's exit edge)`.
-/// These are the *only* liveness inputs `plan_loop` reads (the removal
-/// init and the compaction pinning), so the artifact layer pins them to
-/// detect programs whose loop bodies match the analyzed family while
-/// the code around the loop changed what escapes it.
-pub(crate) fn loop_liveness(
-    program: &Program,
-    live_in: &[MmMask],
-    l: &LoopInfo,
-) -> (MmMask, MmMask) {
-    let mut exit = 0;
-    for r in 0..8u8 {
-        let reg = subword_isa::reg::MmReg::from_index(r as usize).expect("file index");
-        if live_on_loop_exit(program, live_in, l.back_edge, reg) {
-            exit |= 1 << r;
-        }
-    }
-    (live_in[l.head], exit)
-}
-
 /// Registers whose values cross the loop boundary: live into the body at
 /// its head (loop-carried or defined before the loop) or live on the
 /// loop's exit edge. Compaction must not rename these.
 fn pinned_regs(program: &Program, live_in: &[MmMask], l: &LoopInfo) -> MmMask {
-    let (head, exit) = loop_liveness(program, live_in, l);
-    head | exit
+    let mut pinned = live_in[l.head];
+    for r in 0..8u8 {
+        let reg = subword_isa::reg::MmReg::from_index(r as usize).expect("file index");
+        if live_on_loop_exit(program, live_in, l.back_edge, reg) {
+            pinned |= 1 << r;
+        }
+    }
+    pinned
 }
 
 /// Assemble the final [`LoopPlan`] from a resolved (possibly renamed)
@@ -555,9 +515,7 @@ pub(crate) fn route_steps(routes: &[RoutePair]) -> Vec<StepRouting> {
 
 /// Permute an SPU program's loop states to match a scheduled kept-body
 /// order: state `k` must route the instruction emitted at position `k`.
-/// Shared by [`plan_loop`] and the artifact replay path so fresh and
-/// cached lifts schedule identically.
-pub(crate) fn permuted_spu_program(
+fn permuted_spu_program(
     spu_program: &SpuProgram,
     routes: &[RoutePair],
     order: &[usize],
@@ -696,10 +654,8 @@ pub(crate) fn resolve_routes(
     }
     // The controller's loop counter is 32 bits (`counter_init` holds
     // `kept × trips`); rejecting here prevents a silently truncated
-    // counter. The cached-replay path re-checks the same bound
-    // ([`counter_fits`]) so fresh and replayed lifts always agree.
-    // Un-deleting a candidate can only grow `kept`, so this is a hard
-    // rejection, not a blame.
+    // counter. Un-deleting a candidate can only grow `kept`, so this is
+    // a hard rejection, not a blame.
     if !counter_fits(kept_len, trips) {
         return Err(RouteFailure::Reject(RejectReason::CounterOverflow));
     }

@@ -83,8 +83,8 @@ use subword_spu::controller::StepRouting;
 const LOOP_EST_ITERS: usize = 4;
 
 /// Positions an emission order changes relative to the original — the
-/// single definition of "moved" shared by the rewriter, the artifact
-/// replay path and the reports.
+/// single definition of "moved" shared by the rewriter, the lift pass
+/// and the reports.
 pub fn moved_count(order: &[usize]) -> usize {
     order.iter().enumerate().filter(|&(new, &old)| new != old).count()
 }
@@ -96,9 +96,7 @@ pub fn is_identity(order: &[usize]) -> bool {
 
 /// Is any label bound strictly inside a loop body (after the head, up to
 /// and including the back edge)? Such a body pins its original order:
-/// the ordered rewrite cannot re-bind an interior label. Shared by the
-/// fresh planning path and the artifact replay path so cached and fresh
-/// lifts refuse the same bodies.
+/// the ordered rewrite cannot re-bind an interior label.
 pub(crate) fn has_interior_label(program: &Program, l: &subword_isa::program::LoopInfo) -> bool {
     (0..program.label_count()).any(|id| {
         program

@@ -5,7 +5,8 @@
 
 use proptest::prelude::*;
 use subword_compile::verify::{compare, run, Compared, ENGINES};
-use subword_compile::{analyze, differential, lift_permutes, LoopStatus, TestSetup};
+use subword_compile::{differential, lift_permutes, LoopStatus, TestSetup};
+use subword_isa::instr::Instr;
 use subword_isa::mem::Mem;
 use subword_isa::op::{AluOp, Cond, MmxOp};
 use subword_isa::reg::gp::*;
@@ -36,9 +37,8 @@ fn wide_span_program(srcs: &[u8], ops: &[u8], tmp: u8, acc: u8, trips: u64) -> P
 }
 
 /// [`wide_span_program`] with an optional post-loop store of one
-/// register — a one-instruction change *outside* the loop that flips
-/// that register's exit liveness, which the artifact replay must treat
-/// as a different program.
+/// register — a one-instruction change *outside* the loop that makes
+/// that register live on the loop's exit edge.
 fn wide_span_program_tail(
     srcs: &[u8],
     ops: &[u8],
@@ -150,52 +150,34 @@ fn compacted_program_agrees_across_engines() {
     }
 }
 
-/// A cached artifact replays the compacted lift exactly: the
-/// `PlanTemplate` rename map regenerates the renamed body at any block
-/// count, matching a fresh lift bit for bit.
+/// A register read after the loop crosses the loop boundary, so the
+/// compaction pass pins it: in the same loop without the post-loop read
+/// mm6 is renamed into the window, with it mm6 keeps its name, the other
+/// sources are renamed around it, and the escaping value reaches the
+/// post-loop store.
 #[test]
-fn artifact_replay_reproduces_the_compacted_lift() {
-    let build = |trips: u64| wide_span_program(&[0, 2, 4, 6], &[0, 0, 1, 0], 1, 7, trips);
-    for shape in [SHAPE_B, SHAPE_D] {
-        let art = analyze(&build(4), &shape).unwrap();
-        assert_eq!(art.planned_loops(), 1);
-        for trips in [2u64, 4, 16, 33] {
-            let p = build(trips);
-            let replayed = art.apply(&p).unwrap();
-            let fresh = lift_permutes(&p, &shape).unwrap();
-            assert_eq!(replayed.program.instrs, fresh.program.instrs, "{}", shape.name);
-            assert_eq!(replayed.report, fresh.report, "{}", shape.name);
-            assert_eq!(replayed.spu_programs.len(), fresh.spu_programs.len());
-            for ((ca, pa), (cb, pb)) in replayed.spu_programs.iter().zip(&fresh.spu_programs) {
-                assert_eq!((ca, pa), (cb, pb), "{}", shape.name);
-            }
-            assert_eq!(
-                replayed.scheduled.program.instrs, fresh.scheduled.program.instrs,
-                "{}",
-                shape.name
-            );
-        }
-    }
-}
+fn an_escaping_register_is_pinned_not_renamed() {
+    let trips = 4u64;
+    // The register the source load at `offset` writes in `p`.
+    let load_dst = |p: &Program, offset: u32| {
+        p.instrs.iter().find_map(|i| match i {
+            Instr::MovqLoad { dst, addr } if *addr == Mem::abs(IN_BASE + offset) => Some(*dst),
+            _ => None,
+        })
+    };
+    let srcs = [0, 2, 4, 6];
+    let plain = wide_span_program(&srcs, &[0, 0, 0, 0], 1, 7, trips);
+    let lifted = lift_permutes(&plain, &SHAPE_B).unwrap();
+    assert_ne!(load_dst(&lifted.program, 24), Some(mm(6)), "unpinned, mm6 is renamed");
 
-/// A post-loop read of a register the compaction renamed (or whose web
-/// the removal deleted into) must stale the artifact: the loop body is
-/// byte-identical, but the boundary liveness the planner consumed
-/// changed, and a replayed rename would leave the escaping value in the
-/// wrong register.
-#[test]
-fn artifact_goes_stale_when_a_renamed_register_escapes() {
-    let art = analyze(&wide_span_program(&[0, 2, 4, 6], &[0, 0, 0, 0], 1, 7, 4), &SHAPE_B).unwrap();
-    assert_eq!(art.planned_loops(), 1);
-    // Same loop, but mm0 (renamed into the window by compaction) is now
-    // stored after the loop.
-    let leaky = wide_span_program_tail(&[0, 2, 4, 6], &[0, 0, 0, 0], 1, 7, 4, Some(0));
-    let err = art.apply(&leaky).err().expect("replay must go stale");
-    assert!(err.to_string().contains("liveness"), "{err}");
-    // The fresh lift still transforms the loop — it just pins mm0 and
-    // compacts around it.
-    let fresh = lift_permutes(&leaky, &SHAPE_B).unwrap();
-    assert!(fresh.report.removed_static > 0);
+    let leaky = wide_span_program_tail(&srcs, &[0, 0, 0, 0], 1, 7, trips, Some(6));
+    let lifted = lift_permutes(&leaky, &SHAPE_B).unwrap();
+    assert_eq!(lifted.report.removed_static, srcs.len());
+    assert!(lifted.report.loops[0].renamed_ranges > 0, "the other sources are compacted");
+    assert_eq!(load_dst(&lifted.program, 24), Some(mm(6)), "mm6 is pinned");
+    let mut setup = wide_span_setup(trips);
+    setup.outputs.push((OUT_BASE + 0x1000, 8));
+    differential(&leaky, &lifted.program, &SHAPE_B, &setup).unwrap();
 }
 
 proptest! {

@@ -303,46 +303,3 @@ fn lifted_loop_reorders_with_routes_permuted() {
     );
     assert!(m1.stats.pair_rate() > m0.stats.pair_rate());
 }
-
-/// Cached artifacts replay the scheduled variant bit-identically to a
-/// fresh lift, across block counts.
-#[test]
-fn artifact_replays_scheduled_variant_identically() {
-    let build = |blocks: u64| {
-        subword_isa::asm::assemble(
-            "demo",
-            &format!(
-                r#"
-                .trips loop {blocks}
-                mov r0, {blocks}
-            loop:
-                movq mm2, mm0
-                punpcklwd mm2, mm1
-                pmulhw mm4, mm2
-                movq mm3, mm0
-                punpckhwd mm3, mm1
-                pmullw mm5, mm3
-                sub r0, 1
-                jnz loop
-                halt
-            "#
-            ),
-        )
-        .unwrap()
-    };
-    let art = subword_compile::analyze(&build(4), &SHAPE_A).unwrap();
-    for blocks in [2u64, 4, 32] {
-        let p = build(blocks);
-        let replayed = art.apply(&p).unwrap();
-        let fresh = lift_permutes(&p, &SHAPE_A).unwrap();
-        assert_eq!(replayed.scheduled.program.instrs, fresh.scheduled.program.instrs);
-        assert_eq!(replayed.scheduled.moved, fresh.scheduled.moved);
-        assert_eq!(replayed.scheduled.spu_programs.len(), fresh.scheduled.spu_programs.len());
-        for ((ca, pa), (cb, pb)) in
-            replayed.scheduled.spu_programs.iter().zip(&fresh.scheduled.spu_programs)
-        {
-            assert_eq!(ca, cb);
-            assert_eq!(pa, pb);
-        }
-    }
-}

@@ -24,8 +24,9 @@ pub fn kernel_names() -> Vec<&'static str> {
     entries().iter().map(|e| e.kernel.name()).collect()
 }
 
-/// Disassemble a suite kernel by (fuzzy) name at its small block
-/// count. Ambiguous or unknown names list the candidates.
+/// Disassemble a suite kernel by (fuzzy) name. The listing is the same
+/// at every block count: the count arrives in a register at run time.
+/// Ambiguous or unknown names list the candidates.
 pub fn disasm_kernel(name: &str) -> Result<String, String> {
     let want = normalize(name);
     if want.is_empty() {
@@ -44,9 +45,8 @@ pub fn disasm_kernel(name: &str) -> Result<String, String> {
         [entry] => {
             let build = entry.kernel.build(entry.blocks_small);
             Ok(format!(
-                "; {} — {} blocks, {} instructions\n{}",
+                "; {} — {} instructions\n{}",
                 entry.kernel.name(),
-                entry.blocks_small,
                 build.program.len(),
                 disassemble(&build.program)
             ))

@@ -74,7 +74,7 @@ impl fmt::Display for ProgramError {
 impl std::error::Error for ProgramError {}
 
 /// A finished program: instructions plus resolved labels and loop metadata.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Program {
     /// Program name (for reports).
     pub name: String,

@@ -7,6 +7,10 @@
 //! simulator. Steady-state per-block numbers are extracted by running two
 //! different block counts and differencing, which cancels programming
 //! prologues and cold-predictor effects.
+//!
+//! The block count is a run input, not part of the code: it arrives in
+//! [`BLOCKS`] through the setup's `reg_init`, so both runs of a
+//! measurement execute one program.
 
 use crate::paper::PaperRow;
 use crate::suite::Family;
@@ -16,14 +20,26 @@ use subword_compile::verify::{
 };
 use subword_compile::{CompileReport, TestSetup};
 use subword_isa::program::Program;
+use subword_isa::reg::gp::R9;
+use subword_isa::reg::GpReg;
 use subword_sim::{Machine, MachineConfig, SimStats};
 use subword_spu::crossbar::CrossbarShape;
 
+/// The register that carries the block count: every kernel's outer block
+/// loop counts it down to zero.
+pub const BLOCKS: GpReg = R9;
+
+/// The `reg_init` entry that runs a kernel for `blocks` blocks.
+pub fn block_count(blocks: u64) -> (GpReg, u32) {
+    (BLOCKS, u32::try_from(blocks).expect("block count fits a register"))
+}
+
 /// A fully materialised kernel instance.
 pub struct KernelBuild {
-    /// The MMX-only program, parameterised by block count.
+    /// The MMX-only program, the same at every block count.
     pub program: Program,
-    /// Memory/register initialisation and output ranges.
+    /// Memory/register initialisation (the block count in [`BLOCKS`]
+    /// included) and output ranges.
     pub setup: TestSetup,
     /// Golden outputs `(address, bytes)` computed by the scalar
     /// reference.
@@ -80,7 +96,13 @@ pub trait Kernel: Sync {
     /// Name matching the paper's tables.
     fn name(&self) -> &'static str;
 
-    /// Build the MMX-only program running `blocks` block invocations.
+    /// Build the MMX-only program and a setup running it for `blocks`
+    /// block invocations.
+    ///
+    /// The program must not depend on `blocks`: the count reaches it only
+    /// as [`block_count`]`(blocks)` in `setup.reg_init`. A measurement's
+    /// two builds then share one program, which is what lets the sweep's
+    /// compile cache hand the first build's lift to the second.
     fn build(&self, blocks: u64) -> KernelBuild;
 
     /// The kernel family this benchmark belongs to (reported as its own

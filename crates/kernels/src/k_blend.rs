@@ -11,7 +11,7 @@
 //! ride SPU routes — including the `pmullw` operand, the paper's
 //! Figure 7 pattern of a multiplier fed directly from routed bytes.
 
-use crate::framework::{Kernel, KernelBuild};
+use crate::framework::{block_count, Kernel, KernelBuild, BLOCKS};
 use crate::refimpl::alpha_blend;
 use crate::suite::Family;
 use crate::workload::{pixels, pixels_max};
@@ -49,7 +49,6 @@ impl Kernel for AlphaBlend {
 
         let mut b = ProgramBuilder::new("blend-mmx");
         b.mmx_rr(MmxOp::Pxor, MM7, MM7); // zero register
-        b.mov_ri(R9, blocks as i32);
         let outer = b.bind_here("outer");
         b.mov_ri(R0, A_SRC as i32);
         b.mov_ri(R1, A_DST as i32);
@@ -77,9 +76,9 @@ impl Kernel for AlphaBlend {
         b.alu_ri(AluOp::Sub, R6, 1);
         b.jcc(Cond::Ne, group);
         b.mark_loop(group, Some((PIXELS / 4) as u64));
-        b.alu_ri(AluOp::Sub, R9, 1);
+        b.alu_ri(AluOp::Sub, BLOCKS, 1);
         b.jcc(Cond::Ne, outer);
-        b.mark_loop(outer, Some(blocks));
+        b.mark_loop(outer, None);
         b.halt();
 
         let out = alpha_blend(&src, &dst, &alpha);
@@ -88,6 +87,7 @@ impl Kernel for AlphaBlend {
             setup: TestSetup {
                 mem_init: vec![(A_SRC, src), (A_DST, dst), (A_ALPHA, alpha)],
                 outputs: vec![(A_OUT, PIXELS)],
+                reg_init: vec![block_count(blocks)],
                 ..Default::default()
             },
             expected: vec![(A_OUT, out)],

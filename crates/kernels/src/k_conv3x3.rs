@@ -15,7 +15,7 @@
 //! so the 4-register-window shape B lifts the network as completely as
 //! the full-file shape A.
 
-use crate::framework::{Kernel, KernelBuild};
+use crate::framework::{block_count, Kernel, KernelBuild, BLOCKS};
 use crate::refimpl::conv3x3_gauss;
 use crate::suite::Family;
 use crate::workload::image;
@@ -55,7 +55,6 @@ impl Kernel for Conv3x3 {
 
         let mut b = ProgramBuilder::new("conv3x3-mmx");
         b.mmx_rr(MmxOp::Pxor, MM7, MM7); // zero register
-        b.mov_ri(R9, blocks as i32);
         let outer = b.bind_here("outer");
         b.mov_ri(R0, A_SRC as i32); // top-left of the 3×3 support
         b.mov_ri(R1, A_DST as i32);
@@ -104,9 +103,9 @@ impl Kernel for Conv3x3 {
         b.alu_ri(AluOp::Sub, R4, 1);
         b.jcc(Cond::Ne, rows);
         b.mark_loop(rows, Some(OUT_H as u64));
-        b.alu_ri(AluOp::Sub, R9, 1);
+        b.alu_ri(AluOp::Sub, BLOCKS, 1);
         b.jcc(Cond::Ne, outer);
-        b.mark_loop(outer, Some(blocks));
+        b.mark_loop(outer, None);
         b.halt();
 
         let full = conv3x3_gauss(&src, W, H);
@@ -120,6 +119,7 @@ impl Kernel for Conv3x3 {
             setup: TestSetup {
                 mem_init: vec![(A_SRC, src)],
                 outputs: vec![(A_DST, OUT_W * OUT_H)],
+                reg_init: vec![block_count(blocks)],
                 ..Default::default()
             },
             expected: vec![(A_DST, out)],

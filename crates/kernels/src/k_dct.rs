@@ -7,7 +7,7 @@
 //! the per-output horizontal adds give the DCT its high off-loadable
 //! share (paper: ~24 % of MMX instructions, 16.75 % of all instructions).
 
-use crate::framework::{Kernel, KernelBuild};
+use crate::framework::{block_count, Kernel, KernelBuild, BLOCKS};
 use crate::refimpl::{dct8_coefficients, dct8x8};
 use crate::suite::Family;
 use crate::workload::{samples, to_bytes, to_bytes_u32};
@@ -88,7 +88,6 @@ impl Kernel for Dct8x8 {
         }
 
         let mut b = ProgramBuilder::new("dct8x8-mmx");
-        b.mov_ri(R9, blocks as i32);
         let outer = b.bind_here("outer");
         // Row pass: SRC -> TMP.
         emit_pass(&mut b, "rows", A_SRC, A_TMP);
@@ -122,9 +121,9 @@ impl Kernel for Dct8x8 {
         b.mark_loop(tile, Some(4));
         // Column pass (rows of the transposed block): TMP2 -> OUT.
         emit_pass(&mut b, "cols", A_TMP2, A_OUT);
-        b.alu_ri(AluOp::Sub, R9, 1);
+        b.alu_ri(AluOp::Sub, BLOCKS, 1);
         b.jcc(Cond::Ne, outer);
-        b.mark_loop(outer, Some(blocks));
+        b.mark_loop(outer, None);
         b.halt();
 
         let out = dct8x8(&src);
@@ -137,6 +136,7 @@ impl Kernel for Dct8x8 {
                     (A_TILETAB, to_bytes_u32(&tab)),
                 ],
                 outputs: vec![(A_OUT, 128)],
+                reg_init: vec![block_count(blocks)],
                 ..Default::default()
             },
             expected: vec![(A_OUT, to_bytes(&out))],

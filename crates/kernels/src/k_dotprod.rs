@@ -7,7 +7,7 @@
 //! unpacks and two register copies per group; the SPU routes the
 //! multiplier operands directly (Figure 7).
 
-use crate::framework::{Kernel, KernelBuild};
+use crate::framework::{block_count, Kernel, KernelBuild, BLOCKS};
 use crate::refimpl::figure5_products;
 use crate::suite::Family;
 use crate::workload::{samples, to_bytes};
@@ -42,7 +42,6 @@ impl Kernel for DotProd {
         let y = samples(0xD08, GROUPS * 4, 12000);
 
         let mut b = ProgramBuilder::new("dotprod-mmx");
-        b.mov_ri(R9, blocks as i32);
         let outer = b.bind_here("outer");
         b.mov_ri(R0, A_X as i32);
         b.mov_ri(R1, A_Y as i32);
@@ -65,9 +64,9 @@ impl Kernel for DotProd {
         b.alu_ri(AluOp::Sub, R3, 1);
         b.jcc(Cond::Ne, l);
         b.mark_loop(l, Some(GROUPS as u64));
-        b.alu_ri(AluOp::Sub, R9, 1);
+        b.alu_ri(AluOp::Sub, BLOCKS, 1);
         b.jcc(Cond::Ne, outer);
-        b.mark_loop(outer, Some(blocks));
+        b.mark_loop(outer, None);
         b.halt();
 
         let (lo, hi) = figure5_products(&x, &y);
@@ -84,6 +83,7 @@ impl Kernel for DotProd {
             setup: TestSetup {
                 mem_init: vec![(A_X, to_bytes(&x)), (A_Y, to_bytes(&y))],
                 outputs: vec![(A_OUT, GROUPS * 16)],
+                reg_init: vec![block_count(blocks)],
                 ..Default::default()
             },
             expected: vec![(A_OUT, expected)],

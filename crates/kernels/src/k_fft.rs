@@ -14,7 +14,7 @@
 //! `>>1` scaling — the same arithmetic shape (see DESIGN.md's
 //! substitution table).
 
-use crate::framework::{Kernel, KernelBuild};
+use crate::framework::{block_count, Kernel, KernelBuild, BLOCKS};
 use crate::refimpl::{bit_reverse_table, deinterleave, fft_q15, twiddles};
 use crate::suite::Family;
 use crate::workload::{samples, to_bytes, to_bytes_u32};
@@ -60,7 +60,6 @@ impl<const N: usize> Kernel for Fft<N> {
         let br = bit_reverse_table(N);
 
         let mut b = ProgramBuilder::new(format!("fft{N}-mmx"));
-        b.mov_ri(R9, blocks as i32);
         let outer = b.bind_here("outer");
 
         // --- Bit-reversal scatter: work[br[i]] = (x[i], 0). ---
@@ -161,9 +160,9 @@ impl<const N: usize> Kernel for Fft<N> {
         b.jcc(Cond::Ne, dloop);
         b.mark_loop(dloop, Some((N / 4) as u64));
 
-        b.alu_ri(AluOp::Sub, R9, 1);
+        b.alu_ri(AluOp::Sub, BLOCKS, 1);
         b.jcc(Cond::Ne, outer);
-        b.mark_loop(outer, Some(blocks));
+        b.mark_loop(outer, None);
         b.halt();
 
         let w = fft_q15(&x);
@@ -177,6 +176,7 @@ impl<const N: usize> Kernel for Fft<N> {
                     (A_BR, to_bytes_u32(&br)),
                 ],
                 outputs: vec![(A_RE, N * 2), (A_IM, N * 2)],
+                reg_init: vec![block_count(blocks)],
                 ..Default::default()
             },
             expected: vec![(A_RE, to_bytes(&re)), (A_IM, to_bytes(&im))],

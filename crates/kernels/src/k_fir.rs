@@ -11,7 +11,7 @@
 //! as the lowest of all kernels (≈ 11 % of MMX instructions) and the SPU
 //! speedup as modest (≈ 8 %).
 
-use crate::framework::{Kernel, KernelBuild};
+use crate::framework::{block_count, Kernel, KernelBuild, BLOCKS};
 use crate::refimpl::fir;
 use crate::suite::Family;
 use crate::workload::{coefficients, samples, to_bytes};
@@ -84,7 +84,6 @@ impl<const TAPS: usize> Kernel for Fir<TAPS> {
         xpad.extend_from_slice(&x);
 
         let mut b = ProgramBuilder::new(format!("fir{TAPS}-mmx"));
-        b.mov_ri(R9, blocks as i32);
         let outer = b.bind_here("outer");
         b.mov_ri(R0, A_XPAD as i32); // x window pointer (starts at x[-LEAD])
         b.mov_ri(R1, A_COEFF as i32);
@@ -114,9 +113,9 @@ impl<const TAPS: usize> Kernel for Fir<TAPS> {
         b.alu_ri(AluOp::Sub, R3, 1);
         b.jcc(Cond::Ne, l);
         b.mark_loop(l, Some(groups as u64));
-        b.alu_ri(AluOp::Sub, R9, 1);
+        b.alu_ri(AluOp::Sub, BLOCKS, 1);
         b.jcc(Cond::Ne, outer);
-        b.mark_loop(outer, Some(blocks));
+        b.mark_loop(outer, None);
         b.halt();
 
         let y = fir(&x, &c);
@@ -128,6 +127,7 @@ impl<const TAPS: usize> Kernel for Fir<TAPS> {
                     (A_COEFF, to_bytes(&Self::replicate(&c))),
                 ],
                 outputs: vec![(A_OUT, BLOCK_SAMPLES * 2)],
+                reg_init: vec![block_count(blocks)],
                 ..Default::default()
             },
             expected: vec![(A_OUT, to_bytes(&y))],

@@ -12,7 +12,7 @@
 //! IIR with the *highest* off-loaded share of MMX instructions and
 //! Figure 9 shows almost no overall speedup.
 
-use crate::framework::{Kernel, KernelBuild};
+use crate::framework::{block_count, Kernel, KernelBuild, BLOCKS};
 use crate::refimpl::iir;
 use crate::suite::Family;
 use crate::workload::{coefficients, samples, to_bytes};
@@ -69,7 +69,6 @@ impl Kernel for Iir10 {
         let y32_base = (A_Y32 + PAD_DWORDS * 4) as i32;
 
         let mut b = ProgramBuilder::new("iir10-mmx");
-        b.mov_ri(R9, blocks as i32);
         let outer = b.bind_here("outer");
 
         // --- Widening pass: i16 x -> i32 x32 (MMX sign extension). ---
@@ -138,9 +137,9 @@ impl Kernel for Iir10 {
         b.jcc(Cond::Ne, narrow);
         b.mark_loop(narrow, Some(groups as u64));
 
-        b.alu_ri(AluOp::Sub, R9, 1);
+        b.alu_ri(AluOp::Sub, BLOCKS, 1);
         b.jcc(Cond::Ne, outer);
-        b.mark_loop(outer, Some(blocks));
+        b.mark_loop(outer, None);
         b.halt();
 
         let y = iir(&x, &bc, &nac);
@@ -149,6 +148,7 @@ impl Kernel for Iir10 {
             setup: TestSetup {
                 mem_init: vec![(A_X, to_bytes(&x))],
                 outputs: vec![(A_OUT, BLOCK_SAMPLES * 2)],
+                reg_init: vec![block_count(blocks)],
                 ..Default::default()
             },
             expected: vec![(A_OUT, to_bytes(&y))],

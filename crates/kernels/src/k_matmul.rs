@@ -6,7 +6,7 @@
 //! with a horizontal-add copy/shift to fold the two dword partial sums —
 //! Q15 rescaled and stored as i16.
 
-use crate::framework::{Kernel, KernelBuild};
+use crate::framework::{block_count, Kernel, KernelBuild, BLOCKS};
 use crate::refimpl::matmul16;
 use crate::suite::Family;
 use crate::workload::{matrix, to_bytes, to_bytes_u32};
@@ -51,7 +51,6 @@ impl Kernel for MatMul16 {
         }
 
         let mut b = ProgramBuilder::new("matmul16-mmx");
-        b.mov_ri(R9, blocks as i32);
         let outer = b.bind_here("outer");
         // --- Transpose B into BT (Figure 3 tile network). ---
         b.mov_ri(R3, 16);
@@ -127,9 +126,9 @@ impl Kernel for MatMul16 {
         b.alu_ri(AluOp::Sub, R6, 1);
         b.jcc(Cond::Ne, iloop);
         b.mark_loop(iloop, Some(N as u64));
-        b.alu_ri(AluOp::Sub, R9, 1);
+        b.alu_ri(AluOp::Sub, BLOCKS, 1);
         b.jcc(Cond::Ne, outer);
-        b.mark_loop(outer, Some(blocks));
+        b.mark_loop(outer, None);
         b.halt();
 
         let c = matmul16(&a, &bm);
@@ -142,6 +141,7 @@ impl Kernel for MatMul16 {
                     (A_TILETAB, to_bytes_u32(&tab)),
                 ],
                 outputs: vec![(A_C, N * N * 2)],
+                reg_init: vec![block_count(blocks)],
                 ..Default::default()
             },
             expected: vec![(A_C, to_bytes(&c))],

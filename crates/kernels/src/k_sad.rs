@@ -17,7 +17,7 @@
 //! the 16-bit-port shapes C/D cannot — the pixel family's counterpoint
 //! to the word-granular paper kernels that shape D covers.
 
-use crate::framework::{Kernel, KernelBuild};
+use crate::framework::{block_count, Kernel, KernelBuild, BLOCKS};
 use crate::refimpl::sad_search;
 use crate::suite::Family;
 use crate::workload::{pixels, to_bytes_u32};
@@ -75,7 +75,6 @@ impl Kernel for Sad16x16 {
         let mut b = ProgramBuilder::new("sad16x16-mmx");
         b.mmx_rr(MmxOp::Pxor, MM7, MM7); // zero register
         b.mmx_rr(MmxOp::Pxor, MM6, MM6); // word accumulator
-        b.mov_ri(R9, blocks as i32);
         let outer = b.bind_here("outer");
         b.mov_ri(R7, A_CAND as i32);
         b.mov_ri(R8, A_SAD as i32);
@@ -152,9 +151,9 @@ impl Kernel for Sad16x16 {
         b.mark_loop(scan, Some((CANDIDATES.len() - 1) as u64));
         b.store(Mem::abs(A_BEST), R4);
         b.store(Mem::abs(A_BEST + 4), R5);
-        b.alu_ri(AluOp::Sub, R9, 1);
+        b.alu_ri(AluOp::Sub, BLOCKS, 1);
         b.jcc(Cond::Ne, outer);
-        b.mark_loop(outer, Some(blocks));
+        b.mark_loop(outer, None);
         b.halt();
 
         let offsets: Vec<usize> =
@@ -171,6 +170,7 @@ impl Kernel for Sad16x16 {
                     (A_CAND, to_bytes_u32(&cand_bases)),
                 ],
                 outputs: vec![(A_SAD, 32), (A_BEST, 8)],
+                reg_init: vec![block_count(blocks)],
                 ..Default::default()
             },
             expected: vec![(A_SAD, to_bytes_u32(&sads)), (A_BEST, to_bytes_u32(&[best_idx, best]))],

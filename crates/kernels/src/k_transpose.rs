@@ -9,7 +9,7 @@
 //! With the SPU, the column gathers ride the stores' operand routing and
 //! every register-source unpack and copy disappears.
 
-use crate::framework::{Kernel, KernelBuild};
+use crate::framework::{block_count, Kernel, KernelBuild, BLOCKS};
 use crate::refimpl::transpose;
 use crate::suite::Family;
 use crate::workload::{matrix, to_bytes, to_bytes_u32};
@@ -53,7 +53,6 @@ impl Kernel for Transpose16 {
         }
 
         let mut b = ProgramBuilder::new("transpose16-mmx");
-        b.mov_ri(R9, blocks as i32);
         let outer = b.bind_here("outer");
         b.mov_ri(R3, 16);
         b.mov_ri(R7, A_TILETAB as i32);
@@ -103,9 +102,9 @@ impl Kernel for Transpose16 {
         b.alu_ri(AluOp::Sub, R3, 1);
         b.jcc(Cond::Ne, copy);
         b.mark_loop(copy, Some((N * N / 8) as u64));
-        b.alu_ri(AluOp::Sub, R9, 1);
+        b.alu_ri(AluOp::Sub, BLOCKS, 1);
         b.jcc(Cond::Ne, outer);
-        b.mark_loop(outer, Some(blocks));
+        b.mark_loop(outer, None);
         b.halt();
 
         let out = transpose(&src, N, N);
@@ -114,6 +113,7 @@ impl Kernel for Transpose16 {
             setup: TestSetup {
                 mem_init: vec![(A_SRC, to_bytes(&src)), (A_TILETAB, to_bytes_u32(&tab))],
                 outputs: vec![(A_DST, N * N * 2)],
+                reg_init: vec![block_count(blocks)],
                 ..Default::default()
             },
             expected: vec![(A_DST, to_bytes(&out))],

@@ -16,7 +16,7 @@
 //! cannot express the byte-granular zero-extension and keep the MMX
 //! unpacks.
 
-use crate::framework::{Kernel, KernelBuild};
+use crate::framework::{block_count, Kernel, KernelBuild, BLOCKS};
 use crate::refimpl::{yuv_to_rgb, YUV_COEF};
 use crate::suite::Family;
 use crate::workload::{pixels, to_bytes};
@@ -63,7 +63,6 @@ impl Kernel for YuvToRgb {
 
         let mut b = ProgramBuilder::new("yuv2rgb-mmx");
         b.mmx_rr(MmxOp::Pxor, MM7, MM7); // zero register
-        b.mov_ri(R9, blocks as i32);
         let outer = b.bind_here("outer");
         b.mov_ri(R0, A_Y as i32);
         b.mov_ri(R1, A_U as i32);
@@ -119,9 +118,9 @@ impl Kernel for YuvToRgb {
         b.alu_ri(AluOp::Sub, R6, 1);
         b.jcc(Cond::Ne, group);
         b.mark_loop(group, Some((PIXELS / 4) as u64));
-        b.alu_ri(AluOp::Sub, R9, 1);
+        b.alu_ri(AluOp::Sub, BLOCKS, 1);
         b.jcc(Cond::Ne, outer);
-        b.mark_loop(outer, Some(blocks));
+        b.mark_loop(outer, None);
         b.halt();
 
         let (r, g, bb) = yuv_to_rgb(&y, &u, &v);
@@ -139,6 +138,7 @@ impl Kernel for YuvToRgb {
                     (A_CBU, rep4(c_bu)),
                 ],
                 outputs: vec![(A_R, PIXELS), (A_G, PIXELS), (A_B, PIXELS)],
+                reg_init: vec![block_count(blocks)],
                 ..Default::default()
             },
             expected: vec![(A_R, r), (A_G, g), (A_B, bb)],

@@ -2,10 +2,9 @@
 //! on the MMX machine — demonstrating that the SPU's extra pipe stage is
 //! benign because media kernels barely mispredict.
 
+use subword_bench::sweep::{run_sweep, SweepConfig};
 use subword_bench::{run_suite, sci, Table};
 use subword_kernels::paper::paper_row;
-use subword_kernels::KernelBuild;
-use subword_sim::MachineConfig;
 use subword_spu::SHAPE_A;
 
 fn main() {
@@ -39,26 +38,24 @@ fn main() {
     println!("paper claim: all miss rates are tiny (<= 0.157% of clocks), so an");
     println!("extra pipeline stage for the SPU interconnect costs almost nothing.");
 
-    // The +1-cycle sensitivity claim, measured directly.
+    // The +1-cycle sensitivity claim, measured directly: one baseline
+    // sweep per penalty.
     println!("\nMispredict-penalty sensitivity (baseline machine, per block):");
+    let cycles_at = |penalty: u64| -> Vec<(String, u64)> {
+        let mut cfg = SweepConfig::paper(&[SHAPE_A]);
+        cfg.base.mispredict_penalty = penalty;
+        cfg.measure_scheduled = false;
+        let run = run_sweep(&cfg, None).expect("mispredict-penalty sweep");
+        run.report
+            .cells
+            .into_iter()
+            .map(|c| (c.record.kernel, c.record.baseline_per_block.cycles))
+            .collect()
+    };
     let mut s = Table::new(&["algorithm", "cycles @4", "cycles @5", "delta %"]);
-    for e in subword_kernels::suite::paper_suite() {
-        let b1 = e.kernel.build(e.blocks_small);
-        let b2 = e.kernel.build(e.blocks_large);
-        let run = |penalty: u64| -> u64 {
-            let cfg = MachineConfig { mispredict_penalty: penalty, ..MachineConfig::mmx_only() };
-            let run_one = |b: &KernelBuild| {
-                b.run_checked(&b.program, cfg.clone(), e.kernel.name())
-                    .unwrap_or_else(|err| panic!("{err}"))
-                    .stats
-                    .cycles
-            };
-            (run_one(&b2) - run_one(&b1)) / (e.blocks_large - e.blocks_small)
-        };
-        let c4 = run(4);
-        let c5 = run(5);
+    for ((name, c4), (_, c5)) in cycles_at(4).into_iter().zip(cycles_at(5)) {
         s.row(vec![
-            e.kernel.name().to_string(),
+            name,
             c4.to_string(),
             c5.to_string(),
             format!("{:.3}", 100.0 * (c5 as f64 - c4 as f64) / c4 as f64),

@@ -51,6 +51,15 @@ impl Json {
         }
     }
 
+    /// Unsigned member `key`, narrowed to `T`; a value that does not fit
+    /// is an error naming the field, never a truncation.
+    pub fn narrow<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
+        let v = self.field(key)?.as_u64()?;
+        T::try_from(v).map_err(|_| {
+            format!("field `{key}`: {v} does not fit {} bits", 8 * std::mem::size_of::<T>())
+        })
+    }
+
     /// The value as `bool`.
     pub fn as_bool(&self) -> Result<bool, String> {
         match self {

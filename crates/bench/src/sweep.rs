@@ -576,9 +576,9 @@ impl SweepReport {
             .map(|s| {
                 Ok(ShapeInfo {
                     name: s.field("name")?.as_str()?.to_string(),
-                    in_ports: narrow(s, "in_ports")?,
-                    out_ports: narrow(s, "out_ports")?,
-                    port_bits: narrow(s, "port_bits")?,
+                    in_ports: s.narrow("in_ports")?,
+                    out_ports: s.narrow("out_ports")?,
+                    port_bits: s.narrow("port_bits")?,
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
@@ -610,15 +610,6 @@ impl SweepReport {
 
 /// Schema tag of a serialized [`SweepReport`].
 const SCHEMA: &str = "subword-sweep/v7";
-
-/// Unsigned field `key` of `obj`, narrowed to `T`; a value that does not
-/// fit is an error naming the field, never a truncation.
-fn narrow<T: TryFrom<u64>>(obj: &Json, key: &str) -> Result<T, String> {
-    let v = obj.field(key)?.as_u64()?;
-    T::try_from(v).map_err(|_| {
-        format!("field `{key}`: {v} does not fit {} bits", 8 * std::mem::size_of::<T>())
-    })
-}
 
 fn stats_to_json(s: &SimStats) -> Json {
     Json::Obj(s.counters().into_iter().map(|(k, v)| (k.to_string(), Json::UInt(v))).collect())

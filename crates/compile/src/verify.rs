@@ -5,8 +5,11 @@
 //! a compile cache can plug in), [`run`] executes one program on one
 //! [`MachineConfig`] and captures its [`ArchState`], [`compare`] diffs
 //! two states over a [`Compared`] level, [`contained`] turns a panic into
-//! an error, and [`ENGINES`] lists the engines that must agree. The
-//! kernel framework's measurements, the fuzz oracle, the conformance
+//! an error, and [`ENGINES`] lists the engines that must agree.
+//! [`agree`] is the agreement check every harness applies to one
+//! variant — the three engines, then the out-of-order model — and
+//! [`check_references`] applies the exemption table across variants.
+//! The kernel framework's measurements, the fuzz oracle, the conformance
 //! runner and the differential tests are glue over these pieces;
 //! [`differential`] is the two-program special case.
 
@@ -15,7 +18,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use subword_isa::program::Program;
 use subword_isa::reg::{GpReg, MmReg};
 use subword_sim::regfile::Flags;
-use subword_sim::{ExecEngine, Machine, MachineConfig, SimStats};
+use subword_sim::{ExecEngine, Machine, MachineConfig, PipelineKind, SimStats};
 use subword_spu::crossbar::CrossbarShape;
 
 use crate::pass::{lift_permutes, CompileReport, TransformResult};
@@ -42,7 +45,9 @@ pub const ENGINES: [ExecEngine; 3] =
 /// scheduled-lifted program on [`Scalar`] only. Runs of one variant on
 /// the three [`ENGINES`] must agree on [`Compared::All`]; its in-order
 /// and out-of-order runs on [`Compared::Counts`], since the timing
-/// statistics are the measurement.
+/// statistics are the measurement. [`agree`] checks the engine and model
+/// rows for one variant, [`check_references`] the table's rows across
+/// variants.
 ///
 /// [`Arch`]: Compared::Arch
 /// [`Scalar`]: Compared::Scalar
@@ -237,6 +242,93 @@ pub fn contained<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     })
 }
 
+/// How an [`agree`] or [`check_references`] check failed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DisagreementKind {
+    /// A run panicked.
+    Panicked,
+    /// A run returned an error (a simulator fault or a bad setup).
+    Faulted,
+    /// Two states that must agree differed.
+    Differed,
+}
+
+/// The first failure of an agreement check.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Disagreement {
+    /// Where: `run lifted/Decoded`, `compare lifted: Reference vs
+    /// Threaded`, `compare lifted: in-order vs ooo` or `compare
+    /// scheduled-lifted vs lifted`.
+    pub stage: String,
+    /// What went wrong there.
+    pub kind: DisagreementKind,
+    /// The panic message, the run's error, or the first difference.
+    pub detail: String,
+}
+
+impl std::fmt::Display for Disagreement {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.kind {
+            DisagreementKind::Panicked => write!(f, "{} panicked: {}", self.stage, self.detail),
+            DisagreementKind::Faulted => write!(f, "{} faulted: {}", self.stage, self.detail),
+            DisagreementKind::Differed => write!(f, "{}: {}", self.stage, self.detail),
+        }
+    }
+}
+
+/// Run `variant`'s `program` on each of the [`ENGINES`] under the
+/// in-order model, then once on the out-of-order model: each run
+/// panic-contained, on `cfg` with only the engine and pipeline model
+/// replaced. The engines must agree on [`Compared::All`], the two models
+/// on [`Compared::Counts`]. Returns the Reference engine's state.
+pub fn agree(
+    variant: Variant,
+    program: &Program,
+    setup: &TestSetup,
+    cfg: &MachineConfig,
+) -> Result<ArchState, Disagreement> {
+    let name = variant.name();
+    let run_on = |engine, pipeline, label: String| {
+        let stage = format!("run {name}/{label}");
+        let cfg = MachineConfig { engine, pipeline, ..cfg.clone() };
+        match contained(|| run(program, setup, cfg)) {
+            Ok(Ok(state)) => Ok(state),
+            Ok(Err(detail)) => Err(Disagreement { stage, kind: DisagreementKind::Faulted, detail }),
+            Err(detail) => Err(Disagreement { stage, kind: DisagreementKind::Panicked, detail }),
+        }
+    };
+    let differed =
+        |stage: String, detail| Disagreement { stage, kind: DisagreementKind::Differed, detail };
+    let [reference, others @ ..] = ENGINES;
+    let state = run_on(reference, PipelineKind::InOrder, format!("{reference:?}"))?;
+    for engine in others {
+        let other = run_on(engine, PipelineKind::InOrder, format!("{engine:?}"))?;
+        if let Some(diff) = compare(&state, &other, Compared::All) {
+            return Err(differed(format!("compare {name}: {reference:?} vs {engine:?}"), diff));
+        }
+    }
+    let ooo = run_on(ExecEngine::default(), PipelineKind::OutOfOrder, "ooo".into())?;
+    if let Some(diff) = compare(&state, &ooo, Compared::Counts) {
+        return Err(differed(format!("compare {name}: in-order vs ooo"), diff));
+    }
+    Ok(state)
+}
+
+/// Check each variant's state against the state of the variant its
+/// [`Variant::checked_against`] row names, on that row's [`Compared`]
+/// level. A variant whose reference is not in `states` is skipped.
+pub fn check_references(states: &[(Variant, ArchState)]) -> Result<(), Disagreement> {
+    for (variant, state) in states {
+        let Some((against, compared)) = variant.checked_against() else { continue };
+        let Some((_, reference)) = states.iter().find(|(v, _)| *v == against) else { continue };
+        if let Some(detail) = compare(reference, state, compared) {
+            let stage = format!("compare {} vs {}", variant.name(), against.name());
+            return Err(Disagreement { stage, kind: DisagreementKind::Differed, detail });
+        }
+    }
+    Ok(())
+}
+
 /// The lift hook of [`build_variants`]: given the baseline program and a
 /// crossbar shape, return the lifted result. [`plain_lift`] runs the
 /// pass; the sweep plugs in its compile cache.
@@ -412,6 +504,47 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn agree_reports_a_fault_at_the_first_run() {
+        let program = subword_isa::asm::assemble("no-halt", "mov r0, 1\n").unwrap();
+        let d =
+            agree(Variant::Baseline, &program, &TestSetup::default(), &MachineConfig::default())
+                .unwrap_err();
+        assert_eq!(d.stage, "run baseline/Reference");
+        assert_eq!(d.kind, DisagreementKind::Faulted, "{d}");
+        assert!(d.detail.contains("without halt"), "{d}");
+    }
+
+    /// Each row of the exemption table, planted into the variant's state:
+    /// a divergence in a compared field is reported at that row's stage,
+    /// one in an exempt field is not.
+    #[test]
+    fn check_references_applies_each_row() {
+        for v in Variant::ALL {
+            let Some((against, level)) = v.checked_against() else { continue };
+            for (field, checked_from, plant) in PLANTS {
+                let mut planted = state();
+                plant(&mut planted);
+                let found = check_references(&[(against, state()), (v, planted)]);
+                if level >= checked_from {
+                    let d = found.expect_err(field);
+                    assert_eq!(d.stage, format!("compare {} vs {}", v.name(), against.name()));
+                    assert_eq!(d.kind, DisagreementKind::Differed);
+                } else {
+                    assert_eq!(found, Ok(()), "{v:?}: {field} is exempt");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn check_references_skips_a_variant_without_its_reference() {
+        let mut planted = state();
+        planted.gp[0] += 1;
+        let states = [(Variant::Baseline, state()), (Variant::ScheduledLifted, planted)];
+        assert_eq!(check_references(&states), Ok(()));
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! End-to-end tests of the live-range register compaction pass: loops
 //! whose route spans exceed a windowed crossbar's reach must lift fully
 //! after renaming, and the renamed programs must be observationally
-//! identical to the originals, with all three engines agreeing on them.
+//! identical to the originals, with all three engines and both pipeline
+//! models agreeing on them.
 
 use proptest::prelude::*;
-use subword_compile::verify::{compare, run, Compared, ENGINES};
+use subword_compile::verify::{agree, Variant};
 use subword_compile::{differential, lift_permutes, LoopStatus, TestSetup};
 use subword_isa::instr::Instr;
 use subword_isa::mem::Mem;
@@ -13,7 +14,6 @@ use subword_isa::reg::gp::*;
 use subword_isa::reg::MmReg;
 use subword_isa::{Program, ProgramBuilder};
 use subword_sim::MachineConfig;
-use subword_spu::crossbar::CrossbarShape;
 use subword_spu::{SHAPE_A, SHAPE_B, SHAPE_C, SHAPE_D};
 
 const IN_BASE: u32 = 0x1_0000;
@@ -81,22 +81,6 @@ fn wide_span_setup(trips: u64) -> TestSetup {
     }
 }
 
-/// First disagreement between the engines running the lifted `program`
-/// on the SPU machine, over the whole state.
-fn engine_divergence(
-    program: &Program,
-    shape: &CrossbarShape,
-    setup: &TestSetup,
-) -> Option<String> {
-    let states = ENGINES.map(|engine| {
-        let cfg = MachineConfig { engine, ..MachineConfig::with_spu(*shape) };
-        run(program, setup, cfg).unwrap()
-    });
-    ENGINES.iter().zip(&states).skip(1).find_map(|(engine, state)| {
-        compare(&states[0], state, Compared::All).map(|d| format!("Reference vs {engine:?}: {d}"))
-    })
-}
-
 /// The targeted acceptance case: a loop whose routes span five registers
 /// (mm0, mm2, mm4, mm6 sources under a mm7 accumulator) lifts **fully**
 /// under the windowed shapes B and D once compaction renames the spread
@@ -131,7 +115,7 @@ fn five_register_span_lifts_fully_under_windowed_shapes() {
 
 /// The compacted program runs to bit-identical architectural state on
 /// all three engines — stats, both register files, flags and the
-/// outputs.
+/// outputs — and on the out-of-order model.
 #[test]
 fn compacted_program_agrees_across_engines() {
     let trips = 6u64;
@@ -140,9 +124,8 @@ fn compacted_program_agrees_across_engines() {
     for shape in [SHAPE_B, SHAPE_D] {
         let lifted = lift_permutes(&program, &shape).unwrap();
         assert!(lifted.report.loops[0].renamed_ranges > 0);
-        if let Some(diff) = engine_divergence(&lifted.program, &shape, &setup) {
-            panic!("shape {}: {diff}", shape.name);
-        }
+        agree(Variant::Lifted, &lifted.program, &setup, &MachineConfig::with_spu(shape))
+            .unwrap_or_else(|d| panic!("shape {}: {d}", shape.name));
         // And the renamed machine computes what the original does (the
         // MMX file legitimately differs because registers were renamed).
         differential(&program, &lifted.program, &shape, &setup)
@@ -187,7 +170,7 @@ proptest! {
     /// (random spread sources, mixed arithmetic, random temp/accumulator
     /// registers) lift under every canonical shape; whatever the
     /// compaction renamed, the transformed program computes the
-    /// original's outputs and both hazard engines agree bit for bit.
+    /// original's outputs and the engines and models agree on it.
     #[test]
     fn compaction_preserves_semantics(
         perm in (0u64..u64::MAX).prop_map(|seed| {
@@ -224,8 +207,8 @@ proptest! {
                 .map_err(|e| TestCaseError::fail(format!("{}: {e}", shape.name)))?;
             differential(&program, &lifted.program, &shape, &setup)
                 .map_err(|e| TestCaseError::fail(format!("{}: {e}", shape.name)))?;
-            let diverged = engine_divergence(&lifted.program, &shape, &setup);
-            prop_assert!(diverged.is_none(), "{}: {:?}", shape.name, diverged);
+            agree(Variant::Lifted, &lifted.program, &setup, &MachineConfig::with_spu(shape))
+                .map_err(|d| TestCaseError::fail(format!("{}: {d}", shape.name)))?;
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Scheduler correctness, two ways:
+//! Scheduler correctness on programs the kernel suite never writes:
 //!
 //! 1. a property test: for arbitrary straight-line programs, the
 //!    scheduled program is a dependence-preserving permutation of the
@@ -6,18 +6,15 @@
 //!    built on the allocating `Vec<RegRef>` API, not the masks the
 //!    scheduler itself uses), and executing both leaves bit-identical
 //!    architectural state;
-//! 2. a full-suite differential through the execution matrix
-//!    (`subword_compile::verify`): every kernel's four variants under
-//!    shapes A, B and D, each checked against its reference variant on
-//!    its row of the exemption table, with all of memory as the output —
-//!    golden outputs, registers, flags and memory bit-identical,
-//!    instruction counts equal, and a scheduled variant never costs a
-//!    cycle.
+//! 2. a lifted loop the scheduler must reorder with its SPU routes
+//!    permuted in lockstep, winning cycles without changing values.
+//!
+//! The full-suite side — every kernel's scheduled variants bit-identical
+//! to their unscheduled forms and never slower, under shapes A–D — is
+//! `subword-sim`'s `tests/differential.rs` matrix.
 
 use proptest::prelude::*;
-use subword_compile::verify::{
-    build_variants, compare, plain_lift, run, ArchState, Compared, TestSetup, Variant,
-};
+use subword_compile::verify::{compare, run, ArchState, Compared, TestSetup};
 use subword_compile::{lift_permutes, schedule_program};
 use subword_isa::instr::{GpOperand, Instr, MmxOperand};
 use subword_isa::mem::Mem;
@@ -25,9 +22,8 @@ use subword_isa::op::{AluOp, MmxOp};
 use subword_isa::program::Program;
 use subword_isa::reg::{GpReg, MmReg};
 use subword_isa::ProgramBuilder;
-use subword_kernels::suite::{all_suites, dotprod_example};
 use subword_sim::MachineConfig;
-use subword_spu::{SHAPE_A, SHAPE_B, SHAPE_D};
+use subword_spu::SHAPE_A;
 
 fn mm(i: u8) -> MmReg {
     MmReg::from_index(i as usize & 7).unwrap()
@@ -186,60 +182,6 @@ proptest! {
             "scheduled {} cycles > unscheduled {} (moved {})",
             m1.stats.cycles, m0.stats.cycles, report.moved
         );
-    }
-}
-
-/// Full-suite differential: every variant of every kernel is
-/// observationally identical to its reference variant (golden outputs,
-/// registers, flags, all of memory; the MMX file exempt where lifting
-/// renames it) and a scheduled variant is never slower.
-#[test]
-fn suite_scheduled_variants_are_bit_identical_and_never_slower() {
-    let mut entries = all_suites();
-    entries.push(dotprod_example());
-    for shape in [SHAPE_A, SHAPE_B, SHAPE_D] {
-        for e in &entries {
-            let name = e.kernel.name();
-            let build = e.kernel.build(e.blocks_small);
-            let setup = TestSetup { outputs: whole_memory(), ..build.setup.clone() };
-            let built = build_variants(build.program.clone(), &Variant::ALL, &shape, &plain_lift)
-                .unwrap_or_else(|err| panic!("{name}: {err}"));
-            let states: Vec<(Variant, ArchState)> = built
-                .programs
-                .iter()
-                .map(|(variant, program)| {
-                    let label = format!("{name}/{}/{}", variant.name(), shape.name);
-                    let cfg = variant.machine(&MachineConfig::default(), &shape);
-                    let state =
-                        run(program, &setup, cfg).unwrap_or_else(|err| panic!("{label}: {err}"));
-                    build.check_state(&state, &label).unwrap_or_else(|err| panic!("{err}"));
-                    (*variant, state)
-                })
-                .collect();
-            let state_of = |v: Variant| &states.iter().find(|(w, _)| *w == v).unwrap().1;
-            for (variant, state) in &states {
-                let Some((against, compared)) = variant.checked_against() else { continue };
-                let label =
-                    format!("{name}/{} vs {}/{}", variant.name(), against.name(), shape.name);
-                let reference = state_of(against);
-                if let Some(diff) = compare(reference, state, compared) {
-                    panic!("{label}: {diff}");
-                }
-                if *variant == Variant::Lifted {
-                    continue;
-                }
-                let (s0, s1) = (&reference.stats, &state.stats);
-                assert_eq!(s0.instructions, s1.instructions, "{label}");
-                assert_eq!(s0.spu_steps, s1.spu_steps, "{label}: controller stepped apart");
-                assert_eq!(s0.spu_routed, s1.spu_routed, "{label}: routed counts differ");
-                assert!(
-                    s1.cycles <= s0.cycles,
-                    "{label}: scheduled slower ({} > {})",
-                    s1.cycles,
-                    s0.cycles
-                );
-            }
-        }
     }
 }
 

@@ -6,8 +6,9 @@
 //! ```
 //!
 //! With no mode flag, checks every page (default corpus `docs/spec/`)
-//! on all three engines and exits non-zero on any failure. `--update`
-//! regenerates the expect values in place from the Reference engine.
+//! on all three engines and the out-of-order model, and exits non-zero
+//! on any failure. `--update` regenerates the expect values in place
+//! from the Reference engine, and refuses a case whose runs disagree.
 //! `--list` prints pages and case names. `--disasm NAME` dumps a suite
 //! kernel as assembly. `--report PATH` additionally writes the failure
 //! messages to a file (the CI artifact).
@@ -179,7 +180,7 @@ fn main() -> ExitCode {
         }
     }
     println!(
-        "{total_cases} cases on {} engines: {}",
+        "{total_cases} cases on {} engines and the out-of-order model: {}",
         subword_compile::verify::ENGINES.len(),
         if failures.is_empty() { "all pass" } else { "FAILURES" }
     );

@@ -6,10 +6,10 @@
 //! giving the final architectural state (registers, memory ranges,
 //! cycle/pair-rate statistics); the harvester ([`doc`]) assembles each
 //! program via [`subword_isa::asm`], the runner ([`run`]) executes it
-//! on all three engines (Reference / Decoded / Threaded) — plus, where
-//! a block opts in, through the compile pipeline's scheduled and
-//! lifted variants — and diffs actual against expected state with
-//! per-field messages naming the page and line.
+//! on all three engines (Reference / Decoded / Threaded) and the
+//! out-of-order model — plus, where a block opts in, through the compile
+//! pipeline's scheduled and lifted variants — and diffs actual against
+//! expected state with per-field messages naming the page and line.
 //!
 //! The `conformance` bin drives the corpus (`--doc`, `--list`,
 //! `--report`), regenerates expected blocks from the Reference engine
@@ -51,8 +51,9 @@ pub fn update_doc_text(doc_name: &str, text: &str) -> Result<(String, usize), Ve
     for case in &cases {
         let outcome = check_case(doc_name, case);
         let Some(state) = outcome.baseline else {
-            // The program itself failed to assemble or run — nothing to
-            // regenerate; surface the runner's messages.
+            // The program failed to assemble or run, or its runs
+            // disagreed — nothing to regenerate; surface the runner's
+            // messages.
             errors.extend(outcome.failures);
             continue;
         };

@@ -1,26 +1,26 @@
-//! Execute one harvested case on all three engines and diff actual
-//! against expected state.
+//! Execute one harvested case on all three engines and the out-of-order
+//! model, and diff actual against expected state.
 //!
 //! Every case runs on a machine fitted with the SPU at the case's
 //! crossbar shape (idle unless the program arms it), mirroring the fuzz
 //! oracle so MMIO staging stores never fault and cycle accounting is
-//! comparable across variants. Per variant, the three engines must
-//! agree on the whole state over the watched memory ranges; each opted-in
-//! variant is then checked against its reference variant and against
-//! the expect keys its row of the exemption table on [`Variant`]
-//! compares with the baseline.
+//! comparable across variants. Each variant goes through [`agree`]: the
+//! three engines must agree on the whole state over the watched memory
+//! ranges, and the out-of-order model on that state and the
+//! model-invariant counts. A variant whose runs disagree reports that one
+//! disagreement and nothing else. The others are checked against their
+//! reference variants ([`check_references`]) and against the expect keys
+//! their row of the exemption table on [`Variant`] compares with the
+//! baseline.
 //!
-//! The suite pins the **in-order** pipeline model (the config default):
-//! expect blocks assert exact `cycles`/`pairs` values, which are
-//! definitional to the Pentium's dual-issue pipe — re-running them on
-//! the out-of-order model would fail every timing expectation by
-//! design. Cross-model agreement on architectural state is covered
-//! where it belongs: the sim differential tests and the fuzz oracle's
-//! ooo-vs-in-order comparison.
+//! Expect keys are checked on the Reference engine's **in-order** state
+//! (the config default): expect blocks assert exact `cycles`/`pairs`
+//! values, which are definitional to the Pentium's dual-issue pipe. The
+//! out-of-order run is held to the counts only, so its timing never
+//! meets an expectation.
 
 use subword_compile::verify::{
-    build_variants, compare, contained, plain_lift, run, ArchState, Compared, TestSetup, Variant,
-    ENGINES,
+    agree, build_variants, check_references, plain_lift, ArchState, Compared, TestSetup, Variant,
 };
 use subword_compile::LoopStatus;
 use subword_isa::asm::assemble;
@@ -39,7 +39,7 @@ pub struct CaseOutcome {
     /// passed.
     pub failures: Vec<String>,
     /// Reference-engine baseline state (what `--update` writes back);
-    /// `None` if the program never ran.
+    /// `None` if the program never ran or its runs disagreed.
     pub baseline: Option<ArchState>,
 }
 
@@ -115,47 +115,18 @@ pub fn check_case(doc: &str, case: &SpecCase) -> CaseOutcome {
         }
     };
 
-    // --- Run every variant on every engine; engines must fully agree. ----
+    // --- Run every variant; its engines and models must agree. ---------
     let setup = setup(case);
-    let mut reference: Vec<(Variant, ArchState)> = Vec::new();
+    let machine = MachineConfig::with_spu(shape);
+    let mut states: Vec<(Variant, ArchState)> = Vec::new();
     for (variant, prog) in &variants {
-        let vname = variant.name();
-        let mut states: Vec<ArchState> = Vec::new();
-        for engine in ENGINES {
-            let cfg = MachineConfig { engine, ..MachineConfig::with_spu(shape) };
-            match contained(|| run(prog, &setup, cfg)) {
-                Ok(Ok(state)) => states.push(state),
-                Ok(Err(e)) => {
-                    failures.push(format!("{}: {vname}/{engine:?} failed: {e}", at(case.asm_line)))
-                }
-                Err(msg) => failures
-                    .push(format!("{}: {vname}/{engine:?} panicked: {msg}", at(case.asm_line))),
+        let state = match agree(*variant, prog, &setup, &machine) {
+            Ok(state) => state,
+            Err(d) => {
+                failures.push(format!("{}: {d}", at(case.asm_line)));
+                continue;
             }
-        }
-        if states.len() != ENGINES.len() {
-            continue; // run failures already recorded
-        }
-        for (engine, state) in ENGINES.iter().zip(&states).skip(1) {
-            if let Some(diff) = compare(&states[0], state, Compared::All) {
-                failures.push(format!(
-                    "{}: {vname}: Reference vs {engine:?}: {diff}",
-                    at(case.asm_line)
-                ));
-            }
-        }
-        let state = states.swap_remove(0);
-        // --- Against the reference variant. ------------------------------
-        if let Some((against, compared)) = variant.checked_against() {
-            if let Some((_, base)) = reference.iter().find(|(v, _)| *v == against) {
-                if let Some(diff) = compare(base, &state, compared) {
-                    failures.push(format!(
-                        "{}: {vname} vs {}: {diff}",
-                        at(case.asm_line),
-                        against.name()
-                    ));
-                }
-            }
-        }
+        };
         // --- Expectation checks against the Reference state. -------------
         let compared = variant.compared_to_baseline();
         for entry in &case.expect {
@@ -173,13 +144,17 @@ pub fn check_case(doc: &str, case: &SpecCase) -> CaseOutcome {
                 continue;
             }
             if let Some(msg) = check_entry(entry, &state) {
-                failures.push(format!("{}: [{vname}] {msg}", at(entry.file_line)));
+                failures.push(format!("{}: [{}] {msg}", at(entry.file_line), variant.name()));
             }
         }
-        reference.push((*variant, state));
+        states.push((*variant, state));
+    }
+    // --- Against the reference variants. ----------------------------------
+    if let Err(d) = check_references(&states) {
+        failures.push(format!("{}: {d}", at(case.asm_line)));
     }
 
-    let baseline = reference.into_iter().find(|(v, _)| *v == Variant::Baseline).map(|(_, s)| s);
+    let baseline = states.into_iter().find(|(v, _)| *v == Variant::Baseline).map(|(_, s)| s);
     CaseOutcome { name: case.name.clone(), failures, baseline }
 }
 

@@ -16,6 +16,7 @@
 use std::path::{Path, PathBuf};
 
 use subword_bench::json::Json;
+use subword_spu::crossbar::CANONICAL_SHAPES;
 
 use crate::gen::{FuzzCase, Step};
 use crate::oracle::FuzzFailure;
@@ -65,7 +66,7 @@ fn encode_step(s: &Step) -> Json {
 }
 
 fn decode_step(v: &Json) -> Result<Step, String> {
-    let u8_of = |key: &str| -> Result<u8, String> { Ok(v.field(key)?.as_u64()? as u8) };
+    let u8_of = |key: &str| v.narrow::<u8>(key);
     match v.field("t")?.as_str()? {
         "mmx" => Ok(Step::Mmx { op: u8_of("op")?, dst: u8_of("dst")?, src: u8_of("src")? }),
         "mmx-imm" => Ok(Step::MmxImm { op: u8_of("op")?, dst: u8_of("dst")?, imm: u8_of("imm")? }),
@@ -75,18 +76,17 @@ fn decode_step(v: &Json) -> Result<Step, String> {
         "alu-imm" => Ok(Step::AluImm {
             op: u8_of("op")?,
             dst: u8_of("dst")?,
-            imm: v.field("imm")?.as_u64()? as u32 as i32,
+            // The u32 bit pattern `encode_step` wrote.
+            imm: v.narrow::<u32>("imm")? as i32,
         }),
         "movd-from-mm" => Ok(Step::MovdFromMm { dst: u8_of("dst")?, src: u8_of("src")? }),
         "movd-to-mm" => Ok(Step::MovdToMm { dst: u8_of("dst")?, src: u8_of("src")? }),
         "route-span" => {
             Ok(Step::RouteSpan { far: u8_of("far")?, tmp: u8_of("tmp")?, acc: u8_of("acc")? })
         }
-        "mmio-store" => Ok(Step::MmioStore {
-            ctx: u8_of("ctx")?,
-            off: u8_of("off")?,
-            imm: v.field("imm")?.as_u64()? as u32,
-        }),
+        "mmio-store" => {
+            Ok(Step::MmioStore { ctx: u8_of("ctx")?, off: u8_of("off")?, imm: v.narrow("imm")? })
+        }
         other => Err(format!("unknown step tag `{other}`")),
     }
 }
@@ -135,15 +135,31 @@ pub fn decode(doc: &Json) -> Result<FuzzCase, String> {
     for (slot, v) in mm_init.iter_mut().zip(mm) {
         *slot = v.as_u64()?;
     }
-    let steps =
-        doc.field("steps")?.as_arr()?.iter().map(decode_step).collect::<Result<Vec<_>, _>>()?;
+    let steps = doc
+        .field("steps")?
+        .as_arr()?
+        .iter()
+        .enumerate()
+        .map(|(i, step)| decode_step(step).map_err(|e| format!("step {i}: {e}")))
+        .collect::<Result<Vec<_>, _>>()?;
+    let shape: u8 = doc.narrow("shape")?;
+    if usize::from(shape) >= CANONICAL_SHAPES.len() {
+        let n = CANONICAL_SHAPES.len();
+        return Err(format!("field `shape`: {shape} names no canonical shape (want below {n})"));
+    }
+    // The loop counter is a 32-bit register, and a zero count would wrap
+    // it into a 2^32-trip loop.
+    let trips: u32 = doc.narrow("trips")?;
+    if trips == 0 {
+        return Err("field `trips`: a loop runs at least once".to_string());
+    }
     let mut case = FuzzCase {
         seed: doc.field("seed")?.as_u64()?,
-        shape: doc.field("shape")?.as_u64()? as u8,
-        trips: doc.field("trips")?.as_u64()?,
+        shape,
+        trips: trips.into(),
         split: match doc.field("split")? {
             Json::Null => None,
-            v => Some(v.as_u64()? as u8),
+            _ => Some(doc.narrow("split")?),
         },
         steps,
         mm_init,

@@ -1,22 +1,22 @@
 //! The differential oracle: one generated program, four compile
 //! variants, three engines, two pipeline models, everything compared.
 //!
-//! Every variant runs on all three engines, which must agree on the whole
-//! state, and on the out-of-order pipeline model, which must reproduce
-//! the in-order state and counts; each variant is then checked against
-//! its reference variant. What is compared where is the exemption table
-//! on [`Variant`]; the runs, comparisons and panic containment are
+//! Each variant goes through [`agree`]: the three engines must agree on
+//! the whole state, and the out-of-order model must reproduce the
+//! in-order state and counts. The variants are then checked against
+//! each other by [`check_references`], under the exemption table on
+//! [`Variant`]. Both checks, the runs and the panic containment are
 //! [`subword_compile::verify`]'s. A panic anywhere becomes a structured
 //! [`FuzzFailure`] naming the stage that blew up, and the campaign moves
 //! on to the next seed.
 
 use subword_compile::verify::{
-    build_variants, compare, contained, plain_lift, run, ArchState, Compared, Variant, ENGINES,
+    agree, build_variants, check_references, contained, plain_lift, Disagreement, DisagreementKind,
+    Variant,
 };
 use subword_compile::LoopStatus;
 use subword_isa::program::Program;
-use subword_sim::machine::{ExecEngine, MachineConfig};
-use subword_sim::PipelineKind;
+use subword_sim::machine::MachineConfig;
 
 use crate::gen::{build_program, FuzzCase};
 
@@ -49,20 +49,6 @@ impl FailureKind {
             FailureKind::CycleBound => "cycle-bound",
             FailureKind::Divergence => "divergence",
         }
-    }
-
-    /// Parse a [`FailureKind::tag`] string.
-    pub fn from_tag(tag: &str) -> Option<FailureKind> {
-        [
-            FailureKind::BuildError,
-            FailureKind::CompileError,
-            FailureKind::Panic,
-            FailureKind::SimError,
-            FailureKind::CycleBound,
-            FailureKind::Divergence,
-        ]
-        .into_iter()
-        .find(|k| k.tag() == tag)
     }
 }
 
@@ -123,10 +109,13 @@ pub fn run_case_with(case: &FuzzCase, tamper: Tamper<'_>) -> Result<CaseReport, 
         stage: stage.to_string(),
         detail,
     };
-    let contain = |stage: &str, f: &mut dyn FnMut() -> Result<ArchState, String>| {
-        contained(f)
-            .map_err(|msg| fail(FailureKind::Panic, stage, msg))?
-            .map_err(|e| fail(FailureKind::SimError, stage, e))
+    let disagreed = |d: Disagreement| {
+        let kind = match d.kind {
+            DisagreementKind::Panicked => FailureKind::Panic,
+            DisagreementKind::Faulted => FailureKind::SimError,
+            DisagreementKind::Differed => FailureKind::Divergence,
+        };
+        fail(kind, &d.stage, d.detail)
     };
 
     let program = contained(|| build_program(case))
@@ -157,63 +146,21 @@ pub fn run_case_with(case: &FuzzCase, tamper: Tamper<'_>) -> Result<CaseReport, 
     // shape (idle unless a lift prologue arms it) — so cycle accounting
     // is comparable and generated MMIO stores never fault.
     let setup = case.setup();
-    let machine =
-        |engine, pipeline| MachineConfig { engine, pipeline, ..MachineConfig::with_spu(shape) };
-
-    // --- Run everything: per variant, all engines must fully agree. -----
-    let mut reference: Vec<(Variant, ArchState)> = Vec::new();
+    let machine = MachineConfig::with_spu(shape);
+    let bound = case.static_cycle_bound();
+    let mut states = Vec::with_capacity(variants.len());
     for (variant, prog) in &variants {
-        let name = variant.name();
-        let mut states: Vec<ArchState> = Vec::new();
-        for engine in ENGINES {
-            let stage = format!("run {name}/{engine:?}");
-            let state =
-                contain(&stage, &mut || run(prog, &setup, machine(engine, PipelineKind::InOrder)))?;
-            if state.stats.cycles > case.static_cycle_bound() {
-                return Err(fail(
-                    FailureKind::CycleBound,
-                    &stage,
-                    format!(
-                        "{} cycles exceeds static bound {}",
-                        state.stats.cycles,
-                        case.static_cycle_bound()
-                    ),
-                ));
-            }
-            if let Some(base) = states.first() {
-                if let Some(diff) = compare(base, &state, Compared::All) {
-                    let stage = format!("compare {name}: Reference vs {engine:?}");
-                    return Err(fail(FailureKind::Divergence, &stage, diff));
-                }
-            }
-            states.push(state);
+        let state = agree(*variant, prog, &setup, &machine).map_err(disagreed)?;
+        // The bound is an in-order bound; the engines agree on cycles, so
+        // the Reference state speaks for all three.
+        if state.stats.cycles > bound {
+            let stage = format!("run {}/Reference", variant.name());
+            let detail = format!("{} cycles exceeds static bound {bound}", state.stats.cycles);
+            return Err(fail(FailureKind::CycleBound, &stage, detail));
         }
-        let base = states.swap_remove(0);
-
-        // Pipeline-model dimension: the out-of-order core must land on
-        // the identical architectural state and model-invariant counts
-        // (timing statistics are the measurement, so they are exempt —
-        // including the static cycle bound, which is an in-order bound).
-        let stage = format!("run {name}/ooo");
-        let ooo = contain(&stage, &mut || {
-            run(prog, &setup, machine(ExecEngine::default(), PipelineKind::OutOfOrder))
-        })?;
-        if let Some(diff) = compare(&base, &ooo, Compared::Counts) {
-            let stage = format!("compare {name}: in-order vs ooo");
-            return Err(fail(FailureKind::Divergence, &stage, diff));
-        }
-        reference.push((*variant, base));
+        states.push((*variant, state));
     }
-
-    // --- Cross-variant comparisons (Reference results). ------------------
-    let state_of = |v: Variant| &reference.iter().find(|(w, _)| *w == v).expect("variant ran").1;
-    for (variant, state) in &reference {
-        let Some((against, compared)) = variant.checked_against() else { continue };
-        if let Some(diff) = compare(state_of(against), state, compared) {
-            let stage = format!("compare {} vs {}", variant.name(), against.name());
-            return Err(fail(FailureKind::Divergence, &stage, diff));
-        }
-    }
+    check_references(&states).map_err(disagreed)?;
 
     Ok(CaseReport { lifted, compacted, variants: variants.len() })
 }

@@ -48,3 +48,43 @@ fn generated_cases_round_trip_through_the_corpus_format() {
         assert_eq!(back, case, "seed {seed} drifted through encode/decode");
     }
 }
+
+/// The error from parsing the committed seed-8 entry with `from` edited
+/// to `to`: a value that does not fit its field must be rejected, never
+/// truncated into a different case.
+fn rejected_edit(from: &str, to: &str) -> String {
+    let text = std::fs::read_to_string(corpus_dir().join("seed-0000000000000008.json")).unwrap();
+    let edited = text.replacen(from, to, 1);
+    assert_ne!(edited, text, "`{from}` not in the entry");
+    corpus::parse(&edited).expect_err(to)
+}
+
+#[test]
+fn zero_trips_are_rejected() {
+    let err = rejected_edit("\"trips\": 8", "\"trips\": 0");
+    assert!(err.contains("field `trips`"), "{err}");
+}
+
+#[test]
+fn trips_beyond_the_loop_counter_are_rejected() {
+    let err = rejected_edit("\"trips\": 8", "\"trips\": 4294967298");
+    assert!(err.contains("field `trips`"), "{err}");
+}
+
+#[test]
+fn a_shape_beyond_a_byte_is_rejected() {
+    let err = rejected_edit("\"shape\": 2", "\"shape\": 258");
+    assert!(err.contains("field `shape`"), "{err}");
+}
+
+#[test]
+fn a_non_canonical_shape_is_rejected() {
+    let err = rejected_edit("\"shape\": 2", "\"shape\": 4");
+    assert!(err.contains("field `shape`"), "{err}");
+}
+
+#[test]
+fn a_step_field_beyond_a_byte_names_the_step() {
+    let err = rejected_edit("\"dst\": 108", "\"dst\": 364");
+    assert!(err.starts_with("step 1: field `dst`"), "{err}");
+}

@@ -1,21 +1,23 @@
 //! Differential test of the pixel/video kernel family: every kernel's
 //! **four variants** — as-built MMX, list-scheduled MMX, SPU-lifted, and
-//! scheduled SPU-lifted — run at **both** suite block scales, on all
-//! three engines, through the execution matrix
-//! (`subword_compile::verify`).
+//! scheduled SPU-lifted — run at **both** suite block scales through the
+//! execution matrix (`subword_compile::verify`).
 //!
 //! Checks, per (kernel, variant, scale):
 //!
+//! * the three engines agree bit-for-bit on `SimStats`, both register
+//!   files, the flags and every declared output range, and the
+//!   out-of-order model on all of it but the timing (`verify::agree`);
 //! * the golden scalar-reference outputs hold byte for byte;
-//! * the engines agree bit-for-bit on `SimStats`, both register files,
-//!   the flags and every declared output range.
+//! * each variant matches its reference variant on its row of the
+//!   exemption table (`verify::check_references`).
 //!
 //! This is the pixel-family counterpart of `subword-sim`'s full-suite
-//! differential: the byte-lane routes these kernels lift (zero-extension
-//! interleaves, routed multiplier operands) exercise crossbar paths the
-//! word-granular signal kernels never touch.
+//! matrix: it adds the large block scale, and the byte-lane routes these
+//! kernels lift (zero-extension interleaves, routed multiplier operands)
+//! exercise crossbar paths the word-granular signal kernels never touch.
 
-use subword_compile::verify::{build_variants, compare, plain_lift, Compared, Variant, ENGINES};
+use subword_compile::verify::{agree, build_variants, check_references, plain_lift, Variant};
 use subword_kernels::suite::pixel_suite;
 use subword_sim::MachineConfig;
 use subword_spu::SHAPE_A;
@@ -34,19 +36,16 @@ fn pixel_kernels_four_variants_two_scales() {
                 built.report.as_ref().is_some_and(|r| r.removed_static > 0),
                 "{name}: the pixel kernels must actually lift under shape A"
             );
+            let mut states = Vec::new();
             for (variant, program) in &built.programs {
                 let label = format!("{name}/{blocks}/{}", variant.name());
                 let machine = variant.machine(&MachineConfig::default(), &SHAPE_A);
-                let states = ENGINES.map(|engine| {
-                    let cfg = MachineConfig { engine, ..machine.clone() };
-                    build.run_checked(program, cfg, &label).unwrap()
-                });
-                for (engine, state) in ENGINES.iter().zip(&states).skip(1) {
-                    if let Some(diff) = compare(&states[0], state, Compared::All) {
-                        panic!("{label}: Reference vs {engine:?}: {diff}");
-                    }
-                }
+                let state = agree(*variant, program, &build.setup, &machine)
+                    .unwrap_or_else(|d| panic!("{label}: {d}"));
+                build.check_state(&state, &label).unwrap_or_else(|err| panic!("{err}"));
+                states.push((*variant, state));
             }
+            check_references(&states).unwrap_or_else(|d| panic!("{name}/{blocks}: {d}"));
         }
     }
 }

@@ -3,7 +3,7 @@
 //! Runs every suite kernel (baseline MMX program and the SPU-lifted
 //! variant under shape D) through **all three** execution engines — the
 //! allocating `Vec<RegRef>` reference path, the predecoded mask-based
-//! stepper, and the trace-translated threaded engine — timing only the
+//! stepper, and the record-and-replay threaded engine — timing only the
 //! interpreter itself (machine construction and state initialisation are
 //! outside the clock). Each row reports dynamic instructions, the
 //! best-of-N wall time per engine, simulated MIPS, and the threaded/
@@ -32,7 +32,7 @@ use subword_compile::verify::ENGINES;
 use subword_isa::program::Program;
 use subword_kernels::framework::KernelBuild;
 use subword_kernels::suite::{all_suites, dotprod_example};
-use subword_sim::{ExecEngine, Machine, MachineConfig, SimStats};
+use subword_sim::{ExecEngine, MachineConfig, SimStats};
 use subword_spu::SHAPE_D;
 
 const REPS: usize = 5;
@@ -68,16 +68,8 @@ fn time_engine(build: &KernelBuild, cfg: &MachineConfig, engine: ExecEngine) -> 
     let mut best = u64::MAX;
     let mut stats = SimStats::default();
     for _ in 0..REPS {
-        let mut m = Machine::new(MachineConfig { engine, ..cfg.clone() });
-        for (addr, bytes) in &build.setup.mem_init {
-            m.mem.write_bytes(*addr, bytes).expect("init in bounds");
-        }
-        for (r, v) in &build.setup.reg_init {
-            m.regs.write_gp(*r, *v);
-        }
-        for (r, v) in &build.setup.mm_init {
-            m.regs.write_mm(*r, *v);
-        }
+        let mut m =
+            build.setup.machine(MachineConfig { engine, ..cfg.clone() }).expect("init in bounds");
         let t = Instant::now();
         stats = m.run(&build.program).expect("kernel runs");
         best = best.min(t.elapsed().as_nanos() as u64);

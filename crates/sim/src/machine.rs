@@ -28,9 +28,9 @@ pub enum ExecEngine {
     /// Predecoded metadata + mask-based checks, stepped one slot at a
     /// time ([`Machine::run_decoded`]).
     Decoded,
-    /// Trace-translated: straight-line regions are lowered once into
-    /// pre-resolved issue traces and steady-state loop iterations replay
-    /// them ([`crate::translate`]).
+    /// Record and replay: each straight-line region's issue slots are
+    /// recorded from the decoded stepper once per entry state, and
+    /// steady-state loop iterations replay them ([`crate::translate`]).
     #[default]
     Threaded,
 }
@@ -132,7 +132,7 @@ pub struct Machine {
     pub predictor: Predictor,
     /// Statistics of the current/last run.
     pub stats: SimStats,
-    /// Trace-translation telemetry of the current/last threaded run
+    /// Trace record-and-replay telemetry of the current/last threaded run
     /// (zeroed by the other engines). Host-side observability only —
     /// deliberately **not** part of [`SimStats`], which must stay
     /// engine-invariant.

@@ -6,7 +6,8 @@
 //! blocking scalar multiplier, branch resolution with the BTB — shared
 //! by all three execution engines: decoded (predecoded metadata +
 //! masks), reference (allocating `Vec<RegRef>` oracle) and the threaded
-//! engine's fallback stepper ([`crate::translate`]). Architectural
+//! engine, which records its traces from this loop and steps it wherever
+//! it does not replay one ([`crate::translate`]). Architectural
 //! semantics stay in [`crate::machine`] (`Machine::exec`); this file
 //! is purely *when*, never *what*.
 
@@ -16,6 +17,7 @@ use crate::machine::{ExecEffect, Machine};
 use crate::model::issue::IssueRules;
 use crate::model::pipeline::{can_pair, can_pair_ref, effective_read_mask, effective_reads};
 use crate::stats::SimStats;
+use crate::trace::{SlotTrace, TraceEntry};
 use subword_isa::instr::{Instr, RegRef};
 use subword_isa::program::Program;
 use subword_spu::controller::StepRouting;
@@ -27,25 +29,37 @@ use subword_spu::controller::StepRouting;
 enum HazardEngine {
     /// Predecoded metadata + mask-based checks — the allocation-free
     /// fast path ([`Machine::run_decoded`]; also the threaded engine's
-    /// fallback stepper).
+    /// stepper).
     Decoded,
     /// The original allocating `Vec<RegRef>` path, kept as the reference
     /// oracle ([`Machine::run_reference`]).
     Reference,
 }
 
-/// Outcome of one issue slot ([`Machine::step_slot`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum StepExit {
-    /// The slot issued; keep stepping.
-    Continue,
-    /// `pc` reached `halt`.
-    Halted,
+/// One issue slot as [`Machine::step_slot`] issued it: what the threaded
+/// engine records as a trace and [`Machine::run_traced`] reports.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Issued {
+    /// `pc` of the U-pipe instruction.
+    pub(crate) u: usize,
+    /// `pc` of the V-pipe instruction when the slot dual-issued.
+    pub(crate) v: Option<usize>,
+    /// Whether the SPU routed an operand of the U and of the V
+    /// instruction.
+    pub(crate) routed: [bool; 2],
+    /// Cycle at which the slot issued (after its stall).
+    pub(crate) cycle: u64,
+    /// Scoreboard stall cycles before issue.
+    pub(crate) stall_before: u64,
+    /// Cycles the slot occupied (1, or the blocking `imul` latency).
+    pub(crate) slot_cycles: u64,
+    /// Mispredict penalty charged after the slot.
+    pub(crate) mispredict_penalty: u64,
 }
 
 impl Machine {
     /// Run on the decoded engine: predecoded metadata + mask-based
-    /// hazard checks, one slot at a time (no trace translation).
+    /// hazard checks, one slot at a time (no trace replay).
     ///
     /// Always times the in-order model regardless of
     /// [`MachineConfig::pipeline`](crate::MachineConfig::pipeline) — it
@@ -53,7 +67,7 @@ impl Machine {
     /// threaded engine and the out-of-order model are differentially
     /// compared against.
     pub fn run_decoded(&mut self, program: &Program) -> Result<SimStats, SimError> {
-        self.run_inner(program, &mut |_| {}, HazardEngine::Decoded)
+        self.run_inner(program, HazardEngine::Decoded, |_| {})
     }
 
     /// Run on the reference hazard engine: the original allocating
@@ -62,26 +76,36 @@ impl Machine {
     /// engines are differentially tested against (identical [`SimStats`],
     /// identical architectural results, over the full kernel suite).
     pub fn run_reference(&mut self, program: &Program) -> Result<SimStats, SimError> {
-        self.run_inner(program, &mut |_| {}, HazardEngine::Reference)
+        self.run_inner(program, HazardEngine::Reference, |_| {})
     }
 
     /// Run with an issue-slot trace callback (see [`crate::trace`]).
-    /// Always steps the decoded engine: a translated replay has no
+    /// Always steps the decoded engine: a trace replay has no
     /// per-slot boundary to report. In-order only — issue-slot traces
     /// are an in-order concept.
     pub fn run_traced(
         &mut self,
         program: &Program,
-        sink: &mut dyn FnMut(crate::trace::SlotTrace),
+        sink: &mut dyn FnMut(SlotTrace),
     ) -> Result<SimStats, SimError> {
-        self.run_inner(program, sink, HazardEngine::Decoded)
+        let entry = |pc: usize, routed: bool| TraceEntry { pc, instr: program.instrs[pc], routed };
+        self.run_inner(program, HazardEngine::Decoded, |slot| {
+            sink(SlotTrace {
+                cycle: slot.cycle,
+                u: entry(slot.u, slot.routed[0]),
+                v: slot.v.map(|v| entry(v, slot.routed[1])),
+                stall_before: slot.stall_before,
+                slot_cycles: slot.slot_cycles,
+                mispredict_penalty: slot.mispredict_penalty,
+            })
+        })
     }
 
     fn run_inner(
         &mut self,
         program: &Program,
-        sink: &mut dyn FnMut(crate::trace::SlotTrace),
         engine: HazardEngine,
+        mut on_slot: impl FnMut(Issued),
     ) -> Result<SimStats, SimError> {
         self.begin_run();
         // Predecode once per run: class flags, register masks and static
@@ -94,22 +118,25 @@ impl Machine {
             HazardEngine::Reference => None,
         };
         let mut pc = 0usize;
-        while self.step_slot(program, decoded.as_ref(), &mut pc, sink)? == StepExit::Continue {}
+        while let Some(slot) = self.step_slot(program, decoded.as_ref(), &mut pc)? {
+            on_slot(slot);
+        }
         Ok(self.finish_run())
     }
 
     /// Issue **one** slot at `*pc`: stall for operands, form the pair,
     /// execute, account, advance the cycle and resolve the slot's branch.
-    /// This is the single stepping loop body shared by every engine —
-    /// decoded (`decoded = Some`), reference (`decoded = None`), and the
-    /// threaded engine's fallback path.
+    /// This is the one slot-formation and slot-accounting path of the
+    /// in-order engines — decoded (`decoded = Some`), reference
+    /// (`decoded = None`), and the threaded engine, which steps with it
+    /// where it does not replay and records its traces from what it
+    /// returns. `None` when `pc` reached `halt`.
     pub(crate) fn step_slot(
         &mut self,
         program: &Program,
         decoded: Option<&DecodedProgram>,
         pc: &mut usize,
-        sink: &mut dyn FnMut(crate::trace::SlotTrace),
-    ) -> Result<StepExit, SimError> {
+    ) -> Result<Option<Issued>, SimError> {
         let engine = match decoded {
             Some(_) => HazardEngine::Decoded,
             None => HazardEngine::Reference,
@@ -124,7 +151,7 @@ impl Machine {
             return Err(SimError::NoHalt);
         };
         if matches!(i0, Instr::Halt) {
-            return Ok(StepExit::Halted);
+            return Ok(None);
         }
         let d0 = match decoded {
             Some(d) => *d.get(*pc),
@@ -219,12 +246,7 @@ impl Machine {
             }
         };
         let mut mmx_in_slot = u_mmx;
-        let trace_u = crate::trace::TraceEntry {
-            pc: pc0,
-            instr: *i0,
-            routed: routing0.routes_anything() && routable0,
-        };
-        let mut trace_v = None;
+        let mut routed = [routing0.routes_anything() && routable0, false];
         *pc += 1;
 
         // An SPU control-register change (GO/clear/context switch)
@@ -249,11 +271,7 @@ impl Machine {
                     }
                 };
                 mmx_in_slot |= v_mmx;
-                trace_v = Some(crate::trace::TraceEntry {
-                    pc: pc1,
-                    instr: i1,
-                    routed: routing1.routes_anything() && routable1,
-                });
+                routed[1] = routing1.routes_anything() && routable1;
                 slot1 = Some((pc1, eff1));
                 *pc += 1;
             }
@@ -289,15 +307,15 @@ impl Machine {
                 *pc = t;
             }
         }
-        sink(crate::trace::SlotTrace {
+        Ok(Some(Issued {
+            u: pc0,
+            v: slot1.map(|(pc1, _)| pc1),
+            routed,
             cycle: slot_issue_cycle,
-            u: trace_u,
-            v: trace_v,
             stall_before,
             slot_cycles,
             mispredict_penalty: slot_penalty,
-        });
-        Ok(StepExit::Continue)
+        }))
     }
 
     /// Earliest cycle at which all of `i`'s register operands are ready
@@ -326,7 +344,28 @@ impl Machine {
 
     /// Statistics accounting from the predecoded class-flags byte.
     pub(crate) fn account(&mut self, flags: ClassFlags) {
-        account_into(&mut self.stats, flags);
+        let stats = &mut self.stats;
+        stats.instructions += 1;
+        if flags.is_mmx() {
+            stats.mmx_instructions += 1;
+            if flags.is_realignment() {
+                stats.mmx_realignments += 1;
+            }
+            if flags.is_mmx_multiply() {
+                stats.mmx_multiplies += 1;
+            }
+        } else {
+            stats.scalar_instructions += 1;
+        }
+        if flags.is_scalar_multiply() {
+            stats.scalar_multiplies += 1;
+        }
+        if flags.is_load() {
+            stats.loads += 1;
+        }
+        if flags.is_store() {
+            stats.stores += 1;
+        }
     }
 
     /// Reference-engine accounting, straight off the instruction's class
@@ -353,33 +392,5 @@ impl Machine {
         if i.is_store() {
             self.stats.stores += 1;
         }
-    }
-}
-
-/// Statistics accounting from a predecoded class-flags byte, into an
-/// arbitrary accumulator — shared by the live slot loop
-/// ([`Machine::account`]) and the trace translator's per-region bulk
-/// counters.
-pub(crate) fn account_into(stats: &mut SimStats, flags: ClassFlags) {
-    stats.instructions += 1;
-    if flags.is_mmx() {
-        stats.mmx_instructions += 1;
-        if flags.is_realignment() {
-            stats.mmx_realignments += 1;
-        }
-        if flags.is_mmx_multiply() {
-            stats.mmx_multiplies += 1;
-        }
-    } else {
-        stats.scalar_instructions += 1;
-    }
-    if flags.is_scalar_multiply() {
-        stats.scalar_multiplies += 1;
-    }
-    if flags.is_load() {
-        stats.loads += 1;
-    }
-    if flags.is_store() {
-        stats.stores += 1;
     }
 }

@@ -1,11 +1,11 @@
 //! The issue rules: the single source of truth for dual-issue slot
 //! formation shared by every consumer that replays them.
 //!
-//! Three layers replay the Pentium-MMX issue procedure:
+//! Two layers replay the Pentium-MMX issue procedure:
 //!
 //! * the simulator's dynamic slot loop ([`Machine::run`](crate::Machine)),
-//! * the trace translator ([`crate::translate`]), which pre-resolves the
-//!   procedure per straight-line region, and
+//!   from which the threaded engine also records its traces
+//!   ([`crate::translate`]), and
 //! * the compiler's list scheduler (`subword-compile::schedule`), whose
 //!   cost model is a static replay of the same procedure.
 //!
@@ -24,9 +24,9 @@
 //! logic so it remains an independent oracle for all of the above.
 //!
 //! The straight-line region partition ([`regions_of`]) also lives here:
-//! the scheduler and the trace translator must agree on what a region is
-//! (branch targets and MMIO barriers delimit them), so they share one
-//! definition.
+//! the scheduler and the threaded engine's traces must agree on what a
+//! region is (branch targets and MMIO barriers delimit them), so they
+//! share one definition.
 //!
 //! Replaying two independent adds dual-issues them in one cycle; making
 //! the second read the first's destination forces two single-issue
@@ -89,7 +89,8 @@ impl IssueRules {
     }
 
     /// Earliest cycle at which every MMX register in `mm_reads` is
-    /// available — the scoreboard walk all three engines run per slot.
+    /// available — the scoreboard walk the decoded stepper and
+    /// [`replay_order`] run per slot.
     #[inline]
     pub fn operand_ready(mut mm_reads: u8, mm_ready: &[u64; 8]) -> u64 {
         let mut t = 0;
@@ -263,7 +264,7 @@ pub enum RegionKind {
     /// A singleton statically-identifiable SPU MMIO access: a hard
     /// barrier — the decoupled controller steps once per issued
     /// instruction, and a GO store must stay immediately ahead of its
-    /// loop. Never scheduled, never trace-translated.
+    /// loop. Never scheduled, never recorded as a trace.
     Barrier,
 }
 

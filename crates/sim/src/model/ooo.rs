@@ -55,7 +55,6 @@ use crate::model::pipeline::effective_read_mask;
 use crate::model::{OooParams, OooStats};
 use crate::stats::SimStats;
 use subword_isa::instr::{Instr, MmxOperand, RegMask};
-use subword_isa::op::AluOp;
 use subword_isa::program::Program;
 use subword_spu::mmio::in_mmio_range;
 
@@ -74,6 +73,8 @@ struct MemRef {
 struct OpDesc {
     reads: RegMask,
     writes: RegMask,
+    /// The flags dependence, tracked apart because [`RegMask`] carries
+    /// no flags bit.
     reads_flags: bool,
     writes_flags: bool,
     is_mmx: bool,
@@ -401,21 +402,6 @@ fn fold_started(started: &mut BTreeMap<u64, (u64, u64)>, below: Option<u64>, sta
     }
 }
 
-/// Does `i` write the scalar flags? ([`RegMask`] carries no flags bit,
-/// so the dependency is tracked separately.)
-fn writes_flags(i: &Instr) -> bool {
-    match i {
-        Instr::Alu { op, .. } => !matches!(op, AluOp::Mov),
-        Instr::Cmp { .. } | Instr::Test { .. } => true,
-        _ => false,
-    }
-}
-
-/// Does `i` read the scalar flags?
-fn reads_flags(i: &Instr) -> bool {
-    matches!(i, Instr::Jcc { .. })
-}
-
 impl Machine {
     /// Resolve `i`'s memory reference against the *current* register
     /// state — called before `Machine::exec`, which therefore sees the
@@ -483,8 +469,8 @@ impl Machine {
             let op = OpDesc {
                 reads,
                 writes: d.writes,
-                reads_flags: reads_flags(&i),
-                writes_flags: writes_flags(&i),
+                reads_flags: i.reads_flags(),
+                writes_flags: i.writes_flags(),
                 is_mmx: d.flags.is_mmx(),
                 mmx_mul: d.flags.is_mmx_multiply(),
                 scalar_mul: d.flags.is_scalar_multiply(),

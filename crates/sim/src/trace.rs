@@ -2,7 +2,9 @@
 //! which operands the SPU routed, and where stalls and mispredicts landed.
 //!
 //! Tracing feeds the `pipeline_viz` example and debugging; it is entirely
-//! opt-in (`Machine::run_traced`) and costs nothing on the normal path.
+//! opt-in (`Machine::run_traced`). The slot loop returns the slot it
+//! issued, and only `run_traced` builds a [`SlotTrace`] from it, so the
+//! other engines never construct one.
 
 use subword_isa::instr::Instr;
 

@@ -1,16 +1,34 @@
-//! Trace translation: the threaded execution engine.
+//! Trace recording and replay: the threaded execution engine.
 //!
-//! The decoded engine still re-decides pairing, scoreboard readiness and
-//! SPU routing through a match per issue slot on every loop iteration,
-//! even though a steady-state iteration makes exactly the same decisions
-//! as the previous one. This module lowers each straight-line region
-//! (same partition as the PR 3 scheduler — [`crate::issue::regions_of`])
-//! **once per distinct entry state** into a flat issue trace: an array of
-//! pre-bound slots with pairing, stall cycles, multiplier-latency
-//! scoreboard effects and SPU routing pre-resolved. Replaying a trace
-//! executes the region's instructions (register/memory semantics always
-//! run live) but skips the per-slot issue machinery entirely, then
-//! applies the region's pre-counted statistics in one `+=`.
+//! The decoded engine re-decides pairing, scoreboard readiness and SPU
+//! routing through a match per issue slot on every loop iteration, even
+//! though a steady-state iteration makes exactly the same decisions as
+//! the previous one. This module keeps, per straight-line region (the
+//! scheduler's partition — [`crate::issue::regions_of`]) and per
+//! distinct entry state, a flat issue trace: the slots the stepper issued
+//! the first time the region ran from that state. Replaying a trace
+//! executes the region's instructions (register and memory semantics and
+//! the SPU controller's steps always run live) but skips the per-slot
+//! issue machinery, then applies the region's recorded statistics in one
+//! `+=`.
+//!
+//! ## Recording
+//!
+//! On a region's first entry under a new signature the engine steps the
+//! region with `Machine::step_slot`, the slot loop the decoded and
+//! reference engines run, and keeps what it issued:
+//!
+//! * each slot's U and V `pc` and its issue cycle relative to the entry;
+//! * the statistics delta, minus the counters a replay accounts live:
+//!   `branches`, `mispredicts` and `mispredict_cycles`, which the
+//!   terminator's branch resolution counts, and `mmio_accesses`, which
+//!   `exec` counts;
+//! * the cycle advance, minus the terminator's mispredict penalty;
+//! * at each slot led by a store, the same delta and advance so far: the
+//!   prefix a replay that aborts at that slot accounts.
+//!
+//! The issue procedure therefore exists once, in the stepper, and a trace
+//! carries whatever the stepper counts.
 //!
 //! ## Entry signatures
 //!
@@ -32,30 +50,37 @@
 //!   is what lets per-block SPU re-arm loops keep their traces warm.
 //!
 //! Traces are cached per region keyed by this signature; a mismatch
-//! translates afresh (up to a small cap), and dynamic events fall back to
-//! the decoded stepper for exactly the affected slots.
+//! records afresh (up to a small cap), and dynamic events fall back to
+//! the stepper for exactly the affected slots.
 //!
-//! ## Invalidation and fallback rules
+//! ## Stores into the SPU window
+//!
+//! Such a store can change the routing, and so the pairing, of every
+//! slot after it, which the signature captured at the region's entry
+//! cannot foresee:
 //!
 //! * **Barrier regions** (statically identifiable SPU MMIO accesses) are
-//!   never translated — the decoded stepper executes them, and the store
+//!   never recorded — the stepper executes them, and the store
 //!   generation moves underneath every cached signature.
-//! * A **register-addressed store** whose effective address lands in the
-//!   MMIO window mid-replay aborts the replay *before* the store
-//!   executes: the already-replayed prefix is accounted from the trace,
-//!   and the decoded stepper re-issues from the aborted slot with live
-//!   routing.
+//! * A **recording** that reaches a slot led by a register-addressed
+//!   store whose effective address lands in the window stops before it
+//!   and keeps no trace; the stepper carries on from that slot.
+//! * A **replay** that reaches such a store aborts *before* it executes:
+//!   the prefix is accounted from the snapshot recorded at that slot,
+//!   and the stepper re-issues from the aborted slot with live routing.
+//!
+//! ## Other fallbacks
+//!
 //! * A replay that could cross [`MachineConfig::max_cycles`] falls back
-//!   wholesale so the decoded stepper reproduces the exact fault.
+//!   wholesale so the stepper reproduces the exact fault.
 //! * **Taken/not-taken branch outcomes** need no fallback: a region's
 //!   terminating branch is executed live during replay and resolved
-//!   (predictor update, penalty, redirect) exactly as the decoded
-//!   stepper would.
-//! * A **fallthrough region's last instruction** is left to the decoded
-//!   stepper unless the trace pairs it inward: the dynamic pairing
-//!   window crosses region boundaries (the slot formed at the region's
-//!   tail may pair with the next region's head), which a per-region
-//!   trace cannot pre-resolve.
+//!   (predictor update, penalty, redirect) exactly as the stepper would.
+//! * A **fallthrough region's last instruction** is left to the stepper
+//!   unless a slot pairs it inward: the dynamic pairing window crosses
+//!   region boundaries (the slot formed at the region's tail may pair
+//!   with the next region's head), which a per-region trace cannot
+//!   hold.
 //!
 //! The result is bit-identical [`SimStats`], architectural state and
 //! faults across all three engines — enforced suite-wide by the
@@ -67,24 +92,21 @@
 use crate::decode::DecodedProgram;
 use crate::error::SimError;
 use crate::machine::{ExecEffect, Machine};
-use crate::model::inorder::{account_into, StepExit};
-use crate::model::issue::{regions_of, IssueOp, IssueRules, Region, RegionKind};
-use crate::model::pipeline::{can_pair, effective_read_mask};
+use crate::model::issue::{regions_of, Region, RegionKind};
 use crate::model::PipelineKind;
 use crate::stats::SimStats;
 use subword_isa::instr::Instr;
 use subword_isa::program::Program;
-use subword_spu::controller::StepRouting;
 use subword_spu::mmio::in_mmio_range;
 
 /// Traces cached per region before further entry states fall back to the
-/// decoded stepper (counter-countdown tails of SPU loops produce a few
-/// distinct signatures per region; runaways would just thrash).
+/// stepper (counter-countdown tails of SPU loops produce a few distinct
+/// signatures per region; runaways would just thrash).
 const MAX_TRACES_PER_REGION: usize = 16;
 
 /// Largest relative scoreboard distance a signature can carry. Bounded
 /// by the MMX multiply latency in practice; configurations beyond this
-/// simply never translate.
+/// simply never record.
 const MAX_MM_REL: u64 = 255;
 
 /// Sentinel for "no V slot".
@@ -97,7 +119,7 @@ const NO_V: u32 = u32::MAX;
 pub struct TranslationStats {
     /// Straight-line regions in the program's partition.
     pub regions: u64,
-    /// Traces built (cache misses that translated).
+    /// Traces recorded (cache misses that kept a trace).
     pub translations: u64,
     /// Completed trace replays.
     pub replays: u64,
@@ -105,7 +127,7 @@ pub struct TranslationStats {
     pub replayed_slots: u64,
     /// Replays aborted mid-trace (dynamic MMIO store).
     pub aborts: u64,
-    /// Issue slots retired through the decoded fallback stepper.
+    /// Issue slots retired through the stepper, recordings included.
     pub fallback_slots: u64,
 }
 
@@ -114,7 +136,7 @@ pub struct TranslationStats {
 enum SpuSig {
     /// Controller idle (or no SPU fitted): every slot fetches straight.
     Off,
-    /// Controller live: the routing walk starts here.
+    /// Controller live: routing starts from this state.
     Active {
         ctx: usize,
         state: u8,
@@ -139,35 +161,43 @@ struct EntrySig {
     gen: u64,
 }
 
-/// One pre-bound issue slot of a trace.
+/// One recorded issue slot of a trace.
 #[derive(Clone, Copy, Debug)]
 struct TraceSlot {
     /// `pc` of the U-pipe instruction.
     u: u32,
     /// `pc` of the V-pipe instruction, or [`NO_V`].
     v: u32,
-    /// Issue cycle relative to region entry (stalls pre-applied).
+    /// Issue cycle relative to region entry (stalls included).
     rel: u64,
-    /// Cycles the slot occupies (1, or the blocking `imul` latency).
+}
+
+/// What the stepper accounted from a region's entry to one point of a
+/// recording, as a replay applies it in bulk.
+#[derive(Clone, Copy, Debug)]
+struct Account {
+    /// The statistics delta, minus the counters a replay accounts live:
+    /// `branches`, `mispredicts` and `mispredict_cycles` (the
+    /// terminator's branch resolution) and `mmio_accesses` (`exec`).
+    stats: SimStats,
+    /// Cycles since the entry.
     cycles: u64,
 }
 
-/// A translated region: the slot array plus everything needed to apply
+/// A recorded region: the slot array plus everything needed to apply
 /// its effects in bulk.
 #[derive(Clone, Debug)]
 struct Trace {
     sig: EntrySig,
     slots: Vec<TraceSlot>,
-    /// Statically-determined statistics of a full replay (instruction
-    /// classes, slot mix, stalls). Dynamic counters — branches,
-    /// mispredicts, MMIO accesses, SPU usage — stay zero here and are
-    /// accounted live.
-    bulk: SimStats,
-    /// Cycles a full replay advances the clock (before any terminator
-    /// mispredict penalty).
-    cycle_advance: u64,
+    /// A full replay, before any terminator mispredict penalty.
+    whole: Account,
     /// `pc` after a full replay when no branch redirects.
     end_pc: usize,
+    /// The prefix before each store-led slot, with the slot's index, in
+    /// slot order: the only slots a replay can abort at. Kept apart from
+    /// `slots` so the replay loop walks a dense array.
+    prefixes: Vec<(usize, Account)>,
 }
 
 /// Per-run translation state: the region partition and the trace caches.
@@ -176,7 +206,7 @@ struct Translator {
     /// `pc` → region index for region *starts* (`u32::MAX` elsewhere).
     region_at: Vec<u32>,
     caches: Vec<Vec<Trace>>,
-    /// Regions that can never replay (barriers, empty coverage).
+    /// Regions that can never replay (barriers, no slot to record).
     never: Vec<bool>,
 }
 
@@ -187,21 +217,36 @@ impl Translator {
         for (k, r) in regions.iter().enumerate() {
             region_at[r.start] = k as u32;
         }
-        let never = regions.iter().map(|r| r.kind == RegionKind::Barrier).collect();
+        let never = regions
+            .iter()
+            .map(|r| r.kind == RegionKind::Barrier || u_limit(r) <= r.start)
+            .collect();
         let caches = regions.iter().map(|_| Vec::new()).collect();
         Translator { regions, region_at, caches, never }
     }
 }
 
+/// One past the last `pc` a slot of `region`'s trace may lead with: a
+/// region ending in `halt` never issues it, and a fallthrough region's
+/// last instruction is left to the stepper unless a slot pairs it inward
+/// (see the module docs).
+fn u_limit(region: &Region) -> usize {
+    match region.kind {
+        RegionKind::Halt | RegionKind::Fallthrough => region.end - 1,
+        RegionKind::Loop | RegionKind::Branch | RegionKind::Barrier => region.end,
+    }
+}
+
 impl Machine {
-    /// Run `program` on the threaded engine: trace-translate straight-line
-    /// regions and replay them, falling back to the decoded stepper for
-    /// dynamic events. Bit-identical to [`Machine::run_reference`] in
-    /// statistics, architectural state and faults.
+    /// Run `program` on the threaded engine: record straight-line
+    /// regions from the stepper and replay them, falling back to the
+    /// stepper for dynamic events. Bit-identical to
+    /// [`Machine::run_reference`] in statistics, architectural state and
+    /// faults.
     pub fn run_threaded(&mut self, program: &Program) -> Result<SimStats, SimError> {
-        // Traces pre-bind *in-order* pairing and stall decisions, so
-        // they carry no meaning on the out-of-order model: fall back to
-        // the OoO path soundly instead of replaying wrong timing.
+        // Traces hold *in-order* pairing and stall decisions, so they
+        // carry no meaning on the out-of-order model: fall back to the
+        // OoO path soundly instead of replaying wrong timing.
         if self.cfg.pipeline == PipelineKind::OutOfOrder {
             return self.run_ooo(program);
         }
@@ -209,7 +254,6 @@ impl Machine {
         let decoded = DecodedProgram::decode(program);
         let mut tr = Translator::new(program);
         self.translation.regions = tr.regions.len() as u64;
-        let mut nosink = |_: crate::trace::SlotTrace| {};
         let mut pc = 0usize;
         loop {
             let ridx = tr.region_at.get(pc).copied().unwrap_or(u32::MAX);
@@ -219,18 +263,17 @@ impl Machine {
             {
                 continue;
             }
-            match self.step_slot(program, Some(&decoded), &mut pc, &mut nosink)? {
-                StepExit::Continue => self.translation.fallback_slots += 1,
-                StepExit::Halted => break,
+            if self.step_slot(program, Some(&decoded), &mut pc)?.is_none() {
+                break;
             }
+            self.translation.fallback_slots += 1;
         }
         Ok(self.finish_run())
     }
 
-    /// Attempt to replay the region starting at `*pc`. Returns `true` if
-    /// the machine advanced (full replay, or a partial replay aborted
-    /// after at least one slot); `false` asks the caller to step the
-    /// decoded path.
+    /// Replay the region starting at `*pc`, or record it on a new entry
+    /// signature. Returns `true` if the machine advanced; `false` asks
+    /// the caller to step.
     fn enter_region(
         &mut self,
         program: &Program,
@@ -244,26 +287,15 @@ impl Machine {
             return Ok(false);
         };
         let cache = &mut tr.caches[ridx];
-        let hit = cache.iter().position(|t| t.sig == sig);
-        let k = match hit {
-            Some(k) => k,
-            None => {
-                if cache.len() >= MAX_TRACES_PER_REGION {
-                    return Ok(false);
-                }
-                let Some(trace) = self.translate_region(program, decoded, &region, &sig) else {
-                    tr.never[ridx] = true;
-                    return Ok(false);
-                };
-                self.translation.translations += 1;
-                cache.push(trace);
-                cache.len() - 1
+        let Some(trace) = cache.iter().find(|t| t.sig == sig) else {
+            if cache.len() >= MAX_TRACES_PER_REGION {
+                return Ok(false);
             }
+            return self.record(program, decoded, &region, sig, cache, pc);
         };
-        let trace = &cache[k];
         // A replay crossing the cycle budget falls back wholesale: the
-        // decoded stepper then faults at the exact slot the oracle would.
-        if self.cycle + trace.cycle_advance > self.cfg.max_cycles {
+        // stepper then faults at the exact slot the oracle would.
+        if self.cycle + trace.whole.cycles > self.cfg.max_cycles {
             return Ok(false);
         }
         self.replay(program, decoded, &region, trace, pc)
@@ -294,137 +326,87 @@ impl Machine {
         Some(EntrySig { mm_rel, spu, gen: self.mmio_store_gen })
     }
 
-    /// Lower `region` into a trace for entry state `sig`, mirroring the
-    /// decoded stepper's slot formation exactly: same pairing decisions
-    /// (including the SPU go-transition cancellation), same stalls, same
-    /// scoreboard retires. Must be called at an entry whose live state
-    /// matches `sig` (the controller walk starts from the live state).
-    /// `None` when the region yields no replayable slots.
-    fn translate_region(
-        &self,
+    /// Step `region` from its start at `*pc` and keep what the stepper
+    /// issued as `sig`'s trace in `cache`. Stops before a slot led by a
+    /// store into the SPU window and then keeps no trace (see the module
+    /// docs). Returns `true` if the machine advanced.
+    ///
+    /// Cold and out of line: recordings are rare, and inlining this into
+    /// the replay path slows every replay.
+    #[cold]
+    #[inline(never)]
+    fn record(
+        &mut self,
         program: &Program,
         decoded: &DecodedProgram,
         region: &Region,
-        sig: &EntrySig,
-    ) -> Option<Trace> {
-        let instrs = &program.instrs;
-        let u_limit = match region.kind {
-            RegionKind::Barrier => return None,
-            // `halt` is never issued; the outer loop must see it.
-            RegionKind::Halt => region.end - 1,
-            _ => region.end,
-        };
-        let mut walk = match sig.spu {
-            SpuSig::Active { .. } => Some(self.spu.as_ref()?.controller.walk()),
-            SpuSig::Off => None,
-        };
-        let mut mm_rel = [0u64; 8];
-        for (dst, &rel) in mm_rel.iter_mut().zip(&sig.mm_rel) {
-            *dst = u64::from(rel);
-        }
-        let mut rel = 0u64;
-        let mut slots: Vec<TraceSlot> = Vec::with_capacity(region.end - region.start);
-        let mut bulk = SimStats::default();
-        let mut end_pc = u_limit;
-        let mut p = region.start;
-        while p < u_limit {
-            if region.kind == RegionKind::Fallthrough && p == region.end - 1 {
-                // The dynamic pairing window crosses the region boundary
-                // here; leave the last instruction to the decoded stepper.
-                end_pc = p;
-                break;
-            }
-            let i0 = &instrs[p];
-            let d0 = decoded.get(p);
-            let (r0, r1) = match &walk {
-                Some(w) => (w.current_routing(), w.next_routing()),
-                None => (StepRouting::default(), StepRouting::default()),
-            };
-
-            let ready = ready_rel(&mm_rel, d0.reads.mm, d0.routable, i0, &r0);
-            if ready > rel {
-                bulk.stall_cycles += ready - rel;
-                rel = ready;
-            }
-
-            // Pairing decision — identical to the decoded stepper. An
-            // accepted candidate always lies inside the region's
-            // coverage: branches and `halt` never follow a leader.
-            let mut cand: Option<usize> = None;
-            if let Some(i1) = instrs.get(p + 1) {
-                let d1 = decoded.get(p + 1);
-                let legal = if !r0.routes_anything() && !r1.routes_anything() {
-                    d0.pairable_next
-                } else {
-                    can_pair(i0, &r0, i1, &r1)
-                };
-                if legal && ready_rel(&mm_rel, d1.reads.mm, d1.routable, i1, &r1) <= rel {
-                    cand = Some(p + 1);
+        sig: EntrySig,
+        cache: &mut Vec<Trace>,
+        pc: &mut usize,
+    ) -> Result<bool, SimError> {
+        let (entry_stats, entry_cycle) = (self.stats, self.cycle);
+        let limit = u_limit(region);
+        let mut slots = Vec::with_capacity(region.end - region.start);
+        let mut prefixes = Vec::new();
+        let mut penalty = 0;
+        // The `pc` after the last recorded slot, before any redirect.
+        let mut next = *pc;
+        while next < limit {
+            if decoded.get(next).flags.is_store() {
+                if self.lands_in_window(&program.instrs[next]) {
+                    return Ok(!slots.is_empty());
                 }
+                prefixes.push((slots.len(), self.account_since(entry_stats, entry_cycle)));
             }
-
-            let slot_is_scalar_mul = d0.flags.is_scalar_multiply()
-                || cand.is_some_and(|q| decoded.get(q).flags.is_scalar_multiply());
-            let slot_cycles = self.rules.slot_cycles(slot_is_scalar_mul);
-            if slot_is_scalar_mul {
-                bulk.imul_block_cycles += self.rules.imul_extra_cycles();
-            }
-
-            // Issue U. Within a region only the controller's go→idle
-            // transition can change the live SPU signature (MMIO stores
-            // are barriers or replay aborts), so the walk's go bit models
-            // the pairing-cancellation check exactly.
-            let go_before = walk.as_ref().map(|w| w.is_active());
-            let routing0 = match &mut walk {
-                Some(w) => w.step(),
-                None => StepRouting::default(),
-            };
-            account_into(&mut bulk, d0.flags);
-            let u_mmx = d0.flags.is_mmx();
-            self.rules.retire(&IssueOp::of(i0, &routing0), rel, &mut mm_rel);
-            let pc0 = p;
-            p += 1;
-
-            // Issue V unless the U issue serialised the slot.
-            let mut v_pc = NO_V;
-            let mut v_mmx = false;
-            if let Some(q) = cand {
-                if walk.as_ref().map(|w| w.is_active()) == go_before {
-                    let i1 = &instrs[q];
-                    let d1 = decoded.get(q);
-                    let routing1 = match &mut walk {
-                        Some(w) => w.step(),
-                        None => StepRouting::default(),
-                    };
-                    account_into(&mut bulk, d1.flags);
-                    v_mmx = d1.flags.is_mmx();
-                    self.rules.retire(&IssueOp::of(i1, &routing1), rel, &mut mm_rel);
-                    v_pc = q as u32;
-                    p += 1;
-                }
-            }
-
-            if v_pc != NO_V {
-                bulk.pairs += 1;
-                if u_mmx && v_mmx {
-                    bulk.mmx_pairs += 1;
-                }
-            } else {
-                bulk.singles += 1;
-            }
-            if u_mmx || v_mmx {
-                bulk.mmx_active_cycles += 1;
-            }
-            slots.push(TraceSlot { u: pc0 as u32, v: v_pc, rel, cycles: slot_cycles });
-            rel += slot_cycles;
+            let slot = self
+                .step_slot(program, Some(decoded), pc)?
+                .expect("a region's issuable range holds no halt");
+            self.translation.fallback_slots += 1;
+            slots.push(TraceSlot {
+                u: slot.u as u32,
+                v: slot.v.map_or(NO_V, |v| v as u32),
+                rel: slot.cycle - entry_cycle,
+            });
+            penalty += slot.mispredict_penalty;
+            next = slot.v.unwrap_or(slot.u) + 1;
         }
-        if slots.is_empty() {
-            return None;
-        }
-        Some(Trace { sig: *sig, slots, bulk, cycle_advance: rel, end_pc })
+        let mut whole = self.account_since(entry_stats, entry_cycle);
+        whole.cycles -= penalty;
+        cache.push(Trace { sig, slots, whole, end_pc: next, prefixes });
+        self.translation.translations += 1;
+        Ok(true)
     }
 
-    /// Replay `trace`: execute every pre-bound slot (live semantics, live
+    /// What the machine accounted since its statistics were
+    /// `entry_stats` and its clock `entry_cycle`, as a trace keeps it.
+    fn account_since(&self, entry_stats: SimStats, entry_cycle: u64) -> Account {
+        let stats = self.stats - entry_stats;
+        Account {
+            stats: SimStats {
+                branches: 0,
+                mispredicts: 0,
+                mispredict_cycles: 0,
+                mmio_accesses: 0,
+                ..stats
+            },
+            cycles: self.cycle - entry_cycle,
+        }
+    }
+
+    /// Apply `account` to a replay that entered its region at
+    /// `entry_cycle`.
+    fn apply(&mut self, account: &Account, entry_cycle: u64) {
+        self.stats += account.stats;
+        self.cycle = entry_cycle + account.cycles;
+    }
+
+    /// Whether `i`'s memory operand lands in the SPU window at the
+    /// current register state.
+    fn lands_in_window(&self, i: &Instr) -> bool {
+        i.mem_operand().is_some_and(|m| in_mmio_range(self.ea(m)))
+    }
+
+    /// Replay `trace`: execute every recorded slot (live semantics, live
     /// controller stepping), then apply the bulk statistics, set the
     /// clock forward and resolve the region's terminating branch.
     /// Returns `true` when the machine advanced.
@@ -441,18 +423,14 @@ impl Machine {
         for (si, slot) in trace.slots.iter().enumerate() {
             let u_pc = slot.u as usize;
             let i0 = &program.instrs[u_pc];
-            // Dynamic-address MMIO store: the trace's pre-resolved
-            // routing is stale from here on. Account the completed
-            // prefix and hand the slot to the decoded stepper.
-            if decoded.get(u_pc).flags.is_store() {
-                if let Some(m) = i0.mem_operand() {
-                    if in_mmio_range(m.effective(|r| self.regs.read_gp(r))) {
-                        return self.abort_replay(decoded, trace, si, entry_cycle, pc);
-                    }
-                }
+            // Dynamic-address MMIO store: the recorded routing is stale
+            // from here on. Account the completed prefix and hand the
+            // slot to the stepper.
+            if decoded.get(u_pc).flags.is_store() && self.lands_in_window(i0) {
+                return Ok(self.abort_replay(trace, si, entry_cycle, pc));
             }
             // The clock tracks each slot's issue cycle so multiplier
-            // retires land exactly where the decoded stepper puts them.
+            // retires land exactly where the stepper puts them.
             self.cycle = entry_cycle + slot.rel;
             let routing0 = self.take_routing();
             last_eff = self.exec(program, i0, &routing0, u_pc)?;
@@ -462,8 +440,7 @@ impl Machine {
                 last_eff = self.exec(program, &program.instrs[v_pc], &routing1, v_pc)?;
             }
         }
-        self.cycle = entry_cycle + trace.cycle_advance;
-        self.stats += trace.bulk;
+        self.apply(&trace.whole, entry_cycle);
         self.translation.replays += 1;
         self.translation.replayed_slots += trace.slots.len() as u64;
         *pc = trace.end_pc;
@@ -484,69 +461,23 @@ impl Machine {
         Ok(true)
     }
 
-    /// Account the `si` fully-replayed slots of an aborted replay from
-    /// the trace's metadata (their execution side effects already
-    /// happened live) and position `pc`/the clock so the decoded stepper
+    /// Account the `si` replayed slots of an aborted replay from the
+    /// prefix recorded at slot `si` (their execution side effects already
+    /// happened live) and position `pc` and the clock so the stepper
     /// re-issues slot `si` exactly as if it had been stepping all along.
-    fn abort_replay(
-        &mut self,
-        decoded: &DecodedProgram,
-        trace: &Trace,
-        si: usize,
-        entry_cycle: u64,
-        pc: &mut usize,
-    ) -> Result<bool, SimError> {
+    /// Returns `true` when the machine advanced.
+    fn abort_replay(&mut self, trace: &Trace, si: usize, entry_cycle: u64, pc: &mut usize) -> bool {
+        let (_, prefix) = trace
+            .prefixes
+            .iter()
+            .find(|(slot, _)| *slot == si)
+            .expect("the recording snapshots every store-led slot");
+        self.apply(prefix, entry_cycle);
         self.translation.aborts += 1;
-        let mut prev_end = 0u64;
-        for slot in &trace.slots[..si] {
-            self.stats.stall_cycles += slot.rel - prev_end;
-            let d0 = decoded.get(slot.u as usize);
-            account_into(&mut self.stats, d0.flags);
-            let u_mmx = d0.flags.is_mmx();
-            let mut v_mmx = false;
-            let mut scalar_mul = d0.flags.is_scalar_multiply();
-            if slot.v != NO_V {
-                let d1 = decoded.get(slot.v as usize);
-                account_into(&mut self.stats, d1.flags);
-                v_mmx = d1.flags.is_mmx();
-                scalar_mul |= d1.flags.is_scalar_multiply();
-                self.stats.pairs += 1;
-                if u_mmx && v_mmx {
-                    self.stats.mmx_pairs += 1;
-                }
-            } else {
-                self.stats.singles += 1;
-            }
-            if u_mmx || v_mmx {
-                self.stats.mmx_active_cycles += 1;
-            }
-            if scalar_mul {
-                self.stats.imul_block_cycles += self.rules.imul_extra_cycles();
-            }
-            self.translation.replayed_slots += 1;
-            prev_end = slot.rel + slot.cycles;
-        }
-        self.cycle = entry_cycle + prev_end;
+        self.translation.replayed_slots += si as u64;
         *pc = trace.slots[si].u as usize;
-        Ok(si > 0)
+        si > 0
     }
-}
-
-/// Relative-scoreboard form of the decoded stepper's `ready_cycle`.
-#[inline]
-fn ready_rel(
-    mm_rel: &[u64; 8],
-    nominal: u8,
-    routable: bool,
-    i: &Instr,
-    routing: &StepRouting,
-) -> u64 {
-    let mm = if routing.routes_anything() && routable {
-        effective_read_mask(i, routing).mm
-    } else {
-        nominal
-    };
-    IssueRules::operand_ready(mm, mm_rel)
 }
 
 #[cfg(test)]
@@ -560,7 +491,7 @@ mod tests {
     use subword_isa::reg::MmReg::*;
     use subword_isa::ProgramBuilder;
     use subword_spu::crossbar::ByteRoute;
-    use subword_spu::mmio::{emit_spu_go, SPU_MMIO_BASE};
+    use subword_spu::mmio::{emit_spu_go, SpuMmio, CONTEXT_STRIDE, SPU_MMIO_BASE};
     use subword_spu::{SpuProgram, SHAPE_D};
 
     fn assert_threaded_matches_reference(
@@ -638,13 +569,69 @@ mod tests {
         assert!(tl.replays > trips / 2, "routed loop should replay, got {tl:?}");
     }
 
-    /// A register-addressed store into the SPU staging window mid-loop
-    /// aborts the replay at that slot without breaking equivalence.
+    /// A register-addressed store into the SPU window mid-loop aborts the
+    /// replay at that slot without breaking equivalence. The first pass
+    /// stores to ordinary memory and records the trace; later passes
+    /// store to CNTR0 of an unused context, a control register, so the
+    /// signature stays put and the trace replays up to the store.
     #[test]
     fn dynamic_mmio_store_aborts_replay() {
         let mut b = ProgramBuilder::new("dyn-mmio");
+        b.mov_ri(R1, 0x100);
+        b.mov_ri(R0, 40);
+        let l = b.bind_here("loop");
+        b.mmx_rr(MmxOp::Paddw, MM0, MM1);
+        b.store(subword_isa::Mem::base(R1), R2);
+        b.mov_ri(R1, (SPU_MMIO_BASE + 3 * CONTEXT_STRIDE + 0x8) as i32);
+        b.alu_ri(subword_isa::op::AluOp::Sub, R0, 1);
+        b.jcc(Cond::Ne, l);
+        b.halt();
+        let p = b.finish().unwrap();
+
+        let (stats, tl) = assert_threaded_matches_reference(|_| {}, &p);
+        assert_eq!(stats.mmio_accesses, 39);
+        assert_eq!(tl.aborts, 39, "every pass after the recording should abort, got {tl:?}");
+    }
+
+    /// A recording stops before a store into the SPU window. The first
+    /// pass arms the SPU with a GO store through a register, and the
+    /// routed `paddw` cannot pair with the next one; the program idles
+    /// within the pass, so the next entry has the same signature but
+    /// stores to ordinary memory and pairs the two. A trace recorded
+    /// through the GO store would replay the first pass's pairing there.
+    #[test]
+    fn recording_stops_before_a_window_store() {
+        let reads_mm2 =
+            SpuProgram::single_loop("war", &[(None, Some(ByteRoute::identity(MM2)))], 1);
+        let mut b = ProgramBuilder::new("go-first-pass");
+        b.mov_ri(R1, SPU_MMIO_BASE as i32);
+        b.mov_ri(R3, SpuMmio::go_config(0, 0) as i32);
+        b.mov_ri(R0, 20);
+        let l = b.bind_here("loop");
+        b.store(subword_isa::Mem::base(R1), R3);
+        b.mmx_rr(MmxOp::Paddw, MM0, MM1);
+        b.mmx_rr(MmxOp::Paddw, MM2, MM3);
+        b.mov_ri(R1, 0x100);
+        b.alu_ri(subword_isa::op::AluOp::Sub, R0, 1);
+        b.jcc(Cond::Ne, l);
+        b.halt();
+        let p = b.finish().unwrap();
+
+        let (stats, tl) = assert_threaded_matches_reference(
+            |m| m.install_spu_program(0, &reads_mm2).unwrap(),
+            &p,
+        );
+        assert_eq!((stats.spu_activations, stats.spu_routed), (1, 1));
+        assert!(tl.replays > 0, "the ordinary-memory passes should replay, got {tl:?}");
+    }
+
+    /// A store that lands in the SPU window on every entry stops every
+    /// recording before it, so the loop keeps no trace and never replays.
+    #[test]
+    fn window_store_on_every_entry_keeps_no_trace() {
+        let mut b = ProgramBuilder::new("mmio-every-pass");
         // r1 points into an unused staging byte of context 3.
-        b.mov_ri(R1, (SPU_MMIO_BASE + 3 * 0x1800 + 0x1000) as i32);
+        b.mov_ri(R1, (SPU_MMIO_BASE + 3 * CONTEXT_STRIDE + 0x1000) as i32);
         b.mov_ri(R0, 40);
         let l = b.bind_here("loop");
         b.mmx_rr(MmxOp::Paddw, MM0, MM1);
@@ -656,7 +643,7 @@ mod tests {
 
         let (stats, tl) = assert_threaded_matches_reference(|_| {}, &p);
         assert_eq!(stats.mmio_accesses, 40);
-        assert!(tl.aborts > 0, "MMIO store should abort replays, got {tl:?}");
+        assert_eq!((tl.replays, tl.aborts), (0, 0), "the loop should keep no trace, got {tl:?}");
     }
 
     #[test]

@@ -13,12 +13,16 @@
 //! match its reference variant on its row of the exemption table, and a
 //! scheduled variant must execute the same instructions and SPU steps as
 //! its unscheduled form in no more cycles.
+//!
+//! Over the same suite, the issue-slot trace of `Machine::run_traced`
+//! must account for the statistics of its run.
 
 use subword_compile::verify::{
     agree, build_variants, check_references, plain_lift, run, ArchState, TestSetup, Variant,
     ENGINES,
 };
 use subword_kernels::suite::{all_suites, dotprod_example};
+use subword_sim::trace::SlotTrace;
 use subword_sim::MachineConfig;
 use subword_spu::{CrossbarShape, SHAPE_A, SHAPE_B, SHAPE_C, SHAPE_D};
 
@@ -84,6 +88,43 @@ fn suite_matrix_shape_c() {
 #[test]
 fn suite_matrix_shape_d() {
     suite_matrix(&SHAPE_D);
+}
+
+/// Every suite kernel, MMX-only and lifted at shape D: the traced slots
+/// add up to the run's stall, slot-mix, instruction and cycle counts, and
+/// the traced run's statistics equal the threaded engine's.
+#[test]
+fn traced_slots_account_for_the_run() {
+    let mut entries = all_suites();
+    entries.push(dotprod_example());
+    for e in entries {
+        let name = e.kernel.name();
+        let build = e.kernel.build(e.blocks_small);
+        let variants = [Variant::Baseline, Variant::Lifted];
+        let built = build_variants(build.program.clone(), &variants, &SHAPE_D, &plain_lift)
+            .unwrap_or_else(|err| panic!("{name}: {err}"));
+        for (variant, program) in &built.programs {
+            let label = format!("{name}/{}", variant.name());
+            let cfg = variant.machine(&MachineConfig::default(), &SHAPE_D);
+            let mut m = build.setup.machine(cfg.clone()).unwrap();
+            let mut slots: Vec<SlotTrace> = Vec::new();
+            let stats = m.run_traced(program, &mut |slot| slots.push(slot)).unwrap();
+            let threaded = run(program, &build.setup, cfg).unwrap();
+            assert_eq!(stats, threaded.stats, "{label}: traced run differs from threaded");
+
+            let sum = |f: fn(&SlotTrace) -> u64| slots.iter().map(f).sum::<u64>();
+            let paired = slots.iter().filter(|s| s.v.is_some()).count() as u64;
+            assert_eq!(sum(|s| s.stall_before), stats.stall_cycles, "{label}: stalls");
+            assert_eq!(paired, stats.pairs, "{label}: pairs");
+            assert_eq!(slots.len() as u64 - paired, stats.singles, "{label}: singles");
+            assert_eq!(slots.len() as u64 + paired, stats.instructions, "{label}: instructions");
+            assert_eq!(
+                sum(|s| s.stall_before + s.slot_cycles + s.mispredict_penalty),
+                stats.cycles,
+                "{label}: cycles"
+            );
+        }
+    }
 }
 
 /// The engines also agree on error classification (runaway-program

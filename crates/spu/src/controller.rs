@@ -57,9 +57,8 @@ impl SpuContext {
     /// One controller step from `(state, counters)`: decrement the
     /// state's counter; zero takes the `NextState0` arc and auto-reloads
     /// the counter. This is **the** counter/arc arithmetic —
-    /// [`SpuController::on_issue`], the peek methods and
-    /// [`ControllerWalk`] all call it, so a model walk can never drift
-    /// from the live controller.
+    /// [`SpuController::on_issue`] and the peek methods all call it, so a
+    /// peek can never drift from the live controller.
     fn advance(&self, state: u8, mut counters: [u32; 2]) -> (u8, [u32; 2]) {
         let s = self.states[state as usize];
         let c = (s.cntr & 1) as usize;
@@ -266,22 +265,13 @@ impl SpuController {
     /// without redoing the first step's counter arithmetic. The pipeline
     /// calls this once per issue slot during pairing analysis.
     pub fn peek_routing_pair(&self) -> (StepRouting, StepRouting) {
-        let walk = self.walk();
-        (walk.current_routing(), walk.next_routing())
-    }
-
-    /// A pure model of the controller's walk from its current live state:
-    /// the same `(go, state, counters)` triple advanced by the same
-    /// `SpuContext::advance` arithmetic, but detached from the
-    /// controller so a caller can run it arbitrarily far ahead (the trace
-    /// translator pre-resolves a whole region's routings this way).
-    pub fn walk(&self) -> ControllerWalk<'_> {
-        ControllerWalk {
-            ctx: &self.contexts[self.active],
-            go: self.go,
-            state: self.state,
-            counters: self.counters,
+        if !self.go {
+            return (StepRouting::default(), StepRouting::default());
         }
+        let ctx = &self.contexts[self.active];
+        let (next, _) = ctx.advance(self.state, self.counters);
+        let second = if next == IDLE_STATE { StepRouting::default() } else { ctx.routing_of(next) };
+        (ctx.routing_of(self.state), second)
     }
 
     /// Window base register of the active context.
@@ -292,85 +282,6 @@ impl SpuController {
     /// Name of the program loaded in the active context.
     pub fn active_program_name(&self) -> &str {
         &self.contexts[self.active].program_name
-    }
-}
-
-/// A detached, side-effect-free copy of the controller's run state (see
-/// [`SpuController::walk`]). [`ControllerWalk::step`] mirrors
-/// [`SpuController::on_issue`] exactly — same routing, same arc taken,
-/// same go-clear on idle — minus the usage counters, so stepping a walk
-/// `n` times then reading [`ControllerWalk::current_routing`] equals
-/// `peek_routing(n)`.
-#[derive(Clone, Debug)]
-pub struct ControllerWalk<'a> {
-    ctx: &'a SpuContext,
-    go: bool,
-    state: u8,
-    counters: [u32; 2],
-}
-
-impl ControllerWalk<'_> {
-    /// True while the modelled controller is live.
-    pub fn is_active(&self) -> bool {
-        self.go
-    }
-
-    /// The routing the next issued instruction would receive.
-    pub fn current_routing(&self) -> StepRouting {
-        if !self.go {
-            return StepRouting::default();
-        }
-        self.ctx.routing_of(self.state)
-    }
-
-    /// The routing the instruction *after* next would receive —
-    /// `(current_routing, next_routing)` is exactly
-    /// [`SpuController::peek_routing_pair`].
-    pub fn next_routing(&self) -> StepRouting {
-        if !self.go {
-            return StepRouting::default();
-        }
-        let (next, _) = self.ctx.advance(self.state, self.counters);
-        if next == IDLE_STATE {
-            StepRouting::default()
-        } else {
-            self.ctx.routing_of(next)
-        }
-    }
-
-    /// Advance the walk by one issued instruction, returning the routing
-    /// that instruction receives.
-    pub fn step(&mut self) -> StepRouting {
-        if !self.go {
-            return StepRouting::default();
-        }
-        let routing = self.ctx.routing_of(self.state);
-        let (state, counters) = self.ctx.advance(self.state, self.counters);
-        self.state = state;
-        self.counters = counters;
-        if self.state == IDLE_STATE {
-            self.go = false;
-        }
-        routing
-    }
-
-    /// The signature the machine checks between the two slots of a pair:
-    /// a pairing decision is cancelled when issuing the first slot changes
-    /// it (the live-controller equivalent compares
-    /// `(is_active, activations, active_context)`; a walk has no MMIO
-    /// surface, so only the go bit can change).
-    pub fn go_bit(&self) -> bool {
-        self.go
-    }
-
-    /// Current modelled state id.
-    pub fn state(&self) -> u8 {
-        self.state
-    }
-
-    /// Current modelled counter values.
-    pub fn counters(&self) -> [u32; 2] {
-        self.counters
     }
 }
 
@@ -481,31 +392,6 @@ mod tests {
             c.on_issue();
         }
         assert_eq!(c.peek_routing_pair(), (StepRouting::default(), StepRouting::default()));
-    }
-
-    /// A detached walk tracks the live controller step for step: same
-    /// routings, same idle transition, and `(current, next)` routing
-    /// matches `peek_routing_pair` throughout.
-    #[test]
-    fn walk_mirrors_live_controller() {
-        let mut model = SpuController::new(SHAPE_D);
-        model.load_program(0, &dot_program()).unwrap();
-        assert_eq!(model.walk().current_routing(), StepRouting::default());
-        model.activate();
-        let mut live = model.clone();
-        let mut walk = model.walk();
-        for step in 0..=30 {
-            assert_eq!(walk.is_active(), live.is_active(), "go bit diverged at step {step}");
-            assert_eq!(walk.state(), live.current_state(), "state diverged at step {step}");
-            assert_eq!(walk.counters(), live.counters(), "counters diverged at step {step}");
-            assert_eq!(
-                (walk.current_routing(), walk.next_routing()),
-                live.peek_routing_pair(),
-                "peek pair diverged at step {step}"
-            );
-            assert_eq!(walk.step(), live.on_issue(), "routing diverged at step {step}");
-        }
-        assert!(!walk.is_active());
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub fn in_mmio_range(addr: u32) -> bool {
 /// opposed to the control registers — CONFIG, counters, entry state —
 /// in a context's first [`STATE_TABLE_OFF`] bytes? Control-register
 /// effects are fully visible in the controller's observable state
-/// (go/context/state/counters), which trace-translation entry
+/// (go/context/state/counters), which the threaded engine's trace entry
 /// signatures capture; only microcode writes can change a state's
 /// routing behind an unchanged signature, so only they need to
 /// invalidate cached traces.

@@ -5,27 +5,31 @@
 //! throughput step stays informational — but scheduled per-block
 //! *simulated* cycles are bit-deterministic: the same tree produces the
 //! same numbers on every machine, every run. That makes them gateable.
-//! CI runs `sweep --check-baseline BENCH_cycles.json <report.json>`
-//! against the job's own sweep artifact and **fails** on any cycle
-//! regression or coverage change; `sweep --write-baseline` regenerates
-//! the file when a change legitimately moves the numbers (commit the
-//! diff — it *is* the review artifact).
+//! CI runs `sweep --check-baseline BENCH_cycles.json`, which gates the
+//! report the sweep just produced and **fails** on any cycle regression
+//! or coverage change, and the same for the out-of-order model against
+//! `BENCH_cycles_ooo.json`; a sweep run with `--write-baseline FILE`
+//! regenerates a file when a change legitimately moves the numbers
+//! (commit the diff — it *is* the review artifact).
 //!
 //! A baseline row pins all four per-block cycle counts of one
-//! (kernel, shape, scale) cell: unscheduled and scheduled, MMX-only and
-//! MMX+SPU. Coverage is compared exactly in both directions — a kernel
-//! missing from the report is a lost benchmark, a kernel missing from
-//! the baseline is an ungated one; both fail the check.
+//! (kernel, shape, scale, pipeline model) cell: unscheduled and
+//! scheduled, MMX-only and MMX+SPU. Coverage is compared exactly in
+//! both directions — a kernel missing from the report is a lost
+//! benchmark, a kernel missing from the baseline is an ungated one;
+//! both fail the check. The pipeline model is part of the key, so a
+//! report checked against the other model's baseline fails as a
+//! coverage change on every cell.
 
 use crate::json::Json;
 use crate::sweep::SweepReport;
 use std::fmt::Write as _;
 
 /// Schema tag of the committed baseline document.
-const SCHEMA: &str = "subword-cycles/v1";
+const SCHEMA: &str = "subword-cycles/v2";
 
 /// One gated cell: the deterministic per-block cycle counts of a
-/// (kernel, shape, scale) measurement.
+/// (kernel, shape, scale, pipeline model) measurement.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CycleCell {
     /// Kernel name.
@@ -36,6 +40,9 @@ pub struct CycleCell {
     pub shape: String,
     /// Block-count scale.
     pub scale: u64,
+    /// Pipeline model the cycles were timed on (the report cell's
+    /// `pipeline` column).
+    pub pipeline: String,
     /// Unscheduled MMX-only per-block cycles.
     pub baseline: u64,
     /// Unscheduled MMX+SPU per-block cycles.
@@ -47,8 +54,13 @@ pub struct CycleCell {
 }
 
 impl CycleCell {
-    fn key(&self) -> (&str, &str, u64) {
-        (&self.kernel, &self.shape, self.scale)
+    fn key(&self) -> (&str, &str, u64, &str) {
+        (&self.kernel, &self.shape, self.scale, &self.pipeline)
+    }
+
+    /// The cell's key as diff lines name it.
+    fn label(&self) -> String {
+        format!("{}/shape {}/scale {}/{}", self.kernel, self.shape, self.scale, self.pipeline)
     }
 
     fn counters(&self) -> [(&'static str, u64); 4] {
@@ -114,8 +126,9 @@ impl std::fmt::Display for CheckFailure {
             }
             write!(
                 f,
-                "{} coverage change(s) — cells added or removed; if intentional, regenerate \
-                 with `sweep --write-baseline`:",
+                "{} coverage change(s) — cells added or removed, or a report checked against \
+                 the other pipeline model's baseline; if intentional, regenerate with \
+                 `sweep --write-baseline`:",
                 self.coverage.len()
             )?;
             for c in &self.coverage {
@@ -138,6 +151,7 @@ impl CyclesBaseline {
                     family: c.record.family.name().to_string(),
                     shape: c.shape.clone(),
                     scale: c.scale,
+                    pipeline: c.pipeline.clone(),
                     baseline: c.record.baseline_per_block.cycles,
                     spu: c.record.spu_per_block.cycles,
                     sched_baseline: c.record.sched_baseline_per_block.cycles,
@@ -156,26 +170,21 @@ impl CyclesBaseline {
         for base in &self.cells {
             let Some(cur) = current.cells.iter().find(|c| c.key() == base.key()) else {
                 failure.coverage.push(format!(
-                    "{}/shape {}/scale {}: in baseline but not in report (lost coverage)",
-                    base.kernel, base.shape, base.scale
+                    "{}: in baseline but not in report (lost coverage)",
+                    base.label()
                 ));
                 continue;
             };
             for ((name, was), (_, now)) in base.counters().into_iter().zip(cur.counters()) {
                 match now.cmp(&was) {
                     std::cmp::Ordering::Greater => failure.regressions.push(format!(
-                        "{}/shape {}/scale {}: {name} per-block cycles regressed {was} -> {now} \
-                         (+{:.2}%)",
-                        base.kernel,
-                        base.shape,
-                        base.scale,
+                        "{}: {name} per-block cycles regressed {was} -> {now} (+{:.2}%)",
+                        base.label(),
                         100.0 * (now - was) as f64 / was.max(1) as f64
                     )),
                     std::cmp::Ordering::Less => summary.improvements.push(format!(
-                        "{}/shape {}/scale {}: {name} improved {was} -> {now} (-{:.2}%)",
-                        base.kernel,
-                        base.shape,
-                        base.scale,
+                        "{}: {name} improved {was} -> {now} (-{:.2}%)",
+                        base.label(),
                         100.0 * (was - now) as f64 / was.max(1) as f64
                     )),
                     std::cmp::Ordering::Equal => {}
@@ -184,10 +193,9 @@ impl CyclesBaseline {
         }
         for cur in &current.cells {
             if !self.cells.iter().any(|b| b.key() == cur.key()) {
-                failure.coverage.push(format!(
-                    "{}/shape {}/scale {}: in report but not in baseline (ungated cell)",
-                    cur.kernel, cur.shape, cur.scale
-                ));
+                failure
+                    .coverage
+                    .push(format!("{}: in report but not in baseline (ungated cell)", cur.label()));
             }
         }
         (summary, failure)
@@ -248,6 +256,7 @@ impl CyclesBaseline {
                                 ("family".into(), Json::Str(c.family.clone())),
                                 ("shape".into(), Json::Str(c.shape.clone())),
                                 ("scale".into(), Json::UInt(c.scale)),
+                                ("pipeline".into(), Json::Str(c.pipeline.clone())),
                                 ("baseline".into(), Json::UInt(c.baseline)),
                                 ("spu".into(), Json::UInt(c.spu)),
                                 ("sched_baseline".into(), Json::UInt(c.sched_baseline)),
@@ -279,6 +288,7 @@ impl CyclesBaseline {
                         family: c.field("family")?.as_str()?.to_string(),
                         shape: c.field("shape")?.as_str()?.to_string(),
                         scale: c.field("scale")?.as_u64()?,
+                        pipeline: c.field("pipeline")?.as_str()?.to_string(),
                         baseline: c.field("baseline")?.as_u64()?,
                         spu: c.field("spu")?.as_u64()?,
                         sched_baseline: c.field("sched_baseline")?.as_u64()?,
@@ -294,12 +304,18 @@ impl CyclesBaseline {
 mod tests {
     use super::*;
     use crate::sweep::{run_sweep, SweepConfig};
+    use subword_sim::PipelineKind;
     use subword_spu::SHAPE_A;
 
-    fn small_report() -> SweepReport {
+    fn report_on(pipeline: PipelineKind) -> SweepReport {
         let mut cfg = SweepConfig::pixel(&[SHAPE_A]);
         cfg.entries.truncate(2); // SAD + YUV
+        cfg.base.pipeline = pipeline;
         run_sweep(&cfg, None).unwrap().report
+    }
+
+    fn small_report() -> SweepReport {
+        report_on(PipelineKind::InOrder)
     }
 
     #[test]
@@ -315,7 +331,7 @@ mod tests {
         assert!(summary.improvements.is_empty());
         // Corrupt documents are rejected.
         assert!(CyclesBaseline::from_json("{}").is_err());
-        assert!(CyclesBaseline::from_json(&base.to_json().replace("/v1", "/v0")).is_err());
+        assert!(CyclesBaseline::from_json(&base.to_json().replace("/v2", "/v1")).is_err());
     }
 
     #[test]
@@ -349,6 +365,7 @@ mod tests {
             family: "pixel".into(),
             shape: "A".into(),
             scale: 1,
+            pipeline: "in-order".into(),
             baseline: 1,
             spu: 1,
             sched_baseline: 1,
@@ -369,6 +386,25 @@ mod tests {
         let err = ungated.check(&report).unwrap_err();
         assert!(err.regressions.is_empty());
         assert!(err.to_string().contains("not in baseline"));
+    }
+
+    /// The pipeline model is part of a cell's key: a report checked
+    /// against the other model's baseline loses every baseline cell and
+    /// leaves every report cell ungated — coverage changes only, never
+    /// a cycle comparison across models — in both directions.
+    #[test]
+    fn crossing_pipeline_models_is_a_coverage_change() {
+        let inorder = small_report();
+        let ooo = report_on(PipelineKind::OutOfOrder);
+        let inorder_base = CyclesBaseline::from_report(&inorder);
+        let ooo_base = CyclesBaseline::from_report(&ooo);
+        for (base, report) in [(&inorder_base, &ooo), (&ooo_base, &inorder)] {
+            let err = base.check(report).unwrap_err();
+            assert!(err.regressions.is_empty(), "{err}");
+            assert_eq!(err.coverage.len(), base.cells.len() + report.cells.len(), "{err}");
+        }
+        assert!(inorder_base.check(&inorder).is_ok());
+        assert!(ooo_base.check(&ooo).is_ok());
     }
 
     #[test]

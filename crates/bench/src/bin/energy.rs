@@ -4,14 +4,15 @@
 //! the deleted permutes against control-memory reads and crossbar
 //! traversals.
 
-use subword_bench::{run_suite, Table};
+use subword_bench::sweep::{run_sweep, SweepConfig};
+use subword_bench::Table;
 use subword_hw::energy::EnergyModel;
 use subword_spu::SHAPE_A;
 
 fn main() {
     println!("Energy per block (extension; first-order 0.25um-era model)\n");
     let model = EnergyModel::default();
-    let results = run_suite(&SHAPE_A);
+    let run = run_sweep(&SweepConfig::paper(&[SHAPE_A]), None).expect("energy sweep");
 
     let mut t = Table::new(&[
         "benchmark",
@@ -21,11 +22,12 @@ fn main() {
         "SPU overhead nJ",
         "front-end saved nJ",
     ]);
-    for m in &results {
-        let base = model.estimate(&m.baseline.per_block, None);
-        let spu = model.estimate(&m.spu.per_block, Some(&SHAPE_A));
+    for cell in &run.report.cells {
+        let r = &cell.record;
+        let base = model.estimate(&r.baseline_per_block, None);
+        let spu = model.estimate(&r.spu_per_block, Some(&SHAPE_A));
         t.row(vec![
-            m.name.to_string(),
+            r.kernel.clone(),
             format!("{:.0}", base.total()),
             format!("{:.0}", spu.total()),
             format!("{:.1}", 100.0 * (1.0 - spu.total() / base.total())),

@@ -2,34 +2,33 @@
 //! family (Figure 9's eight signal kernels, the four pixel/video
 //! kernels, plus the Figure 5 dot-product) under each Table 1 shape A–D
 //! — in one parallel pass, and emits the resulting [`SweepReport`] as
-//! JSON on stdout (progress, the cache summary and the scheduling
-//! report go to stderr).
+//! JSON: to `out.json` when given, otherwise on stdout, which then
+//! carries the report and nothing else. Progress, the scheduling
+//! report, the store counters and the baseline verdicts go to stderr.
 //!
 //! ```text
+//! sweep [--family paper|pixel|all] [--pipeline inorder|ooo] [--cache-dir DIR]
+//!       [--check-baseline FILE [--diff-out FILE]] [--write-baseline FILE] [out.json]
+//!
 //! cargo run --release -p subword-bench --bin sweep                  # JSON to stdout
-//! cargo run --release -p subword-bench --bin sweep -- out.json
 //! cargo run --release -p subword-bench --bin sweep -- --family pixel out.json
-//! cargo run --release -p subword-bench --bin sweep -- --cache-dir .sweep-store --cache-stats out.json
 //! cargo run --release -p subword-bench --bin sweep -- --cache-dir .sweep-store \
 //!     --check-baseline BENCH_cycles.json --diff-out diff.txt out.json
-//! cargo run --release -p subword-bench --bin sweep -- --table out.json
-//! cargo run --release -p subword-bench --bin sweep -- --check-baseline BENCH_cycles.json out.json diff.txt
-//! cargo run --release -p subword-bench --bin sweep -- --write-baseline BENCH_cycles.json out.json
+//! cargo run --release -p subword-bench --bin sweep -- --pipeline ooo \
+//!     --check-baseline BENCH_cycles_ooo.json
+//! cargo run --release -p subword-bench --bin sweep -- --write-baseline BENCH_cycles.json
 //! ```
 //!
 //! `--family paper|pixel|all` restricts the sweep to one kernel family
-//! (default `all`). `--table` re-prints the per-kernel scheduling report
-//! (cycles and issued-pair rate, scheduled vs. unscheduled, per variant)
-//! from an existing report file without re-running the sweep — the CI
-//! scheduling-report step uses it on the job's own sweep artifact.
+//! (default `all`).
 //!
 //! `--pipeline inorder|ooo` selects the pipeline model (DESIGN.md §14;
 //! default `inorder`). An out-of-order sweep answers the sensitivity
 //! question — does SPU lifting still pay once the core extracts its own
-//! ILP? — and is **never gated**: the scheduling contract and the
-//! committed `BENCH_cycles.json` baseline are both defined on the
-//! in-order model, so the scheduling gate is skipped and
-//! `--check-baseline` is rejected under `--pipeline ooo`.
+//! ILP? The scheduling gate below is defined on the in-order model only
+//! and is skipped under `--pipeline ooo`; the cycles baseline gates
+//! either model, each against its own file (`BENCH_cycles.json`,
+//! `BENCH_cycles_ooo.json`).
 //!
 //! `--cache-dir DIR` attaches the persistent content-addressed
 //! measurement store (DESIGN.md §13): cells whose content hash — kernel
@@ -37,27 +36,24 @@
 //! block scale, variant set, pipeline version — already has a valid
 //! entry under `DIR` are replayed from disk (flagged `"cached": true`
 //! in the report) instead of re-simulated; everything fresh is written
-//! back. `--cache-stats` prints the run's `hits`/`misses`/`invalidated`
-//! store counters on stdout (CI greps the line into the step summary).
+//! back. The run's store counters go to stderr as one
+//! `cache-stats: hits=… misses=… invalidated=…` line (CI greps it into
+//! the step summary).
 //!
-//! `--check-baseline` compares a report's deterministic per-block
-//! simulated cycles against the committed `BENCH_cycles.json` and exits
+//! `--check-baseline FILE` compares the report's deterministic
+//! per-block simulated cycles against a committed baseline and exits
 //! non-zero on any regression or coverage change — the gating CI step
 //! (wall-clock MIPS stays informational; simulated cycles are
 //! bit-deterministic). The failure message keeps the two classes apart:
 //! a *cycle regression* means the code got slower, a *coverage change*
-//! means cells appeared or disappeared and the baseline needs a
-//! deliberate refresh. Two forms:
+//! means cells appeared or disappeared — or the report was timed on the
+//! other pipeline model — and the baseline needs a deliberate refresh.
+//! With a warm `--cache-dir`, only changed cells are re-simulated before
+//! the gate. `--diff-out FILE` writes the full diff summary
+//! (improvements, regressions, coverage changes; pass or fail).
 //!
-//! * **offline** (flag first): `sweep --check-baseline <baseline>
-//!   <report> [diff.txt]` gates an existing report file; the optional
-//!   third operand writes the full diff summary to a file.
-//! * **composed** (flag after sweep options): `--check-baseline
-//!   <baseline>` gates the report the sweep just produced, in the same
-//!   process — with `--cache-dir`, a warm run re-simulates only changed
-//!   cells before gating. `--diff-out <file>` writes the diff summary.
-//!
-//! `--write-baseline` regenerates the committed file from a report.
+//! `--write-baseline FILE` writes the report's cycles as a baseline
+//! (after the check, when both are given) — the refresh step.
 //!
 //! The process asserts the sweep's invariants before emitting anything:
 //!
@@ -79,6 +75,21 @@ use subword_bench::Table;
 use subword_kernels::suite::Family;
 use subword_sim::PipelineKind;
 use subword_spu::crossbar::CANONICAL_SHAPES;
+
+const USAGE: &str = "usage: sweep [--family paper|pixel|all] [--pipeline inorder|ooo] \
+                     [--cache-dir DIR] [--check-baseline FILE] [--diff-out FILE] \
+                     [--write-baseline FILE] [out.json]";
+
+/// Print `error: {msg}` and exit with `code` (2 for usage errors, 1 for
+/// everything else).
+fn fail(code: i32, msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(code);
+}
+
+fn write_file(path: &str, contents: String) {
+    std::fs::write(path, contents).unwrap_or_else(|e| fail(1, &format!("write {path}: {e}")));
+}
 
 /// The per-kernel scheduling report: cycles and issued-pair rate,
 /// scheduled vs. unscheduled, for both variants of every cell at the
@@ -115,225 +126,83 @@ fn sched_table(report: &SweepReport) -> String {
     t.render()
 }
 
-fn load_report(path: &str) -> SweepReport {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("error: read {path}: {e}");
-        std::process::exit(1);
-    });
-    SweepReport::from_json(&text).unwrap_or_else(|e| {
-        eprintln!("error: parse {path}: {e}");
-        std::process::exit(1);
-    })
-}
-
-/// The cycles-baseline gate, shared by the offline and composed forms:
-/// load the committed baseline, optionally write the full diff summary,
-/// and exit non-zero on any regression or coverage change.
-/// `report_name` is only used in the refresh hint.
-fn check_baseline(
-    base_path: &str,
-    report: &SweepReport,
-    diff_path: Option<&str>,
-    report_name: &str,
-) {
-    let text = std::fs::read_to_string(base_path).unwrap_or_else(|e| {
-        eprintln!("error: read {base_path}: {e}");
-        std::process::exit(1);
-    });
-    let base = CyclesBaseline::from_json(&text).unwrap_or_else(|e| {
-        eprintln!("error: parse {base_path}: {e}");
-        std::process::exit(1);
-    });
+/// The cycles-baseline gate: load the committed baseline, optionally
+/// write the full diff summary, and exit non-zero on any regression or
+/// coverage change.
+fn check_baseline(base_path: &str, report: &SweepReport, diff_path: Option<&str>) {
+    let text = std::fs::read_to_string(base_path)
+        .unwrap_or_else(|e| fail(1, &format!("read {base_path}: {e}")));
+    let base = CyclesBaseline::from_json(&text)
+        .unwrap_or_else(|e| fail(1, &format!("parse {base_path}: {e}")));
     if let Some(path) = diff_path {
-        std::fs::write(path, base.diff_summary(report)).unwrap_or_else(|e| {
-            eprintln!("error: write {path}: {e}");
-            std::process::exit(1);
-        });
+        write_file(path, base.diff_summary(report));
         eprintln!("cycles baseline diff written to {path}");
     }
     match base.check(report) {
         Ok(summary) => {
-            println!(
+            eprintln!(
                 "cycles baseline ok: {} cells match {base_path} ({} improved)",
                 summary.cells,
                 summary.improvements.len()
             );
             for note in &summary.improvements {
-                println!("  note: {note}");
+                eprintln!("  note: {note}");
             }
             if !summary.improvements.is_empty() {
-                println!(
-                    "  (baseline is stale on the cheap side — refresh with \
-                     `sweep --write-baseline {base_path} {report_name}`)"
+                eprintln!(
+                    "  (baseline is stale on the cheap side — refresh it by re-running this \
+                     sweep with `--write-baseline {base_path}`)"
                 );
             }
         }
         Err(failure) => {
-            eprintln!("error: cycles baseline check against {base_path} failed:\n{failure}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Match one of the offline modes: `sweep <flag> <a> <b>` with the flag
-/// leading and exactly two operands — anything else (flag buried after
-/// other arguments, missing or extra operands) is a usage error rather
-/// than a silently dropped argument.
-fn arg_after(args: &[String], flag: &str, usage: &str) -> Option<(String, String)> {
-    if !args.iter().any(|a| a == flag) {
-        return None;
-    }
-    match args {
-        [_, f, a, b] if f == flag => Some((a.clone(), b.clone())),
-        _ => {
-            eprintln!("usage: {usage}");
-            std::process::exit(2);
+            fail(1, &format!("cycles baseline check against {base_path} failed:\n{failure}"))
         }
     }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-
-    // `--table <file>`: report on an existing sweep artifact and exit.
-    if args.iter().any(|a| a == "--table") {
-        let [_, f, path] = args.as_slice() else {
-            eprintln!("usage: sweep --table <report.json>");
-            std::process::exit(2);
-        };
-        if f != "--table" {
-            eprintln!("usage: sweep --table <report.json>");
-            std::process::exit(2);
-        }
-        let report = load_report(path);
-        println!("scheduling report ({path}):");
-        println!("{}", sched_table(&report));
-        if report.cells.iter().any(|c| c.pipeline != "in-order") {
-            // The table is still informative (that is the experiment),
-            // but the contract is only defined in-order — don't gate.
-            println!(
-                "scheduling invariants not gated: report was measured on an \
-                 out-of-order pipeline model"
-            );
-            return;
-        }
-        match report.check_sched_invariants() {
-            Ok(()) => println!("scheduling invariants hold: no cell costs cycles, pair rate up"),
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    // Offline `--check-baseline <baseline> <report> [diff-out.txt]`
-    // (flag **first**): the deterministic cycles gate over an existing
-    // sweep artifact. The optional third operand writes the full diff
-    // summary (improvements, regressions, coverage changes — pass or
-    // fail) to a file, which CI uploads as the review artifact for
-    // baseline refreshes. A `--check-baseline` appearing after other
-    // arguments is the composed sweep-mode form handled below.
-    if args.get(1).is_some_and(|a| a == "--check-baseline") {
-        let usage = "sweep --check-baseline <BENCH_cycles.json> <report.json> [diff-out.txt]";
-        let (base_path, report_path, diff_path) = match args.as_slice() {
-            [_, f, a, b] if f == "--check-baseline" => (a.clone(), b.clone(), None),
-            [_, f, a, b, d] if f == "--check-baseline" => (a.clone(), b.clone(), Some(d.clone())),
-            _ => {
-                eprintln!("usage: {usage}");
-                std::process::exit(2);
-            }
-        };
-        let report = load_report(&report_path);
-        check_baseline(&base_path, &report, diff_path.as_deref(), &report_path);
-        return;
-    }
-
-    // `--write-baseline <baseline> <report>`: regenerate the committed
-    // cycles file from an existing sweep artifact.
-    if let Some((base_path, report_path)) = arg_after(
-        &args,
-        "--write-baseline",
-        "sweep --write-baseline <BENCH_cycles.json> <report.json>",
-    ) {
-        let report = load_report(&report_path);
-        let base = CyclesBaseline::from_report(&report);
-        std::fs::write(&base_path, base.to_json()).unwrap_or_else(|e| {
-            eprintln!("error: write {base_path}: {e}");
-            std::process::exit(1);
-        });
-        println!("cycles baseline written to {base_path} ({} cells)", base.cells.len());
-        return;
-    }
-
-    // Remaining modes run a sweep: `[--family <name>] [--pipeline
-    // <model>] [--cache-dir DIR] [--cache-stats] [--check-baseline FILE]
-    // [--diff-out FILE] [out.json]`.
     let mut out_path: Option<String> = None;
     let mut family: Option<Family> = None;
     let mut pipeline = PipelineKind::InOrder;
     let mut cache_dir: Option<String> = None;
-    let mut cache_stats = false;
-    let mut baseline_path: Option<String> = None;
+    let mut check_path: Option<String> = None;
     let mut diff_out: Option<String> = None;
-    let sweep_usage = "usage: sweep [--family paper|pixel|all] [--pipeline inorder|ooo] \
-                       [--cache-dir DIR] [--cache-stats] \
-                       [--check-baseline BENCH_cycles.json] [--diff-out diff.txt] [out.json]\n\
-                              sweep --table <report.json>\n\
-                              sweep --check-baseline <BENCH_cycles.json> <report.json> [diff.txt]\n\
-                              sweep --write-baseline <BENCH_cycles.json> <report.json>";
-    let mut it = args.iter().skip(1);
-    let flag_value = |it: &mut dyn Iterator<Item = &String>, flag: &str| -> String {
-        it.next().cloned().unwrap_or_else(|| {
-            eprintln!("error: `{flag}` needs a value\n{sweep_usage}");
-            std::process::exit(2);
-        })
-    };
-    while let Some(a) = it.next() {
+    let mut write_path: Option<String> = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        let mut value =
+            || args.next().unwrap_or_else(|| fail(2, &format!("`{a}` needs a value\n{USAGE}")));
         match a.as_str() {
             "--family" => {
-                let name = flag_value(&mut it, "--family");
+                let name = value();
                 if name != "all" {
                     family = Some(Family::from_name(&name).unwrap_or_else(|| {
-                        eprintln!("error: unknown family `{name}` (paper|pixel|all)");
-                        std::process::exit(2);
+                        fail(2, &format!("unknown family `{name}` (paper|pixel|all)"))
                     }));
                 }
             }
             "--pipeline" => {
-                let name = flag_value(&mut it, "--pipeline");
+                let name = value();
                 pipeline = PipelineKind::from_name(&name).unwrap_or_else(|| {
-                    eprintln!("error: unknown pipeline model `{name}` (inorder|ooo)");
-                    std::process::exit(2);
+                    fail(2, &format!("unknown pipeline model `{name}` (inorder|ooo)"))
                 });
             }
-            "--cache-dir" => cache_dir = Some(flag_value(&mut it, "--cache-dir")),
-            "--cache-stats" => cache_stats = true,
-            "--check-baseline" => baseline_path = Some(flag_value(&mut it, "--check-baseline")),
-            "--diff-out" => diff_out = Some(flag_value(&mut it, "--diff-out")),
-            other if other.starts_with('-') => {
-                eprintln!("error: unknown flag `{other}`\n{sweep_usage}");
-                std::process::exit(2);
-            }
+            "--cache-dir" => cache_dir = Some(value()),
+            "--check-baseline" => check_path = Some(value()),
+            "--diff-out" => diff_out = Some(value()),
+            "--write-baseline" => write_path = Some(value()),
+            other if other.starts_with('-') => fail(2, &format!("unknown flag `{other}`\n{USAGE}")),
             other => {
                 if let Some(prev) = &out_path {
-                    eprintln!("error: two output paths given (`{prev}` and `{other}`)");
-                    std::process::exit(2);
+                    fail(2, &format!("two output paths given (`{prev}` and `{other}`)"));
                 }
                 out_path = Some(other.to_string());
             }
         }
     }
-    if diff_out.is_some() && baseline_path.is_none() {
-        eprintln!("error: `--diff-out` only makes sense with `--check-baseline`\n{sweep_usage}");
-        std::process::exit(2);
-    }
-    if baseline_path.is_some() && pipeline != PipelineKind::InOrder {
-        eprintln!(
-            "error: `--check-baseline` gates the in-order model only; an out-of-order \
-             report cannot be compared against the committed in-order cycles baseline"
-        );
-        std::process::exit(2);
+    if diff_out.is_some() && check_path.is_none() {
+        fail(2, &format!("`--diff-out` only makes sense with `--check-baseline`\n{USAGE}"));
     }
 
     let mut cfg = match family {
@@ -352,10 +221,8 @@ fn main() {
     );
 
     let store = cache_dir.as_ref().map(|dir| {
-        MeasurementStore::open(std::path::Path::new(dir)).unwrap_or_else(|e| {
-            eprintln!("error: open measurement store {dir}: {e}");
-            std::process::exit(1);
-        })
+        MeasurementStore::open(std::path::Path::new(dir))
+            .unwrap_or_else(|e| fail(1, &format!("open measurement store {dir}: {e}")))
     });
     let run = run_sweep(&cfg, store.as_ref()).unwrap_or_else(|e| panic!("sweep failed: {e}"));
     let report: &SweepReport = &run.report;
@@ -375,13 +242,6 @@ fn main() {
     );
     if store.is_some() {
         eprintln!(
-            "sweep: measurement store: {} replayed, {} simulated, {} invalidated",
-            run.store.hits, run.store.misses, run.store.invalidated,
-        );
-    }
-    if cache_stats {
-        // Machine-greppable (CI lifts it into the step summary).
-        println!(
             "cache-stats: hits={} misses={} invalidated={}",
             run.store.hits, run.store.misses, run.store.invalidated
         );
@@ -394,8 +254,12 @@ fn main() {
     // first — and store-replayed cells compile nothing, so on a fully
     // warm store this is zero. A kernel whose program depends on its
     // block count lifts twice and fails here.
-    let fresh_pairs: std::collections::BTreeSet<(&str, &str)> =
-        run.measurements.iter().map(|m| (m.kernel, m.shape.name)).collect();
+    let fresh_pairs: std::collections::BTreeSet<(&str, &str)> = report
+        .cells
+        .iter()
+        .filter(|c| !c.record.cached.0)
+        .map(|c| (c.kernel(), c.shape.as_str()))
+        .collect();
     assert_eq!(
         stats.misses as usize,
         fresh_pairs.len(),
@@ -403,14 +267,14 @@ fn main() {
     );
     assert_eq!(report.cells.len(), kernels * shapes * cfg.block_scales.len());
     assert_eq!(
-        run.store.hits + run.store.misses,
+        run.store.hits + run.store.misses + run.store.invalidated,
         if store.is_some() { report.cells.len() as u64 } else { 0 },
         "every cell is either store-replayed or freshly simulated"
     );
 
     // The scheduler's contract: never slower, usually better paired.
-    // Defined on the in-order model only — an out-of-order sweep is a
-    // sensitivity experiment, not a gate (DESIGN.md §14).
+    // Defined on the in-order model only — on the out-of-order model
+    // the core reorders by itself (DESIGN.md §14).
     if pipeline == PipelineKind::InOrder {
         if let Err(e) = report.check_sched_invariants() {
             panic!("scheduling invariant violated: {e}");
@@ -426,20 +290,18 @@ fn main() {
 
     match &out_path {
         Some(path) => {
-            std::fs::write(path, json).unwrap_or_else(|e| {
-                eprintln!("error: write {path}: {e}");
-                std::process::exit(1);
-            });
+            write_file(path, json);
             eprintln!("sweep: report written to {path}");
         }
         None => println!("{json}"),
     }
 
-    // Composed gate: check the report this run just produced. With a
-    // warm `--cache-dir` only changed cells were re-simulated above, so
-    // this is the incremental form of the CI cycles gate.
-    if let Some(base_path) = &baseline_path {
-        let report_name = out_path.as_deref().unwrap_or("<report.json>");
-        check_baseline(base_path, report, diff_out.as_deref(), report_name);
+    if let Some(base_path) = &check_path {
+        check_baseline(base_path, report, diff_out.as_deref());
+    }
+    if let Some(path) = &write_path {
+        let base = CyclesBaseline::from_report(report);
+        write_file(path, base.to_json());
+        eprintln!("cycles baseline written to {path} ({} cells)", base.cells.len());
     }
 }

@@ -4,9 +4,10 @@
 
 use subword_bench::Table;
 use subword_hw::control_memory::ControlMemoryModel;
-use subword_hw::crossbar::{table1_shapes, CrossbarModel};
+use subword_hw::crossbar::CrossbarModel;
 use subword_hw::die::DieOverhead;
 use subword_hw::technology::Technology;
+use subword_spu::crossbar::CANONICAL_SHAPES;
 use subword_spu::microcode::control_memory_bits;
 
 fn main() {
@@ -25,7 +26,7 @@ fn main() {
         "ctrl-mem (paper)",
         "ctrl bits 128*(15+K)",
     ]);
-    for s in table1_shapes() {
+    for s in CANONICAL_SHAPES {
         let p = CrossbarModel::paper_point(&s).unwrap();
         t.row(vec![
             s.name.to_string(),
@@ -44,7 +45,7 @@ fn main() {
     println!("Die overhead scaled to the 106 mm2 0.18um Pentium III (paper §5.1):\n");
     let mut d =
         Table::new(&["config", "contexts", "SPU mm2 @0.18um", "% of die", "delay ns @0.18um"]);
-    for s in table1_shapes() {
+    for s in CANONICAL_SHAPES {
         for contexts in [1usize, 4] {
             let o = DieOverhead::evaluate(&s, contexts, &Technology::PIII_018);
             d.row(vec![

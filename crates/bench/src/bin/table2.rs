@@ -3,13 +3,13 @@
 //! benign because media kernels barely mispredict.
 
 use subword_bench::sweep::{run_sweep, SweepConfig};
-use subword_bench::{run_suite, sci, Table};
+use subword_bench::{sci, Table};
 use subword_kernels::paper::paper_row;
 use subword_spu::SHAPE_A;
 
 fn main() {
     println!("Table 2 — branch statistics on the MMX machine\n");
-    let results = run_suite(&SHAPE_A);
+    let run = run_sweep(&SweepConfig::paper(&[SHAPE_A]), None).expect("table 2 sweep");
 
     let mut t = Table::new(&[
         "algorithm",
@@ -20,12 +20,13 @@ fn main() {
         "paper missed %",
         "description",
     ]);
-    for m in &results {
-        let p = paper_row(m.name).unwrap();
-        let scale = m.paper_scale(p);
-        let b = &m.baseline.per_block;
+    for cell in &run.report.cells {
+        let r = &cell.record;
+        let p = paper_row(&r.kernel).unwrap();
+        let scale = r.paper_scale(p);
+        let b = &r.baseline_per_block;
         t.row(vec![
-            m.name.to_string(),
+            r.kernel.clone(),
             sci(b.cycles as f64 * scale),
             sci(b.branches as f64 * scale),
             sci(b.mispredicts as f64 * scale),

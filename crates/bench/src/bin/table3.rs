@@ -2,13 +2,14 @@
 //! how many MMX permutation instructions the SPU controller absorbs, as a
 //! share of MMX and of all instructions.
 
-use subword_bench::{run_suite, sci, Table};
+use subword_bench::sweep::{run_sweep, SweepConfig};
+use subword_bench::{sci, Table};
 use subword_kernels::paper::paper_row;
 use subword_spu::SHAPE_A;
 
 fn main() {
     println!("Table 3 — cycles overlapped through decoupled control\n");
-    let results = run_suite(&SHAPE_A);
+    let run = run_sweep(&SweepConfig::paper(&[SHAPE_A]), None).expect("table 3 sweep");
 
     let mut t = Table::new(&[
         "algorithm",
@@ -19,16 +20,17 @@ fn main() {
         "% total instr",
         "paper %",
     ]);
-    for m in &results {
-        let p = paper_row(m.name).unwrap();
-        let scale = m.paper_scale(p);
+    for cell in &run.report.cells {
+        let r = &cell.record;
+        let p = paper_row(&r.kernel).unwrap();
+        let scale = r.paper_scale(p);
         t.row(vec![
-            m.name.to_string(),
-            sci(m.offloaded_per_block() as f64 * scale),
+            r.kernel.clone(),
+            sci(r.offloaded_per_block() as f64 * scale),
             sci(p.cycles_overlapped),
-            format!("{:.2}", m.pct_mmx_instr()),
+            format!("{:.2}", r.pct_mmx_instr()),
             format!("{:.2}", p.pct_mmx_instr),
-            format!("{:.2}", m.pct_total_instr()),
+            format!("{:.2}", r.pct_total_instr()),
             format!("{:.2}", p.pct_total_instr),
         ]);
     }

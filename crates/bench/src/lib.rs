@@ -19,41 +19,21 @@
 //! simulator executes a handful of blocks exactly and scales — see
 //! DESIGN.md §2).
 //!
-//! All batch measurement traffic flows through the [`sweep`]
-//! orchestration layer (DESIGN.md §4): a parallel job matrix over
-//! kernel × crossbar shape × block count that lifts each job once.
-//! ([`run_entry`] remains as a one-off probe.) On top of that sits the
-//! persistent, content-addressed [`store`] (DESIGN.md §13): with
-//! `sweep --cache-dir`, cells whose inputs are unchanged are replayed
-//! from disk instead of re-simulated.
+//! All measurement traffic flows through the [`sweep`] orchestration
+//! layer (DESIGN.md §4): a parallel job matrix over kernel × crossbar
+//! shape × block count that lifts each job once, and whose
+//! [`SweepReport`] is the one result every harness reads. On top of
+//! that sits the persistent, content-addressed [`store`] (DESIGN.md
+//! §13): with `sweep --cache-dir`, cells whose inputs are unchanged are
+//! replayed from disk instead of re-simulated.
 
 pub mod baseline;
 pub mod json;
 pub mod store;
 pub mod sweep;
 
-use subword_kernels::framework::Measurement;
-use subword_kernels::suite::SuiteEntry;
-use subword_spu::crossbar::CrossbarShape;
-
 pub use store::{cell_key, CellKey, MeasurementStore, StoreStats, PIPELINE_VERSION};
 pub use sweep::{run_sweep, CompileCache, SweepConfig, SweepReport, SweepRun};
-
-/// Run the whole Figure 9 suite under one shape — a single-shape
-/// [`run_sweep`] pass, parallel over kernels.
-pub fn run_suite(shape: &CrossbarShape) -> Vec<Measurement> {
-    let run = run_sweep(&SweepConfig::paper(std::slice::from_ref(shape)), None)
-        .unwrap_or_else(|e| panic!("suite sweep: {e}"));
-    run.measurements.into_iter().map(|m| m.measurement).collect()
-}
-
-/// Measure one suite entry directly, outside the worker pool. One-off
-/// probes only: batch work belongs in [`run_sweep`].
-pub fn run_entry(e: &SuiteEntry, shape: &CrossbarShape) -> Measurement {
-    let opts = subword_kernels::MeasureOpts::default();
-    subword_kernels::measure(e.kernel, e.blocks_small, e.blocks_large, shape, &opts)
-        .unwrap_or_else(|err| panic!("{}: {err}", e.kernel.name()))
-}
 
 /// Format a float in the paper's `1.51E+10` scientific style.
 pub fn sci(v: f64) -> String {
@@ -110,16 +90,6 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn run_entry_measures_a_kernel() {
-        let e = subword_kernels::suite::dotprod_example();
-        let m = run_entry(&e, &subword_spu::SHAPE_A);
-        assert!(m.baseline.per_block.cycles > 0);
-        assert!(m.spu.per_block.cycles > 0);
-        assert!(m.offloaded_per_block() > 0);
-        assert!(m.speedup() > 1.0);
-    }
 
     #[test]
     fn sci_matches_paper_style() {

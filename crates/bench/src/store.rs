@@ -230,9 +230,10 @@ fn hash_shape(h: &mut Fnv64, shape: &CrossbarShape) {
     h.write_u64(shape.port_bits as u64);
 }
 
-/// Per-run store counters, printed by `sweep --cache-stats`. A fully
-/// warm run on an unchanged tree shows `misses == invalidated == 0`:
-/// nothing was re-simulated.
+/// Per-run store counters, printed by every `sweep --cache-dir` run as
+/// its `cache-stats:` line. A fully warm run on an unchanged tree shows
+/// `misses == invalidated == 0`: nothing was re-simulated. Every lookup
+/// counts once, so the three sum to the run's cell count.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Cells served from a valid store entry (not re-simulated).

@@ -19,9 +19,10 @@
 //!   job lifts through a per-sweep [`CompileCache`] that hands the first
 //!   lift to the second: the lifting pass runs **once per job**;
 //! * results land in a [`SweepReport`] — a plain-data, JSON-serializable
-//!   table of [`MeasurementRecord`]s — which the `figure9`,
-//!   `ablation_shapes`, `sensitivity` and `sweep` binaries all consume
-//!   instead of re-implementing measurement loops.
+//!   table of [`MeasurementRecord`]s — the sweep's only product: every
+//!   harness binary (`figure9`, `table2`, `table3`, `energy`,
+//!   `ablation_shapes`, `sensitivity`, `sweep`) reads its cells instead
+//!   of re-implementing measurement loops.
 
 use crate::json::Json;
 use crate::store::{cell_key, MeasurementStore, StoreStats};
@@ -31,9 +32,7 @@ use std::sync::Mutex;
 use subword_compile::verify::contained;
 use subword_compile::{lift_permutes, TransformResult};
 use subword_isa::program::Program;
-use subword_kernels::framework::{
-    measure, Cached, HostNanos, MeasureOpts, Measurement, MeasurementRecord,
-};
+use subword_kernels::framework::{measure, Cached, HostNanos, MeasureOpts, MeasurementRecord};
 use subword_kernels::suite::{all_suites, dotprod_example, family_suite, Family, SuiteEntry};
 use subword_sim::{MachineConfig, SimStats};
 use subword_spu::crossbar::{CrossbarShape, CANONICAL_SHAPES};
@@ -184,20 +183,6 @@ impl CompileCache {
     }
 }
 
-/// One completed measurement, in-memory form (kept alongside the
-/// serializable record so harnesses can reach the full
-/// [`Measurement`] — compile report included — without re-running).
-pub struct SweepMeasurement {
-    /// Kernel name.
-    pub kernel: &'static str,
-    /// Shape measured under.
-    pub shape: CrossbarShape,
-    /// Block-count scale applied.
-    pub scale: u64,
-    /// The measurement.
-    pub measurement: Measurement,
-}
-
 /// One cell of the serializable report.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SweepCell {
@@ -277,24 +262,12 @@ impl PartialEq for SweepReport {
 
 /// The full result of [`run_sweep`].
 pub struct SweepRun {
-    /// Serializable report.
+    /// Serializable report: every cell of the matrix, whether simulated
+    /// by this run or replayed from the store (flagged [`Cached`]).
     pub report: SweepReport,
-    /// Freshly *simulated* measurements, in job order. Without a
-    /// measurement store this is every cell, 1:1 with `report.cells`;
-    /// with one, cells replayed from the store have no in-memory
-    /// [`Measurement`] (the compile report is not persisted) and are
-    /// absent here — `report.cells` remains the complete matrix.
-    pub measurements: Vec<SweepMeasurement>,
     /// Cross-run measurement-store counters for this run (all zero when
     /// no store was attached).
     pub store: StoreStats,
-}
-
-/// One finished job: the serializable cell, plus the in-memory
-/// measurement when the cell was simulated rather than replayed.
-struct CellOutcome {
-    cell: SweepCell,
-    fresh: Option<SweepMeasurement>,
 }
 
 /// Execute the job matrix, optionally against a cross-run
@@ -321,7 +294,7 @@ pub fn run_sweep(cfg: &SweepConfig, store: Option<&MeasurementStore>) -> Result<
     let cache = CompileCache::new();
     let jobs = cfg.jobs();
     let next = AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<Result<CellOutcome, String>>>> =
+    let results: Vec<Mutex<Option<Result<SweepCell, String>>>> =
         jobs.iter().map(|_| Mutex::new(None)).collect();
 
     let workers = cfg
@@ -347,7 +320,7 @@ pub fn run_sweep(cfg: &SweepConfig, store: Option<&MeasurementStore>) -> Result<
                 // unfilled and re-panic the scope join, poisoning the
                 // whole sweep. Key derivation builds the kernel, so it
                 // lives inside the guard too.
-                let outcome = contained(|| -> Result<CellOutcome, String> {
+                let outcome = contained(|| -> Result<SweepCell, String> {
                     let content_key = store.map(|_| {
                         cell_key(
                             entry.kernel,
@@ -362,7 +335,7 @@ pub fn run_sweep(cfg: &SweepConfig, store: Option<&MeasurementStore>) -> Result<
                     if let (Some(st), Some(k)) = (store, content_key) {
                         let pipeline = cfg.base.pipeline.name();
                         if let Some(cell) = st.load(k, key, shape.name, scale, pipeline) {
-                            return Ok(CellOutcome { cell, fresh: None });
+                            return Ok(cell);
                         }
                     }
                     let opts = MeasureOpts {
@@ -377,17 +350,16 @@ pub fn run_sweep(cfg: &SweepConfig, store: Option<&MeasurementStore>) -> Result<
                         &shape,
                         &opts,
                     )?;
-                    let fresh = SweepMeasurement { kernel: key, shape, scale, measurement };
                     let cell = SweepCell {
                         shape: shape.name.to_string(),
                         scale,
                         pipeline: cfg.base.pipeline.name().to_string(),
-                        record: fresh.measurement.record(),
+                        record: measurement.record(),
                     };
                     if let (Some(st), Some(k)) = (store, content_key) {
                         st.save(k, &cell);
                     }
-                    Ok(CellOutcome { cell, fresh: Some(fresh) })
+                    Ok(cell)
                 })
                 .unwrap_or_else(|msg| Err(format!("panicked: {msg}")))
                 .map_err(|err| format!("{key}/shape {}: {err}", shape.name));
@@ -396,18 +368,14 @@ pub fn run_sweep(cfg: &SweepConfig, store: Option<&MeasurementStore>) -> Result<
         }
     });
 
-    let mut measurements = Vec::new();
-    let mut cells = Vec::with_capacity(jobs.len());
-    for slot in results {
-        let outcome = slot
-            .into_inner()
-            .expect("result slot poisoned")
-            .expect("worker pool exited before finishing its jobs")?;
-        cells.push(outcome.cell);
-        if let Some(fresh) = outcome.fresh {
-            measurements.push(fresh);
-        }
-    }
+    let cells = results
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("result slot poisoned")
+                .expect("worker pool exited before finishing its jobs")
+        })
+        .collect::<Result<Vec<_>, String>>()?;
 
     Ok(SweepRun {
         report: SweepReport {
@@ -417,7 +385,6 @@ pub fn run_sweep(cfg: &SweepConfig, store: Option<&MeasurementStore>) -> Result<
             cache: cache.stats(),
             wall_nanos: HostNanos(wall.elapsed().as_nanos() as u64),
         },
-        measurements,
         store: store.map_or_else(StoreStats::default, MeasurementStore::stats),
     })
 }
@@ -461,8 +428,8 @@ impl SweepReport {
     }
 
     /// The scheduling contract the v3 `sched_*` columns must satisfy
-    /// (single definition for the sweep binary's gate, its `--table`
-    /// mode, and the test suite): no cell may run more per-block cycles
+    /// (single definition for the sweep binary's gate and the test
+    /// suite): no cell may run more per-block cycles
     /// scheduled than unscheduled — on either variant — and at least
     /// half the kernels must dual-issue at a strictly higher rate on
     /// some cell once scheduled. Reports produced with

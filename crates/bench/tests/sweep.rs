@@ -1,8 +1,7 @@
 //! Integration tests of the sweep orchestration layer: the compile
 //! cache must be invisible to results, the job matrix must equal
-//! independent per-shape suite runs, and reports must survive JSON.
+//! independent per-shape sweeps, and reports must survive JSON.
 
-use subword_bench::run_suite;
 use subword_bench::store::MeasurementStore;
 use subword_bench::sweep::{run_sweep, CacheStats, CompileCache, SweepConfig, SweepReport};
 use subword_kernels::framework::{measure, Kernel, KernelBuild, MeasureOpts};
@@ -41,8 +40,8 @@ fn cached_compilation_is_invisible_to_measurements() {
     }
 }
 
-/// (b) One 4-shape sweep equals four independent `run_suite` calls, and
-/// compiles exactly once per (kernel, shape).
+/// (b) One 4-shape sweep equals four independent single-shape sweeps,
+/// and compiles exactly once per (kernel, shape).
 #[test]
 fn four_shape_sweep_equals_independent_suite_runs() {
     let run = run_sweep(&SweepConfig::paper(&CANONICAL_SHAPES), None).unwrap();
@@ -59,18 +58,11 @@ fn four_shape_sweep_equals_independent_suite_runs() {
     );
 
     for shape in CANONICAL_SHAPES {
-        let suite = run_suite(&shape);
+        let single = run_sweep(&SweepConfig::paper(&[shape]), None).unwrap().report;
         let swept = run.report.for_shape(shape.name);
-        assert_eq!(suite.len(), swept.len());
-        for (independent, cell) in suite.iter().zip(swept) {
-            assert_eq!(independent.name, cell.kernel());
-            assert_eq!(
-                independent.record(),
-                cell.record,
-                "{} under shape {}",
-                cell.kernel(),
-                shape.name
-            );
+        assert_eq!(single.cells.len(), swept.len());
+        for (independent, cell) in single.cells.iter().zip(swept) {
+            assert_eq!(independent, cell, "{} under shape {}", cell.kernel(), shape.name);
         }
     }
 }

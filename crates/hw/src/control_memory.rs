@@ -47,12 +47,13 @@ impl ControlMemoryModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crossbar::{table1_shapes, CrossbarModel};
+    use crate::crossbar::CrossbarModel;
+    use subword_spu::crossbar::CANONICAL_SHAPES;
 
     #[test]
     fn bit_counts_follow_paper_formula() {
         let m = ControlMemoryModel::default();
-        let shapes = table1_shapes();
+        let shapes = CANONICAL_SHAPES;
         assert_eq!(m.bits(&shapes[0]), 128 * (15 + 192));
         assert_eq!(m.bits(&shapes[1]), 128 * (15 + 160));
         assert_eq!(m.bits(&shapes[2]), 128 * (15 + 80));
@@ -62,7 +63,7 @@ mod tests {
     #[test]
     fn single_context_areas_near_table1() {
         let m = ControlMemoryModel::default();
-        for s in table1_shapes() {
+        for s in CANONICAL_SHAPES {
             let paper = CrossbarModel::paper_point(&s).unwrap().control_mem_mm2;
             let model = m.area_mm2(&s, 1);
             let res = ((model - paper) / paper).abs();
@@ -78,7 +79,7 @@ mod tests {
     #[test]
     fn contexts_scale_linearly() {
         let m = ControlMemoryModel::default();
-        let s = table1_shapes()[3];
+        let s = CANONICAL_SHAPES[3];
         assert!((m.area_mm2(&s, 4) / m.area_mm2(&s, 1) - 4.0).abs() < 1e-12);
     }
 }

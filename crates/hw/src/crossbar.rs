@@ -25,7 +25,7 @@
 //! published calibration points are exposed so harnesses can print
 //! *paper vs model* side by side.
 
-use subword_spu::crossbar::{CrossbarShape, CANONICAL_SHAPES, SHAPE_A, SHAPE_B, SHAPE_C, SHAPE_D};
+use subword_spu::crossbar::CrossbarShape;
 
 /// Fitted coefficients for the 0.25 µm, 2-metal process of the paper.
 #[derive(Clone, Copy, Debug)]
@@ -123,25 +123,15 @@ impl CrossbarModel {
     }
 }
 
-/// Convenience: model values for the four canonical shapes in Table 1
-/// order.
-pub fn canonical_rows(model: &CrossbarModel) -> Vec<(CrossbarShape, f64, f64)> {
-    CANONICAL_SHAPES.iter().map(|s| (*s, model.area_mm2(s), model.delay_ns(s))).collect()
-}
-
-/// The canonical shapes in the same order as [`TABLE1`].
-pub fn table1_shapes() -> [CrossbarShape; 4] {
-    [SHAPE_A, SHAPE_B, SHAPE_C, SHAPE_D]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use subword_spu::crossbar::{CANONICAL_SHAPES, SHAPE_A, SHAPE_B, SHAPE_C, SHAPE_D};
 
     #[test]
     fn area_reproduces_table1_within_one_percent() {
         let m = CrossbarModel::default();
-        for s in table1_shapes() {
+        for s in CANONICAL_SHAPES {
             let res = m.area_residual(&s).unwrap().abs();
             assert!(
                 res < 0.01,
@@ -157,7 +147,7 @@ mod tests {
     #[test]
     fn delay_reproduces_table1_within_ten_percent() {
         let m = CrossbarModel::default();
-        for s in table1_shapes() {
+        for s in CANONICAL_SHAPES {
             let res = m.delay_residual(&s).unwrap().abs();
             assert!(
                 res < 0.10,

@@ -114,36 +114,6 @@ pub fn from_ibytes(b: [i8; 8]) -> u64 {
     from_bytes(b.map(|x| x as u8))
 }
 
-/// Extract lane `idx` of `v` at granularity `lane`, zero-extended.
-///
-/// # Panics
-/// Panics if `idx >= lane.count()`.
-#[inline]
-pub fn get_lane(v: u64, lane: Lane, idx: usize) -> u64 {
-    assert!(idx < lane.count(), "lane index {idx} out of range for {lane:?}");
-    let bits = lane.bits();
-    if bits == 64 {
-        v
-    } else {
-        (v >> (bits as usize * idx)) & ((1u64 << bits) - 1)
-    }
-}
-
-/// Replace lane `idx` of `v` at granularity `lane` with the low bits of `x`.
-///
-/// # Panics
-/// Panics if `idx >= lane.count()`.
-#[inline]
-pub fn set_lane(v: u64, lane: Lane, idx: usize, x: u64) -> u64 {
-    assert!(idx < lane.count(), "lane index {idx} out of range for {lane:?}");
-    let bits = lane.bits();
-    if bits == 64 {
-        return x;
-    }
-    let mask = ((1u64 << bits) - 1) << (bits as usize * idx);
-    (v & !mask) | ((x << (bits as usize * idx)) & mask)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,32 +143,6 @@ mod tests {
         let v = from_words([0x1111, 0x2222, 0x3333, 0x4444]);
         assert_eq!(v & 0xffff, 0x1111);
         assert_eq!(words_of(v)[3], 0x4444);
-        assert_eq!(get_lane(v, Lane::W, 0), 0x1111);
-        assert_eq!(get_lane(v, Lane::W, 3), 0x4444);
-    }
-
-    #[test]
-    fn get_set_lane_all_granularities() {
-        let v = 0u64;
-        let v = set_lane(v, Lane::B, 7, 0xAB);
-        assert_eq!(get_lane(v, Lane::B, 7), 0xAB);
-        let v = set_lane(v, Lane::W, 1, 0xBEEF);
-        assert_eq!(get_lane(v, Lane::W, 1), 0xBEEF);
-        let v = set_lane(v, Lane::D, 0, 0xDEAD_BEEF);
-        assert_eq!(get_lane(v, Lane::D, 0), 0xDEAD_BEEF);
-        assert_eq!(set_lane(v, Lane::Q, 0, 42), 42);
-    }
-
-    #[test]
-    fn set_lane_truncates_value_to_lane_width() {
-        let v = set_lane(0, Lane::B, 0, 0x1FF);
-        assert_eq!(v, 0xFF);
-    }
-
-    #[test]
-    #[should_panic]
-    fn get_lane_out_of_range_panics() {
-        get_lane(0, Lane::W, 4);
     }
 
     #[test]

@@ -11,13 +11,6 @@ pub fn sat16(x: i32) -> i16 {
     x.clamp(i16::MIN as i32, i16::MAX as i32) as i16
 }
 
-/// Q15 multiply with truncation (`(a*b) >> 15`), the scaling every
-/// kernel's reference uses.
-#[inline]
-pub fn mul_q15(a: i16, b: i16) -> i32 {
-    (a as i32 * b as i32) >> 15
-}
-
 /// The `pmaddwd` primitive on a 4-element window: `Σ a[i]·b[i]` in i32
 /// (wrapping, as the hardware does — only representable-overflow inputs
 /// are used by the kernels, checked by tests).
@@ -46,14 +39,6 @@ mod tests {
         assert_eq!(sat16(40000), i16::MAX);
         assert_eq!(sat16(-40000), i16::MIN);
         assert_eq!(sat16(123), 123);
-    }
-
-    #[test]
-    fn mul_q15_truncates_toward_negative() {
-        assert_eq!(mul_q15(16384, 16384), 8192); // 0.5 * 0.5 = 0.25
-        assert_eq!(mul_q15(-16384, 16384), -8192);
-        // Truncation, not rounding: (-1 * 1) >> 15 = -1 (floor).
-        assert_eq!(mul_q15(-1, 1), -1);
     }
 
     /// `madd4` must agree with the packed `pmaddwd`+`paddd` pipeline.

@@ -191,7 +191,9 @@ impl HostNanos {
 /// scheduled-vs-unscheduled delta is the orchestration signal the sweep
 /// reports per kernel. One-off probes ([`MeasureOpts::scheduled`] unset)
 /// skip the scheduled runs; their `sched_*` fields mirror the
-/// unscheduled ones.
+/// unscheduled ones. The derived metrics (speedup, cycles saved,
+/// off-load shares) are defined on the flattened [`MeasurementRecord`]
+/// that [`Measurement::record`] returns.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Measurement {
     /// Kernel name.
@@ -224,78 +226,7 @@ pub struct Measurement {
     pub sim_instructions: u64,
 }
 
-/// The derived-metric formulas, defined once over the two per-block
-/// counter sets; [`Measurement`] and [`MeasurementRecord`] both delegate
-/// here.
-mod metrics {
-    use super::{PaperRow, SimStats};
-
-    pub fn speedup(base: &SimStats, spu: &SimStats) -> f64 {
-        base.cycles as f64 / spu.cycles.max(1) as f64
-    }
-
-    pub fn pct_cycles_saved(base: &SimStats, spu: &SimStats) -> f64 {
-        100.0 * (1.0 - spu.cycles as f64 / base.cycles.max(1) as f64)
-    }
-
-    pub fn offloaded_per_block(base: &SimStats, spu: &SimStats) -> u64 {
-        base.mmx_realignments - spu.mmx_realignments
-    }
-
-    pub fn pct_mmx_instr(base: &SimStats, spu: &SimStats) -> f64 {
-        100.0 * offloaded_per_block(base, spu) as f64 / base.mmx_instructions.max(1) as f64
-    }
-
-    pub fn pct_total_instr(base: &SimStats, spu: &SimStats) -> f64 {
-        100.0 * offloaded_per_block(base, spu) as f64 / base.instructions.max(1) as f64
-    }
-
-    pub fn paper_scale(base: &SimStats, paper: &PaperRow) -> f64 {
-        paper.clocks / base.cycles.max(1) as f64
-    }
-}
-
 impl Measurement {
-    /// Per-block cycle speedup from the SPU.
-    pub fn speedup(&self) -> f64 {
-        metrics::speedup(&self.baseline.per_block, &self.spu.per_block)
-    }
-
-    /// Percentage of cycles saved (how Figure 9 is usually read).
-    pub fn pct_cycles_saved(&self) -> f64 {
-        metrics::pct_cycles_saved(&self.baseline.per_block, &self.spu.per_block)
-    }
-
-    /// Off-loaded permutations per block (dynamic).
-    pub fn offloaded_per_block(&self) -> u64 {
-        metrics::offloaded_per_block(&self.baseline.per_block, &self.spu.per_block)
-    }
-
-    /// Off-loaded permutations as % of baseline MMX instructions —
-    /// Table 3's "% MMX Instr".
-    pub fn pct_mmx_instr(&self) -> f64 {
-        metrics::pct_mmx_instr(&self.baseline.per_block, &self.spu.per_block)
-    }
-
-    /// Off-loaded permutations as % of total instructions — Table 3's
-    /// "Total Instr".
-    pub fn pct_total_instr(&self) -> f64 {
-        metrics::pct_total_instr(&self.baseline.per_block, &self.spu.per_block)
-    }
-
-    /// Scale factor to print per-block numbers at the paper's magnitude
-    /// (the paper ran ~10^10 clocks per benchmark).
-    pub fn paper_scale(&self, paper: &PaperRow) -> f64 {
-        metrics::paper_scale(&self.baseline.per_block, paper)
-    }
-
-    /// Host-side simulator throughput: simulated instructions retired per
-    /// wall-clock second across this measurement's runs (eight in a
-    /// sweep cell).
-    pub fn sim_ips(&self) -> f64 {
-        self.wall_nanos.per_second(self.sim_instructions)
-    }
-
     /// Flatten into the serializable [`MeasurementRecord`] schema.
     pub fn record(&self) -> MeasurementRecord {
         MeasurementRecord {
@@ -381,49 +312,44 @@ pub struct MeasurementRecord {
 impl MeasurementRecord {
     /// Per-block cycle speedup from the SPU.
     pub fn speedup(&self) -> f64 {
-        metrics::speedup(&self.baseline_per_block, &self.spu_per_block)
+        self.baseline_per_block.cycles as f64 / self.spu_per_block.cycles.max(1) as f64
     }
 
     /// Percentage of cycles saved (how Figure 9 is usually read).
     pub fn pct_cycles_saved(&self) -> f64 {
-        metrics::pct_cycles_saved(&self.baseline_per_block, &self.spu_per_block)
+        let (base, spu) = (self.baseline_per_block.cycles, self.spu_per_block.cycles);
+        100.0 * (1.0 - spu as f64 / base.max(1) as f64)
     }
 
     /// Off-loaded permutations per block (dynamic).
     pub fn offloaded_per_block(&self) -> u64 {
-        metrics::offloaded_per_block(&self.baseline_per_block, &self.spu_per_block)
+        self.baseline_per_block.mmx_realignments - self.spu_per_block.mmx_realignments
     }
 
-    /// Off-loaded permutations as % of baseline MMX instructions.
+    /// Off-loaded permutations as % of baseline MMX instructions —
+    /// Table 3's "% MMX Instr".
     pub fn pct_mmx_instr(&self) -> f64 {
-        metrics::pct_mmx_instr(&self.baseline_per_block, &self.spu_per_block)
+        100.0 * self.offloaded_per_block() as f64
+            / self.baseline_per_block.mmx_instructions.max(1) as f64
     }
 
-    /// Off-loaded permutations as % of total instructions.
+    /// Off-loaded permutations as % of total instructions — Table 3's
+    /// "Total Instr".
     pub fn pct_total_instr(&self) -> f64 {
-        metrics::pct_total_instr(&self.baseline_per_block, &self.spu_per_block)
+        100.0 * self.offloaded_per_block() as f64
+            / self.baseline_per_block.instructions.max(1) as f64
     }
 
-    /// Scale factor to print per-block numbers at the paper's magnitude.
+    /// Scale factor to print per-block numbers at the paper's magnitude
+    /// (the paper ran ~10^10 clocks per benchmark).
     pub fn paper_scale(&self, paper: &PaperRow) -> f64 {
-        metrics::paper_scale(&self.baseline_per_block, paper)
+        paper.clocks / self.baseline_per_block.cycles.max(1) as f64
     }
 
     /// Host-side simulator throughput: simulated instructions retired per
     /// wall-clock second across this measurement's runs.
     pub fn sim_ips(&self) -> f64 {
         self.wall_nanos.per_second(self.sim_instructions)
-    }
-
-    /// Per-block cycles the list scheduler saved on the MMX-only
-    /// variant (positive = scheduled is faster).
-    pub fn sched_baseline_cycles_saved(&self) -> i64 {
-        self.baseline_per_block.cycles as i64 - self.sched_baseline_per_block.cycles as i64
-    }
-
-    /// Per-block cycles the list scheduler saved on the MMX+SPU variant.
-    pub fn sched_spu_cycles_saved(&self) -> i64 {
-        self.spu_per_block.cycles as i64 - self.sched_spu_per_block.cycles as i64
     }
 
     /// Issued-pair-rate gain from scheduling the MMX-only variant
@@ -570,7 +496,7 @@ mod tests {
             mmx_realignments: 50,
             ..Default::default()
         };
-        let m = meas(base, spu);
+        let m = meas(base, spu).record();
         assert_eq!(m.offloaded_per_block(), 150);
         assert!((m.speedup() - 1000.0 / 850.0).abs() < 1e-12);
         assert!((m.pct_cycles_saved() - 15.0).abs() < 1e-9);
@@ -585,7 +511,7 @@ mod tests {
 
     #[test]
     fn measurement_handles_zero_denominators() {
-        let m = meas(SimStats::default(), SimStats::default());
+        let m = meas(SimStats::default(), SimStats::default()).record();
         assert_eq!(m.offloaded_per_block(), 0);
         assert_eq!(m.pct_mmx_instr(), 0.0);
         assert_eq!(m.pct_total_instr(), 0.0);
@@ -602,8 +528,6 @@ mod tests {
         m.sched_spu.per_block =
             SimStats { cycles: 750, pairs: 130, singles: 140, ..Default::default() };
         let r = m.record();
-        assert_eq!(r.sched_baseline_cycles_saved(), 100);
-        assert_eq!(r.sched_spu_cycles_saved(), 50);
         // Pair rate: 150/350 vs 100/400.
         assert!((r.sched_baseline_pair_rate_gain() - (150.0 / 350.0 - 0.25)).abs() < 1e-12);
         assert!(r.sched_spu_pair_rate_gain() > 0.0);

@@ -111,15 +111,16 @@ mod tests {
     #[test]
     fn operand_interleaves_lift_including_the_multiplier() {
         // 3 widening unpacks + 1 copy per 4-pixel group.
-        let meas = measure(&AlphaBlend, 2, 6, &SHAPE_A, &MeasureOpts::default()).unwrap();
+        let meas = measure(&AlphaBlend, 2, 6, &SHAPE_A, &MeasureOpts::default()).unwrap().record();
         assert_eq!(meas.offloaded_per_block(), 4 * (PIXELS as u64 / 4));
         // The SPU variant still multiplies every group: the pmullw reads
         // its alpha operand through a route instead of an unpacked
         // register.
-        assert_eq!(meas.spu.per_block.mmx_multiplies, meas.baseline.per_block.mmx_multiplies);
+        assert_eq!(meas.spu_per_block.mmx_multiplies, meas.baseline_per_block.mmx_multiplies);
         assert!(meas.speedup() > 1.0, "blend should speed up, got {:.3}", meas.speedup());
         // The whole network sits in the mm4..mm7 window.
-        let meas_b = measure(&AlphaBlend, 2, 6, &SHAPE_B, &MeasureOpts::default()).unwrap();
+        let meas_b =
+            measure(&AlphaBlend, 2, 6, &SHAPE_B, &MeasureOpts::default()).unwrap().record();
         assert_eq!(meas_b.offloaded_per_block(), 4 * (PIXELS as u64 / 4));
     }
 }

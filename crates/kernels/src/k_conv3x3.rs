@@ -144,15 +144,15 @@ mod tests {
     fn nine_tap_widens_lift_per_group() {
         // 9 liftable widens per group, 3 groups per row, 14 rows.
         let per_block = 9 * (OUT_W as u64 / 4) * OUT_H as u64;
-        let meas = measure(&Conv3x3, 2, 4, &SHAPE_A, &MeasureOpts::default()).unwrap();
+        let meas = measure(&Conv3x3, 2, 4, &SHAPE_A, &MeasureOpts::default()).unwrap().record();
         assert_eq!(meas.offloaded_per_block(), per_block);
         assert!(meas.speedup() > 1.0, "conv should speed up, got {:.3}", meas.speedup());
         // The window shape absorbs the same network...
-        let meas_b = measure(&Conv3x3, 2, 4, &SHAPE_B, &MeasureOpts::default()).unwrap();
+        let meas_b = measure(&Conv3x3, 2, 4, &SHAPE_B, &MeasureOpts::default()).unwrap().record();
         assert_eq!(meas_b.offloaded_per_block(), per_block);
         // ...but 16-bit ports cannot express byte-granular widening even
         // with whole-file reach.
-        let meas_c = measure(&Conv3x3, 2, 4, &SHAPE_C, &MeasureOpts::default()).unwrap();
+        let meas_c = measure(&Conv3x3, 2, 4, &SHAPE_C, &MeasureOpts::default()).unwrap().record();
         assert_eq!(meas_c.offloaded_per_block(), 0);
     }
 }

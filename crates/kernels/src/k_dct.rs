@@ -159,12 +159,12 @@ mod tests {
 
     #[test]
     fn spu_lifts_transpose_and_horizontal_adds() {
-        let meas = measure(&Dct8x8, 2, 5, &SHAPE_A, &MeasureOpts::default()).unwrap();
+        let meas = measure(&Dct8x8, 2, 5, &SHAPE_A, &MeasureOpts::default()).unwrap().record();
         // Row+col passes: 8 rows × 8 outputs × 2 copies × 2 passes;
         // transpose: 4 tiles × 6 liftable.
         assert_eq!(meas.offloaded_per_block(), 256 + 24);
         let saved = meas.pct_cycles_saved();
         assert!(saved > 4.0, "dct should save >4%, got {saved:.1}%");
-        assert!(meas.baseline.per_block.mmx_fraction() > 0.6);
+        assert!(meas.baseline_per_block.mmx_fraction() > 0.6);
     }
 }

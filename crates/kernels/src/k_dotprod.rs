@@ -106,12 +106,12 @@ mod tests {
 
     #[test]
     fn measured_speedup_and_offload() {
-        let meas = measure(&DotProd, 2, 6, &SHAPE_A, &MeasureOpts::default()).unwrap();
+        let meas = measure(&DotProd, 2, 6, &SHAPE_A, &MeasureOpts::default()).unwrap().record();
         // Four realignments per group lift.
         assert_eq!(meas.offloaded_per_block(), 4 * GROUPS as u64);
         assert!(meas.speedup() > 1.05, "dot product should speed up, got {:.3}", meas.speedup());
         // Shape D suffices (paper §5.1).
-        let meas_d = measure(&DotProd, 2, 6, &SHAPE_D, &MeasureOpts::default()).unwrap();
+        let meas_d = measure(&DotProd, 2, 6, &SHAPE_D, &MeasureOpts::default()).unwrap().record();
         assert_eq!(meas_d.offloaded_per_block(), 4 * GROUPS as u64);
     }
 }

@@ -208,12 +208,12 @@ mod tests {
 
     #[test]
     fn fft128_scalar_dominated_with_high_offload_share() {
-        let meas = measure(&Fft::<128>, 1, 3, &SHAPE_A, &MeasureOpts::default()).unwrap();
+        let meas = measure(&Fft::<128>, 1, 3, &SHAPE_A, &MeasureOpts::default()).unwrap().record();
         // Tiny MMX fraction (paper: ~7%).
         assert!(
-            meas.baseline.per_block.mmx_fraction() < 0.15,
+            meas.baseline_per_block.mmx_fraction() < 0.15,
             "mmx fraction {:.3}",
-            meas.baseline.per_block.mmx_fraction()
+            meas.baseline_per_block.mmx_fraction()
         );
         // The de-interleave loop's copies+unpacks all lift: 6 per group.
         assert_eq!(meas.offloaded_per_block(), 6 * (128 / 4));

@@ -159,7 +159,7 @@ mod tests {
 
     #[test]
     fn fir12_modest_speedup_and_low_offload_share() {
-        let meas = measure(&Fir::<12>, 2, 5, &SHAPE_A, &MeasureOpts::default()).unwrap();
+        let meas = measure(&Fir::<12>, 2, 5, &SHAPE_A, &MeasureOpts::default()).unwrap().record();
         // One liftable copy per phase per group.
         assert_eq!(meas.offloaded_per_block(), 4 * (BLOCK_SAMPLES as u64 / 4));
         // The FIR idiom leaves little for the SPU: off-loaded share of
@@ -169,12 +169,12 @@ mod tests {
         let saved = meas.pct_cycles_saved();
         assert!((0.5..15.0).contains(&saved), "cycles saved {saved:.1}%");
         // Highly vectorised kernel: most instructions are MMX.
-        assert!(meas.baseline.per_block.mmx_fraction() > 0.5);
+        assert!(meas.baseline_per_block.mmx_fraction() > 0.5);
     }
 
     #[test]
     fn fir22_similar_shape() {
-        let meas = measure(&Fir::<22>, 2, 5, &SHAPE_A, &MeasureOpts::default()).unwrap();
+        let meas = measure(&Fir::<22>, 2, 5, &SHAPE_A, &MeasureOpts::default()).unwrap().record();
         assert!(meas.pct_mmx_instr() < 15.0);
         assert!(meas.speedup() > 1.0);
     }

@@ -171,12 +171,12 @@ mod tests {
 
     #[test]
     fn scalar_recurrence_dominates_and_spu_barely_helps() {
-        let meas = measure(&Iir10, 2, 4, &SHAPE_A, &MeasureOpts::default()).unwrap();
+        let meas = measure(&Iir10, 2, 4, &SHAPE_A, &MeasureOpts::default()).unwrap().record();
         // MMX is a sliver of the instruction stream (paper: ~7%).
         assert!(
-            meas.baseline.per_block.mmx_fraction() < 0.15,
+            meas.baseline_per_block.mmx_fraction() < 0.15,
             "mmx fraction {:.3}",
-            meas.baseline.per_block.mmx_fraction()
+            meas.baseline_per_block.mmx_fraction()
         );
         // ... but most of that sliver is liftable realignment: the
         // widening copies and self-unpacks all lift (3 per group).
@@ -188,6 +188,6 @@ mod tests {
         let saved = meas.pct_cycles_saved();
         assert!((-1.0..4.0).contains(&saved), "IIR saved {saved:.1}%");
         // 21 multiplies per sample are the bottleneck.
-        assert_eq!(meas.baseline.per_block.scalar_multiplies, 21 * BLOCK_SAMPLES as u64);
+        assert_eq!(meas.baseline_per_block.scalar_multiplies, 21 * BLOCK_SAMPLES as u64);
     }
 }

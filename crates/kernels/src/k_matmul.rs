@@ -164,7 +164,7 @@ mod tests {
 
     #[test]
     fn spu_lifts_transpose_and_horizontal_adds() {
-        let meas = measure(&MatMul16, 2, 4, &SHAPE_A, &MeasureOpts::default()).unwrap();
+        let meas = measure(&MatMul16, 2, 4, &SHAPE_A, &MeasureOpts::default()).unwrap().record();
         // Transpose tiles: 6×16 (two row copies per tile stay, clobbered
         // by the kept memory-source unpacks); j-loop: 3 copies × 256
         // outputs.
@@ -174,6 +174,6 @@ mod tests {
         // Off-loaded share of MMX instructions near the paper's 18.7%.
         let share = meas.pct_mmx_instr();
         assert!((5.0..30.0).contains(&share), "offload share {share:.1}%");
-        assert!(meas.baseline.per_block.mmx_fraction() > 0.6);
+        assert!(meas.baseline_per_block.mmx_fraction() > 0.6);
     }
 }

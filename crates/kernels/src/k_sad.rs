@@ -211,7 +211,7 @@ mod tests {
         // loop and stay pinned), so the windowed byte crossbar lifts
         // exactly what the full one does.
         for shape in [SHAPE_A, SHAPE_B] {
-            let meas = measure(&Sad16x16, 2, 4, &shape, &MeasureOpts::default()).unwrap();
+            let meas = measure(&Sad16x16, 2, 4, &shape, &MeasureOpts::default()).unwrap().record();
             assert_eq!(meas.offloaded_per_block(), 8 * 16 * 8, "shape {}", shape.name);
             assert!(
                 meas.speedup() > 1.0,
@@ -234,10 +234,10 @@ mod tests {
         // keep the two whole-register pre-subtract copies; the window no
         // longer costs shape D anything relative to full-reach C.
         for shape in [SHAPE_C, SHAPE_D] {
-            let m = measure(&Sad16x16, 2, 4, &shape, &MeasureOpts::default()).unwrap();
+            let m = measure(&Sad16x16, 2, 4, &shape, &MeasureOpts::default()).unwrap().record();
             assert_eq!(m.offloaded_per_block(), 2 * 16 * 8, "shape {}", shape.name);
             assert!(
-                m.spu.per_block.mmx_realignments > 0,
+                m.spu_per_block.mmx_realignments > 0,
                 "shape {}: the widening unpacks must stay in the MMX stream",
                 shape.name
             );

@@ -136,24 +136,24 @@ mod tests {
 
     #[test]
     fn spu_removes_all_register_permutes() {
-        let meas = measure(&Transpose16, 2, 5, &SHAPE_A, &MeasureOpts::default()).unwrap();
+        let meas = measure(&Transpose16, 2, 5, &SHAPE_A, &MeasureOpts::default()).unwrap().record();
         // Per tile: the two column-assembly copies and the four dq
         // unpacks lift. The two row copies (mm1, mm3) must stay: their
         // source registers are clobbered by the kept memory-source
         // unpacks before the consumers read them.
         assert_eq!(meas.offloaded_per_block(), 6 * 16);
-        assert_eq!(meas.spu.per_block.mmx_realignments, 2 * 16);
+        assert_eq!(meas.spu_per_block.mmx_realignments, 2 * 16);
         // Inter-word kernel: the SPU's biggest win (paper: top of the
         // 4-20% band).
         let saved = meas.pct_cycles_saved();
         assert!(saved > 8.0, "transpose should save >8% of cycles, got {saved:.1}%");
         // MMX dominates the instruction stream (paper: 87%).
-        assert!(meas.baseline.per_block.mmx_fraction() > 0.6);
+        assert!(meas.baseline_per_block.mmx_fraction() > 0.6);
     }
 
     #[test]
     fn word_granular_tiles_fit_shape_d() {
-        let meas = measure(&Transpose16, 2, 4, &SHAPE_D, &MeasureOpts::default()).unwrap();
+        let meas = measure(&Transpose16, 2, 4, &SHAPE_D, &MeasureOpts::default()).unwrap().record();
         assert_eq!(meas.offloaded_per_block(), 6 * 16);
     }
 }

@@ -173,11 +173,11 @@ mod tests {
     #[test]
     fn interleave_network_lifts_on_byte_shapes() {
         // 3 widening unpacks + 5 copies lift per 4-pixel group.
-        let meas = measure(&YuvToRgb, 2, 6, &SHAPE_A, &MeasureOpts::default()).unwrap();
+        let meas = measure(&YuvToRgb, 2, 6, &SHAPE_A, &MeasureOpts::default()).unwrap().record();
         assert_eq!(meas.offloaded_per_block(), 8 * (PIXELS as u64 / 4));
         assert!(meas.speedup() > 1.0, "YUV should speed up, got {:.3}", meas.speedup());
         // The whole network sits in the mm4..mm7 window.
-        let meas_b = measure(&YuvToRgb, 2, 6, &SHAPE_B, &MeasureOpts::default()).unwrap();
+        let meas_b = measure(&YuvToRgb, 2, 6, &SHAPE_B, &MeasureOpts::default()).unwrap().record();
         assert_eq!(meas_b.offloaded_per_block(), 8 * (PIXELS as u64 / 4));
     }
 }

@@ -63,11 +63,6 @@ pub fn to_bytes(v: &[i16]) -> Vec<u8> {
     v.iter().flat_map(|x| x.to_le_bytes()).collect()
 }
 
-/// i32 slice to little-endian bytes.
-pub fn to_bytes_i32(v: &[i32]) -> Vec<u8> {
-    v.iter().flat_map(|x| x.to_le_bytes()).collect()
-}
-
 /// u32 slice to little-endian bytes.
 pub fn to_bytes_u32(v: &[u32]) -> Vec<u8> {
     v.iter().flat_map(|x| x.to_le_bytes()).collect()
@@ -130,6 +125,5 @@ mod tests {
     #[test]
     fn byte_conversions() {
         assert_eq!(to_bytes(&[0x0201, -2]), vec![0x01, 0x02, 0xfe, 0xff]);
-        assert_eq!(to_bytes_i32(&[1]), vec![1, 0, 0, 0]);
     }
 }

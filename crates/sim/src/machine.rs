@@ -378,7 +378,7 @@ impl Machine {
                 // Multiply results become ready after the pipelined
                 // multiplier latency.
                 if op.is_multiply() {
-                    self.mm_ready[dst.index()] = self.cycle + self.cfg.mmx_mul_latency;
+                    self.mm_ready[dst.index()] = self.rules.mul_retire(self.cycle);
                 }
                 self.regs.write_mm(*dst, result);
                 Ok(ExecEffect::default())

@@ -119,19 +119,6 @@ impl Memory {
     pub fn read_i16s(&self, addr: u32, n: usize) -> MemResult<Vec<i16>> {
         (0..n).map(|i| Ok(self.load_u16(addr + (i * 2) as u32)? as i16)).collect()
     }
-
-    /// Write a slice of `i32` values.
-    pub fn write_i32s(&mut self, addr: u32, data: &[i32]) -> MemResult<()> {
-        for (i, &v) in data.iter().enumerate() {
-            self.store_u32(addr + (i * 4) as u32, v as u32)?;
-        }
-        Ok(())
-    }
-
-    /// Read a slice of `i32` values.
-    pub fn read_i32s(&self, addr: u32, n: usize) -> MemResult<Vec<i32>> {
-        (0..n).map(|i| Ok(self.load_u32(addr + (i * 4) as u32)? as i32)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -172,7 +159,5 @@ mod tests {
         let mut m = Memory::new(64);
         m.write_i16s(0, &[-1, 2, -3]).unwrap();
         assert_eq!(m.read_i16s(0, 3).unwrap(), vec![-1, 2, -3]);
-        m.write_i32s(8, &[i32::MIN, 7]).unwrap();
-        assert_eq!(m.read_i32s(8, 2).unwrap(), vec![i32::MIN, 7]);
     }
 }

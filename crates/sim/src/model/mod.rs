@@ -33,10 +33,11 @@
 //! (default [`PipelineKind::InOrder`], so every pre-existing baseline
 //! stays bit-identical), orthogonally to the execution *engine*
 //! ([`crate::ExecEngine`]), which only picks how the in-order semantics
-//! are evaluated (reference / decoded / trace-threaded). Threaded traces
-//! bake in in-order pairing decisions, so under
-//! [`PipelineKind::OutOfOrder`] the threaded engine soundly falls back
-//! to the out-of-order run path instead of replaying them.
+//! are evaluated (reference / decoded / trace-threaded).
+//! [`Machine::run`](crate::Machine::run) checks the model first: under
+//! [`PipelineKind::OutOfOrder`] every engine setting takes the one
+//! out-of-order run path, so no engine ever sees that model (threaded
+//! traces bake in in-order pairing decisions and could not replay it).
 //!
 //! The PR 3 static scheduler deliberately stays bound to the in-order
 //! model: its acceptance test is [`issue::replay_order`] on the
@@ -59,7 +60,8 @@ pub mod pipeline;
 pub enum PipelineKind {
     /// Pentium/P55C dual-issue in-order pipe (the paper's machine):
     /// U/V pairing rules, MMX result scoreboard, blocking scalar
-    /// multiplier. The default; all committed baselines gate on it.
+    /// multiplier. The default, and the model the scheduler's
+    /// never-slower contract is defined on.
     #[default]
     InOrder,
     /// Small out-of-order core ([`ooo`]): ROB + reservation stations +

@@ -427,7 +427,7 @@ impl Machine {
     /// to every in-order engine; only the timing-derived statistics
     /// differ, and the OoO-internal pressure counters are left in
     /// [`Machine::ooo`].
-    pub fn run_ooo(&mut self, program: &Program) -> Result<SimStats, SimError> {
+    pub(crate) fn run_ooo(&mut self, program: &Program) -> Result<SimStats, SimError> {
         self.begin_run();
         let decoded = DecodedProgram::decode(program);
         let use_routing = self.spu.is_some() && decoded.any_spu_routable;

@@ -93,7 +93,6 @@ use crate::decode::DecodedProgram;
 use crate::error::SimError;
 use crate::machine::{ExecEffect, Machine};
 use crate::model::issue::{regions_of, Region, RegionKind};
-use crate::model::PipelineKind;
 use crate::stats::SimStats;
 use subword_isa::instr::Instr;
 use subword_isa::program::Program;
@@ -242,14 +241,9 @@ impl Machine {
     /// regions from the stepper and replay them, falling back to the
     /// stepper for dynamic events. Bit-identical to
     /// [`Machine::run_reference`] in statistics, architectural state and
-    /// faults.
-    pub fn run_threaded(&mut self, program: &Program) -> Result<SimStats, SimError> {
-        // Traces hold *in-order* pairing and stall decisions, so they
-        // carry no meaning on the out-of-order model: fall back to the
-        // OoO path soundly instead of replaying wrong timing.
-        if self.cfg.pipeline == PipelineKind::OutOfOrder {
-            return self.run_ooo(program);
-        }
+    /// faults. In-order only: [`Machine::run`] sends the out-of-order
+    /// model elsewhere before choosing an engine.
+    pub(crate) fn run_threaded(&mut self, program: &Program) -> Result<SimStats, SimError> {
         self.begin_run();
         let decoded = DecodedProgram::decode(program);
         let mut tr = Translator::new(program);

@@ -30,8 +30,6 @@ pub struct SpuContext {
     counter_init: [u32; 2],
     entry: u8,
     window_base: u8,
-    /// Name of the loaded program (for reports).
-    pub program_name: String,
 }
 
 impl Default for SpuContext {
@@ -41,7 +39,6 @@ impl Default for SpuContext {
             counter_init: [1, 1],
             entry: 0,
             window_base: 0,
-            program_name: String::new(),
         }
     }
 }
@@ -154,7 +151,6 @@ impl SpuController {
         ctx.counter_init = prog.counter_init;
         ctx.entry = prog.entry;
         ctx.window_base = prog.window_base;
-        ctx.program_name = prog.name.clone();
         Ok(())
     }
 
@@ -278,11 +274,6 @@ impl SpuController {
     pub fn window_base(&self) -> u8 {
         self.contexts[self.active].window_base
     }
-
-    /// Name of the program loaded in the active context.
-    pub fn active_program_name(&self) -> &str {
-        &self.contexts[self.active].program_name
-    }
 }
 
 #[cfg(test)]
@@ -401,13 +392,16 @@ mod tests {
         let other = SpuProgram::single_loop("other", &[(None, None)], 5);
         c.load_program(1, &other).unwrap();
 
+        // Context 0 runs `dot` (30 steps), which outlasts `other`'s five.
         c.activate();
-        assert_eq!(c.active_program_name(), "dot");
+        for _ in 0..6 {
+            assert!(c.is_active());
+            c.on_issue();
+        }
         c.select_context(1);
         assert!(!c.is_active(), "context switch deactivates");
         assert_eq!(c.usage.context_switches, 1);
         c.activate();
-        assert_eq!(c.active_program_name(), "other");
         for _ in 0..5 {
             assert!(c.is_active());
             c.on_issue();

@@ -21,8 +21,11 @@
 //! [`CrossbarShape::validate_route`] checks whether a given route is
 //! *expressible* in a shape (port granularity + window reach).
 
-use crate::register::FILE_BYTES;
 use std::fmt;
+
+/// Bytes in the unified SPU register: the eight 64-bit MMX registers,
+/// register `k` at bytes `8k..8k + 8`, least significant byte first.
+pub const FILE_BYTES: usize = 64;
 
 /// A crossbar configuration (paper Table 1 row).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -66,12 +69,6 @@ impl CrossbarShape {
     #[inline]
     pub const fn in_bytes(&self) -> usize {
         self.in_ports as usize * (self.port_bits as usize / 8)
-    }
-
-    /// Bytes deliverable per cycle across all output ports.
-    #[inline]
-    pub const fn out_bytes(&self) -> usize {
-        self.out_ports as usize * (self.port_bits as usize / 8)
     }
 
     /// Number of 64-bit registers visible through the window.
@@ -243,18 +240,6 @@ impl ByteRoute {
         ByteRoute::from_words(sel.map(|(r, l)| (r.index() * 4) as u8 + l))
     }
 
-    /// Build a route that selects dword lanes from registers:
-    /// `(reg, lane)` pairs, lane `0..2`.
-    pub fn from_reg_dwords(sel: [(subword_isa::reg::MmReg, u8); 2]) -> ByteRoute {
-        let mut b = [0u8; 8];
-        for (i, (r, l)) in sel.iter().enumerate() {
-            for k in 0..4 {
-                b[4 * i + k] = (r.index() * 8) as u8 + l * 4 + k as u8;
-            }
-        }
-        ByteRoute(b)
-    }
-
     /// Apply the route to the unified register view, producing the operand
     /// value the functional unit sees.
     #[inline]
@@ -264,11 +249,6 @@ impl ByteRoute {
             out[i] = file[src as usize & (FILE_BYTES - 1)];
         }
         u64::from_le_bytes(out)
-    }
-
-    /// True if the route is the identity for register `r`.
-    pub fn is_identity_for(&self, r: subword_isa::reg::MmReg) -> bool {
-        *self == ByteRoute::identity(r)
     }
 
     /// Bitmask of the MMX registers this route gathers from: bit `i` set
@@ -327,7 +307,6 @@ mod tests {
     #[test]
     fn canonical_shape_geometry() {
         assert_eq!(SHAPE_A.in_bytes(), 64);
-        assert_eq!(SHAPE_A.out_bytes(), 32);
         assert!(SHAPE_A.full_reach());
         assert_eq!(SHAPE_B.in_bytes(), 32);
         assert_eq!(SHAPE_B.window_regs(), 4);
@@ -354,8 +333,6 @@ mod tests {
         let f = file_with_pattern();
         let r = ByteRoute::identity(MM2);
         assert_eq!(r.apply(&f), u64::from_le_bytes([16, 17, 18, 19, 20, 21, 22, 23]));
-        assert!(r.is_identity_for(MM2));
-        assert!(!r.is_identity_for(MM3));
     }
 
     #[test]
@@ -367,13 +344,6 @@ mod tests {
         assert_eq!(r.apply(&f), u64::from_le_bytes([0, 1, 8, 9, 16, 17, 24, 25]));
         assert_eq!(r.reg_span(), (0, 4));
         assert!(r.word_aligned());
-    }
-
-    #[test]
-    fn dword_route() {
-        let f = file_with_pattern();
-        let r = ByteRoute::from_reg_dwords([(MM1, 1), (MM0, 0)]);
-        assert_eq!(r.apply(&f), u64::from_le_bytes([12, 13, 14, 15, 0, 1, 2, 3]));
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!
 //! * the **SPU register** — a unified 512-bit (64-byte) view over the eight
 //!   MMX registers, making every sub-word in the file addressable and thus
-//!   removing *inter-word* restrictions ([`register`]);
+//!   removing *inter-word* restrictions (the simulator's
+//!   `RegFile::spu_view`; routes read it as [`crossbar::FILE_BYTES`] bytes);
 //! * the **SPU interconnect** — a byte- or 16-bit-granular crossbar routing
 //!   any visible sub-word to any operand lane of the MMX pipes, removing
 //!   *intra-word* restrictions ([`crossbar`]; the four configurations of the
@@ -29,10 +30,8 @@ pub mod crossbar;
 pub mod microcode;
 pub mod mmio;
 pub mod program;
-pub mod register;
 
 pub use controller::{SpuController, StepRouting};
 pub use crossbar::{ByteRoute, CrossbarShape, SHAPE_A, SHAPE_B, SHAPE_C, SHAPE_D};
 pub use microcode::{SpuState, IDLE_STATE, NUM_STATES};
 pub use program::{SpuError, SpuProgram};
-pub use register::SpuRegister;

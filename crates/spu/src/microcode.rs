@@ -152,11 +152,6 @@ impl SpuState {
         self.route_a.is_some() || self.route_b.is_some()
     }
 
-    /// True if either operand uses a non-default mode.
-    pub fn uses_modes(&self) -> bool {
-        self.mode_a != OperandMode::Gather || self.mode_b != OperandMode::Gather
-    }
-
     /// Serialise to the four-word MMIO transport format.
     ///
     /// * word 0: bit 0 = CNTRx; bits 8..15 = next0; bits 16..23 = next1;

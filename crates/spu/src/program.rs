@@ -114,29 +114,6 @@ impl SpuProgram {
         }
     }
 
-    /// Build a **linear chain** for a straight-line region: states
-    /// `0..L-1` execute once in order and the last state parks the
-    /// controller in idle. Each state's `next0 = next1`, so the counter
-    /// value is irrelevant (it is kept at a benign init of 1, reloading
-    /// every step).
-    pub fn linear_chain(
-        name: impl Into<String>,
-        body: &[(Option<ByteRoute>, Option<ByteRoute>)],
-    ) -> SpuProgram {
-        assert!(!body.is_empty(), "empty region");
-        assert!(body.len() < NUM_STATES, "region exceeds controller states");
-        let last = body.len() - 1;
-        let states = body
-            .iter()
-            .enumerate()
-            .map(|(i, (a, b))| {
-                let next = if i == last { IDLE_STATE } else { (i + 1) as u8 };
-                (i as u8, SpuState::routed(0, *a, *b, next, next))
-            })
-            .collect();
-        SpuProgram { name: name.into(), states, counter_init: [1, 1], entry: 0, window_base: 0 }
-    }
-
     /// Total number of programmed states.
     pub fn state_count(&self) -> usize {
         self.states.len()
@@ -381,36 +358,6 @@ mod tests {
         assert!(matches!(p.validate(&SHAPE_D), Err(SpuError::Route { .. })));
         p.window_base = 4;
         assert!(p.validate(&SHAPE_D).is_ok());
-    }
-
-    #[test]
-    fn linear_chain_walks_once_and_idles() {
-        use crate::controller::SpuController;
-        let r = ByteRoute::identity(MM1);
-        let p =
-            SpuProgram::linear_chain("chain", &[(Some(r), None), (None, None), (None, Some(r))]);
-        assert!(p.validate(&SHAPE_A).is_ok());
-        let mut c = SpuController::new(SHAPE_A);
-        c.load_program(0, &p).unwrap();
-        c.activate();
-        let mut routed = 0;
-        let mut steps = 0;
-        while c.is_active() {
-            if c.on_issue().routes_anything() {
-                routed += 1;
-            }
-            steps += 1;
-            assert!(steps <= 3, "chain must not loop");
-        }
-        assert_eq!(steps, 3);
-        assert_eq!(routed, 2);
-        // Re-arming replays the chain.
-        c.activate();
-        assert!(c.is_active());
-        c.on_issue();
-        c.on_issue();
-        c.on_issue();
-        assert!(!c.is_active());
     }
 
     #[test]

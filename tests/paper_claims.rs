@@ -2,22 +2,23 @@
 //! the full pipeline (kernel assembly → lifting pass → cycle simulation)
 //! must reproduce the *shape* of Figure 9 and Tables 2–3.
 
-use subword::kernels::framework::{measure, MeasureOpts, Measurement};
+use subword::kernels::framework::{measure, MeasureOpts, MeasurementRecord};
 use subword::kernels::suite::paper_suite;
 use subword::prelude::*;
 
-fn measure_all(shape: &CrossbarShape) -> Vec<Measurement> {
+fn measure_all(shape: &CrossbarShape) -> Vec<MeasurementRecord> {
     paper_suite()
         .iter()
         .map(|e| {
             measure(e.kernel, e.blocks_small, e.blocks_large, shape, &MeasureOpts::default())
                 .expect("measure")
+                .record()
         })
         .collect()
 }
 
-fn by_name<'a>(ms: &'a [Measurement], name: &str) -> &'a Measurement {
-    ms.iter().find(|m| m.name == name).unwrap()
+fn by_name<'a>(ms: &'a [MeasurementRecord], name: &str) -> &'a MeasurementRecord {
+    ms.iter().find(|m| m.kernel == name).unwrap()
 }
 
 #[test]
@@ -29,7 +30,7 @@ fn figure9_shape_holds() {
         assert!(
             m.pct_cycles_saved() > -0.5,
             "{} slowed down: {:.2}%",
-            m.name,
+            m.kernel,
             m.pct_cycles_saved()
         );
     }
@@ -57,27 +58,27 @@ fn figure9_shape_holds() {
 
     // The hashed-bar story: MMX-active fraction is high for the vector
     // kernels and tiny for the scalar-bound ones.
-    assert!(by_name(&ms, "FIR12").baseline.per_block.mmx_active_fraction() > 0.5);
-    assert!(by_name(&ms, "DCT").baseline.per_block.mmx_active_fraction() > 0.5);
-    assert!(by_name(&ms, "IIR").baseline.per_block.mmx_active_fraction() < 0.1);
-    assert!(by_name(&ms, "FFT1024").baseline.per_block.mmx_active_fraction() < 0.1);
+    assert!(by_name(&ms, "FIR12").baseline_per_block.mmx_active_fraction() > 0.5);
+    assert!(by_name(&ms, "DCT").baseline_per_block.mmx_active_fraction() > 0.5);
+    assert!(by_name(&ms, "IIR").baseline_per_block.mmx_active_fraction() < 0.1);
+    assert!(by_name(&ms, "FFT1024").baseline_per_block.mmx_active_fraction() < 0.1);
 }
 
 #[test]
 fn table2_shape_holds() {
     let ms = measure_all(&SHAPE_A);
     for m in &ms {
-        let rate = m.baseline.per_block.miss_per_clock();
+        let rate = m.baseline_per_block.miss_per_clock();
         // Paper: all rates ≤ 0.157% of clocks; ours stay sub-0.5% (our
         // per-block loops exit more often than IPP's unrolled code —
         // see EXPERIMENTS.md).
-        assert!(rate < 0.005, "{}: miss/clock {:.4}", m.name, rate);
-        assert!(m.baseline.per_block.branches > 0);
+        assert!(rate < 0.005, "{}: miss/clock {:.4}", m.kernel, rate);
+        assert!(m.baseline_per_block.branches > 0);
     }
     // FFT128's short inner loops mispredict more than FFT1024's (paper:
     // 0.157% vs 0.066%).
-    let f128 = by_name(&ms, "FFT128").baseline.per_block.miss_per_clock();
-    let f1024 = by_name(&ms, "FFT1024").baseline.per_block.miss_per_clock();
+    let f128 = by_name(&ms, "FFT128").baseline_per_block.miss_per_clock();
+    let f1024 = by_name(&ms, "FFT1024").baseline_per_block.miss_per_clock();
     assert!(f128 > f1024, "FFT128 {f128:.5} should exceed FFT1024 {f1024:.5}");
 }
 
@@ -90,11 +91,11 @@ fn table3_shape_holds() {
         assert!(
             (1.0..=70.0).contains(&mmx_share),
             "{}: off-load share {:.1}% of MMX",
-            m.name,
+            m.kernel,
             mmx_share
         );
-        assert!(total_share <= 20.0, "{}: {total_share:.1}% of total", m.name);
-        assert!(total_share > 0.0, "{}: nothing off-loaded", m.name);
+        assert!(total_share <= 20.0, "{}: {total_share:.1}% of total", m.kernel);
+        assert!(total_share > 0.0, "{}: nothing off-loaded", m.kernel);
     }
     // FIR has the lowest off-load share of MMX instructions (the
     // coefficient-replication idiom already dodges permutes); the
@@ -132,7 +133,7 @@ fn shape_d_suffices_for_all_kernels() {
             ma.offloaded_per_block(),
             md.offloaded_per_block(),
             "{}: shape D off-loads less than shape A",
-            ma.name
+            ma.kernel
         );
     }
 }

@@ -311,7 +311,7 @@ mod tests {
         let mut cfg = SweepConfig::pixel(&[SHAPE_A]);
         cfg.entries.truncate(2); // SAD + YUV
         cfg.base.pipeline = pipeline;
-        run_sweep(&cfg, None).unwrap().report
+        run_sweep(&cfg, None).unwrap()
     }
 
     fn small_report() -> SweepReport {

@@ -224,8 +224,7 @@ fn main() {
         MeasurementStore::open(std::path::Path::new(dir))
             .unwrap_or_else(|e| fail(1, &format!("open measurement store {dir}: {e}")))
     });
-    let run = run_sweep(&cfg, store.as_ref()).unwrap_or_else(|e| panic!("sweep failed: {e}"));
-    let report: &SweepReport = &run.report;
+    let report = run_sweep(&cfg, store.as_ref()).unwrap_or_else(|e| panic!("sweep failed: {e}"));
     let stats = report.cache;
     eprintln!(
         "sweep: done in {:.2}ms; compile cache: {} lifts, {} reused",
@@ -240,14 +239,17 @@ fn main() {
         report.sim_ips() / 1e6,
         cfg.base.engine,
     );
-    if store.is_some() {
-        eprintln!(
-            "cache-stats: hits={} misses={} invalidated={}",
-            run.store.hits, run.store.misses, run.store.invalidated
+    if let Some(store) = &store {
+        let s = store.stats();
+        eprintln!("cache-stats: hits={} misses={} invalidated={}", s.hits, s.misses, s.invalidated);
+        assert_eq!(
+            s.hits + s.misses + s.invalidated,
+            report.cells.len() as u64,
+            "every cell is either store-replayed or freshly simulated"
         );
     }
     eprintln!("\nscheduling report (per-block, scheduled vs. unscheduled):");
-    eprintln!("{}", sched_table(report));
+    eprintln!("{}", sched_table(&report));
 
     // One compilation per freshly simulated (kernel, shape): a kernel's
     // two block counts build one program, so the second lift reuses the
@@ -266,11 +268,6 @@ fn main() {
         "expected exactly one compilation per freshly simulated (kernel, shape)"
     );
     assert_eq!(report.cells.len(), kernels * shapes * cfg.block_scales.len());
-    assert_eq!(
-        run.store.hits + run.store.misses + run.store.invalidated,
-        if store.is_some() { report.cells.len() as u64 } else { 0 },
-        "every cell is either store-replayed or freshly simulated"
-    );
 
     // The scheduler's contract: never slower, usually better paired.
     // Defined on the in-order model only — on the out-of-order model
@@ -286,7 +283,7 @@ fn main() {
     let json = report.to_json();
     // Self-check: the emitted document parses back to the same report.
     let parsed = SweepReport::from_json(&json).expect("emitted JSON re-parses");
-    assert_eq!(&parsed, report, "JSON round trip must be lossless");
+    assert_eq!(parsed, report, "JSON round trip must be lossless");
 
     match &out_path {
         Some(path) => {
@@ -297,10 +294,10 @@ fn main() {
     }
 
     if let Some(base_path) = &check_path {
-        check_baseline(base_path, report, diff_out.as_deref());
+        check_baseline(base_path, &report, diff_out.as_deref());
     }
     if let Some(path) = &write_path {
-        let base = CyclesBaseline::from_report(report);
+        let base = CyclesBaseline::from_report(&report);
         write_file(path, base.to_json());
         eprintln!("cycles baseline written to {path} ({} cells)", base.cells.len());
     }

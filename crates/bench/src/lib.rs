@@ -1,17 +1,16 @@
 //! # subword-bench
 //!
 //! Harnesses regenerating every table and figure of the paper's
-//! evaluation:
+//! evaluation, in two binaries:
 //!
-//! | binary            | reproduces |
-//! |-------------------|------------|
-//! | `figure9`         | Figure 9 — cycles on MMX vs MMX+SPU per kernel |
-//! | `table1`          | Table 1 — crossbar area/delay + control memory, plus the §5.1 die-overhead claim |
-//! | `table2`          | Table 2 — branch statistics |
-//! | `table3`          | Table 3 — permutations off-loaded through decoupled control |
-//! | `ablation_shapes` | §6 discussion — per-kernel minimal crossbar shape and cost/benefit across shapes A–D |
-//! | `sweep`           | the full kernel × shape matrix as a JSON [`sweep::SweepReport`] |
-//! | `all`             | everything above in sequence |
+//! * `all` measures the paper kernels under shapes A–D in one
+//!   [`SweepReport`] and renders from it Table 1 (crossbar area and
+//!   delay, control memory, the §5.1 die-overhead claim), Figure 9,
+//!   Table 2 (branch statistics), Table 3 (permutations off-loaded
+//!   through decoupled control), the §6 shape ablation, the energy
+//!   extension and the machine-parameter sensitivity study;
+//! * `sweep` writes the full kernel × shape matrix as a JSON
+//!   [`SweepReport`] and gates it against a committed cycles baseline.
 //!
 //! Measured values print alongside the published ones. Absolute
 //! magnitudes are also shown re-scaled to the paper's ~10^10-clock runs
@@ -33,7 +32,7 @@ pub mod store;
 pub mod sweep;
 
 pub use store::{cell_key, CellKey, MeasurementStore, StoreStats, PIPELINE_VERSION};
-pub use sweep::{run_sweep, CompileCache, SweepConfig, SweepReport, SweepRun};
+pub use sweep::{run_sweep, CompileCache, SweepConfig, SweepReport};
 
 /// Format a float in the paper's `1.51E+10` scientific style.
 pub fn sci(v: f64) -> String {

@@ -199,11 +199,9 @@ pub fn cell_key_salted(
     hash_shape(&mut h, shape);
     // Every MachineConfig field participates: any micro-architectural
     // parameter shifts the simulated numbers.
-    h.write_u64(base.memory_size as u64);
     h.write_u64(base.mispredict_penalty);
     h.write_u64(base.spu_fitted as u64);
     hash_shape(&mut h, &base.crossbar);
-    h.write_u64(base.spu_contexts as u64);
     h.write_u64(base.mmx_mul_latency);
     h.write_u64(base.scalar_mul_latency);
     h.write_u64(base.max_cycles);

@@ -19,13 +19,13 @@
 //!   job lifts through a per-sweep [`CompileCache`] that hands the first
 //!   lift to the second: the lifting pass runs **once per job**;
 //! * results land in a [`SweepReport`] — a plain-data, JSON-serializable
-//!   table of [`MeasurementRecord`]s — the sweep's only product: every
-//!   harness binary (`figure9`, `table2`, `table3`, `energy`,
-//!   `ablation_shapes`, `sensitivity`, `sweep`) reads its cells instead
-//!   of re-implementing measurement loops.
+//!   table of [`MeasurementRecord`]s — the sweep's only product: both
+//!   harness binaries (`sweep`, and `all`, which renders every paper
+//!   table from one report) read its cells instead of re-implementing
+//!   measurement loops.
 
 use crate::json::Json;
-use crate::store::{cell_key, MeasurementStore, StoreStats};
+use crate::store::{cell_key, MeasurementStore};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -260,16 +260,6 @@ impl PartialEq for SweepReport {
     }
 }
 
-/// The full result of [`run_sweep`].
-pub struct SweepRun {
-    /// Serializable report: every cell of the matrix, whether simulated
-    /// by this run or replayed from the store (flagged [`Cached`]).
-    pub report: SweepReport,
-    /// Cross-run measurement-store counters for this run (all zero when
-    /// no store was attached).
-    pub store: StoreStats,
-}
-
 /// Execute the job matrix, optionally against a cross-run
 /// [`MeasurementStore`]. See the module docs for the orchestration
 /// model; errors carry the failing (kernel, shape) context.
@@ -281,9 +271,12 @@ pub struct SweepRun {
 /// entry is merged into the report as-is, flagged
 /// [`Cached`]`(true)` — no compilation, no simulation. Missing or
 /// invalidated (corrupt, truncated, stale-version) cells run through
-/// the normal worker-pool measurement and are written back. Store
-/// counters for the run land in [`SweepRun::store`].
-pub fn run_sweep(cfg: &SweepConfig, store: Option<&MeasurementStore>) -> Result<SweepRun, String> {
+/// the normal worker-pool measurement and are written back; the store
+/// counts each lookup ([`MeasurementStore::stats`]).
+pub fn run_sweep(
+    cfg: &SweepConfig,
+    store: Option<&MeasurementStore>,
+) -> Result<SweepReport, String> {
     if cfg.entries.is_empty() || cfg.shapes.is_empty() || cfg.block_scales.is_empty() {
         return Err("sweep config needs at least one kernel, shape and block scale".into());
     }
@@ -377,15 +370,12 @@ pub fn run_sweep(cfg: &SweepConfig, store: Option<&MeasurementStore>) -> Result<
         })
         .collect::<Result<Vec<_>, String>>()?;
 
-    Ok(SweepRun {
-        report: SweepReport {
-            shapes: cfg.shapes.iter().map(ShapeInfo::from).collect(),
-            scales: cfg.block_scales.clone(),
-            cells,
-            cache: cache.stats(),
-            wall_nanos: HostNanos(wall.elapsed().as_nanos() as u64),
-        },
-        store: store.map_or_else(StoreStats::default, MeasurementStore::stats),
+    Ok(SweepReport {
+        shapes: cfg.shapes.iter().map(ShapeInfo::from).collect(),
+        scales: cfg.block_scales.clone(),
+        cells,
+        cache: cache.stats(),
+        wall_nanos: HostNanos(wall.elapsed().as_nanos() as u64),
     })
 }
 

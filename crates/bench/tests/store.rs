@@ -3,8 +3,8 @@
 //! must chase every measurement input, and a poisoned entry must cost
 //! exactly one re-simulation — never the sweep.
 
-use subword_bench::store::{cell_key, MeasurementStore};
-use subword_bench::sweep::{run_sweep, SweepConfig, SweepRun};
+use subword_bench::store::{cell_key, MeasurementStore, StoreStats};
+use subword_bench::sweep::{run_sweep, SweepConfig, SweepReport};
 use subword_isa::program::LoopInfo;
 use subword_kernels::framework::{Kernel, KernelBuild};
 use subword_kernels::suite::{dotprod_example, Family};
@@ -38,13 +38,17 @@ fn small_config() -> SweepConfig {
     cfg
 }
 
-fn sweep(cfg: &SweepConfig, store: Option<&MeasurementStore>) -> SweepRun {
-    run_sweep(cfg, store).unwrap()
+/// Sweep `cfg` against a store freshly opened at `dir`: the report and
+/// the store's counters for this one run.
+fn sweep(cfg: &SweepConfig, dir: &std::path::Path) -> (SweepReport, StoreStats) {
+    let store = MeasurementStore::open(dir).unwrap();
+    let report = run_sweep(cfg, Some(&store)).unwrap();
+    (report, store.stats())
 }
 
 /// Cells this run simulated rather than replayed from the store.
-fn simulated(run: &SweepRun) -> usize {
-    run.report.cells.iter().filter(|c| !c.record.cached.0).count()
+fn simulated(report: &SweepReport) -> usize {
+    report.cells.iter().filter(|c| !c.record.cached.0).count()
 }
 
 /// (a) A warm store replays every cell — zero simulations — and the
@@ -55,32 +59,30 @@ fn warm_store_replays_the_cold_report_exactly() {
     let cfg = small_config();
     let cells = cfg.entries.len() * 2 * 2; // kernels x shapes x scales
 
-    let cold_store = MeasurementStore::open(&scratch.0).unwrap();
-    let cold = sweep(&cfg, Some(&cold_store));
-    assert_eq!(cold.store.hits, 0, "first run over an empty store replays nothing");
-    assert_eq!(cold.store.misses, cells as u64);
-    assert_eq!(cold.store.invalidated, 0);
+    let (cold, cold_stats) = sweep(&cfg, &scratch.0);
+    assert_eq!(cold_stats.hits, 0, "first run over an empty store replays nothing");
+    assert_eq!(cold_stats.misses, cells as u64);
+    assert_eq!(cold_stats.invalidated, 0);
     assert_eq!(simulated(&cold), cells);
-    assert!(cold.report.cells.iter().all(|c| !c.record.cached.0));
+    assert!(cold.cells.iter().all(|c| !c.record.cached.0));
     // Two lifts per simulated cell (exact hit/miss split varies: the
     // two scales of a kernel share a cache key).
-    let lifts = cold.report.cache.hits + cold.report.cache.misses;
+    let lifts = cold.cache.hits + cold.cache.misses;
     assert_eq!(lifts, 2 * cells as u64);
 
-    let warm_store = MeasurementStore::open(&scratch.0).unwrap();
-    let warm = sweep(&cfg, Some(&warm_store));
-    assert_eq!(warm.store.hits, cells as u64, "unchanged tree: every cell replays");
-    assert_eq!(warm.store.misses, 0);
-    assert_eq!(warm.store.invalidated, 0);
+    let (warm, warm_stats) = sweep(&cfg, &scratch.0);
+    assert_eq!(warm_stats.hits, cells as u64, "unchanged tree: every cell replays");
+    assert_eq!(warm_stats.misses, 0);
+    assert_eq!(warm_stats.invalidated, 0);
     assert_eq!(simulated(&warm), 0, "nothing was simulated");
-    assert!(warm.report.cells.iter().all(|c| c.record.cached.0));
-    let lifts = warm.report.cache.hits + warm.report.cache.misses;
+    assert!(warm.cells.iter().all(|c| c.record.cached.0));
+    let lifts = warm.cache.hits + warm.cache.misses;
     assert_eq!(lifts, 0, "replayed cells compile nothing");
 
     // The replayed report equals the simulated one — including, by
     // hand, the equality-exempt per-cell wall clocks and the ordering.
-    assert_eq!(warm.report, cold.report);
-    for (w, c) in warm.report.cells.iter().zip(&cold.report.cells) {
+    assert_eq!(warm, cold);
+    for (w, c) in warm.cells.iter().zip(&cold.cells) {
         assert_eq!(w.kernel(), c.kernel());
         assert_eq!(w.shape, c.shape);
         assert_eq!(w.scale, c.scale);
@@ -88,9 +90,7 @@ fn warm_store_replays_the_cold_report_exactly() {
     }
 
     // And the storeless sweep still agrees with both.
-    let plain = sweep(&cfg, None);
-    assert_eq!(plain.report, cold.report);
-    assert_eq!(plain.store.hits + plain.store.misses + plain.store.invalidated, 0);
+    assert_eq!(run_sweep(&cfg, None).unwrap(), cold);
 }
 
 /// A kernel wrapper that perturbs one measurement input of the wrapped
@@ -157,7 +157,7 @@ fn corrupted_entries_are_resimulated_not_trusted_and_not_fatal() {
     cfg.block_scales = vec![1]; // 2 kernels x 2 shapes = 4 entries
     let cells = cfg.entries.len() * 2;
 
-    let cold = sweep(&cfg, Some(&MeasurementStore::open(&scratch.0).unwrap()));
+    let (cold, _) = sweep(&cfg, &scratch.0);
     let mut entries: Vec<std::path::PathBuf> =
         std::fs::read_dir(&scratch.0).unwrap().map(|f| f.unwrap().path()).collect();
     entries.sort();
@@ -172,16 +172,16 @@ fn corrupted_entries_are_resimulated_not_trusted_and_not_fatal() {
     assert_ne!(skewed, text, "version-skew rewrite must hit");
     std::fs::write(&entries[2], skewed).unwrap(); // stale pipeline version
 
-    let warm = sweep(&cfg, Some(&MeasurementStore::open(&scratch.0).unwrap()));
-    assert_eq!(warm.store.invalidated, 3, "each poisoned entry is discarded");
-    assert_eq!(warm.store.hits, cells as u64 - 3, "the intact entry still replays");
-    assert_eq!(warm.store.misses, 0);
+    let (warm, warm_stats) = sweep(&cfg, &scratch.0);
+    assert_eq!(warm_stats.invalidated, 3, "each poisoned entry is discarded");
+    assert_eq!(warm_stats.hits, cells as u64 - 3, "the intact entry still replays");
+    assert_eq!(warm_stats.misses, 0);
     assert_eq!(simulated(&warm), 3, "discarded cells are re-simulated");
-    assert_eq!(warm.report, cold.report, "poisoned entries never leak into results");
+    assert_eq!(warm, cold, "poisoned entries never leak into results");
 
     // Re-simulation wrote the entries back: a third run is fully warm.
-    let third = sweep(&cfg, Some(&MeasurementStore::open(&scratch.0).unwrap()));
-    assert_eq!(third.store.hits, cells as u64);
-    assert_eq!(third.store.invalidated, 0);
-    assert_eq!(third.report, cold.report);
+    let (third, third_stats) = sweep(&cfg, &scratch.0);
+    assert_eq!(third_stats.hits, cells as u64);
+    assert_eq!(third_stats.invalidated, 0);
+    assert_eq!(third, cold);
 }

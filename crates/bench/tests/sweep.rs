@@ -44,12 +44,12 @@ fn cached_compilation_is_invisible_to_measurements() {
 /// and compiles exactly once per (kernel, shape).
 #[test]
 fn four_shape_sweep_equals_independent_suite_runs() {
-    let run = run_sweep(&SweepConfig::paper(&CANONICAL_SHAPES), None).unwrap();
+    let report = run_sweep(&SweepConfig::paper(&CANONICAL_SHAPES), None).unwrap();
     let kernels = paper_suite().len();
 
-    assert_eq!(run.report.cells.len(), kernels * CANONICAL_SHAPES.len());
+    assert_eq!(report.cells.len(), kernels * CANONICAL_SHAPES.len());
     assert_eq!(
-        run.report.cache,
+        report.cache,
         CacheStats {
             misses: (kernels * CANONICAL_SHAPES.len()) as u64,
             hits: (kernels * CANONICAL_SHAPES.len()) as u64,
@@ -58,8 +58,8 @@ fn four_shape_sweep_equals_independent_suite_runs() {
     );
 
     for shape in CANONICAL_SHAPES {
-        let single = run_sweep(&SweepConfig::paper(&[shape]), None).unwrap().report;
-        let swept = run.report.for_shape(shape.name);
+        let single = run_sweep(&SweepConfig::paper(&[shape]), None).unwrap();
+        let swept = report.for_shape(shape.name);
         assert_eq!(single.cells.len(), swept.len());
         for (independent, cell) in single.cells.iter().zip(swept) {
             assert_eq!(independent, cell, "{} under shape {}", cell.kernel(), shape.name);
@@ -73,37 +73,36 @@ fn sweep_report_round_trips_through_json() {
     let mut cfg = SweepConfig::full(&[SHAPE_A, SHAPE_D]);
     cfg.entries.truncate(3);
     cfg.block_scales = vec![1, 2];
-    let run = run_sweep(&cfg, None).unwrap();
+    let report = run_sweep(&cfg, None).unwrap();
 
-    let json = run.report.to_json();
+    let json = report.to_json();
     let parsed = SweepReport::from_json(&json).unwrap();
-    assert_eq!(parsed, run.report);
+    assert_eq!(parsed, report);
     // `HostNanos` is equality-exempt, so check the wall-clock values
     // round-tripped exactly by hand.
-    assert_eq!(parsed.wall_nanos.0, run.report.wall_nanos.0);
-    for (p, c) in parsed.cells.iter().zip(&run.report.cells) {
+    assert_eq!(parsed.wall_nanos.0, report.wall_nanos.0);
+    for (p, c) in parsed.cells.iter().zip(&report.cells) {
         assert_eq!(p.record.wall_nanos.0, c.record.wall_nanos.0);
     }
 
     // Throughput accounting: the sweep simulated real work in measurable
     // host time, and the in-simulator time is bounded by the whole pass.
-    assert!(run.report.total_sim_instructions() > 0);
-    assert!(run.report.wall_nanos.0 > 0);
-    let in_sim: u64 = run.report.cells.iter().map(|c| c.record.wall_nanos.0).sum();
+    assert!(report.total_sim_instructions() > 0);
+    assert!(report.wall_nanos.0 > 0);
+    let in_sim: u64 = report.cells.iter().map(|c| c.record.wall_nanos.0).sum();
     assert!(in_sim > 0, "per-cell wall clocks must be populated");
-    assert!(run.report.sim_ips().is_finite() && run.report.sim_ips() > 0.0);
+    assert!(report.sim_ips().is_finite() && report.sim_ips() > 0.0);
 
     // Two lifts per cell. Concurrent scales of one kernel share a cache
     // key and can take each other's stored lift, so only the sum is
     // exact here.
-    let cache = run.report.cache;
-    assert_eq!(cache.hits + cache.misses, 2 * run.report.cells.len() as u64);
+    let cache = report.cache;
+    assert_eq!(cache.hits + cache.misses, 2 * report.cells.len() as u64);
 
     // Steady-state per-block cycles are scale-invariant: the same kernel
     // measured at 2x the block count reports the same per-block cost.
-    for cell in run.report.cells.iter().filter(|c| c.scale == 1) {
-        let scaled = run
-            .report
+    for cell in report.cells.iter().filter(|c| c.scale == 1) {
+        let scaled = report
             .cells
             .iter()
             .find(|c| c.scale == 2 && c.kernel() == cell.kernel() && c.shape == cell.shape)
@@ -120,10 +119,10 @@ fn sweep_report_round_trips_through_json() {
     // The schema-v5 `cached` column: a storeless sweep simulates every
     // cell, and the flag round-trips as data (it is equality-exempt, so
     // check the raw values by hand).
-    for c in &run.report.cells {
+    for c in &report.cells {
         assert!(!c.record.cached.0, "{}: no store attached, nothing is cached", c.kernel());
     }
-    for (p, c) in parsed.cells.iter().zip(&run.report.cells) {
+    for (p, c) in parsed.cells.iter().zip(&report.cells) {
         assert_eq!(p.record.cached.0, c.record.cached.0);
     }
     let flipped = json.replace("\"cached\": false", "\"cached\": true");
@@ -132,7 +131,7 @@ fn sweep_report_round_trips_through_json() {
 
     // The schema-v6 `pipeline` column: a default-config sweep times
     // every cell on the in-order model, and the column round-trips.
-    for (p, c) in parsed.cells.iter().zip(&run.report.cells) {
+    for (p, c) in parsed.cells.iter().zip(&report.cells) {
         assert_eq!(c.pipeline, "in-order", "{}", c.kernel());
         assert_eq!(p.pipeline, c.pipeline);
     }
@@ -164,16 +163,16 @@ fn family_selection_and_family_column() {
     // and the column round-trips.
     let mut cfg = pixel;
     cfg.entries.retain(|e| e.kernel.name() == "Blend" || e.kernel.name() == "YUV2RGB");
-    let run = run_sweep(&cfg, None).unwrap();
-    for c in &run.report.cells {
+    let report = run_sweep(&cfg, None).unwrap();
+    for c in &report.cells {
         assert_eq!(c.record.family, Family::Pixel, "{}", c.record.kernel);
     }
-    let parsed = SweepReport::from_json(&run.report.to_json()).unwrap();
-    for (p, c) in parsed.cells.iter().zip(&run.report.cells) {
+    let parsed = SweepReport::from_json(&report.to_json()).unwrap();
+    for (p, c) in parsed.cells.iter().zip(&report.cells) {
         assert_eq!(p.record.family, c.record.family);
     }
     // A family name the parser does not know is rejected.
-    let broken = run.report.to_json().replace("\"pixel\"", "\"voxel\"");
+    let broken = report.to_json().replace("\"pixel\"", "\"voxel\"");
     assert!(SweepReport::from_json(&broken).is_err());
 }
 
@@ -228,8 +227,7 @@ fn a_panicking_kernel_costs_one_cell_not_the_pool() {
 /// kernels, and the new columns survive the JSON round trip.
 #[test]
 fn scheduled_columns_hold_the_orchestration_claims() {
-    let run = run_sweep(&SweepConfig::full(&[SHAPE_A]), None).unwrap();
-    let report = &run.report;
+    let report = run_sweep(&SweepConfig::full(&[SHAPE_A]), None).unwrap();
 
     // The shared contract (also gated by the sweep binary and CI): no
     // cell costs cycles, ≥ half the kernels pair strictly better.
@@ -256,5 +254,30 @@ fn scheduled_columns_hold_the_orchestration_claims() {
         assert_eq!(p.record.sched_spu_total, c.record.sched_spu_total);
         assert_eq!(p.record.sched_moved_baseline, c.record.sched_moved_baseline);
         assert_eq!(p.record.sched_moved_spu, c.record.sched_moved_spu);
+    }
+}
+
+/// (g) Scheduling is measured beside the unscheduled variants, never in
+/// place of them: with `measure_scheduled` on or off, a sweep reports
+/// the same `baseline_*` and `spu_*` columns. `all` reads Table 2's
+/// default-penalty column from a scheduled report on this basis.
+#[test]
+fn measure_scheduled_leaves_the_unscheduled_columns_alone() {
+    let mut cfg = SweepConfig::paper(&[SHAPE_A]);
+    cfg.entries.retain(|e| ["DCT", "Matrix Transpose"].contains(&e.kernel.name()));
+    let scheduled = run_sweep(&cfg, None).unwrap();
+    cfg.measure_scheduled = false;
+    let unscheduled = run_sweep(&cfg, None).unwrap();
+
+    assert_eq!(scheduled.cells.len(), 2);
+    for (s, u) in scheduled.cells.iter().zip(&unscheduled.cells) {
+        let (s, u) = (&s.record, &u.record);
+        assert_eq!(s.kernel, u.kernel);
+        // The scheduler moved something, so the two sweeps did differ.
+        assert_ne!(s.sched_baseline_per_block, s.baseline_per_block, "{}", s.kernel);
+        assert_eq!(s.baseline_per_block, u.baseline_per_block, "{}", s.kernel);
+        assert_eq!(s.baseline_total, u.baseline_total, "{}", s.kernel);
+        assert_eq!(s.spu_per_block, u.spu_per_block, "{}", s.kernel);
+        assert_eq!(s.spu_total, u.spu_total, "{}", s.kernel);
     }
 }

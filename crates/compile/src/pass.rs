@@ -12,12 +12,9 @@ use std::collections::BTreeSet;
 use std::fmt;
 use subword_isa::instr::Instr;
 use subword_isa::program::{LoopInfo, Program};
-use subword_spu::controller::StepRouting;
+use subword_spu::controller::{StepRouting, CONTEXTS};
 use subword_spu::crossbar::CrossbarShape;
 use subword_spu::{ByteRoute, SpuProgram};
-
-/// Maximum SPU contexts a single program may use.
-pub const MAX_CONTEXTS: usize = 4;
 
 /// Maximum programmable states (state 127 is idle).
 const MAX_STATES: usize = 126;
@@ -331,7 +328,7 @@ fn check_loop(program: &Program, l: &LoopInfo, next_ctx: usize) -> Option<LoopSt
     if body.len() > MAX_STATES {
         return Some(LoopStatus::TooManyStates);
     }
-    if next_ctx >= MAX_CONTEXTS {
+    if next_ctx >= CONTEXTS {
         return Some(LoopStatus::OutOfContexts);
     }
     // No other branch may target the head (the GO store sits right in

@@ -22,6 +22,7 @@ use subword_isa::op::{AluOp, MmxOp};
 use subword_isa::program::Program;
 use subword_isa::reg::{GpReg, MmReg};
 use subword_isa::ProgramBuilder;
+use subword_sim::memory::MEMORY_SIZE;
 use subword_sim::MachineConfig;
 use subword_spu::SHAPE_A;
 
@@ -95,7 +96,7 @@ fn must_stay_ordered(a: &Instr, b: &Instr) -> bool {
 
 /// All of memory, as one output range.
 fn whole_memory() -> Vec<(u32, usize)> {
-    vec![(0, MachineConfig::default().memory_size)]
+    vec![(0, MEMORY_SIZE)]
 }
 
 /// The canonical initial state: `r0` pinned to 0x1000 (and never

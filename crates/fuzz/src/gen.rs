@@ -30,6 +30,7 @@ use subword_isa::op::{AluOp, Cond, MmxOp};
 use subword_isa::program::Program;
 use subword_isa::reg::{GpReg, MmReg};
 use subword_isa::ProgramBuilder;
+use subword_spu::controller::CONTEXTS;
 use subword_spu::mmio::{CONTEXT_STRIDE, SPU_MMIO_BASE, STATE_TABLE_OFF};
 
 /// Base of the generated programs' data region.
@@ -411,7 +412,7 @@ fn emit_step(b: &mut ProgramBuilder, s: &Step) {
         }
         Step::MmioStore { ctx, off, imm } => {
             let addr = SPU_MMIO_BASE
-                + (ctx as u32 % 4) * CONTEXT_STRIDE
+                + (ctx as u32 % CONTEXTS as u32) * CONTEXT_STRIDE
                 + MMIO_OFFS[off as usize % MMIO_OFFS.len()];
             b.store_imm(Mem::abs(addr), imm);
         }

@@ -3,7 +3,7 @@
 
 use crate::branch::{Predictor, PredictorKind};
 use crate::error::SimError;
-use crate::memory::Memory;
+use crate::memory::{Memory, MEMORY_SIZE};
 use crate::model::issue::IssueRules;
 use crate::model::{OooParams, OooStats, PipelineKind};
 use crate::regfile::RegFile;
@@ -38,8 +38,6 @@ pub enum ExecEngine {
 /// Machine configuration.
 #[derive(Clone, Debug)]
 pub struct MachineConfig {
-    /// Physical memory size in bytes.
-    pub memory_size: usize,
     /// Base mispredict penalty in cycles (Pentium-class: 4).
     pub mispredict_penalty: u64,
     /// Whether the SPU is fitted. Adds one pipe stage, i.e. +1 cycle of
@@ -47,8 +45,6 @@ pub struct MachineConfig {
     pub spu_fitted: bool,
     /// Crossbar shape of the fitted SPU.
     pub crossbar: CrossbarShape,
-    /// Number of SPU contexts.
-    pub spu_contexts: usize,
     /// MMX multiply latency in cycles (P55C: 3, pipelined).
     pub mmx_mul_latency: u64,
     /// Scalar multiply cost in cycles (Pentium `imul`: ~9, blocking).
@@ -75,11 +71,9 @@ pub struct MachineConfig {
 impl Default for MachineConfig {
     fn default() -> Self {
         MachineConfig {
-            memory_size: 4 << 20,
             mispredict_penalty: 4,
             spu_fitted: false,
             crossbar: subword_spu::SHAPE_A,
-            spu_contexts: 4,
             mmx_mul_latency: 3,
             scalar_mul_latency: 9,
             max_cycles: 2_000_000_000,
@@ -162,13 +156,13 @@ impl Machine {
     /// Build a machine from a configuration.
     pub fn new(cfg: MachineConfig) -> Machine {
         let spu = if cfg.spu_fitted {
-            Some(SpuMmio::new(SpuController::with_contexts(cfg.crossbar, cfg.spu_contexts)))
+            Some(SpuMmio::new(SpuController::new(cfg.crossbar)))
         } else {
             None
         };
         Machine {
             regs: RegFile::default(),
-            mem: Memory::new(cfg.memory_size),
+            mem: Memory::new(MEMORY_SIZE),
             spu,
             predictor: Predictor::new(cfg.predictor_kind, cfg.btb_entries),
             stats: SimStats::default(),
@@ -252,6 +246,21 @@ impl Machine {
             self.stats.spu_activations = u.activations;
         }
         self.stats
+    }
+
+    /// Resolve the branch executed at `pc`: count it and update the
+    /// predictor, and on a mispredict count it and its penalty. Returns
+    /// the penalty, `Some` only on a mispredict (so a zero penalty still
+    /// counts as one); the caller places it on its own timeline.
+    pub(crate) fn resolve_branch(&mut self, pc: usize, taken: bool) -> Option<u64> {
+        self.stats.branches += 1;
+        if !self.predictor.update(pc as u32, taken) {
+            return None;
+        }
+        let penalty = self.cfg.effective_mispredict_penalty();
+        self.stats.mispredicts += 1;
+        self.stats.mispredict_cycles += penalty;
+        Some(penalty)
     }
 
     /// A small fingerprint of SPU control state used to detect

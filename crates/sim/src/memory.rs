@@ -6,6 +6,9 @@
 //! bounds checking. The SPU's memory-mapped window is intercepted by the
 //! machine before reaching this module.
 
+/// Physical memory of every simulated machine, in bytes.
+pub const MEMORY_SIZE: usize = 4 << 20;
+
 /// Flat byte-addressable memory.
 #[derive(Clone, Debug)]
 pub struct Memory {

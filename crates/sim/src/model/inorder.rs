@@ -294,12 +294,7 @@ impl Machine {
         let mut slot_penalty = 0u64;
         for (bpc, eff) in [(pc0, eff0)].into_iter().chain(slot1) {
             let Some(taken) = eff.branch else { continue };
-            self.stats.branches += 1;
-            let mispredicted = self.predictor.update(bpc as u32, taken);
-            if mispredicted {
-                self.stats.mispredicts += 1;
-                let pen = self.cfg.effective_mispredict_penalty();
-                self.stats.mispredict_cycles += pen;
+            if let Some(pen) = self.resolve_branch(bpc, taken) {
                 self.cycle += pen;
                 slot_penalty += pen;
             }

@@ -482,16 +482,9 @@ impl Machine {
             // Branch resolution: predictor updates in program order
             // (bit-identical mispredict sequence); a mispredict costs a
             // fetch-redirect bubble from the resolving execute.
-            if let Some(taken) = eff.branch {
-                self.stats.branches += 1;
-                let mispredicted = self.predictor.update(pc as u32, taken);
-                if mispredicted {
-                    self.stats.mispredicts += 1;
-                    let pen = self.cfg.effective_mispredict_penalty();
-                    self.stats.mispredict_cycles += pen;
-                    tm.fetch = tm.fetch.max(exec_end + pen);
-                    self.ooo.flushes += 1;
-                }
+            if let Some(pen) = eff.branch.and_then(|taken| self.resolve_branch(pc, taken)) {
+                tm.fetch = tm.fetch.max(exec_end + pen);
+                self.ooo.flushes += 1;
             }
             pc += 1;
             if let Some(target) = eff.redirect {

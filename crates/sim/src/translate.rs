@@ -75,7 +75,8 @@
 //!   wholesale so the stepper reproduces the exact fault.
 //! * **Taken/not-taken branch outcomes** need no fallback: a region's
 //!   terminating branch is executed live during replay and resolved
-//!   (predictor update, penalty, redirect) exactly as the stepper would.
+//!   (predictor update, penalty, redirect) exactly as the stepper would,
+//!   through the same `Machine::resolve_branch`.
 //! * A **fallthrough region's last instruction** is left to the stepper
 //!   unless a slot pairs it inward: the dynamic pairing window crosses
 //!   region boundaries (the slot formed at the region's tail may pair
@@ -441,11 +442,7 @@ impl Machine {
         if matches!(region.kind, RegionKind::Loop | RegionKind::Branch) {
             let bpc = region.end - 1;
             let taken = last_eff.branch.expect("region terminator must be a branch");
-            self.stats.branches += 1;
-            if self.predictor.update(bpc as u32, taken) {
-                self.stats.mispredicts += 1;
-                let pen = self.cfg.effective_mispredict_penalty();
-                self.stats.mispredict_cycles += pen;
+            if let Some(pen) = self.resolve_branch(bpc, taken) {
                 self.cycle += pen;
             }
             if let Some(t) = last_eff.redirect {

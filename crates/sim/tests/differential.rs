@@ -22,6 +22,7 @@ use subword_compile::verify::{
     ENGINES,
 };
 use subword_kernels::suite::{all_suites, dotprod_example};
+use subword_sim::memory::MEMORY_SIZE;
 use subword_sim::trace::SlotTrace;
 use subword_sim::MachineConfig;
 use subword_spu::{CrossbarShape, SHAPE_A, SHAPE_B, SHAPE_C, SHAPE_D};
@@ -36,7 +37,7 @@ fn suite_matrix(shape: &CrossbarShape) {
         let built = build_variants(build.program.clone(), &Variant::ALL, shape, &plain_lift)
             .unwrap_or_else(|err| panic!("{name}: {err}"));
         let base = MachineConfig::default();
-        let setup = TestSetup { outputs: vec![(0, base.memory_size)], ..build.setup.clone() };
+        let setup = TestSetup { outputs: vec![(0, MEMORY_SIZE)], ..build.setup.clone() };
         let states: Vec<(Variant, ArchState)> = built
             .programs
             .iter()

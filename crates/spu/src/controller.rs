@@ -19,9 +19,11 @@ use crate::crossbar::{ByteRoute, CrossbarShape};
 use crate::microcode::{OperandMode, SpuState, IDLE_STATE, NUM_STATES};
 use crate::program::{SpuError, SpuProgram};
 
-/// Default number of contexts (the paper evaluates a single-context SPU;
-/// extra contexts cost area — see `subword-hw`).
-pub const DEFAULT_CONTEXTS: usize = 4;
+/// Number of contexts every controller holds (the paper evaluates a
+/// single-context SPU; extra contexts cost area — see `subword-hw`). The
+/// MMIO map ([`crate::mmio`]) addresses exactly this many, and the
+/// lifting pass assigns at most this many loops to the SPU.
+pub const CONTEXTS: usize = 4;
 
 /// One loaded context: dense state table + counter programming.
 #[derive(Clone, Debug)]
@@ -109,7 +111,7 @@ pub struct SpuController {
     /// Interconnect shape this controller drives (routes are validated
     /// against it at load time).
     pub shape: CrossbarShape,
-    contexts: Vec<SpuContext>,
+    contexts: [SpuContext; CONTEXTS],
     active: usize,
     go: bool,
     state: u8,
@@ -119,28 +121,17 @@ pub struct SpuController {
 }
 
 impl SpuController {
-    /// A controller with [`DEFAULT_CONTEXTS`] empty contexts.
+    /// A controller with [`CONTEXTS`] empty contexts.
     pub fn new(shape: CrossbarShape) -> SpuController {
-        Self::with_contexts(shape, DEFAULT_CONTEXTS)
-    }
-
-    /// A controller with a specific number of contexts.
-    pub fn with_contexts(shape: CrossbarShape, n: usize) -> SpuController {
-        assert!(n >= 1, "need at least one context");
         SpuController {
             shape,
-            contexts: (0..n).map(|_| SpuContext::default()).collect(),
+            contexts: Default::default(),
             active: 0,
             go: false,
             state: IDLE_STATE,
             counters: [1, 1],
             usage: SpuUsage::default(),
         }
-    }
-
-    /// Number of contexts.
-    pub fn context_count(&self) -> usize {
-        self.contexts.len()
     }
 
     /// Load a validated program into context `slot`.
@@ -387,7 +378,7 @@ mod tests {
 
     #[test]
     fn context_switching() {
-        let mut c = SpuController::with_contexts(SHAPE_D, 2);
+        let mut c = SpuController::new(SHAPE_D);
         c.load_program(0, &dot_program()).unwrap();
         let other = SpuProgram::single_loop("other", &[(None, None)], 5);
         c.load_program(1, &other).unwrap();

@@ -13,8 +13,8 @@
 //! | D     | 16×16    | 16-bit | 4-register window, 16-bit granular |
 //!
 //! The paper's §5.1: *"All the applications used in this paper can be
-//! realized with configuration D"* — verified by this reproduction's
-//! `ablation_shapes` harness.
+//! realized with configuration D"* — verified by the shape ablation
+//! that `subword-bench`'s `all` binary prints.
 //!
 //! Routing is represented canonically at byte granularity
 //! ([`ByteRoute`]: eight source-byte selectors into the 64-byte file);

@@ -9,7 +9,7 @@
 //!
 //! | offset               | register |
 //! |----------------------|----------|
-//! | `0x0000`             | CONFIG: bit 0 = GO, bits 4..6 = context select, bits 8..10 = window base |
+//! | `0x0000`             | CONFIG: bit 0 = GO, bits 4..5 = context select, bits 8..10 = window base |
 //! | `0x0008`             | CNTR0 initial value |
 //! | `0x0010`             | CNTR1 initial value |
 //! | `0x0018`             | ENTRY state |
@@ -23,7 +23,7 @@
 //! inactive and is reported to the caller (the simulator surfaces it as a
 //! machine fault).
 
-use crate::controller::SpuController;
+use crate::controller::{SpuController, CONTEXTS};
 use crate::microcode::{SpuState, IDLE_STATE, NUM_STATES};
 use crate::program::{SpuError, SpuProgram};
 
@@ -36,8 +36,11 @@ pub const CONTEXT_STRIDE: u32 = 0x1800;
 /// Offset of the state table inside a context region.
 pub const STATE_TABLE_OFF: u32 = 0x100;
 
-/// Total size of the mapped window (4 contexts).
-pub const SPU_MMIO_SIZE: u32 = CONTEXT_STRIDE * 4;
+/// Total size of the mapped window ([`CONTEXTS`] contexts).
+pub const SPU_MMIO_SIZE: u32 = CONTEXT_STRIDE * CONTEXTS as u32;
+
+// CONFIG's 2-bit context-select field addresses every context.
+const _: () = assert!(CONTEXTS == 4);
 
 /// True if a physical address falls inside the SPU window.
 #[inline]
@@ -89,8 +92,7 @@ pub struct SpuMmio {
 impl SpuMmio {
     /// Wrap a controller.
     pub fn new(controller: SpuController) -> SpuMmio {
-        let n = controller.context_count();
-        SpuMmio { controller, staging: (0..n).map(|_| Staging::default()).collect(), config: 0 }
+        SpuMmio { controller, staging: vec![Staging::default(); CONTEXTS], config: 0 }
     }
 
     /// Handle a store of `size` bytes (1, 2, 4 or 8) at `addr`.
@@ -103,7 +105,7 @@ impl SpuMmio {
         if off == 0 {
             // CONFIG register (any width hits the low bytes).
             self.config = value;
-            let ctx = ((value >> 4) & 0x3) as usize % self.controller.context_count();
+            let ctx = ((value >> 4) & 0x3) as usize;
             if ctx != self.controller.active_context() {
                 self.controller.select_context(ctx);
             }

@@ -44,7 +44,8 @@
 //! assert!(prog.validate(&SHAPE_D).is_ok()); // fits the smallest crossbar
 //! ```
 //!
-//! Reproduce the evaluation with the harness binaries:
+//! Reproduce the evaluation (every table and figure, printed from one
+//! sweep in one process):
 //!
 //! ```text
 //! cargo run --release -p subword-bench --bin all

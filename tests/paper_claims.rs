@@ -69,9 +69,9 @@ fn table2_shape_holds() {
     let ms = measure_all(&SHAPE_A);
     for m in &ms {
         let rate = m.baseline_per_block.miss_per_clock();
-        // Paper: all rates ≤ 0.157% of clocks; ours stay sub-0.5% (our
-        // per-block loops exit more often than IPP's unrolled code —
-        // see EXPERIMENTS.md).
+        // Paper: all rates ≤ 0.157% of clocks; ours stay sub-0.5%
+        // (every inner-loop exit mispredicts once, and our blocks are
+        // short — see DESIGN.md §16).
         assert!(rate < 0.005, "{}: miss/clock {:.4}", m.kernel, rate);
         assert!(m.baseline_per_block.branches > 0);
     }

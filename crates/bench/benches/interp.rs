@@ -4,8 +4,9 @@
 //! variant under shape D) through **all three** execution engines — the
 //! allocating `Vec<RegRef>` reference path, the predecoded mask-based
 //! stepper, and the record-and-replay threaded engine — timing only the
-//! interpreter itself (machine construction and state initialisation are
-//! outside the clock). Each row reports dynamic instructions, the
+//! interpreter itself. Machine construction and state initialisation,
+//! and the machine's drop, where its written memory is re-zeroed, are
+//! outside the clock. Each row reports dynamic instructions, the
 //! best-of-N wall time per engine, simulated MIPS, and the threaded/
 //! decoded speedup; the engines' `SimStats` are also asserted equal, so
 //! the benchmark doubles as a smoke differential.

@@ -580,6 +580,39 @@ mod tests {
         assert_eq!(s.read(0xff, 1), None);
     }
 
+    /// Nothing one run writes survives into the next run on the same
+    /// thread: after a run that writes the start of every 4 KiB page, and
+    /// whose setup writes the last 8 bytes, a `halt`-only run reads all of
+    /// memory as zero.
+    #[test]
+    fn no_write_survives_into_the_next_run() {
+        use subword_sim::memory::MEMORY_SIZE;
+        let writer = subword_isa::asm::assemble(
+            "every-page",
+            &format!(
+                "mov r0, 0\ntop:\n mov [r0], 0x5a5a5a5a\n add r0, 4096\n \
+                 cmp r0, {MEMORY_SIZE}\n jne top\n halt\n"
+            ),
+        )
+        .unwrap();
+        let last = MEMORY_SIZE - 8;
+        let setup = TestSetup {
+            mem_init: vec![(last as u32, vec![0xff; 8])],
+            outputs: vec![(0, MEMORY_SIZE)],
+            ..Default::default()
+        };
+        let written = run(&writer, &setup, MachineConfig::default()).unwrap();
+        let bytes = &written.outputs[0].1;
+        assert!((0..MEMORY_SIZE).step_by(4096).all(|a| bytes[a..a + 4] == [0x5a; 4]));
+        assert_eq!(bytes[last..], [0xff; 8]);
+
+        let halt = subword_isa::asm::assemble("halt", "halt\n").unwrap();
+        let all = TestSetup { outputs: vec![(0, MEMORY_SIZE)], ..Default::default() };
+        let read = run(&halt, &all, MachineConfig::default()).unwrap();
+        let survivor = read.outputs[0].1.iter().position(|&b| b != 0);
+        assert_eq!(survivor, None, "a byte written by the previous run survived");
+    }
+
     #[test]
     fn contained_reports_the_panic_message() {
         assert_eq!(contained(|| 5), Ok(5));

@@ -3,7 +3,7 @@
 
 use crate::branch::{Predictor, PredictorKind};
 use crate::error::SimError;
-use crate::memory::{Memory, MEMORY_SIZE};
+use crate::memory::Memory;
 use crate::model::issue::IssueRules;
 use crate::model::{OooParams, OooStats, PipelineKind};
 use crate::regfile::RegFile;
@@ -162,7 +162,7 @@ impl Machine {
         };
         Machine {
             regs: RegFile::default(),
-            mem: Memory::new(MEMORY_SIZE),
+            mem: Memory::new(),
             spu,
             predictor: Predictor::new(cfg.predictor_kind, cfg.btb_entries),
             stats: SimStats::default(),

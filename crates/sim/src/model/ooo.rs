@@ -500,8 +500,16 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use crate::machine::{Machine, MachineConfig};
-    use crate::model::PipelineKind;
+    use crate::model::{OooStats, PipelineKind};
     use subword_isa::asm::assemble;
+    use subword_isa::op::{AluOp, MmxOp};
+    use subword_isa::program::Program;
+    use subword_isa::reg::gp::R1;
+    use subword_isa::reg::MmReg::*;
+    use subword_isa::ProgramBuilder;
+    use subword_spu::crossbar::ByteRoute;
+    use subword_spu::mmio::emit_spu_go;
+    use subword_spu::{SpuProgram, SHAPE_D};
 
     fn cycles(src: &str, tweak: impl Fn(&mut MachineConfig)) -> (u64, u64) {
         let p = assemble("t", src).unwrap();
@@ -628,5 +636,114 @@ mod tests {
         };
         let err = Machine::new(cfg).run(&p).unwrap_err();
         assert!(matches!(err, crate::SimError::MaxCyclesExceeded { .. }), "{err:?}");
+    }
+
+    /// The timing-derived [`crate::SimStats`] fields of one run, in the
+    /// order `cycles`, `pairs`, `singles`, `mmx_pairs`,
+    /// `mmx_active_cycles`, `stall_cycles`.
+    type Timing = [u64; 6];
+
+    /// Run `p` on the out-of-order model (after `prepare`) and assert its
+    /// timing fields and its whole [`OooStats`].
+    fn assert_pinned(
+        name: &str,
+        p: &Program,
+        cfg: MachineConfig,
+        prepare: impl FnOnce(&mut Machine),
+        timing: Timing,
+        ooo: OooStats,
+    ) {
+        let mut m = Machine::new(MachineConfig { pipeline: PipelineKind::OutOfOrder, ..cfg });
+        prepare(&mut m);
+        let s = m.run(p).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let got = [s.cycles, s.pairs, s.singles, s.mmx_pairs, s.mmx_active_cycles, s.stall_cycles];
+        assert_eq!(got, timing, "{name}: timing fields");
+        assert_eq!(m.ooo, ooo, "{name}: OooStats");
+    }
+
+    fn asm(body: &str) -> Program {
+        assemble("t", &format!("{body}halt\n")).unwrap()
+    }
+
+    /// `line(i)` for each `i` in `0..n`, one per line.
+    fn lines(n: usize, line: impl Fn(usize) -> String) -> String {
+        (0..n).map(|i| line(i) + "\n").collect()
+    }
+
+    /// Pins the model's full output on one short program per back-end
+    /// structure — store buffer, reservation stations, reorder buffer,
+    /// fetch redirects, store-to-load forwarding and the MMIO fence — so
+    /// a change to how the timing is computed cannot change what it
+    /// computes. `BENCH_cycles_ooo.json` gates only per-block cycles,
+    /// and no suite kernel fills the store buffer.
+    #[test]
+    fn timing_is_pinned() {
+        let dflt = MachineConfig::default;
+
+        let stores = lines(12, |i| format!("mov [r0+{}], r1", 4 * i));
+        let burst = asm(&format!("mov r0, 4096\n{stores}"));
+        #[rustfmt::skip]
+        let burst_ooo = OooStats {
+            rob_stall_cycles: 0, rs_stall_cycles: 0, sb_stall_cycles: 4, rename_stalls: 4,
+            rob_occupancy_sum: 74, rob_peak: 8, dispatched: 13, flushes: 0,
+        };
+        assert_pinned("store burst", &burst, dflt(), |_| {}, [13, 0, 13, 0, 0, 51], burst_ooo);
+
+        let adds = lines(16, |i| format!("paddw mm{}, mm0", 1 + i % 7));
+        let rs = asm(&format!("pmullw mm0, mm0\npmullw mm0, mm0\n{adds}"));
+        #[rustfmt::skip]
+        let rs_ooo = OooStats {
+            rob_stall_cycles: 0, rs_stall_cycles: 4, sb_stall_cycles: 0, rename_stalls: 2,
+            rob_occupancy_sum: 158, rob_peak: 15, dispatched: 18, flushes: 0,
+        };
+        assert_pinned("RS full", &rs, dflt(), |_| {}, [12, 5, 3, 5, 8, 79], rs_ooo);
+
+        let adds = lines(30, |i| format!("add r{}, 1", 2 + i % 14));
+        let rob = asm(&format!("imul r1, r1\nimul r1, r1\n{adds}"));
+        #[rustfmt::skip]
+        let rob_ooo = OooStats {
+            rob_stall_cycles: 14, rs_stall_cycles: 0, sb_stall_cycles: 0, rename_stalls: 4,
+            rob_occupancy_sum: 484, rob_peak: 24, dispatched: 32, flushes: 0,
+        };
+        assert_pinned("ROB full", &rob, dflt(), |_| {}, [28, 10, 3, 0, 0, 9], rob_ooo);
+
+        let lp = asm("mov r0, 50\ntop:\npmullw mm0, mm1\nsub r0, 1\njnz top\n");
+        #[rustfmt::skip]
+        let lp_ooo = OooStats {
+            rob_stall_cycles: 115, rs_stall_cycles: 0, sb_stall_cycles: 0, rename_stalls: 39,
+            rob_occupancy_sum: 3085, rob_peak: 24, dispatched: 151, flushes: 2,
+        };
+        assert_pinned("loop", &lp, dflt(), |_| {}, [154, 12, 124, 0, 50, 921], lp_ooo);
+
+        let fwd = asm("mov r0, 4096\nmov r1, 1234\nmov [r0], r1\nmov r2, [r0]\n");
+        #[rustfmt::skip]
+        let fwd_ooo = OooStats {
+            rob_stall_cycles: 0, rs_stall_cycles: 0, sb_stall_cycles: 0, rename_stalls: 0,
+            rob_occupancy_sum: 10, rob_peak: 4, dispatched: 4, flushes: 0,
+        };
+        assert_pinned("store-to-load forward", &fwd, dflt(), |_| {}, [3, 1, 2, 0, 0, 2], fwd_ooo);
+
+        // A GO store between independent work: the MMIO fence waits for
+        // the blocking multiply to retire and holds the routed movq back
+        // until the GO store itself has retired.
+        let swap = ByteRoute::from_reg_words([(MM0, 3), (MM0, 2), (MM0, 1), (MM0, 0)]);
+        let spu_prog = SpuProgram::single_loop("rev", &[(None, Some(swap))], 1);
+        let mut b = ProgramBuilder::new("go");
+        b.mmx_rr(MmxOp::Paddw, MM1, MM1);
+        b.alu_rr(AluOp::Imul, R1, R1);
+        b.mmx_rr(MmxOp::Paddw, MM2, MM2);
+        emit_spu_go(&mut b, 0, &spu_prog);
+        b.movq_rr(MM3, MM0);
+        b.mmx_rr(MmxOp::Paddw, MM4, MM4);
+        b.halt();
+        let go = b.finish().unwrap();
+        let install = |m: &mut Machine| m.install_spu_program(0, &spu_prog).unwrap();
+        #[rustfmt::skip]
+        let go_ooo = OooStats {
+            rob_stall_cycles: 0, rs_stall_cycles: 0, sb_stall_cycles: 0, rename_stalls: 0,
+            rob_occupancy_sum: 14, rob_peak: 3, dispatched: 6, flushes: 0,
+        };
+        let spu = MachineConfig::with_spu(SHAPE_D);
+        assert_pinned("GO store fence", &go, spu, install, [11, 2, 1, 2, 2, 0], go_ooo);
     }
 }

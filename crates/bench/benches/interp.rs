@@ -3,13 +3,15 @@
 //! Runs every suite kernel (baseline MMX program and the SPU-lifted
 //! variant under shape D) through **all three** execution engines — the
 //! allocating `Vec<RegRef>` reference path, the predecoded mask-based
-//! stepper, and the record-and-replay threaded engine — timing only the
-//! interpreter itself. Machine construction and state initialisation,
-//! and the machine's drop, where its written memory is re-zeroed, are
-//! outside the clock. Each row reports dynamic instructions, the
-//! best-of-N wall time per engine, simulated MIPS, and the threaded/
-//! decoded speedup; the engines' `SimStats` are also asserted equal, so
-//! the benchmark doubles as a smoke differential.
+//! stepper, and the record-and-replay threaded engine — and through the
+//! out-of-order pipeline model, timing only the simulator itself.
+//! Machine construction and state initialisation, and the machine's
+//! drop, where its written memory is re-zeroed, are outside the clock.
+//! Each row reports dynamic instructions, the best-of-N wall time per
+//! column, simulated MIPS, and the threaded/decoded speedup; the
+//! engines' `SimStats` are also asserted equal, and the out-of-order
+//! run's model-invariant counts equal to theirs, so the benchmark
+//! doubles as a smoke differential.
 //!
 //! ```text
 //! cargo bench -p subword-bench --bench interp                      # table only
@@ -21,10 +23,10 @@
 //! root; `--baseline` loads such a file and prints current-vs-baseline
 //! deltas. A missing, unreadable or schema-mismatched baseline file is a
 //! **hard error** (non-zero exit) — and so is a baseline row that lacks
-//! any engine's timing column (a comparison that silently skips an
-//! engine reads as "no regression" in a CI log). The CI throughput step
-//! stays non-gating via `continue-on-error`, not by swallowing errors
-//! here.
+//! any timing column (a comparison that silently skips an engine or the
+//! out-of-order model reads as "no regression" in a CI log). The CI
+//! throughput step stays non-gating via `continue-on-error`, not by
+//! swallowing errors here.
 
 use std::time::Instant;
 use subword_bench::json::Json;
@@ -33,23 +35,55 @@ use subword_compile::verify::ENGINES;
 use subword_isa::program::Program;
 use subword_kernels::framework::KernelBuild;
 use subword_kernels::suite::{all_suites, dotprod_example};
-use subword_sim::{ExecEngine, MachineConfig, SimStats};
+use subword_sim::{ExecEngine, MachineConfig, PipelineKind, SimStats};
 use subword_spu::SHAPE_D;
 
 const REPS: usize = 5;
+const SCHEMA: &str = "subword-bench-sim/v3";
 
-/// The JSON column of one engine's best-of-N nanos (`reference_nanos`,
-/// …); a benchmark row (and a baseline row) covers every engine.
-fn column(engine: ExecEngine) -> String {
-    format!("{engine:?}_nanos").to_lowercase()
+/// What one timing column runs: an engine on the in-order model, or the
+/// out-of-order model, which takes its one path whatever the engine.
+#[derive(Clone, Copy)]
+enum Column {
+    Engine(ExecEngine),
+    Ooo,
+}
+
+/// Every timed column: the [`ENGINES`] in order, then the out-of-order
+/// model. A benchmark row (and a baseline row) covers all of them.
+const COLUMNS: [Column; 4] = [
+    Column::Engine(ENGINES[0]),
+    Column::Engine(ENGINES[1]),
+    Column::Engine(ENGINES[2]),
+    Column::Ooo,
+];
+const THREADED: usize = 2;
+const OOO: usize = 3;
+
+impl Column {
+    /// The JSON key of the column's best-of-N nanos (`reference_nanos`,
+    /// …, `ooo_nanos`).
+    fn key(self) -> String {
+        match self {
+            Column::Engine(engine) => format!("{engine:?}_nanos").to_lowercase(),
+            Column::Ooo => "ooo_nanos".into(),
+        }
+    }
+
+    fn config(self, cfg: &MachineConfig) -> MachineConfig {
+        match self {
+            Column::Engine(engine) => MachineConfig { engine, ..cfg.clone() },
+            Column::Ooo => MachineConfig { pipeline: PipelineKind::OutOfOrder, ..cfg.clone() },
+        }
+    }
 }
 
 struct Row {
     kernel: &'static str,
     variant: &'static str,
     instructions: u64,
-    /// Best-of-N wall nanos, indexed like [`ENGINES`].
-    nanos: [u64; 3],
+    /// Best-of-N wall nanos, indexed like [`COLUMNS`].
+    nanos: [u64; 4],
 }
 
 impl Row {
@@ -59,18 +93,17 @@ impl Row {
 
     /// Threaded speedup over the decoded stepper.
     fn speedup(&self) -> f64 {
-        self.nanos[1] as f64 / self.nanos[2].max(1) as f64
+        self.nanos[1] as f64 / self.nanos[THREADED].max(1) as f64
     }
 }
 
-/// Best-of-N interpreter wall time for one build on one engine; returns
-/// the stats of the last run for cross-engine comparison.
-fn time_engine(build: &KernelBuild, cfg: &MachineConfig, engine: ExecEngine) -> (u64, SimStats) {
+/// Best-of-N simulator wall time for one build under one configuration;
+/// returns the stats of the last run for cross-column comparison.
+fn time_run(build: &KernelBuild, cfg: MachineConfig) -> (u64, SimStats) {
     let mut best = u64::MAX;
     let mut stats = SimStats::default();
     for _ in 0..REPS {
-        let mut m =
-            build.setup.machine(MachineConfig { engine, ..cfg.clone() }).expect("init in bounds");
+        let mut m = build.setup.machine(cfg.clone()).expect("init in bounds");
         let t = Instant::now();
         stats = m.run(&build.program).expect("kernel runs");
         best = best.min(t.elapsed().as_nanos() as u64);
@@ -85,13 +118,16 @@ fn bench_build(
     build: &KernelBuild,
     cfg: &MachineConfig,
 ) -> Row {
-    let mut nanos = [0u64; 3];
-    let mut stats = [SimStats::default(); 3];
-    for (k, engine) in ENGINES.into_iter().enumerate() {
-        (nanos[k], stats[k]) = time_engine(build, cfg, engine);
+    let mut nanos = [0u64; 4];
+    let mut stats = [SimStats::default(); 4];
+    for (k, col) in COLUMNS.into_iter().enumerate() {
+        (nanos[k], stats[k]) = time_run(build, col.config(cfg));
     }
     assert_eq!(stats[0], stats[1], "decoded diverges from reference on {kernel}/{variant}");
     assert_eq!(stats[0], stats[2], "threaded diverges from reference on {kernel}/{variant}");
+    if let Some(diff) = stats[0].count_divergence(&stats[OOO]) {
+        panic!("ooo diverges from reference on {kernel}/{variant}: {diff}");
+    }
     Row { kernel, variant, instructions: stats[0].instructions, nanos }
 }
 
@@ -119,15 +155,11 @@ fn suite_rows() -> Vec<Row> {
 
 fn to_json(rows: &[Row]) -> Json {
     let (ti, tn) = totals(rows);
-    let engine_fields = |nanos: &[u64; 3]| {
-        ENGINES
-            .iter()
-            .enumerate()
-            .map(|(k, engine)| (column(*engine), Json::UInt(nanos[k])))
-            .collect::<Vec<_>>()
+    let column_fields = |nanos: &[u64; 4]| {
+        COLUMNS.iter().zip(nanos).map(|(col, &n)| (col.key(), Json::UInt(n))).collect::<Vec<_>>()
     };
     Json::Obj(vec![
-        ("schema".into(), Json::Str("subword-bench-sim/v2".into())),
+        ("schema".into(), Json::Str(SCHEMA.into())),
         (
             "rows".into(),
             Json::Arr(
@@ -138,7 +170,7 @@ fn to_json(rows: &[Row]) -> Json {
                             ("variant".into(), Json::Str(r.variant.into())),
                             ("instructions".into(), Json::UInt(r.instructions)),
                         ];
-                        fields.extend(engine_fields(&r.nanos));
+                        fields.extend(column_fields(&r.nanos));
                         Json::Obj(fields)
                     })
                     .collect(),
@@ -148,15 +180,15 @@ fn to_json(rows: &[Row]) -> Json {
             "totals".into(),
             Json::Obj(
                 std::iter::once(("instructions".into(), Json::UInt(ti)))
-                    .chain(engine_fields(&tn))
+                    .chain(column_fields(&tn))
                     .collect(),
             ),
         ),
     ])
 }
 
-fn totals(rows: &[Row]) -> (u64, [u64; 3]) {
-    let mut tn = [0u64; 3];
+fn totals(rows: &[Row]) -> (u64, [u64; 4]) {
+    let mut tn = [0u64; 4];
     for r in rows {
         for (total, nanos) in tn.iter_mut().zip(r.nanos) {
             *total += nanos;
@@ -169,23 +201,22 @@ fn mips(instructions: u64, nanos: u64) -> f64 {
     instructions as f64 / (nanos.max(1) as f64 / 1e9) / 1e6
 }
 
-/// Baseline per-engine MIPS per (kernel, variant) from a saved report.
-/// Every row must carry **all** engine columns — missing engine coverage
-/// is an error, not a skip.
-fn baseline_mips(doc: &Json) -> Result<Vec<(String, [f64; 3])>, String> {
+/// Baseline per-column MIPS per (kernel, variant) from a saved report.
+/// Every row must carry **all** [`COLUMNS`] — missing coverage is an
+/// error, not a skip.
+fn baseline_mips(doc: &Json) -> Result<Vec<(String, [f64; 4])>, String> {
     let schema = doc.field("schema")?.as_str()?;
-    if schema != "subword-bench-sim/v2" {
+    if schema != SCHEMA {
         return Err(format!(
-            "unsupported schema `{schema}` (expected subword-bench-sim/v2; \
-             regenerate with --save)"
+            "unsupported schema `{schema}` (expected {SCHEMA}; regenerate with --save)"
         ));
     }
-    let engine_mips = |obj: &Json, instructions: u64| -> Result<[f64; 3], String> {
-        let mut out = [0f64; 3];
-        for (k, engine) in ENGINES.into_iter().enumerate() {
+    let column_mips = |obj: &Json, instructions: u64| -> Result<[f64; 4], String> {
+        let mut out = [0f64; 4];
+        for (k, col) in COLUMNS.into_iter().enumerate() {
             let nanos = obj
-                .field(&column(engine))
-                .map_err(|e| format!("missing engine coverage: {e}"))?
+                .field(&col.key())
+                .map_err(|e| format!("missing column coverage: {e}"))?
                 .as_u64()?;
             out[k] = mips(instructions, nanos);
         }
@@ -195,10 +226,10 @@ fn baseline_mips(doc: &Json) -> Result<Vec<(String, [f64; 3])>, String> {
     for row in doc.field("rows")?.as_arr()? {
         let key = format!("{}/{}", row.field("kernel")?.as_str()?, row.field("variant")?.as_str()?);
         let instructions = row.field("instructions")?.as_u64()?;
-        out.push((key, engine_mips(row, instructions)?));
+        out.push((key, column_mips(row, instructions)?));
     }
     let t = doc.field("totals")?;
-    out.push(("TOTAL".into(), engine_mips(t, t.field("instructions")?.as_u64()?)?));
+    out.push(("TOTAL".into(), column_mips(t, t.field("instructions")?.as_u64()?)?));
     Ok(out)
 }
 
@@ -225,31 +256,33 @@ fn main() {
 
     let rows = suite_rows();
     println!(
-        "{:<10} {:<4} {:>12} {:>10} {:>10} {:>10} {:>8}",
-        "kernel", "var", "instructions", "ref MIPS", "dec MIPS", "thr MIPS", "thr/dec"
+        "{:<10} {:<4} {:>12} {:>10} {:>10} {:>10} {:>8} {:>10}",
+        "kernel", "var", "instructions", "ref MIPS", "dec MIPS", "thr MIPS", "thr/dec", "ooo MIPS"
     );
     for r in &rows {
         println!(
-            "{:<10} {:<4} {:>12} {:>10.2} {:>10.2} {:>10.2} {:>7.2}x",
+            "{:<10} {:<4} {:>12} {:>10.2} {:>10.2} {:>10.2} {:>7.2}x {:>10.2}",
             r.kernel,
             r.variant,
             r.instructions,
             r.mips_of(0),
             r.mips_of(1),
-            r.mips_of(2),
-            r.speedup()
+            r.mips_of(THREADED),
+            r.speedup(),
+            r.mips_of(OOO)
         );
     }
     let (ti, tn) = totals(&rows);
     println!(
-        "{:<10} {:<4} {:>12} {:>10.2} {:>10.2} {:>10.2} {:>7.2}x",
+        "{:<10} {:<4} {:>12} {:>10.2} {:>10.2} {:>10.2} {:>7.2}x {:>10.2}",
         "TOTAL",
         "",
         ti,
         mips(ti, tn[0]),
         mips(ti, tn[1]),
-        mips(ti, tn[2]),
-        tn[1] as f64 / tn[2].max(1) as f64
+        mips(ti, tn[THREADED]),
+        tn[1] as f64 / tn[THREADED].max(1) as f64,
+        mips(ti, tn[OOO])
     );
 
     if let Some(path) = value_of("--baseline") {
@@ -259,20 +292,31 @@ fn main() {
             .and_then(|doc| baseline_mips(&doc))
         {
             Ok(base) => {
-                println!("\nagainst baseline {path} (threaded MIPS, current / baseline):");
-                let current: Vec<(String, f64)> = rows
+                println!("\nagainst baseline {path} (threaded and ooo MIPS, current / baseline):");
+                let current: Vec<(String, [f64; 2])> = rows
                     .iter()
-                    .map(|r| (format!("{}/{}", r.kernel, r.variant), r.mips_of(2)))
-                    .chain([("TOTAL".to_string(), mips(ti, tn[2]))])
+                    .map(|r| {
+                        let key = format!("{}/{}", r.kernel, r.variant);
+                        (key, [r.mips_of(THREADED), r.mips_of(OOO)])
+                    })
+                    .chain([("TOTAL".to_string(), [mips(ti, tn[THREADED]), mips(ti, tn[OOO])])])
                     .collect();
-                for (key, now) in &current {
+                let delta = |now: f64, then: f64| {
+                    format!(
+                        "{now:>8.2} / {then:<8.2} ({:+.1}%)",
+                        100.0 * (now - then) / then.max(1e-9)
+                    )
+                };
+                for (key, [thr, ooo]) in &current {
                     match base.iter().find(|(k, _)| k == key) {
                         Some((_, then)) => println!(
-                            "{key:<16} {now:>10.2} / {:<10.2} ({:+.1}%)",
-                            then[2],
-                            100.0 * (now - then[2]) / then[2].max(1e-9)
+                            "{key:<16} thr {}  ooo {}",
+                            delta(*thr, then[THREADED]),
+                            delta(*ooo, then[OOO])
                         ),
-                        None => println!("{key:<16} {now:>10.2} / (not in baseline)"),
+                        None => {
+                            println!("{key:<16} thr {thr:>8.2}  ooo {ooo:>8.2} (not in baseline)")
+                        }
                     }
                 }
             }

@@ -232,12 +232,18 @@ fn main() {
         stats.misses,
         stats.hits,
     );
+    // Only in-order runs pick an engine; an out-of-order run always
+    // takes the one ooo path.
+    let ran_on = match pipeline {
+        PipelineKind::InOrder => format!("in-order pipeline model, {:?} engine", cfg.base.engine),
+        PipelineKind::OutOfOrder => format!("{} pipeline model", pipeline.name()),
+    };
     eprintln!(
-        "sweep: simulated {} instructions at {:.2} MIPS on the {:?} engine \
-         (in-simulator time, summed over workers; store-replayed cells excluded)",
+        "sweep: simulated {} instructions at {:.2} MIPS on the {ran_on} \
+         (checked-run time: set-up, simulation, output capture and golden check, \
+         summed over workers; store-replayed cells excluded)",
         report.total_sim_instructions(),
         report.sim_ips() / 1e6,
-        cfg.base.engine,
     );
     if let Some(store) = &store {
         let s = store.stats();

@@ -406,12 +406,13 @@ impl SweepReport {
         self.cells.iter().map(|c| c.record.sim_instructions).sum()
     }
 
-    /// Aggregate simulator throughput over the in-simulator portion of
-    /// the sweep: total simulated instructions per host second spent
-    /// *inside* `Machine::run`, with time summed across workers — i.e.
-    /// the average per-run interpreter rate, independent of how many
-    /// workers the sweep ran on (contention can push it below a quiet
-    /// single-thread measurement, never above it).
+    /// Aggregate simulator throughput over the sweep's checked runs:
+    /// total simulated instructions per host second of the cells'
+    /// `wall_nanos`, which time each whole checked run — machine set-up,
+    /// simulation, output capture and golden check — summed across
+    /// workers. It is thus a per-run rate independent of how many
+    /// workers the sweep ran on, and a lower bound on the bare
+    /// interpreter's (contention can push it lower still).
     pub fn sim_ips(&self) -> f64 {
         let in_sim: u64 = self.cells.iter().map(|c| c.record.wall_nanos.0).sum();
         HostNanos(in_sim).per_second(self.total_sim_instructions())

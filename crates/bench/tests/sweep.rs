@@ -86,7 +86,7 @@ fn sweep_report_round_trips_through_json() {
     }
 
     // Throughput accounting: the sweep simulated real work in measurable
-    // host time, and the in-simulator time is bounded by the whole pass.
+    // host time, and every cell timed its checked runs.
     assert!(report.total_sim_instructions() > 0);
     assert!(report.wall_nanos.0 > 0);
     let in_sim: u64 = report.cells.iter().map(|c| c.record.wall_nanos.0).sum();

@@ -216,10 +216,11 @@ pub struct Measurement {
     pub report: CompileReport,
     /// Block counts used (small, large).
     pub blocks: (u64, u64),
-    /// Host wall-clock spent in the measurement's simulator runs — eight
-    /// (baseline, SPU, and their scheduled forms, at both block counts),
-    /// or four without [`MeasureOpts::scheduled`] — the
-    /// interpreter-throughput signal.
+    /// Host wall-clock spent in the measurement's checked simulator runs
+    /// (machine set-up, simulation, output capture and golden check) —
+    /// eight (baseline, SPU, and their scheduled forms, at both block
+    /// counts), or four without [`MeasureOpts::scheduled`] — the
+    /// simulator-throughput signal.
     pub wall_nanos: HostNanos,
     /// Dynamic instructions those runs retired (deterministic, so it
     /// participates in equality).
@@ -271,8 +272,8 @@ pub struct MeasurementRecord {
     pub family: Family,
     /// Block counts used (small, large).
     pub blocks: (u64, u64),
-    /// Host wall-clock spent in the measurement's simulator runs, eight
-    /// in a sweep cell (exempt from equality — see [`HostNanos`]).
+    /// Host wall-clock spent in the measurement's checked simulator runs,
+    /// eight in a sweep cell (exempt from equality — see [`HostNanos`]).
     pub wall_nanos: HostNanos,
     /// Dynamic instructions those runs retired.
     pub sim_instructions: u64,

@@ -9,13 +9,16 @@
 //! into a dense side table of [`DecodedInstr`] metadata and the hot loop
 //! reads packed flags and [`RegMask`] bitmasks instead:
 //!
-//! * [`ClassFlags`] — one byte of class predicates (mmx / load / store /
-//!   branch / mmx-multiply / shifter / scalar-multiply / realignment),
-//!   replacing eight `matches!` walks in `account()` and the issue-cost
-//!   logic;
+//! * [`ClassFlags`] — ten bits of class predicates (mmx / load / store /
+//!   branch / mmx-multiply / shifter / scalar-multiply / realignment /
+//!   reads-flags / writes-flags), replacing `matches!` walks in
+//!   `account()`, the issue-cost logic and the out-of-order timing;
 //! * `reads` / `writes` — the instruction's nominal register sets as
 //!   bitmasks (`u8` MMX + `u16` GP), feeding the scoreboard and the
 //!   RAW/WAR pairing checks without allocation;
+//! * `mem_bytes` — the width of the memory operand, which the
+//!   out-of-order store buffer disambiguates by (the effective address
+//!   is the only per-execution part of a memory reference);
 //! * `pairable_next` — whether `(pc, pc+1)` may dual-issue when the SPU
 //!   routes neither slot. While the controller is idle (or its current
 //!   states route nothing) the dynamic pairing test collapses to this
@@ -30,28 +33,30 @@
 //! bit-for-bit.
 
 use crate::pipeline::can_pair;
-use subword_isa::instr::{Instr, RegMask};
+use subword_isa::instr::{Instr, MmxOperand, RegMask};
 use subword_isa::program::Program;
 use subword_spu::controller::StepRouting;
 
-/// Packed instruction-class predicate byte. Bit layout is internal; use
+/// Packed instruction-class predicate bits. Bit layout is internal; use
 /// the accessors.
 #[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
-pub struct ClassFlags(u8);
+pub struct ClassFlags(u16);
 
 impl ClassFlags {
-    const MMX: u8 = 1 << 0;
-    const LOAD: u8 = 1 << 1;
-    const STORE: u8 = 1 << 2;
-    const BRANCH: u8 = 1 << 3;
-    const MMX_MULTIPLY: u8 = 1 << 4;
-    const SHIFTER: u8 = 1 << 5;
-    const SCALAR_MULTIPLY: u8 = 1 << 6;
-    const REALIGNMENT: u8 = 1 << 7;
+    const MMX: u16 = 1 << 0;
+    const LOAD: u16 = 1 << 1;
+    const STORE: u16 = 1 << 2;
+    const BRANCH: u16 = 1 << 3;
+    const MMX_MULTIPLY: u16 = 1 << 4;
+    const SHIFTER: u16 = 1 << 5;
+    const SCALAR_MULTIPLY: u16 = 1 << 6;
+    const REALIGNMENT: u16 = 1 << 7;
+    const READS_FLAGS: u16 = 1 << 8;
+    const WRITES_FLAGS: u16 = 1 << 9;
 
     /// Evaluate every class predicate of `i` once.
     pub fn of(i: &Instr) -> ClassFlags {
-        let mut f = 0u8;
+        let mut f = 0u16;
         if i.is_mmx() {
             f |= Self::MMX;
         }
@@ -75,6 +80,12 @@ impl ClassFlags {
         }
         if i.is_realignment() {
             f |= Self::REALIGNMENT;
+        }
+        if i.reads_flags() {
+            f |= Self::READS_FLAGS;
+        }
+        if i.writes_flags() {
+            f |= Self::WRITES_FLAGS;
         }
         ClassFlags(f)
     }
@@ -126,6 +137,18 @@ impl ClassFlags {
     pub fn is_realignment(self) -> bool {
         self.0 & Self::REALIGNMENT != 0
     }
+
+    /// Mirrors [`Instr::reads_flags`].
+    #[inline]
+    pub fn reads_flags(self) -> bool {
+        self.0 & Self::READS_FLAGS != 0
+    }
+
+    /// Mirrors [`Instr::writes_flags`].
+    #[inline]
+    pub fn writes_flags(self) -> bool {
+        self.0 & Self::WRITES_FLAGS != 0
+    }
 }
 
 /// Static per-instruction metadata, computed once per
@@ -138,6 +161,9 @@ pub struct DecodedInstr {
     pub reads: RegMask,
     /// Register writes as a bitmask (at most one bit set).
     pub writes: RegMask,
+    /// Bytes the memory operand accesses; 0 without one
+    /// ([`Instr::mem_operand`]).
+    pub mem_bytes: u8,
     /// Whether the SPU interconnect can route this instruction's operands
     /// ([`Instr::spu_routable`]).
     pub routable: bool,
@@ -152,9 +178,26 @@ impl DecodedInstr {
             flags: ClassFlags::of(i),
             reads: i.read_mask(),
             writes: i.write_mask(),
+            mem_bytes: mem_bytes(i),
             routable: i.spu_routable(),
             pairable_next: false,
         }
+    }
+}
+
+/// Bytes `i`'s memory operand accesses; 0 without one.
+fn mem_bytes(i: &Instr) -> u8 {
+    match i {
+        Instr::Mmx { src: MmxOperand::Mem(_), .. }
+        | Instr::MovqLoad { .. }
+        | Instr::MovqStore { .. } => 8,
+        Instr::MovdLoad { .. }
+        | Instr::MovdStore { .. }
+        | Instr::Load { .. }
+        | Instr::Store { .. }
+        | Instr::StoreI { .. } => 4,
+        Instr::LoadW { .. } | Instr::StoreW { .. } => 2,
+        _ => 0,
     }
 }
 
@@ -221,6 +264,10 @@ mod tests {
             pmullw mm0, mm1
             punpcklwd mm2, mm3
             movq [r0+8], mm0
+            movd [r0], mm1
+            paddw mm1, [r0+16]
+            movzx r2, [r0]
+            movw [r0+2], r2
             imul r1, r1
             sub r0, 1
             jnz t
@@ -231,6 +278,9 @@ mod tests {
         .unwrap();
         for i in &p.instrs {
             let f = ClassFlags::of(i);
+            assert_eq!(f.reads_flags(), i.reads_flags(), "{i}");
+            assert_eq!(f.writes_flags(), i.writes_flags(), "{i}");
+            assert_eq!(mem_bytes(i) != 0, i.mem_operand().is_some(), "{i}");
             assert_eq!(f.is_mmx(), i.is_mmx(), "{i}");
             assert_eq!(f.is_load(), i.is_load(), "{i}");
             assert_eq!(f.is_store(), i.is_store(), "{i}");
@@ -240,6 +290,8 @@ mod tests {
             assert_eq!(f.is_scalar_multiply(), i.is_scalar_multiply(), "{i}");
             assert_eq!(f.is_realignment(), i.is_realignment(), "{i}");
         }
+        let widths: Vec<u8> = p.instrs.iter().map(mem_bytes).collect();
+        assert_eq!(widths, [0, 8, 0, 0, 8, 4, 8, 2, 2, 0, 0, 0, 0]);
     }
 
     #[test]

@@ -93,7 +93,10 @@ impl PipelineKind {
 /// Size parameters of the out-of-order backend. The defaults sketch a
 /// small Pentium-Pro-class core — deliberately modest, since the
 /// question is whether *any* dynamic ILP extraction erodes the SPU
-/// lifting win, not whether an ideal dataflow machine would.
+/// lifting win, not whether an ideal dataflow machine would. Every field
+/// must be at least 1: an out-of-order run refuses a zero
+/// ([`crate::SimError::ZeroOooParam`]) rather than wait forever for a
+/// structure that can never hold an instruction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OooParams {
     /// Reorder-buffer entries (in-flight instructions).
@@ -118,6 +121,22 @@ impl Default for OooParams {
             retire_width: 3,
             store_buffer: 8,
         }
+    }
+}
+
+impl OooParams {
+    /// The first field that is 0, by name, or `None` when every
+    /// structure can hold an instruction.
+    pub(crate) fn zero_field(&self) -> Option<&'static str> {
+        [
+            ("rob_entries", self.rob_entries),
+            ("rs_entries", self.rs_entries),
+            ("issue_width", self.issue_width),
+            ("retire_width", self.retire_width),
+            ("store_buffer", self.store_buffer),
+        ]
+        .into_iter()
+        .find_map(|(name, n)| (n == 0).then_some(name))
     }
 }
 
@@ -181,6 +200,6 @@ mod tests {
         assert_eq!(PipelineKind::default(), PipelineKind::InOrder);
         let p = OooParams::default();
         assert!(p.rob_entries >= p.rs_entries);
-        assert!(p.issue_width >= 1 && p.retire_width >= 1 && p.store_buffer >= 1);
+        assert_eq!(p.zero_field(), None);
     }
 }

@@ -43,46 +43,32 @@
 //! measurement. OoO-internal pressure counters land in
 //! [`Machine::ooo`] ([`OooStats`]).
 //!
+//! # Bookkeeping cost
+//!
+//! Everything static about an instruction — its class, register sets,
+//! flag dependences and memory width — comes predecoded from
+//! [`DecodedProgram`]; per dynamic instruction the model derives only
+//! the routed read mask and the effective address. The reservation
+//! stations are a min-heap of execution-start cycles, and the per-cycle
+//! start counts live in a power-of-two ring (`StartRing`) whose cycles
+//! are folded into the statistics as soon as the dispatch frontier
+//! passes them.
+//!
 //! [`effective_mispredict_penalty`]: crate::MachineConfig::effective_mispredict_penalty
 //! [`RegMask`]: subword_isa::instr::RegMask
 
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
-use crate::decode::DecodedProgram;
+use crate::decode::{DecodedInstr, DecodedProgram};
 use crate::error::SimError;
 use crate::machine::{Machine, MachineConfig};
 use crate::model::pipeline::effective_read_mask;
 use crate::model::{OooParams, OooStats};
 use crate::stats::SimStats;
-use subword_isa::instr::{Instr, MmxOperand, RegMask};
+use subword_isa::instr::{Instr, RegMask};
 use subword_isa::program::Program;
 use subword_spu::mmio::in_mmio_range;
-
-/// One instruction's memory reference, resolved to an effective address
-/// *before* execution (so the address is computed from the same
-/// register values execution itself sees).
-#[derive(Clone, Copy)]
-struct MemRef {
-    addr: u32,
-    size: u32,
-    store: bool,
-    mmio: bool,
-}
-
-/// Timing-relevant description of one dispatched instruction.
-struct OpDesc {
-    reads: RegMask,
-    writes: RegMask,
-    /// The flags dependence, tracked apart because [`RegMask`] carries
-    /// no flags bit.
-    reads_flags: bool,
-    writes_flags: bool,
-    is_mmx: bool,
-    mmx_mul: bool,
-    scalar_mul: bool,
-    shifter: bool,
-    mem: Option<MemRef>,
-}
 
 /// An in-flight (dispatched, not yet retired) store buffer entry.
 #[derive(Clone, Copy)]
@@ -92,6 +78,91 @@ struct SbEntry {
     size: u32,
     /// Cycle the store's data is available for forwarding.
     data_ready: u64,
+}
+
+/// Executions started per cycle, `(total, mmx)`, for the cycles that
+/// are not yet final: a power-of-two ring indexed by `cycle & mask`,
+/// covering `base..end`. Every slot outside that span is zero.
+struct StartRing {
+    slots: Vec<(u64, u64)>,
+    /// Oldest cycle not yet folded into the statistics.
+    base: u64,
+    /// One past the youngest cycle with a start.
+    end: u64,
+}
+
+impl StartRing {
+    fn new(span: u64) -> StartRing {
+        StartRing { slots: vec![(0, 0); span.next_power_of_two() as usize], base: 0, end: 0 }
+    }
+
+    /// Start one execution at the first cycle from `at` on that has
+    /// fewer than `width` starts; returns that cycle. `at` is never
+    /// below `base`: no op starts before it dispatches.
+    #[inline]
+    fn claim(&mut self, mut at: u64, width: u64, mmx: bool) -> u64 {
+        debug_assert!(at >= self.base, "start {at} below the folded frontier {}", self.base);
+        loop {
+            if at - self.base >= self.slots.len() as u64 {
+                self.grow(at);
+            }
+            let mask = self.slots.len() as u64 - 1;
+            let slot = &mut self.slots[(at & mask) as usize];
+            if slot.0 < width {
+                slot.0 += 1;
+                slot.1 += u64::from(mmx);
+                self.end = self.end.max(at + 1);
+                return at;
+            }
+            at += 1;
+        }
+    }
+
+    /// Double the ring until it spans `base..=at`, keeping every live
+    /// slot at its cycle.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, at: u64) {
+        let mut len = self.slots.len() * 2;
+        while at - self.base >= len as u64 {
+            len *= 2;
+        }
+        let mut slots = vec![(0, 0); len];
+        let (old, new) = (self.slots.len() as u64 - 1, len as u64 - 1);
+        for cycle in self.base..self.end {
+            slots[(cycle & new) as usize] = self.slots[(cycle & old) as usize];
+        }
+        self.slots = slots;
+    }
+
+    /// Fold every cycle below `frontier` into the occupancy statistics:
+    /// `pairs` = cycles with ≥ 2 starts, `singles` = exactly one,
+    /// `mmx_pairs` = ≥ 2 MMX starts, `mmx_active_cycles` = ≥ 1 MMX
+    /// start — the closest out-of-order analogue of the in-order U/V
+    /// pairing counters, and deliberately reported in the same fields.
+    fn fold_below(&mut self, frontier: u64, stats: &mut SimStats) {
+        let mask = self.slots.len() as u64 - 1;
+        for cycle in self.base..frontier.min(self.end) {
+            let (total, mmx) = std::mem::take(&mut self.slots[(cycle & mask) as usize]);
+            stats.pairs += u64::from(total >= 2);
+            stats.singles += u64::from(total == 1);
+            stats.mmx_pairs += u64::from(mmx >= 2);
+            stats.mmx_active_cycles += u64::from(mmx >= 1);
+        }
+        self.base = self.base.max(frontier);
+    }
+}
+
+/// Indices of the set bits of `mask`, lowest first.
+#[inline]
+fn set_bits(mut mask: u16) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            bit
+        })
+    })
 }
 
 /// The timing state machine. Lives only for the duration of one run;
@@ -110,16 +181,15 @@ struct OooTiming {
     /// Retire cycles of in-flight instructions, oldest first
     /// (non-decreasing: retirement is in order).
     rob: VecDeque<u64>,
-    /// Execution-start cycles of dispatched ops (entry freed once
-    /// execution begins). Small (`rs_entries`), scanned linearly.
-    rs: Vec<u64>,
+    /// Execution-start cycles of dispatched ops, earliest on top (an
+    /// entry is freed once its execution begins).
+    rs: BinaryHeap<Reverse<u64>>,
     /// In-flight stores, oldest first.
     sb: VecDeque<SbEntry>,
-    /// Executions started per cycle `(total, mmx)` — folded into the
-    /// pairing/occupancy statistics once the cycle is final (below the
-    /// dispatch frontier: no future op can start earlier than it
-    /// dispatches).
-    started: BTreeMap<u64, (u64, u64)>,
+    /// Executions started per cycle, folded into the pairing/occupancy
+    /// statistics once the cycle is final (below the dispatch frontier:
+    /// no future op can start earlier than it dispatches).
+    started: StartRing,
     /// The register-availability table: cycle at which each register's
     /// newest value is available. Indexed by architectural name, but
     /// because writes simply overwrite the entry in program order this
@@ -141,19 +211,30 @@ struct OooTiming {
     completion: u64,
 }
 
+/// Largest up-front allocation for a buffer sized by an [`OooParams`]
+/// field; a larger structure grows on demand.
+const PRESIZE_LIMIT: u64 = 1 << 12;
+
 impl OooTiming {
     fn new(cfg: &MachineConfig) -> OooTiming {
+        let p = cfg.ooo;
+        let scalar_mul_latency = cfg.scalar_mul_latency.max(1);
+        let presize = |n: u64| n.min(PRESIZE_LIMIT) as usize;
+        // A ROB's worth of back-to-back longest-latency ops spans this
+        // many cycles past the dispatch frontier; a longer span grows
+        // the ring.
+        let span = p.rob_entries.saturating_mul(scalar_mul_latency.max(cfg.mmx_mul_latency) + 1);
         OooTiming {
-            p: cfg.ooo,
+            p,
             mmx_mul_latency: cfg.mmx_mul_latency,
-            scalar_mul_latency: cfg.scalar_mul_latency.max(1),
+            scalar_mul_latency,
             fetch: 0,
             disp_at: 0,
             disp_n: 0,
-            rob: VecDeque::new(),
-            rs: Vec::new(),
-            sb: VecDeque::new(),
-            started: BTreeMap::new(),
+            rob: VecDeque::with_capacity(presize(p.rob_entries)),
+            rs: BinaryHeap::with_capacity(presize(p.rs_entries)),
+            sb: VecDeque::with_capacity(presize(p.store_buffer)),
+            started: StartRing::new(span.min(PRESIZE_LIMIT)),
             mm_avail: [0; 8],
             gp_avail: [0; 16],
             flags_avail: 0,
@@ -175,16 +256,28 @@ impl OooTiming {
         while self.sb.front().is_some_and(|e| e.retire < t) {
             self.sb.pop_front();
         }
-        self.rs.retain(|&start| start >= t);
+        while self.rs.peek().is_some_and(|&Reverse(start)| start < t) {
+            self.rs.pop();
+        }
     }
 
-    /// Time one instruction through dispatch → execute → retire.
-    /// Returns its execute-complete cycle (when a dependent consumer —
-    /// or a redirected fetch — could first proceed).
-    fn instr(&mut self, op: &OpDesc, penalty_stats: &mut SimStats, ooo: &mut OooStats) -> u64 {
+    /// Time one instruction through dispatch → execute → retire: `d` is
+    /// its predecoded metadata, `reads` its (routed) register reads and
+    /// `addr` the effective address of its memory operand. Returns its
+    /// execute-complete cycle (when a dependent consumer — or a
+    /// redirected fetch — could first proceed).
+    fn instr(
+        &mut self,
+        d: &DecodedInstr,
+        reads: RegMask,
+        addr: Option<u32>,
+        penalty_stats: &mut SimStats,
+        ooo: &mut OooStats,
+    ) -> u64 {
         let p = self.p;
-        let mmio = op.mem.is_some_and(|m| m.mmio);
-        let plain_store = op.mem.is_some_and(|m| m.store && !m.mmio);
+        let f = d.flags;
+        let mmio = addr.is_some_and(in_mmio_range);
+        let plain_store = f.is_store() && !mmio;
 
         // ---- dispatch: rename + allocate ROB/RS/SB entries ------------
         // An MMIO access fences: it dispatches only once every older
@@ -205,7 +298,7 @@ impl OooTiming {
                 }
             }
             if self.rs.len() as u64 >= p.rs_entries {
-                let w = self.rs.iter().copied().min().unwrap_or(t) + 1;
+                let w = self.rs.peek().map_or(t, |&Reverse(start)| start) + 1;
                 if w > wait {
                     wait = w;
                     cause = 2;
@@ -249,94 +342,73 @@ impl OooTiming {
 
         // ---- operand readiness (RAW through the availability table) ---
         let mut ready = t;
-        for (b, &avail) in self.mm_avail.iter().enumerate() {
-            if op.reads.mm & (1 << b) != 0 {
-                ready = ready.max(avail);
-            }
+        for b in set_bits(reads.mm.into()) {
+            ready = ready.max(self.mm_avail[b]);
         }
-        for (b, &avail) in self.gp_avail.iter().enumerate() {
-            if op.reads.gp & (1 << b) != 0 {
-                ready = ready.max(avail);
-            }
+        for b in set_bits(reads.gp) {
+            ready = ready.max(self.gp_avail[b]);
         }
-        if op.reads_flags {
+        if f.reads_flags() {
             ready = ready.max(self.flags_avail);
         }
         // Loads wait for the youngest older overlapping in-flight store
         // (exact-address disambiguation; forwarding at data-ready).
-        if let Some(m) = op.mem {
-            if !m.store && !m.mmio {
-                for e in self.sb.iter().rev() {
-                    let overlap = e.addr < m.addr + m.size && m.addr < e.addr + e.size;
-                    if overlap {
-                        ready = ready.max(e.data_ready);
-                        break;
-                    }
-                }
+        if let Some(addr) = addr.filter(|_| f.is_load() && !mmio) {
+            let size = u32::from(d.mem_bytes);
+            if let Some(e) =
+                self.sb.iter().rev().find(|e| e.addr < addr + size && addr < e.addr + e.size)
+            {
+                ready = ready.max(e.data_ready);
             }
         }
 
         // ---- execution start: structural units + start bandwidth ------
         let mut start = ready;
-        if op.mmx_mul {
+        if f.is_mmx_multiply() {
             start = start.max(self.mmx_mul_free);
         }
-        if op.scalar_mul {
+        if f.is_scalar_multiply() {
             start = start.max(self.scalar_mul_free);
         }
-        if op.shifter {
+        if f.is_mmx_shifter() {
             start = start.max(self.shifter_free);
         }
-        if op.mem.is_some() {
+        if addr.is_some() {
             start = start.max(self.mem_port_free);
         }
-        loop {
-            let slot = self.started.entry(start).or_insert((0, 0));
-            if slot.0 < p.issue_width {
-                slot.0 += 1;
-                if op.is_mmx {
-                    slot.1 += 1;
-                }
-                break;
-            }
-            start += 1;
-        }
+        let start = self.started.claim(start, p.issue_width, f.is_mmx());
         // Reserve the units at the granted start cycle.
-        if op.mmx_mul {
+        if f.is_mmx_multiply() {
             self.mmx_mul_free = start + 1; // pipelined: 1/cycle
         }
-        if op.scalar_mul {
+        if f.is_scalar_multiply() {
             self.scalar_mul_free = start + self.scalar_mul_latency; // blocking
         }
-        if op.shifter {
+        if f.is_mmx_shifter() {
             self.shifter_free = start + 1;
         }
-        if op.mem.is_some() {
+        if addr.is_some() {
             self.mem_port_free = start + 1;
         }
-        self.rs.push(start);
+        self.rs.push(Reverse(start));
         penalty_stats.stall_cycles += start - t;
 
         // ---- completion: result availability --------------------------
-        let latency = if op.mmx_mul {
+        let latency = if f.is_mmx_multiply() {
             self.mmx_mul_latency.max(1)
-        } else if op.scalar_mul {
+        } else if f.is_scalar_multiply() {
             self.scalar_mul_latency
         } else {
             1
         };
         let end = start + latency;
-        for b in 0..8 {
-            if op.writes.mm & (1 << b) != 0 {
-                self.mm_avail[b] = end;
-            }
+        for b in set_bits(d.writes.mm.into()) {
+            self.mm_avail[b] = end;
         }
-        for b in 0..16 {
-            if op.writes.gp & (1 << b) != 0 {
-                self.gp_avail[b] = end;
-            }
+        for b in set_bits(d.writes.gp) {
+            self.gp_avail[b] = end;
         }
-        if op.writes_flags {
+        if f.writes_flags() {
             self.flags_avail = end;
         }
 
@@ -355,10 +427,8 @@ impl OooTiming {
         self.last_retire = retire;
         self.completion = retire;
         self.rob.push_back(retire);
-        if let Some(m) = op.mem {
-            if m.store && !m.mmio {
-                self.sb.push_back(SbEntry { retire, addr: m.addr, size: m.size, data_ready: end });
-            }
+        if let Some(addr) = addr.filter(|_| plain_store) {
+            self.sb.push_back(SbEntry { retire, addr, size: d.mem_bytes.into(), data_ready: end });
         }
         if mmio {
             // The fence also holds younger dispatch until the window
@@ -366,68 +436,23 @@ impl OooTiming {
             self.fetch = self.fetch.max(retire);
         }
 
-        // Cycles below the dispatch frontier are final (no future op
-        // can start earlier than it dispatches): fold them into the
-        // occupancy stats and keep the live map small.
-        if self.started.len() > 64 {
-            let frontier = self.fetch;
-            fold_started(&mut self.started, Some(frontier), penalty_stats);
-        }
+        // Cycles below the dispatch frontier are final: fold them.
+        self.started.fold_below(self.fetch, penalty_stats);
         end
     }
 }
 
-/// Fold per-cycle execution-start counts into the occupancy statistics:
-/// `pairs` = cycles with ≥ 2 starts, `singles` = exactly one,
-/// `mmx_pairs` = ≥ 2 MMX starts, `mmx_active_cycles` = ≥ 1 MMX start —
-/// the closest out-of-order analogue of the in-order U/V pairing
-/// counters, and deliberately reported in the same fields.
-fn fold_started(started: &mut BTreeMap<u64, (u64, u64)>, below: Option<u64>, stats: &mut SimStats) {
-    while let Some((&cycle, &(total, mmx))) = started.first_key_value() {
-        if below.is_some_and(|limit| cycle >= limit) {
-            break;
-        }
-        started.remove(&cycle);
-        if total >= 2 {
-            stats.pairs += 1;
-        } else if total == 1 {
-            stats.singles += 1;
-        }
-        if mmx >= 2 {
-            stats.mmx_pairs += 1;
-        }
-        if mmx >= 1 {
-            stats.mmx_active_cycles += 1;
-        }
-    }
-}
-
 impl Machine {
-    /// Resolve `i`'s memory reference against the *current* register
-    /// state — called before `Machine::exec`, which therefore sees the
-    /// same addresses.
-    fn mem_ref_of(&self, i: &Instr) -> Option<MemRef> {
-        let (addr, size, store) = match i {
-            Instr::Mmx { src: MmxOperand::Mem(m), .. } => (self.ea(m), 8, false),
-            Instr::MovqLoad { addr, .. } => (self.ea(addr), 8, false),
-            Instr::MovqStore { addr, .. } => (self.ea(addr), 8, true),
-            Instr::MovdLoad { addr, .. } => (self.ea(addr), 4, false),
-            Instr::MovdStore { addr, .. } => (self.ea(addr), 4, true),
-            Instr::Load { addr, .. } => (self.ea(addr), 4, false),
-            Instr::Store { addr, .. } | Instr::StoreI { addr, .. } => (self.ea(addr), 4, true),
-            Instr::LoadW { addr, .. } => (self.ea(addr), 2, false),
-            Instr::StoreW { addr, .. } => (self.ea(addr), 2, true),
-            _ => return None,
-        };
-        Some(MemRef { addr, size, store, mmio: in_mmio_range(addr) })
-    }
-
     /// Run `program` on the out-of-order pipeline model
     /// ([`crate::model::ooo`]). Architectural results are bit-identical
     /// to every in-order engine; only the timing-derived statistics
     /// differ, and the OoO-internal pressure counters are left in
-    /// [`Machine::ooo`].
+    /// [`Machine::ooo`]. A zero-sized [`OooParams`] field is refused
+    /// before anything runs.
     pub(crate) fn run_ooo(&mut self, program: &Program) -> Result<SimStats, SimError> {
+        if let Some(field) = self.cfg.ooo.zero_field() {
+            return Err(SimError::ZeroOooParam { field });
+        }
         self.begin_run();
         let decoded = DecodedProgram::decode(program);
         let use_routing = self.spu.is_some() && decoded.any_spu_routable;
@@ -454,7 +479,9 @@ impl Machine {
             } else {
                 d.reads
             };
-            let mem = self.mem_ref_of(&i);
+            // Resolved against the *current* registers, before `exec`,
+            // which therefore sees the same address.
+            let addr = i.mem_operand().map(|m| self.ea(m));
 
             // Functional execution (shared with the in-order engines).
             let eff = self.exec(program, &i, &routing, pc)?;
@@ -465,19 +492,7 @@ impl Machine {
                 self.stats.imul_block_cycles += self.rules.imul_extra_cycles();
             }
 
-            // Timing.
-            let op = OpDesc {
-                reads,
-                writes: d.writes,
-                reads_flags: i.reads_flags(),
-                writes_flags: i.writes_flags(),
-                is_mmx: d.flags.is_mmx(),
-                mmx_mul: d.flags.is_mmx_multiply(),
-                scalar_mul: d.flags.is_scalar_multiply(),
-                shifter: d.flags.is_mmx_shifter(),
-                mem,
-            };
-            let exec_end = tm.instr(&op, &mut self.stats, &mut self.ooo);
+            let exec_end = tm.instr(&d, reads, addr, &mut self.stats, &mut self.ooo);
 
             // Branch resolution: predictor updates in program order
             // (bit-identical mispredict sequence); a mispredict costs a
@@ -491,7 +506,7 @@ impl Machine {
                 pc = target;
             }
         }
-        fold_started(&mut tm.started, None, &mut self.stats);
+        tm.started.fold_below(u64::MAX, &mut self.stats);
         self.cycle = tm.completion;
         Ok(self.finish_run())
     }
@@ -499,8 +514,10 @@ impl Machine {
 
 #[cfg(test)]
 mod tests {
+    use super::StartRing;
     use crate::machine::{Machine, MachineConfig};
-    use crate::model::{OooStats, PipelineKind};
+    use crate::model::{OooParams, OooStats, PipelineKind};
+    use crate::{SimError, SimStats};
     use subword_isa::asm::assemble;
     use subword_isa::op::{AluOp, MmxOp};
     use subword_isa::program::Program;
@@ -636,6 +653,54 @@ mod tests {
         };
         let err = Machine::new(cfg).run(&p).unwrap_err();
         assert!(matches!(err, crate::SimError::MaxCyclesExceeded { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn start_ring_grows_wraps_and_folds_exactly() {
+        let occupancy = |s: &SimStats| [s.pairs, s.singles, s.mmx_pairs, s.mmx_active_cycles];
+        let mut stats = SimStats::default();
+        let mut ring = StartRing::new(4);
+        assert_eq!(ring.claim(2, 1, false), 2);
+        assert_eq!(ring.claim(2, 1, false), 3, "a full cycle passes the start on");
+        ring.fold_below(2, &mut stats);
+        assert_eq!(occupancy(&stats), [0; 4], "nothing started below cycle 2");
+        assert_eq!(ring.claim(5, 1, false), 5, "wraps onto the slot cycle 1 used");
+        // Cycle 9 is 7 past the base: the ring doubles to 8 slots and
+        // every live cycle keeps its count.
+        assert_eq!(ring.claim(9, 1, true), 9);
+        assert_eq!(ring.slots.len(), 8);
+        assert_eq!(ring.claim(5, 1, false), 6);
+        // A start far beyond doubling grows the ring in one step.
+        assert_eq!(ring.claim(40, 2, true), 40);
+        assert_eq!(ring.claim(40, 2, true), 40);
+        assert_eq!(ring.slots.len(), 64);
+        ring.fold_below(u64::MAX, &mut stats);
+        // Singles at 2, 3, 5, 6 and 9; an MMX pair at 40.
+        assert_eq!(occupancy(&stats), [1, 5, 1, 2]);
+    }
+
+    #[test]
+    fn zero_sized_params_are_refused() {
+        let p = assemble("t", "paddw mm0, mm0\nhalt\n").unwrap();
+        let dflt = OooParams::default();
+        let zeroed = [
+            ("rob_entries", OooParams { rob_entries: 0, ..dflt }),
+            ("rs_entries", OooParams { rs_entries: 0, ..dflt }),
+            ("issue_width", OooParams { issue_width: 0, ..dflt }),
+            ("retire_width", OooParams { retire_width: 0, ..dflt }),
+            ("store_buffer", OooParams { store_buffer: 0, ..dflt }),
+        ];
+        for (name, ooo) in zeroed {
+            let cfg = MachineConfig {
+                pipeline: PipelineKind::OutOfOrder,
+                max_cycles: 10_000,
+                ooo,
+                ..MachineConfig::default()
+            };
+            let err = Machine::new(cfg).run(&p).unwrap_err();
+            assert_eq!(err, SimError::ZeroOooParam { field: name });
+            assert!(err.to_string().contains(name), "{err}");
+        }
     }
 
     /// The timing-derived [`crate::SimStats`] fields of one run, in the

@@ -238,13 +238,20 @@ fn main() {
         PipelineKind::InOrder => format!("in-order pipeline model, {:?} engine", cfg.base.engine),
         PipelineKind::OutOfOrder => format!("{} pipeline model", pipeline.name()),
     };
-    eprintln!(
-        "sweep: simulated {} instructions at {:.2} MIPS on the {ran_on} \
-         (checked-run time: set-up, simulation, output capture and golden check, \
-         summed over workers; store-replayed cells excluded)",
-        report.total_sim_instructions(),
-        report.sim_ips() / 1e6,
-    );
+    let fresh = report.cells.iter().filter(|c| !c.record.cached.0).count();
+    match report.sim_ips() {
+        Some(ips) => eprintln!(
+            "sweep: {fresh} simulated cells count {} instructions at {:.2} MIPS on the {ran_on} \
+             (a cell counts its eight checked runs, the MMX-only runs its shapes share \
+             included; checked-run time: set-up, simulation, output capture and golden \
+             check, summed over workers; store-replayed cells excluded)",
+            report.total_sim_instructions(),
+            ips / 1e6,
+        ),
+        None => eprintln!(
+            "sweep: {fresh} simulated cells count 0 instructions (store-replayed cells excluded)"
+        ),
+    }
     if let Some(store) = &store {
         let s = store.stats();
         eprintln!("cache-stats: hits={} misses={} invalidated={}", s.hits, s.misses, s.invalidated);

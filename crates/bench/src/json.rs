@@ -349,19 +349,59 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
+/// The four hex digits of a `\\u` escape at `at`. Only ASCII hex digits
+/// count: `u32::from_str_radix` alone would also take a leading `+`.
 fn parse_hex4(b: &[u8], at: usize) -> Result<u32, String> {
-    let hex = b.get(at..at + 4).ok_or("truncated \\u escape")?;
-    u32::from_str_radix(std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?, 16)
-        .map_err(|_| "bad \\u escape".to_string())
+    let hex = b.get(at..at + 4).ok_or_else(|| format!("truncated \\u escape at byte {at}"))?;
+    if !hex.iter().all(u8::is_ascii_hexdigit) {
+        return Err(format!("bad \\u escape at byte {at}"));
+    }
+    let hex = std::str::from_utf8(hex).expect("hex digits are ASCII");
+    Ok(u32::from_str_radix(hex, 16).expect("four hex digits fit a u32"))
 }
 
+/// One number, as RFC 8259 spells it:
+/// `-? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?`. A leading `+`,
+/// a leading zero, and a `.` without digits on both sides are errors.
 fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-        *pos += 1;
+    // Advance over a run of digits; how many there were.
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while b.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        *pos - from
+    };
+    let negative = b.get(*pos) == Some(&b'-');
+    *pos += negative as usize;
+    let int_start = *pos;
+    match digits(pos) {
+        0 if negative => return Err(format!("expected a digit at byte {int_start}")),
+        0 => return Err(format!("expected a value at byte {start}")),
+        n if n > 1 && b[int_start] == b'0' => {
+            return Err(format!("leading zero in number at byte {int_start}"))
+        }
+        _ => {}
     }
-    let text = std::str::from_utf8(&b[start..*pos]).map_err(|_| "bad number")?;
-    if !text.contains(['.', 'e', 'E', '-']) {
+    let integer = !negative && !matches!(b.get(*pos), Some(b'.' | b'e' | b'E'));
+    if b.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        if digits(pos) == 0 {
+            return Err(format!("expected a digit after `.` at byte {pos}"));
+        }
+    }
+    if matches!(b.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(b.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        if digits(pos) == 0 {
+            return Err(format!("expected an exponent digit at byte {pos}"));
+        }
+    }
+    let text = std::str::from_utf8(&b[start..*pos]).expect("a number is ASCII");
+    if integer {
         if let Ok(v) = text.parse::<u64>() {
             return Ok(Json::UInt(v));
         }
@@ -403,6 +443,37 @@ mod tests {
         assert!(Json::parse("\"abc").is_err());
         // Hostile nesting errors out instead of overflowing the stack.
         assert!(Json::parse(&"[".repeat(100_000)).is_err());
+        // Numbers and escapes RFC 8259 forbids, each rejected with the
+        // byte offset of the fault.
+        for (text, at) in [
+            ("+1", "byte 0"),
+            ("01", "byte 0"),
+            ("00", "byte 0"),
+            ("[-01]", "byte 2"),
+            ("1.", "byte 2"),
+            (".5", "byte 0"),
+            ("[1.e5]", "byte 3"),
+            ("1e", "byte 2"),
+            ("-", "byte 1"),
+            ("\"\\u+041\"", "byte 3"),
+            ("\"\\u00e\"", "byte 3"),
+        ] {
+            let err = Json::parse(text).expect_err(text);
+            assert!(err.contains(at), "{text}: {err}");
+        }
+        // The forms the grammar allows still parse.
+        for (text, value) in [
+            ("0", Json::UInt(0)),
+            ("10", Json::UInt(10)),
+            ("-0", Json::Num(-0.0)),
+            ("0.5", Json::Num(0.5)),
+            ("1e2", Json::Num(100.0)),
+            ("1E+2", Json::Num(100.0)),
+            ("2.5e-1", Json::Num(0.25)),
+            ("\"\\u004A\"", Json::Str("J".into())),
+        ] {
+            assert_eq!(Json::parse(text), Ok(value), "{text}");
+        }
     }
 
     #[test]

@@ -1,23 +1,30 @@
 //! The sweep orchestration layer: one parallel pass over the whole
-//! kernel × crossbar-shape × block-count job matrix.
+//! kernel × crossbar-shape × block-count matrix.
 //!
 //! The paper's evaluation repeats the same measurement loop in several
 //! harnesses (Figure 9 at shape A, the §6 ablation at shapes A–D, the
 //! parameter-sensitivity study). This module replaces the per-harness
-//! loops with a shared job matrix:
+//! loops with a shared matrix:
 //!
 //! * [`SweepConfig`] names the kernels, shapes, block scales and machine
 //!   parameters to cover;
-//! * [`run_sweep`] executes the matrix on a dynamic worker pool: jobs are
-//!   pulled from a shared queue by `min(jobs, cores)` workers, so a slow
-//!   kernel (FFT1024) never serializes the rest of the matrix behind it
-//!   (rayon would be the off-the-shelf choice here; the build container
-//!   has no network access, so the pool is ~40 lines of `std::thread` —
-//!   see DESIGN.md §4);
+//! * [`run_sweep`] probes the measurement store for every cell, then
+//!   runs the simulation jobs the missed cells need on a dynamic worker
+//!   pool: jobs are pulled from a shared queue by `min(jobs, cores)`
+//!   workers, so a slow kernel (FFT1024) never serializes the rest of
+//!   the matrix behind it (rayon would be the off-the-shelf choice here;
+//!   the build container has no network access, so the pool is ~30
+//!   lines of `std::thread` — see DESIGN.md §4);
+//! * the paper's methodology (§5.2.1) runs each routine once on the
+//!   plain MMX machine and varies only the SPU re-coding, so the sweep
+//!   follows it: the MMX-only half of a measurement
+//!   ([`measure_mmx_only`]) runs once per (kernel, scale), shared by
+//!   that kernel's cells under every shape, and only the lifted half
+//!   ([`measure_lifted`]) runs per cell;
 //! * a measurement's two block counts run one program (the count is a
 //!   setup input, see [`subword_kernels::framework::BLOCKS`]), so every
-//!   job lifts through a per-sweep [`CompileCache`] that hands the first
-//!   lift to the second: the lifting pass runs **once per job**;
+//!   lifted job lifts through a per-sweep [`CompileCache`] that hands the
+//!   first lift to the second: the lifting pass runs **once per cell**;
 //! * results land in a [`SweepReport`] — a plain-data, JSON-serializable
 //!   table of [`MeasurementRecord`]s — the sweep's only product: both
 //!   harness binaries (`sweep`, and `all`, which renders every paper
@@ -25,14 +32,17 @@
 //!   measurement loops.
 
 use crate::json::Json;
-use crate::store::{cell_key, MeasurementStore};
+use crate::store::{cell_key, CellKey, MeasurementStore};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use subword_compile::verify::contained;
 use subword_compile::{lift_permutes, TransformResult};
 use subword_isa::program::Program;
-use subword_kernels::framework::{measure, Cached, HostNanos, MeasureOpts, MeasurementRecord};
+use subword_kernels::framework::{
+    measure_lifted, measure_mmx_only, Cached, HostNanos, MeasureOpts, Measurement,
+    MeasurementRecord,
+};
 use subword_kernels::suite::{all_suites, dotprod_example, family_suite, Family, SuiteEntry};
 use subword_sim::{MachineConfig, SimStats};
 use subword_spu::crossbar::{CrossbarShape, CANONICAL_SHAPES};
@@ -104,16 +114,17 @@ impl SweepConfig {
         SweepConfig::full(&CANONICAL_SHAPES)
     }
 
-    fn jobs(&self) -> Vec<(usize, usize, usize)> {
-        let mut jobs = Vec::new();
+    /// Every (entry, shape, scale) index triple, in report order.
+    fn cells(&self) -> Vec<(usize, usize, usize)> {
+        let mut cells = Vec::new();
         for e in 0..self.entries.len() {
             for s in 0..self.shapes.len() {
                 for c in 0..self.block_scales.len() {
-                    jobs.push((e, s, c));
+                    cells.push((e, s, c));
                 }
             }
         }
-        jobs
+        cells
     }
 }
 
@@ -122,8 +133,8 @@ impl SweepConfig {
 pub struct CacheStats {
     /// Lift requests served a stored lift.
     pub hits: u64,
-    /// Lift requests that ran the lifting pass (one per job in a
-    /// one-scale sweep).
+    /// Lift requests that ran the lifting pass (one per measured cell in
+    /// a one-scale sweep).
     pub misses: u64,
 }
 
@@ -133,10 +144,11 @@ pub struct CacheStats {
 /// A miss runs [`lift_permutes`] and stores the lift with the program it
 /// was lifted from. The next request under the same key takes the entry
 /// out: it is a hit only if its program equals the stored one, and a
-/// miss (lifted afresh, never served the stored lift) otherwise. A job's
-/// second block count is therefore a hit exactly when the kernel keeps
-/// its block count out of the program ([`subword_kernels::Kernel::build`]),
-/// and an entry lives only from a job's first lift to its second.
+/// miss (lifted afresh, never served the stored lift) otherwise. A lifted
+/// job's second block count is therefore a hit exactly when the kernel
+/// keeps its block count out of the program
+/// ([`subword_kernels::Kernel::build`]), and an entry lives only from a
+/// job's first lift to its second. MMX-only jobs never lift.
 /// Concurrent scales of one kernel share a key and may take each other's
 /// entries, so only one-scale sweeps have exact hit and miss counts.
 #[derive(Default)]
@@ -249,8 +261,8 @@ pub struct SweepReport {
     pub cells: Vec<SweepCell>,
     /// Compile-cache counters for the pass that produced this report.
     pub cache: CacheStats,
-    /// Wall clock of the whole sweep (job matrix execution, all workers;
-    /// exempt from equality — see [`HostNanos`]).
+    /// Wall clock of the whole sweep (store probes, simulation jobs and
+    /// joins, all workers; exempt from equality — see [`HostNanos`]).
     pub wall_nanos: HostNanos,
 }
 
@@ -260,19 +272,73 @@ impl PartialEq for SweepReport {
     }
 }
 
+/// Run `job(i)` for every `i` in `0..n` on up to `threads` scoped
+/// workers that pull indices from one shared counter, so one slow job
+/// (FFT1024) never serializes the rest behind it. A panicking job costs
+/// only its own result, as `Err("panicked: …")`: an unwinding worker
+/// would leave the remaining slots unfilled and re-panic the scope join.
+/// Results come back in index order.
+fn pool<T: Send>(
+    threads: usize,
+    n: usize,
+    job: impl Fn(usize) -> Result<T, String> + Sync,
+) -> Vec<Result<T, String>> {
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<Result<T, String>>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..threads.max(1).min(n) {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(slot) = slots.get(i) else { break };
+                let outcome =
+                    contained(|| job(i)).unwrap_or_else(|msg| Err(format!("panicked: {msg}")));
+                *slot.lock().expect("result slot poisoned") = Some(outcome);
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("result slot poisoned")
+                .expect("worker pool exited before finishing its jobs")
+        })
+        .collect()
+}
+
+/// What the store holds for a cell: the replayed cell, or nothing — the
+/// cell is measured, and saved under its key when a store is attached.
+enum Probe {
+    Hit(Box<SweepCell>),
+    Miss(Option<CellKey>),
+}
+
 /// Execute the job matrix, optionally against a cross-run
 /// [`MeasurementStore`]. See the module docs for the orchestration
-/// model; errors carry the failing (kernel, shape) context.
+/// model; an error names the first failing cell as `kernel/shape X`.
 ///
-/// With a store attached, every job first derives its content hash
-/// ([`crate::store::cell_key`] over the built kernel bodies, shape,
-/// machine config, scale and variant set, salted with
-/// [`crate::store::PIPELINE_VERSION`]) and probes the store. A valid
-/// entry is merged into the report as-is, flagged
-/// [`Cached`]`(true)` — no compilation, no simulation. Missing or
-/// invalidated (corrupt, truncated, stale-version) cells run through
-/// the normal worker-pool measurement and are written back; the store
-/// counts each lookup ([`MeasurementStore::stats`]).
+/// The sweep makes three passes over one worker pool:
+///
+/// 1. **Probe.** With a store attached, every cell derives its content
+///    hash ([`crate::store::cell_key`] over the built kernel bodies,
+///    shape, machine config, scale and variant set, salted with
+///    [`crate::store::PIPELINE_VERSION`]) and looks it up. A valid entry
+///    is taken as-is, flagged [`Cached`]`(true)`: no compilation, no
+///    simulation. A missing or invalidated (corrupt, truncated,
+///    stale-version) entry leaves the cell to be measured; the store
+///    counts each lookup ([`MeasurementStore::stats`]). Without a store,
+///    every cell is measured.
+/// 2. **Simulate.** One MMX-only job per (kernel, scale) with a cell to
+///    measure ([`measure_mmx_only`], which no crossbar shape reaches),
+///    and one lifted job per such cell ([`measure_lifted`]). A 4-shape
+///    sweep runs 20 simulations per kernel instead of 32, and a fully
+///    warm store runs none.
+/// 3. **Join.** Each measured cell joins its two halves
+///    ([`Measurement::join`]) and is written back to the store.
+///
+/// Failures stay per cell. A panic or error in a probe or a lifted job
+/// fails its cell; one in an MMX-only job fails the measured cells of
+/// that kernel and scale. Every other cell still runs and is saved.
 pub fn run_sweep(
     cfg: &SweepConfig,
     store: Option<&MeasurementStore>,
@@ -285,88 +351,91 @@ pub fn run_sweep(
     }
     let wall = std::time::Instant::now();
     let cache = CompileCache::new();
-    let jobs = cfg.jobs();
-    let next = AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<Result<SweepCell, String>>>> =
-        jobs.iter().map(|_| Mutex::new(None)).collect();
+    let threads =
+        cfg.threads.unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get()));
+    let pipeline = cfg.base.pipeline.name();
+    let cells = cfg.cells();
+    // The kernel, scale and scaled block counts of entry `e` at scale
+    // index `c`.
+    let run_of = |e: usize, c: usize| {
+        let (entry, scale) = (&cfg.entries[e], cfg.block_scales[c]);
+        (entry.kernel, scale, entry.blocks_small * scale, entry.blocks_large * scale)
+    };
 
-    let workers = cfg
-        .threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get()))
-        .clamp(1, jobs.len());
+    let probes = pool(threads, cells.len(), |i| {
+        let Some(st) = store else { return Ok(Probe::Miss(None)) };
+        let (e, s, c) = cells[i];
+        let (kernel, scale, small, large) = run_of(e, c);
+        let shape = &cfg.shapes[s];
+        let key = cell_key(kernel, small, large, shape, &cfg.base, scale, cfg.measure_scheduled);
+        Ok(match st.load(key, kernel.name(), shape.name, scale, pipeline) {
+            Some(cell) => Probe::Hit(Box::new(cell)),
+            None => Probe::Miss(Some(key)),
+        })
+    });
 
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(e, s, c)) = jobs.get(i) else { break };
-                let entry = &cfg.entries[e];
-                let shape = cfg.shapes[s];
-                let scale = cfg.block_scales[c];
-                let key = entry.kernel.name();
-                let lift =
-                    |program: &Program, shape: &CrossbarShape| cache.lift(key, program, shape);
-                // Contain panics to the cell: a kernel (or a compile
-                // stage under it) that panics must cost exactly one
-                // failed measurement, not the worker thread — an
-                // unwinding worker would leave every remaining slot
-                // unfilled and re-panic the scope join, poisoning the
-                // whole sweep. Key derivation builds the kernel, so it
-                // lives inside the guard too.
-                let outcome = contained(|| -> Result<SweepCell, String> {
-                    let content_key = store.map(|_| {
-                        cell_key(
-                            entry.kernel,
-                            entry.blocks_small * scale,
-                            entry.blocks_large * scale,
-                            &shape,
-                            &cfg.base,
-                            scale,
-                            cfg.measure_scheduled,
-                        )
-                    });
-                    if let (Some(st), Some(k)) = (store, content_key) {
-                        let pipeline = cfg.base.pipeline.name();
-                        if let Some(cell) = st.load(k, key, shape.name, scale, pipeline) {
-                            return Ok(cell);
-                        }
-                    }
-                    let opts = MeasureOpts {
-                        base: cfg.base.clone(),
-                        lift: Some(&lift),
-                        scheduled: cfg.measure_scheduled,
-                    };
-                    let measurement = measure(
-                        entry.kernel,
-                        entry.blocks_small * scale,
-                        entry.blocks_large * scale,
-                        &shape,
-                        &opts,
-                    )?;
-                    let cell = SweepCell {
-                        shape: shape.name.to_string(),
-                        scale,
-                        pipeline: cfg.base.pipeline.name().to_string(),
-                        record: measurement.record(),
-                    };
-                    if let (Some(st), Some(k)) = (store, content_key) {
-                        st.save(k, &cell);
-                    }
-                    Ok(cell)
-                })
-                .unwrap_or_else(|msg| Err(format!("panicked: {msg}")))
-                .map_err(|err| format!("{key}/shape {}: {err}", shape.name));
-                *results[i].lock().expect("result slot poisoned") = Some(outcome);
+    // Jobs as (entry, scale index, shape), the MMX-only ones without a
+    // shape, in kernel-major order. `measured` pairs each cell to measure
+    // with its MMX-only and lifted jobs.
+    let mut jobs: Vec<(usize, usize, Option<CrossbarShape>)> = Vec::new();
+    let mut mmx_jobs = HashMap::new();
+    let mut measured = Vec::new();
+    for (i, &(e, s, c)) in cells.iter().enumerate() {
+        if let Ok(Probe::Miss(_)) = probes[i] {
+            let mmx_only = *mmx_jobs.entry((e, c)).or_insert_with(|| {
+                jobs.push((e, c, None));
+                jobs.len() - 1
             });
+            jobs.push((e, c, Some(cfg.shapes[s])));
+            measured.push((i, mmx_only, jobs.len() - 1));
+        }
+    }
+    let halves = pool(threads, jobs.len(), |j| {
+        let (e, c, shape) = jobs[j];
+        let (kernel, _, small, large) = run_of(e, c);
+        let lift =
+            |program: &Program, shape: &CrossbarShape| cache.lift(kernel.name(), program, shape);
+        let opts = MeasureOpts {
+            base: cfg.base.clone(),
+            lift: Some(&lift),
+            scheduled: cfg.measure_scheduled,
+        };
+        match shape {
+            None => measure_mmx_only(kernel, small, large, &opts),
+            Some(shape) => measure_lifted(kernel, small, large, &shape, &opts),
         }
     });
 
-    let cells = results
+    let joined = pool(threads, measured.len(), |m| {
+        let (i, mmx_only, lifted) = measured[m];
+        let (e, s, c) = cells[i];
+        let (kernel, scale, ..) = run_of(e, c);
+        let half = |j: usize| halves[j].as_ref().map_err(String::clone);
+        let cell = SweepCell {
+            shape: cfg.shapes[s].name.to_string(),
+            scale,
+            pipeline: pipeline.to_string(),
+            record: Measurement::join(kernel, half(mmx_only)?, half(lifted)?).record(),
+        };
+        if let (Some(st), Ok(Probe::Miss(Some(key)))) = (store, &probes[i]) {
+            st.save(*key, &cell);
+        }
+        Ok(cell)
+    });
+
+    let mut joined = joined.into_iter();
+    let cells = probes
         .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker pool exited before finishing its jobs")
+        .zip(&cells)
+        .map(|(probe, &(e, s, _))| {
+            match probe {
+                Ok(Probe::Hit(cell)) => Ok(*cell),
+                Ok(Probe::Miss(_)) => joined.next().expect("one join per measured cell"),
+                Err(err) => Err(err),
+            }
+            .map_err(|err| {
+                format!("{}/shape {}: {err}", cfg.entries[e].kernel.name(), cfg.shapes[s].name)
+            })
         })
         .collect::<Result<Vec<_>, String>>()?;
 
@@ -399,23 +468,36 @@ impl SweepReport {
         self.scales.first().copied().unwrap_or(1)
     }
 
-    /// Dynamic instructions simulated across every cell (each cell runs
-    /// the interpreter eight times — four with `measure_scheduled` off —
-    /// and this sums what those runs retired).
+    /// Dynamic instructions retired by the checked runs of the cells this
+    /// run simulated; store-replayed cells count nothing, so a fully warm
+    /// sweep gives 0. Each cell counts its eight runs (four with
+    /// `measure_scheduled` off). The four MMX-only runs of one (kernel,
+    /// scale) back the cells of all its shapes and count in each of
+    /// them, so this is a sum over cells, above what the process
+    /// simulated.
     pub fn total_sim_instructions(&self) -> u64 {
-        self.cells.iter().map(|c| c.record.sim_instructions).sum()
+        self.fresh_cells().map(|c| c.record.sim_instructions).sum()
     }
 
-    /// Aggregate simulator throughput over the sweep's checked runs:
-    /// total simulated instructions per host second of the cells'
-    /// `wall_nanos`, which time each whole checked run — machine set-up,
-    /// simulation, output capture and golden check — summed across
-    /// workers. It is thus a per-run rate independent of how many
-    /// workers the sweep ran on, and a lower bound on the bare
-    /// interpreter's (contention can push it lower still).
-    pub fn sim_ips(&self) -> f64 {
-        let in_sim: u64 = self.cells.iter().map(|c| c.record.wall_nanos.0).sum();
-        HostNanos(in_sim).per_second(self.total_sim_instructions())
+    /// Aggregate simulator throughput over the simulated cells' checked
+    /// runs: [`SweepReport::total_sim_instructions`] per host second of
+    /// those cells' `wall_nanos`, which time each whole checked run —
+    /// machine set-up, simulation, output capture and golden check —
+    /// summed across workers. A shared MMX-only run adds its
+    /// instructions and its time to every cell that reads it, alike. It
+    /// is thus a per-run rate independent of how many workers the sweep
+    /// ran on, and a lower bound on the bare interpreter's (contention
+    /// can push it lower still). `None` when every cell was replayed
+    /// from a store.
+    pub fn sim_ips(&self) -> Option<f64> {
+        let in_sim: u64 = self.fresh_cells().map(|c| c.record.wall_nanos.0).sum();
+        let instructions = self.total_sim_instructions();
+        (instructions > 0).then(|| HostNanos(in_sim).per_second(instructions))
+    }
+
+    /// The cells this run simulated rather than replayed from a store.
+    fn fresh_cells(&self) -> impl Iterator<Item = &SweepCell> {
+        self.cells.iter().filter(|c| !c.record.cached.0)
     }
 
     /// The scheduling contract the v3 `sched_*` columns must satisfy

@@ -69,6 +69,10 @@ fn warm_store_replays_the_cold_report_exactly() {
     // two scales of a kernel share a cache key).
     let lifts = cold.cache.hits + cold.cache.misses;
     assert_eq!(lifts, 2 * cells as u64);
+    let in_cells: u64 = cold.cells.iter().map(|c| c.record.sim_instructions).sum();
+    assert!(in_cells > 0);
+    assert_eq!(cold.total_sim_instructions(), in_cells);
+    assert!(cold.sim_ips().is_some());
 
     let (warm, warm_stats) = sweep(&cfg, &scratch.0);
     assert_eq!(warm_stats.hits, cells as u64, "unchanged tree: every cell replays");
@@ -78,6 +82,11 @@ fn warm_store_replays_the_cold_report_exactly() {
     assert!(warm.cells.iter().all(|c| c.record.cached.0));
     let lifts = warm.cache.hits + warm.cache.misses;
     assert_eq!(lifts, 0, "replayed cells compile nothing");
+    // The throughput line counts simulated cells only: a replayed cell
+    // keeps the instructions and wall clock of the run that stored it,
+    // and neither may count as this run's work.
+    assert_eq!(warm.total_sim_instructions(), 0, "nothing was simulated");
+    assert_eq!(warm.sim_ips(), None, "no rate without a simulated cell");
 
     // The replayed report equals the simulated one — including, by
     // hand, the equality-exempt per-cell wall clocks and the ordering.

@@ -2,6 +2,8 @@
 //! cache must be invisible to results, the job matrix must equal
 //! independent per-shape sweeps, and reports must survive JSON.
 
+use std::path::Path;
+use subword_bench::baseline::CyclesBaseline;
 use subword_bench::store::MeasurementStore;
 use subword_bench::sweep::{run_sweep, CacheStats, CompileCache, SweepConfig, SweepReport};
 use subword_kernels::framework::{measure, Kernel, KernelBuild, MeasureOpts};
@@ -40,12 +42,16 @@ fn cached_compilation_is_invisible_to_measurements() {
     }
 }
 
-/// (b) One 4-shape sweep equals four independent single-shape sweeps,
-/// and compiles exactly once per (kernel, shape).
+/// (b) The full 4-shape sweep equals four independent single-shape
+/// sweeps, compiles exactly once per (kernel, shape), and matches the
+/// committed in-order cycles baseline on every cell. A 4-shape sweep
+/// shares each kernel's MMX-only runs across its shapes, and a
+/// single-shape sweep does not, so the comparison also shows the
+/// sharing is invisible in the cells.
 #[test]
 fn four_shape_sweep_equals_independent_suite_runs() {
-    let report = run_sweep(&SweepConfig::paper(&CANONICAL_SHAPES), None).unwrap();
-    let kernels = paper_suite().len();
+    let report = run_sweep(&SweepConfig::full_matrix(), None).unwrap();
+    let kernels = SweepConfig::full_matrix().entries.len();
 
     assert_eq!(report.cells.len(), kernels * CANONICAL_SHAPES.len());
     assert_eq!(
@@ -57,8 +63,15 @@ fn four_shape_sweep_equals_independent_suite_runs() {
         "exactly one compilation per (kernel, shape), reused for the second block count"
     );
 
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_cycles.json");
+    let baseline = CyclesBaseline::from_json(&std::fs::read_to_string(path).unwrap()).unwrap();
+    match baseline.check(&report) {
+        Ok(summary) => assert_eq!(summary.cells, report.cells.len()),
+        Err(failure) => panic!("BENCH_cycles.json gate failed:\n{failure}"),
+    }
+
     for shape in CANONICAL_SHAPES {
-        let single = run_sweep(&SweepConfig::paper(&[shape]), None).unwrap();
+        let single = run_sweep(&SweepConfig::full(&[shape]), None).unwrap();
         let swept = report.for_shape(shape.name);
         assert_eq!(single.cells.len(), swept.len());
         for (independent, cell) in single.cells.iter().zip(swept) {
@@ -91,7 +104,7 @@ fn sweep_report_round_trips_through_json() {
     assert!(report.wall_nanos.0 > 0);
     let in_sim: u64 = report.cells.iter().map(|c| c.record.wall_nanos.0).sum();
     assert!(in_sim > 0, "per-cell wall clocks must be populated");
-    assert!(report.sim_ips().is_finite() && report.sim_ips() > 0.0);
+    assert!(report.sim_ips().is_some_and(|ips| ips.is_finite() && ips > 0.0));
 
     // Two lifts per cell. Concurrent scales of one kernel share a cache
     // key and can take each other's stored lift, so only the sum is
@@ -219,6 +232,50 @@ fn a_panicking_kernel_costs_one_cell_not_the_pool() {
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(store.stats().misses, 1, "the kernel after the panic must still have run");
     assert_eq!(saved, 1, "and its cell must have been measured and saved");
+}
+
+/// The dot-product kernel with one golden byte flipped: it builds, so
+/// its store probes succeed, but every checked run of it fails.
+struct WrongGolden;
+
+impl Kernel for WrongGolden {
+    fn name(&self) -> &'static str {
+        "WrongGolden"
+    }
+    fn build(&self, blocks: u64) -> KernelBuild {
+        let mut build = dotprod_example().kernel.build(blocks);
+        build.expected[0].1[0] ^= 0xff;
+        build
+    }
+    fn family(&self) -> Family {
+        Family::Paper
+    }
+}
+
+static WRONG_GOLDEN: WrongGolden = WrongGolden;
+
+/// (h) A failing MMX-only job, which the cells of all its kernel's
+/// shapes share, fails those cells and no others: the error names the
+/// first of them, and the next kernel's cells still run and are saved.
+#[test]
+fn a_failing_shared_mmx_only_job_costs_only_its_kernels_cells() {
+    let mut cfg = SweepConfig::paper(&[SHAPE_A, SHAPE_D]);
+    let e = dotprod_example();
+    cfg.entries = vec![SuiteEntry { kernel: &WRONG_GOLDEN, ..e }, e];
+    cfg.threads = Some(1);
+
+    let dir = std::env::temp_dir().join(format!("subword-sweep-golden-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = MeasurementStore::open(&dir).unwrap();
+    let Err(err) = run_sweep(&cfg, Some(&store)) else {
+        panic!("a failing golden check must surface as a sweep error");
+    };
+    assert!(err.starts_with("WrongGolden/shape A: baseline/2: mismatch"), "{err}");
+
+    let saved = std::fs::read_dir(&dir).unwrap().count();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(store.stats().misses, 4, "every cell was probed");
+    assert_eq!(saved, 2, "DotProd's two cells were measured and saved");
 }
 
 /// (d) The v3 scheduled columns hold the orchestration claims: the list

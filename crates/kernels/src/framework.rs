@@ -11,6 +11,12 @@
 //! The block count is a run input, not part of the code: it arrives in
 //! [`BLOCKS`] through the setup's `reg_init`, so both runs of a
 //! measurement execute one program.
+//!
+//! A measurement has two halves, split by [`Variant::is_lifted`]: the
+//! MMX-only half ([`measure_mmx_only`]) runs on a machine without the SPU
+//! and so does not depend on the crossbar shape, and the lifted half
+//! ([`measure_lifted`]) runs once per shape. [`Measurement::join`] puts
+//! them together; [`measure`] is the two run back to back.
 
 use crate::paper::PaperRow;
 use crate::suite::Family;
@@ -220,10 +226,13 @@ pub struct Measurement {
     /// (machine set-up, simulation, output capture and golden check) —
     /// eight (baseline, SPU, and their scheduled forms, at both block
     /// counts), or four without [`MeasureOpts::scheduled`] — the
-    /// simulator-throughput signal.
+    /// simulator-throughput signal. A sweep runs a kernel's MMX-only
+    /// half once for all its shapes ([`Measurement::join`]); those shared
+    /// runs count in every measurement that reads them.
     pub wall_nanos: HostNanos,
     /// Dynamic instructions those runs retired (deterministic, so it
-    /// participates in equality).
+    /// participates in equality); a shared MMX-only run counts in every
+    /// measurement that reads it.
     pub sim_instructions: u64,
 }
 
@@ -274,8 +283,11 @@ pub struct MeasurementRecord {
     pub blocks: (u64, u64),
     /// Host wall-clock spent in the measurement's checked simulator runs,
     /// eight in a sweep cell (exempt from equality — see [`HostNanos`]).
+    /// The four MMX-only runs are shared by the cells of one kernel and
+    /// scale, and count in every cell that reads them.
     pub wall_nanos: HostNanos,
-    /// Dynamic instructions those runs retired.
+    /// Dynamic instructions those runs retired; a shared MMX-only run
+    /// counts in every cell that reads it.
     pub sim_instructions: u64,
     /// MMX-only steady-state per-block counters.
     pub baseline_per_block: SimStats,
@@ -372,8 +384,9 @@ pub struct MeasureOpts<'a> {
     /// mispredict penalty, pipeline model, …) for every variant; the SPU
     /// flag and crossbar are set per variant ([`Variant::machine`]).
     pub base: MachineConfig,
-    /// Lift hook, called once per block count; `None` runs a fresh
-    /// [`plain_lift`]. The sweep plugs its compiled-program cache in here.
+    /// Lift hook, called once per block count by [`measure_lifted`];
+    /// `None` runs a fresh [`plain_lift`]. The sweep plugs its
+    /// compiled-program cache in here.
     pub lift: Option<LiftFn<'a>>,
     /// Also measure the list-scheduled form of both variants: eight
     /// simulator runs instead of four. Unset, the `sched_*` fields mirror
@@ -384,20 +397,73 @@ pub struct MeasureOpts<'a> {
     pub scheduled: bool,
 }
 
-/// Measure a kernel with the paper's methodology: the MMX-only and lifted
-/// variants (plus their scheduled forms with [`MeasureOpts::scheduled`])
-/// at two block counts, every run checked against the golden outputs;
-/// steady-state per-block counters are the difference.
-pub fn measure(
+/// One half of a [`Measurement`]: a variant and its list-scheduled form,
+/// run on one machine at both block counts. [`measure_mmx_only`] returns
+/// the MMX-only half and [`measure_lifted`] the lifted half;
+/// [`Measurement::join`] puts the two together.
+#[derive(Clone, Debug, PartialEq)]
+pub struct HalfMeasurement {
+    /// The variant as built ([`Variant::Baseline`] or [`Variant::Lifted`]).
+    plain: VariantStats,
+    /// Its list-scheduled form, or a copy of `plain` without
+    /// [`MeasureOpts::scheduled`].
+    scheduled: VariantStats,
+    /// Static instructions the scheduler moved, at the large block count.
+    moved: u64,
+    /// The lifting pass's report (the lifted half only).
+    report: Option<CompileReport>,
+    /// Block counts used (small, large).
+    blocks: (u64, u64),
+    /// Host wall-clock spent in this half's checked simulator runs.
+    wall_nanos: HostNanos,
+    /// Dynamic instructions those runs retired.
+    sim_instructions: u64,
+}
+
+/// The MMX-only half of a measurement: [`Variant::Baseline`] (and
+/// [`Variant::Scheduled`] with [`MeasureOpts::scheduled`]) at both block
+/// counts, every run checked against the golden outputs. It takes no
+/// crossbar shape: the MMX-only machine has no SPU, so one run serves
+/// every shape the kernel is measured under.
+pub fn measure_mmx_only(
+    kernel: &dyn Kernel,
+    blocks_small: u64,
+    blocks_large: u64,
+    opts: &MeasureOpts<'_>,
+) -> Result<HalfMeasurement, String> {
+    // Neither variant is lifted, so no compile stage reads the shape, and
+    // `Variant::machine` leaves the SPU unfitted whatever it is.
+    let half = [Variant::Baseline, Variant::Scheduled];
+    measure_half(kernel, blocks_small, blocks_large, half, &opts.base.crossbar, opts)
+}
+
+/// The lifted half of a measurement: [`Variant::Lifted`] (and
+/// [`Variant::ScheduledLifted`] with [`MeasureOpts::scheduled`]) on the
+/// SPU-fitted machine with crossbar `shape`, at both block counts, every
+/// run checked against the golden outputs.
+pub fn measure_lifted(
     kernel: &dyn Kernel,
     blocks_small: u64,
     blocks_large: u64,
     shape: &CrossbarShape,
     opts: &MeasureOpts<'_>,
-) -> Result<Measurement, String> {
+) -> Result<HalfMeasurement, String> {
+    let half = [Variant::Lifted, Variant::ScheduledLifted];
+    measure_half(kernel, blocks_small, blocks_large, half, shape, opts)
+}
+
+/// Run the `[plain, scheduled]` variants at two block counts; the
+/// steady-state per-block counters are the difference.
+fn measure_half(
+    kernel: &dyn Kernel,
+    blocks_small: u64,
+    blocks_large: u64,
+    half: [Variant; 2],
+    shape: &CrossbarShape,
+    opts: &MeasureOpts<'_>,
+) -> Result<HalfMeasurement, String> {
     assert!(blocks_small < blocks_large);
-    let wanted: &[Variant] =
-        if opts.scheduled { &Variant::ALL } else { &[Variant::Baseline, Variant::Lifted] };
+    let wanted = if opts.scheduled { &half[..] } else { &half[..1] };
     let lift = opts.lift.unwrap_or(&plain_lift);
     let mut wall_nanos = 0;
     let mut sim_instructions = 0;
@@ -422,30 +488,75 @@ pub fn measure(
     let (large, variants) = measure_at(blocks_large)?;
 
     let nblocks = blocks_large - blocks_small;
-    let index = |v: Variant| wanted.iter().position(|w| *w == v);
-    // A variant's steady state, or its unscheduled form's when the
-    // scheduled runs were skipped.
-    let steady = |v: Variant, unscheduled: Variant| {
-        let i = index(v).or(index(unscheduled)).expect("baseline and lifted always run");
+    // A variant's steady state; the scheduled form falls back to the
+    // plain one when its runs were skipped.
+    let steady = |i: usize| {
+        let i = i.min(wanted.len() - 1);
         let mut per_block = large[i] - small[i];
         for (_, c) in per_block.counters_mut() {
             *c /= nblocks;
         }
         VariantStats { per_block, total: large[i] }
     };
-    Ok(Measurement {
-        name: kernel.name(),
-        family: kernel.family(),
-        baseline: steady(Variant::Baseline, Variant::Baseline),
-        spu: steady(Variant::Lifted, Variant::Lifted),
-        sched_baseline: steady(Variant::Scheduled, Variant::Baseline),
-        sched_spu: steady(Variant::ScheduledLifted, Variant::Lifted),
-        sched_moved: (variants.scheduled_moved as u64, variants.lifted_moved as u64),
-        report: variants.report.expect("the lifted variant always builds"),
+    let moved = if half[0].is_lifted() { variants.lifted_moved } else { variants.scheduled_moved };
+    Ok(HalfMeasurement {
+        plain: steady(0),
+        scheduled: steady(1),
+        moved: moved as u64,
+        report: variants.report,
         blocks: (blocks_small, blocks_large),
         wall_nanos: HostNanos(wall_nanos),
         sim_instructions,
     })
+}
+
+impl Measurement {
+    /// Join `kernel`'s MMX-only and lifted halves, measured at the same
+    /// block counts, into one measurement. Its wall clock and instruction
+    /// count are the two halves' sums, so an MMX-only half joined into
+    /// several measurements counts in each of them.
+    pub fn join(
+        kernel: &dyn Kernel,
+        mmx_only: &HalfMeasurement,
+        lifted: &HalfMeasurement,
+    ) -> Measurement {
+        assert_eq!(
+            mmx_only.blocks,
+            lifted.blocks,
+            "{}: halves at different block counts",
+            kernel.name()
+        );
+        Measurement {
+            name: kernel.name(),
+            family: kernel.family(),
+            baseline: mmx_only.plain,
+            spu: lifted.plain,
+            sched_baseline: mmx_only.scheduled,
+            sched_spu: lifted.scheduled,
+            sched_moved: (mmx_only.moved, lifted.moved),
+            report: lifted.report.clone().expect("the lifted half carries the lift report"),
+            blocks: lifted.blocks,
+            wall_nanos: HostNanos(mmx_only.wall_nanos.0 + lifted.wall_nanos.0),
+            sim_instructions: mmx_only.sim_instructions + lifted.sim_instructions,
+        }
+    }
+}
+
+/// Measure a kernel with the paper's methodology: the MMX-only and lifted
+/// variants (plus their scheduled forms with [`MeasureOpts::scheduled`])
+/// at two block counts, every run checked against the golden outputs;
+/// steady-state per-block counters are the difference. This is
+/// [`measure_mmx_only`] and [`measure_lifted`], joined.
+pub fn measure(
+    kernel: &dyn Kernel,
+    blocks_small: u64,
+    blocks_large: u64,
+    shape: &CrossbarShape,
+    opts: &MeasureOpts<'_>,
+) -> Result<Measurement, String> {
+    let mmx_only = measure_mmx_only(kernel, blocks_small, blocks_large, opts)?;
+    let lifted = measure_lifted(kernel, blocks_small, blocks_large, shape, opts)?;
+    Ok(Measurement::join(kernel, &mmx_only, &lifted))
 }
 
 #[cfg(test)]

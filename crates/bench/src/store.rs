@@ -20,9 +20,12 @@
 //!   ([`subword_isa::asm::canonical_bytes`] — derived from the encode
 //!   tables the assembler round-trips), plus their memory/register
 //!   initialisation and golden outputs;
-//! * the crossbar shape, the full [`MachineConfig`] (engine, pipeline
-//!   model and out-of-order structure sizes included), the block scale
-//!   and the variant set (`measure_scheduled`).
+//! * the crossbar shape, every settable [`MachineConfig`] value (engine
+//!   and pipeline model included), the block scale and the variant set
+//!   (`measure_scheduled`). The out-of-order core's structure sizes are
+//!   constants of the simulator, not configuration, so they are not
+//!   key inputs: changing one is a simulation-semantics change and
+//!   bumps the salt.
 //!
 //! Entries live one-per-file as `<key>.json` and are published by
 //! atomic rename. A corrupted, truncated, foreign-schema or
@@ -118,6 +121,8 @@ impl std::fmt::Display for CellKey {
 /// [`cell_key`] under the current [`PIPELINE_VERSION`]. `blocks_small`
 /// and `blocks_large` are the *scaled* counts the measurement actually
 /// runs (entry counts × scale), matching what lands in the record.
+/// `base` contributes all ten of its values; the out-of-order core's
+/// sizes are simulator constants, which the salt stands for.
 pub fn cell_key(
     kernel: &dyn Kernel,
     blocks_small: u64,
@@ -209,15 +214,6 @@ pub fn cell_key_salted(
     h.write_str(&format!("{:?}", base.predictor_kind));
     h.write_str(&format!("{:?}", base.engine));
     h.write_str(base.pipeline.name());
-    // The out-of-order structure sizes shift cycle counts even when the
-    // pipeline kind stays put, so they participate unconditionally (they
-    // are inert under the in-order model, but hashing them keeps the key
-    // derivation branch-free over config contents).
-    h.write_u64(base.ooo.rob_entries);
-    h.write_u64(base.ooo.rs_entries);
-    h.write_u64(base.ooo.issue_width);
-    h.write_u64(base.ooo.retire_width);
-    h.write_u64(base.ooo.store_buffer);
     CellKey(h.finish())
 }
 
@@ -467,15 +463,6 @@ mod tests {
             };
             cell_key(e.kernel, e.blocks_small, e.blocks_large, &shape_a, &cfg, 1, true)
         };
-        // …and so must the out-of-order structure sizes, even while the
-        // pipeline kind itself stays at the in-order default.
-        let rob = {
-            let cfg = MachineConfig {
-                ooo: subword_sim::OooParams { rob_entries: 48, ..Default::default() },
-                ..MachineConfig::default()
-            };
-            cell_key(e.kernel, e.blocks_small, e.blocks_large, &shape_a, &cfg, 1, true)
-        };
         let salted = cell_key_salted(
             e.kernel,
             e.blocks_small,
@@ -486,7 +473,7 @@ mod tests {
             true,
             PIPELINE_VERSION + 1,
         );
-        let keys = [base, shape, scale, variants, engine, latency, pipeline, rob, salted];
+        let keys = [base, shape, scale, variants, engine, latency, pipeline, salted];
         for (i, a) in keys.iter().enumerate() {
             for (j, b) in keys.iter().enumerate() {
                 if i != j {

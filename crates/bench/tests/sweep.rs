@@ -8,6 +8,7 @@ use subword_bench::store::MeasurementStore;
 use subword_bench::sweep::{run_sweep, CacheStats, CompileCache, SweepConfig, SweepReport};
 use subword_kernels::framework::{measure, Kernel, KernelBuild, MeasureOpts};
 use subword_kernels::suite::{dotprod_example, paper_suite, Family, SuiteEntry};
+use subword_sim::PipelineKind;
 use subword_spu::crossbar::CANONICAL_SHAPES;
 use subword_spu::{SHAPE_A, SHAPE_D};
 
@@ -63,12 +64,7 @@ fn four_shape_sweep_equals_independent_suite_runs() {
         "exactly one compilation per (kernel, shape), reused for the second block count"
     );
 
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_cycles.json");
-    let baseline = CyclesBaseline::from_json(&std::fs::read_to_string(path).unwrap()).unwrap();
-    match baseline.check(&report) {
-        Ok(summary) => assert_eq!(summary.cells, report.cells.len()),
-        Err(failure) => panic!("BENCH_cycles.json gate failed:\n{failure}"),
-    }
+    assert_matches_baseline(&report, "BENCH_cycles.json");
 
     for shape in CANONICAL_SHAPES {
         let single = run_sweep(&SweepConfig::full(&[shape]), None).unwrap();
@@ -77,6 +73,28 @@ fn four_shape_sweep_equals_independent_suite_runs() {
         for (independent, cell) in single.cells.iter().zip(swept) {
             assert_eq!(independent, cell, "{} under shape {}", cell.kernel(), shape.name);
         }
+    }
+}
+
+/// (b′) The full sweep on the out-of-order model matches the committed
+/// ooo cycles baseline on every cell, as `sweep --pipeline ooo
+/// --check-baseline BENCH_cycles_ooo.json` does.
+#[test]
+fn ooo_sweep_matches_the_committed_ooo_baseline() {
+    let mut cfg = SweepConfig::full_matrix();
+    cfg.base.pipeline = PipelineKind::OutOfOrder;
+    let report = run_sweep(&cfg, None).unwrap();
+    assert_matches_baseline(&report, "BENCH_cycles_ooo.json");
+}
+
+/// Gate `report` with the committed cycles baseline `file` (at the
+/// repository root), and require it to cover every cell.
+fn assert_matches_baseline(report: &SweepReport, file: &str) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(file);
+    let baseline = CyclesBaseline::from_json(&std::fs::read_to_string(path).unwrap()).unwrap();
+    match baseline.check(report) {
+        Ok(summary) => assert_eq!(summary.cells, report.cells.len()),
+        Err(failure) => panic!("{file} gate failed:\n{failure}"),
     }
 }
 

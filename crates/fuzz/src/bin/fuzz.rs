@@ -3,7 +3,7 @@
 //! ```text
 //! fuzz [--seed S] [--count N] [--shard i/n] [--failures-dir DIR]
 //!      [--corpus DIR] [--replay FILE] [--census N] [--emit S]
-//!      [--emit-md S] [--no-minimize]
+//!      [--emit-md S]
 //! ```
 //!
 //! Default run: replay the committed corpus (if `--corpus` points at
@@ -33,7 +33,7 @@ struct Args {
 
 fn usage() -> &'static str {
     "usage: fuzz [--seed S] [--count N] [--shard i/n] [--failures-dir DIR]\n\
-    \x20           [--corpus DIR] [--replay FILE] [--census N] [--no-minimize]\n\
+    \x20           [--corpus DIR] [--replay FILE] [--census N]\n\
     \n\
     \x20 --seed S           base seed of the campaign (default 1)\n\
     \x20 --count N          total cases across all shards (default 1000)\n\
@@ -43,8 +43,7 @@ fn usage() -> &'static str {
     \x20 --replay FILE      replay one repro file and exit\n\
     \x20 --census N         print generator feature rates over N cases and exit\n\
     \x20 --emit S           print seed S's case as a repro document and exit\n\
-    \x20 --emit-md S        print seed S's case as a literate conformance page and exit\n\
-    \x20 --no-minimize      record failures unshrunk"
+    \x20 --emit-md S        print seed S's case as a literate conformance page and exit"
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -81,7 +80,6 @@ fn parse_args() -> Result<Args, String> {
             "--census" => args.census = Some(parse_u64(&value("--census")?)?),
             "--emit" => args.emit = Some(parse_u64(&value("--emit")?)?),
             "--emit-md" => args.emit_md = Some(parse_u64(&value("--emit-md")?)?),
-            "--no-minimize" => args.cfg.minimize_failures = false,
             "--help" | "-h" => {
                 println!("{}", usage());
                 std::process::exit(0);

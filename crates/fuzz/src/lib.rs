@@ -45,8 +45,6 @@ pub struct CampaignConfig {
     pub shard_index: u64,
     /// Total shards.
     pub shard_count: u64,
-    /// Minimize failures before recording them.
-    pub minimize_failures: bool,
     /// Where to write repro files for failures (`None` = don't persist).
     pub failures_dir: Option<PathBuf>,
 }
@@ -58,7 +56,6 @@ impl Default for CampaignConfig {
             count: 1000,
             shard_index: 0,
             shard_count: 1,
-            minimize_failures: true,
             failures_dir: None,
         }
     }
@@ -80,8 +77,8 @@ pub struct CampaignStats {
 }
 
 /// Run one campaign shard. Failures never abort the walk: each is
-/// contained, minimized (unless disabled), persisted (when a failures
-/// dir is set) and collected.
+/// contained, minimized, persisted (when a failures dir is set) and
+/// collected.
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignStats {
     run_campaign_with(cfg, None, &mut |_, _| {})
 }
@@ -107,8 +104,7 @@ pub fn run_campaign_with(
                 stats.variants += report.variants as u64;
             }
             Err(failure) => {
-                let failure =
-                    if cfg.minimize_failures { reminimize(failure, tamper) } else { failure };
+                let failure = reminimize(failure, tamper);
                 let path = cfg
                     .failures_dir
                     .as_ref()

@@ -37,12 +37,6 @@ pub enum SimError {
         /// Program counter of the faulting access.
         pc: usize,
     },
-    /// An out-of-order run was configured with a zero-sized structure
-    /// or width, which could never hold an instruction; nothing ran.
-    ZeroOooParam {
-        /// Name of the [`crate::OooParams`] field that is 0.
-        field: &'static str,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -58,9 +52,6 @@ impl fmt::Display for SimError {
             SimError::Spu { pc, err } => write!(f, "pc {pc}: SPU error: {err}"),
             SimError::SpuNotFitted { pc } => {
                 write!(f, "pc {pc}: SPU MMIO access but no SPU fitted")
-            }
-            SimError::ZeroOooParam { field } => {
-                write!(f, "out-of-order parameter `{field}` is 0; it must be at least 1")
             }
         }
     }

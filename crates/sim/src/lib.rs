@@ -49,5 +49,5 @@ pub use model::{issue, pipeline};
 pub use error::SimError;
 pub use machine::{ExecEngine, Machine, MachineConfig};
 pub use memory::Memory;
-pub use model::{OooParams, OooStats, PipelineKind};
+pub use model::{OooStats, PipelineKind};
 pub use stats::SimStats;

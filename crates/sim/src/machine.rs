@@ -5,7 +5,7 @@ use crate::branch::{Predictor, PredictorKind};
 use crate::error::SimError;
 use crate::memory::Memory;
 use crate::model::issue::IssueRules;
-use crate::model::{OooParams, OooStats, PipelineKind};
+use crate::model::{OooStats, PipelineKind};
 use crate::regfile::RegFile;
 use crate::stats::SimStats;
 use subword_isa::instr::{GpOperand, Instr, MmxOperand};
@@ -35,7 +35,9 @@ pub enum ExecEngine {
     Threaded,
 }
 
-/// Machine configuration.
+/// Machine configuration: the settable parameters of both pipeline
+/// models. The out-of-order core's structure sizes are not among them;
+/// they are constants of [`crate::model::ooo`].
 #[derive(Clone, Debug)]
 pub struct MachineConfig {
     /// Base mispredict penalty in cycles (Pentium-class: 4).
@@ -45,9 +47,11 @@ pub struct MachineConfig {
     pub spu_fitted: bool,
     /// Crossbar shape of the fitted SPU.
     pub crossbar: CrossbarShape,
-    /// MMX multiply latency in cycles (P55C: 3, pipelined).
+    /// MMX multiply latency in cycles (P55C: 3, pipelined). Both models
+    /// time a 0 as 1 ([`crate::issue::IssueRules::of`]).
     pub mmx_mul_latency: u64,
     /// Scalar multiply cost in cycles (Pentium `imul`: ~9, blocking).
+    /// Both models time a 0 as 1.
     pub scalar_mul_latency: u64,
     /// Cycle budget guard against runaway programs.
     pub max_cycles: u64,
@@ -63,9 +67,6 @@ pub struct MachineConfig {
     /// the engine picks *how* the in-order semantics are evaluated,
     /// the model picks *which* timing semantics apply at all.
     pub pipeline: PipelineKind,
-    /// Size parameters of the out-of-order backend (ignored under
-    /// [`PipelineKind::InOrder`]).
-    pub ooo: OooParams,
 }
 
 impl Default for MachineConfig {
@@ -81,7 +82,6 @@ impl Default for MachineConfig {
             predictor_kind: PredictorKind::default(),
             engine: ExecEngine::default(),
             pipeline: PipelineKind::default(),
-            ooo: OooParams::default(),
         }
     }
 }

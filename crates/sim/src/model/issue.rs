@@ -66,18 +66,21 @@ use subword_spu::mmio::in_mmio_range;
 /// compiler's cost model, which must stay deterministic across hosts).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IssueRules {
-    /// MMX multiply latency in cycles (pipelined multiplier).
+    /// MMX multiply latency in cycles (pipelined multiplier), ≥ 1.
     pub mmx_mul_latency: u64,
-    /// Scalar multiply cost in cycles (blocking `imul`).
+    /// Scalar multiply cost in cycles (blocking `imul`), ≥ 1.
     pub scalar_mul_latency: u64,
 }
 
 impl IssueRules {
-    /// The rules a machine with configuration `cfg` issues under.
+    /// The rules a machine with configuration `cfg` issues under. Both
+    /// pipeline models read their multiply latencies from here. A latency
+    /// of 0 is timed as 1: a result is never available in the cycle its
+    /// multiply issues, and a blocking `imul` occupies at least its slot.
     pub fn of(cfg: &MachineConfig) -> IssueRules {
         IssueRules {
-            mmx_mul_latency: cfg.mmx_mul_latency,
-            scalar_mul_latency: cfg.scalar_mul_latency,
+            mmx_mul_latency: cfg.mmx_mul_latency.max(1),
+            scalar_mul_latency: cfg.scalar_mul_latency.max(1),
         }
     }
 
@@ -353,6 +356,34 @@ mod tests {
         assert_eq!(r.slot_cycles(true), 11);
         assert_eq!(r.imul_extra_cycles(), 10);
         assert_eq!(IssueRules::default_model(), IssueRules::of(&MachineConfig::default()));
+    }
+
+    #[test]
+    fn zero_latencies_time_as_one_on_both_models() {
+        use crate::machine::{ExecEngine, Machine};
+        use crate::model::PipelineKind;
+        let p = assemble("t", "mov r0, 3\nimul r0, r0\npmullw mm0, mm1\npaddw mm2, mm0\nhalt\n")
+            .unwrap();
+        let run = |latency: u64, engine: ExecEngine, pipeline: PipelineKind| {
+            let cfg = MachineConfig {
+                mmx_mul_latency: latency,
+                scalar_mul_latency: latency,
+                engine,
+                pipeline,
+                ..MachineConfig::default()
+            };
+            Machine::new(cfg).run(&p).unwrap()
+        };
+        for (engine, pipeline) in [
+            (ExecEngine::Reference, PipelineKind::InOrder),
+            (ExecEngine::Decoded, PipelineKind::InOrder),
+            (ExecEngine::Threaded, PipelineKind::InOrder),
+            (ExecEngine::default(), PipelineKind::OutOfOrder),
+        ] {
+            let one = run(1, engine, pipeline);
+            assert_eq!(one.imul_block_cycles, 0, "{engine:?}/{pipeline:?}");
+            assert_eq!(run(0, engine, pipeline), one, "{engine:?}/{pipeline:?}");
+        }
     }
 
     #[test]

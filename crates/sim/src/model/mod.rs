@@ -10,10 +10,11 @@
 //! * [`inorder`] — the Pentium/P55C dual-issue in-order pipe: the
 //!   paper's evaluation machine, and the model every committed baseline
 //!   number was measured on;
-//! * [`ooo`] — a small out-of-order core (reorder buffer, reservation
-//!   stations, register-availability table, store buffer with in-order
-//!   retirement) used as a sensitivity axis: does SPU lifting still pay
-//!   once the core extracts its own ILP?
+//! * [`ooo`] — one fixed small out-of-order core (24-entry reorder
+//!   buffer, 12 reservation stations, 3-wide, 8-entry store buffer,
+//!   in-order retirement) used as a sensitivity axis: does SPU lifting
+//!   still pay once the core extracts its own ILP? Its sizes are
+//!   constants of that module, not configuration.
 //!
 //! # The seam contract
 //!
@@ -90,56 +91,6 @@ impl PipelineKind {
     }
 }
 
-/// Size parameters of the out-of-order backend. The defaults sketch a
-/// small Pentium-Pro-class core — deliberately modest, since the
-/// question is whether *any* dynamic ILP extraction erodes the SPU
-/// lifting win, not whether an ideal dataflow machine would. Every field
-/// must be at least 1: an out-of-order run refuses a zero
-/// ([`crate::SimError::ZeroOooParam`]) rather than wait forever for a
-/// structure that can never hold an instruction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OooParams {
-    /// Reorder-buffer entries (in-flight instructions).
-    pub rob_entries: u64,
-    /// Reservation-station entries (dispatched but not yet executing).
-    pub rs_entries: u64,
-    /// Instructions dispatched (renamed + ROB-allocated) per cycle; also
-    /// the execution-start bandwidth per cycle.
-    pub issue_width: u64,
-    /// Instructions retired per cycle.
-    pub retire_width: u64,
-    /// Store-buffer entries (stores dispatched but not yet retired).
-    pub store_buffer: u64,
-}
-
-impl Default for OooParams {
-    fn default() -> Self {
-        OooParams {
-            rob_entries: 24,
-            rs_entries: 12,
-            issue_width: 3,
-            retire_width: 3,
-            store_buffer: 8,
-        }
-    }
-}
-
-impl OooParams {
-    /// The first field that is 0, by name, or `None` when every
-    /// structure can hold an instruction.
-    pub(crate) fn zero_field(&self) -> Option<&'static str> {
-        [
-            ("rob_entries", self.rob_entries),
-            ("rs_entries", self.rs_entries),
-            ("issue_width", self.issue_width),
-            ("retire_width", self.retire_width),
-            ("store_buffer", self.store_buffer),
-        ]
-        .into_iter()
-        .find_map(|(name, n)| (n == 0).then_some(name))
-    }
-}
-
 /// Out-of-order-specific counters, kept beside [`crate::SimStats`]
 /// rather than inside it (the same split as
 /// [`crate::translate::TranslationStats`]): `SimStats` stays the
@@ -198,8 +149,5 @@ mod tests {
     #[test]
     fn default_pipeline_is_in_order() {
         assert_eq!(PipelineKind::default(), PipelineKind::InOrder);
-        let p = OooParams::default();
-        assert!(p.rob_entries >= p.rs_entries);
-        assert_eq!(p.zero_field(), None);
     }
 }

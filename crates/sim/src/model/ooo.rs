@@ -8,22 +8,27 @@
 //! engines: registers, memory, SPU controller trajectory and
 //! branch-predictor updates are bit-identical across pipeline models by
 //! construction. A separate timing layer then computes *when* each
-//! instruction would have dispatched, executed and retired on a core
-//! with:
+//! instruction would have dispatched, executed and retired on one fixed
+//! core, a small Pentium-Pro-class machine — deliberately modest, since
+//! the question is whether *any* dynamic ILP extraction erodes the SPU
+//! lifting win, not whether an ideal dataflow machine would:
 //!
-//! * a **reorder buffer** (`rob_entries` in flight, in-order retirement,
-//!   `retire_width`/cycle);
-//! * **reservation stations** (`rs_entries` dispatched-but-waiting ops);
+//! * a **reorder buffer** (24 instructions in flight, in-order
+//!   retirement, 3 per cycle);
+//! * **reservation stations** (12 dispatched-but-waiting ops);
 //! * a **register-availability table** over the full MMX+GP
 //!   [`RegMask`] space plus the flags — the rename view: only true
 //!   (RAW) dependencies delay execution, WAR/WAW are eliminated;
-//! * a **store buffer** (`store_buffer` in-flight stores; loads
-//!   disambiguate against it by actual effective address — an oracle
-//!   memory-dependence predictor, the generous-to-OoO choice);
+//! * a **store buffer** (8 in-flight stores; loads disambiguate against
+//!   it by actual effective address — an oracle memory-dependence
+//!   predictor, the generous-to-OoO choice);
 //! * shared structural resources matching the in-order pipe: one
-//!   pipelined MMX multiplier (`mmx_mul_latency`), one blocking scalar
-//!   multiplier (`scalar_mul_latency`), one MMX shifter, one memory
-//!   port, and `issue_width` dispatches / execution starts per cycle.
+//!   pipelined MMX multiplier, one blocking scalar multiplier (both with
+//!   the machine's [`IssueRules`] latencies), one MMX shifter, one memory
+//!   port, and 3 dispatches / execution starts per cycle.
+//!
+//! The sizes are this module's constants, not configuration: every
+//! number the repository reports was measured on this one core.
 //!
 //! Because fetch always follows the architecturally correct path, a
 //! mispredicted branch costs a fetch-redirect bubble (resume at the
@@ -55,6 +60,7 @@
 //! passes them.
 //!
 //! [`effective_mispredict_penalty`]: crate::MachineConfig::effective_mispredict_penalty
+//! [`IssueRules`]: crate::issue::IssueRules
 //! [`RegMask`]: subword_isa::instr::RegMask
 
 use std::cmp::Reverse;
@@ -62,13 +68,26 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use crate::decode::{DecodedInstr, DecodedProgram};
 use crate::error::SimError;
-use crate::machine::{Machine, MachineConfig};
+use crate::machine::Machine;
+use crate::model::issue::IssueRules;
 use crate::model::pipeline::effective_read_mask;
-use crate::model::{OooParams, OooStats};
+use crate::model::OooStats;
 use crate::stats::SimStats;
 use subword_isa::instr::{Instr, RegMask};
 use subword_isa::program::Program;
 use subword_spu::mmio::in_mmio_range;
+
+/// Reorder-buffer entries (in-flight instructions).
+const ROB_ENTRIES: usize = 24;
+/// Reservation-station entries (dispatched but not yet executing).
+const RS_ENTRIES: usize = 12;
+/// Instructions dispatched (renamed + ROB-allocated) per cycle; also
+/// the execution starts per cycle.
+const ISSUE_WIDTH: u64 = 3;
+/// Instructions retired per cycle.
+const RETIRE_WIDTH: u64 = 3;
+/// Store-buffer entries (stores dispatched but not yet retired).
+const STORE_BUFFER: usize = 8;
 
 /// An in-flight (dispatched, not yet retired) store buffer entry.
 #[derive(Clone, Copy)]
@@ -168,9 +187,8 @@ fn set_bits(mut mask: u16) -> impl Iterator<Item = usize> {
 /// The timing state machine. Lives only for the duration of one run;
 /// persistent outputs go to [`SimStats`] / [`OooStats`].
 struct OooTiming {
-    p: OooParams,
-    mmx_mul_latency: u64,
-    scalar_mul_latency: u64,
+    /// The machine's multiply latencies, each at least 1.
+    rules: IssueRules,
     /// Earliest dispatch cycle for the next instruction (the fetch /
     /// rename frontier; monotonic).
     fetch: u64,
@@ -211,29 +229,25 @@ struct OooTiming {
     completion: u64,
 }
 
-/// Largest up-front allocation for a buffer sized by an [`OooParams`]
-/// field; a larger structure grows on demand.
+/// Largest up-front start ring. Its span follows the multiply
+/// latencies; a longer span grows the ring on demand.
 const PRESIZE_LIMIT: u64 = 1 << 12;
 
 impl OooTiming {
-    fn new(cfg: &MachineConfig) -> OooTiming {
-        let p = cfg.ooo;
-        let scalar_mul_latency = cfg.scalar_mul_latency.max(1);
-        let presize = |n: u64| n.min(PRESIZE_LIMIT) as usize;
+    fn new(rules: IssueRules) -> OooTiming {
         // A ROB's worth of back-to-back longest-latency ops spans this
         // many cycles past the dispatch frontier; a longer span grows
         // the ring.
-        let span = p.rob_entries.saturating_mul(scalar_mul_latency.max(cfg.mmx_mul_latency) + 1);
+        let longest = rules.scalar_mul_latency.max(rules.mmx_mul_latency);
+        let span = (ROB_ENTRIES as u64).saturating_mul(longest + 1);
         OooTiming {
-            p,
-            mmx_mul_latency: cfg.mmx_mul_latency,
-            scalar_mul_latency,
+            rules,
             fetch: 0,
             disp_at: 0,
             disp_n: 0,
-            rob: VecDeque::with_capacity(presize(p.rob_entries)),
-            rs: BinaryHeap::with_capacity(presize(p.rs_entries)),
-            sb: VecDeque::with_capacity(presize(p.store_buffer)),
+            rob: VecDeque::with_capacity(ROB_ENTRIES),
+            rs: BinaryHeap::with_capacity(RS_ENTRIES),
+            sb: VecDeque::with_capacity(STORE_BUFFER),
             started: StartRing::new(span.min(PRESIZE_LIMIT)),
             mm_avail: [0; 8],
             gp_avail: [0; 16],
@@ -274,7 +288,6 @@ impl OooTiming {
         penalty_stats: &mut SimStats,
         ooo: &mut OooStats,
     ) -> u64 {
-        let p = self.p;
         let f = d.flags;
         let mmio = addr.is_some_and(in_mmio_range);
         let plain_store = f.is_store() && !mmio;
@@ -290,21 +303,21 @@ impl OooTiming {
             // 0 = none, 1 = ROB, 2 = RS, 3 = SB; on ties the oldest
             // (outermost) structure is charged.
             let mut cause = 0u8;
-            if self.rob.len() as u64 >= p.rob_entries {
+            if self.rob.len() >= ROB_ENTRIES {
                 let w = self.rob.front().copied().unwrap_or(t) + 1;
                 if w > wait {
                     wait = w;
                     cause = 1;
                 }
             }
-            if self.rs.len() as u64 >= p.rs_entries {
+            if self.rs.len() >= RS_ENTRIES {
                 let w = self.rs.peek().map_or(t, |&Reverse(start)| start) + 1;
                 if w > wait {
                     wait = w;
                     cause = 2;
                 }
             }
-            if plain_store && self.sb.len() as u64 >= p.store_buffer {
+            if plain_store && self.sb.len() >= STORE_BUFFER {
                 let w = self.sb.front().map(|e| e.retire).unwrap_or(t) + 1;
                 if w > wait {
                     wait = w;
@@ -313,7 +326,7 @@ impl OooTiming {
             }
             if wait == t {
                 // Resources fit; check rename bandwidth.
-                if self.disp_at == t && self.disp_n >= p.issue_width {
+                if self.disp_at == t && self.disp_n >= ISSUE_WIDTH {
                     t += 1;
                     continue;
                 }
@@ -376,13 +389,13 @@ impl OooTiming {
         if addr.is_some() {
             start = start.max(self.mem_port_free);
         }
-        let start = self.started.claim(start, p.issue_width, f.is_mmx());
+        let start = self.started.claim(start, ISSUE_WIDTH, f.is_mmx());
         // Reserve the units at the granted start cycle.
         if f.is_mmx_multiply() {
             self.mmx_mul_free = start + 1; // pipelined: 1/cycle
         }
         if f.is_scalar_multiply() {
-            self.scalar_mul_free = start + self.scalar_mul_latency; // blocking
+            self.scalar_mul_free = start + self.rules.scalar_mul_latency; // blocking
         }
         if f.is_mmx_shifter() {
             self.shifter_free = start + 1;
@@ -395,9 +408,9 @@ impl OooTiming {
 
         // ---- completion: result availability --------------------------
         let latency = if f.is_mmx_multiply() {
-            self.mmx_mul_latency.max(1)
+            self.rules.mmx_mul_latency
         } else if f.is_scalar_multiply() {
-            self.scalar_mul_latency
+            self.rules.scalar_mul_latency
         } else {
             1
         };
@@ -415,7 +428,7 @@ impl OooTiming {
         // ---- in-order retirement --------------------------------------
         let mut retire = end.max(self.last_retire);
         if retire == self.last_retire {
-            if self.retire_n >= p.retire_width {
+            if self.retire_n >= RETIRE_WIDTH {
                 retire += 1;
                 self.retire_n = 1;
             } else {
@@ -447,16 +460,12 @@ impl Machine {
     /// ([`crate::model::ooo`]). Architectural results are bit-identical
     /// to every in-order engine; only the timing-derived statistics
     /// differ, and the OoO-internal pressure counters are left in
-    /// [`Machine::ooo`]. A zero-sized [`OooParams`] field is refused
-    /// before anything runs.
+    /// [`Machine::ooo`].
     pub(crate) fn run_ooo(&mut self, program: &Program) -> Result<SimStats, SimError> {
-        if let Some(field) = self.cfg.ooo.zero_field() {
-            return Err(SimError::ZeroOooParam { field });
-        }
         self.begin_run();
         let decoded = DecodedProgram::decode(program);
         let use_routing = self.spu.is_some() && decoded.any_spu_routable;
-        let mut tm = OooTiming::new(&self.cfg);
+        let mut tm = OooTiming::new(self.rules);
         let mut pc = 0usize;
         loop {
             if tm.fetch > self.cfg.max_cycles {
@@ -516,8 +525,8 @@ impl Machine {
 mod tests {
     use super::StartRing;
     use crate::machine::{Machine, MachineConfig};
-    use crate::model::{OooParams, OooStats, PipelineKind};
-    use crate::{SimError, SimStats};
+    use crate::model::{OooStats, PipelineKind};
+    use crate::SimStats;
     use subword_isa::asm::assemble;
     use subword_isa::op::{AluOp, MmxOp};
     use subword_isa::program::Program;
@@ -528,10 +537,9 @@ mod tests {
     use subword_spu::mmio::emit_spu_go;
     use subword_spu::{SpuProgram, SHAPE_D};
 
-    fn cycles(src: &str, tweak: impl Fn(&mut MachineConfig)) -> (u64, u64) {
+    fn cycles(src: &str) -> (u64, u64) {
         let p = assemble("t", src).unwrap();
         let mut cfg = MachineConfig::default();
-        tweak(&mut cfg);
         let mut inorder = Machine::new(cfg.clone());
         let a = inorder.run_decoded(&p).unwrap();
         cfg.pipeline = PipelineKind::OutOfOrder;
@@ -557,7 +565,6 @@ mod tests {
             pmullw mm0, mm1
             halt
         "#,
-            |_| {},
         );
         // Both models issue at cycles 0, L, 2L — the chain extracts no
         // ILP. The counters differ only at the boundary: in-order stops
@@ -581,7 +588,7 @@ mod tests {
             paddw mm7, mm7
             halt
         "#;
-        let (io, ooo) = cycles(src, |_| {});
+        let (io, ooo) = cycles(src);
         assert!(ooo < io, "ooo {ooo} should beat in-order {io}");
     }
 
@@ -595,29 +602,8 @@ mod tests {
             mov r2, r0
             halt
         "#;
-        let (_, ooo) = cycles(src, |_| {});
+        let (_, ooo) = cycles(src);
         assert!(ooo <= 3, "renamed WAR chain took {ooo} cycles");
-    }
-
-    #[test]
-    fn rob_of_one_serializes() {
-        let src = r#"
-            paddw mm0, mm0
-            paddw mm1, mm1
-            paddw mm2, mm2
-            paddw mm3, mm3
-            halt
-        "#;
-        let p = assemble("t", src).unwrap();
-        let mut cfg =
-            MachineConfig { pipeline: PipelineKind::OutOfOrder, ..MachineConfig::default() };
-        let wide = Machine::new(cfg.clone()).run(&p).unwrap().cycles;
-        cfg.ooo.rob_entries = 1;
-        let mut m = Machine::new(cfg);
-        let narrow = m.run(&p).unwrap().cycles;
-        assert!(narrow > wide, "ROB=1 ({narrow}) should be slower than ROB=24 ({wide})");
-        assert!(m.ooo.rob_stall_cycles > 0);
-        assert_eq!(m.ooo.dispatched, 4);
     }
 
     #[test]
@@ -677,30 +663,6 @@ mod tests {
         ring.fold_below(u64::MAX, &mut stats);
         // Singles at 2, 3, 5, 6 and 9; an MMX pair at 40.
         assert_eq!(occupancy(&stats), [1, 5, 1, 2]);
-    }
-
-    #[test]
-    fn zero_sized_params_are_refused() {
-        let p = assemble("t", "paddw mm0, mm0\nhalt\n").unwrap();
-        let dflt = OooParams::default();
-        let zeroed = [
-            ("rob_entries", OooParams { rob_entries: 0, ..dflt }),
-            ("rs_entries", OooParams { rs_entries: 0, ..dflt }),
-            ("issue_width", OooParams { issue_width: 0, ..dflt }),
-            ("retire_width", OooParams { retire_width: 0, ..dflt }),
-            ("store_buffer", OooParams { store_buffer: 0, ..dflt }),
-        ];
-        for (name, ooo) in zeroed {
-            let cfg = MachineConfig {
-                pipeline: PipelineKind::OutOfOrder,
-                max_cycles: 10_000,
-                ooo,
-                ..MachineConfig::default()
-            };
-            let err = Machine::new(cfg).run(&p).unwrap_err();
-            assert_eq!(err, SimError::ZeroOooParam { field: name });
-            assert!(err.to_string().contains(name), "{err}");
-        }
     }
 
     /// The timing-derived [`crate::SimStats`] fields of one run, in the

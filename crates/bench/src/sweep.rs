@@ -68,8 +68,6 @@ pub struct SweepConfig {
     /// simulator runs. When disabled, the `sched_*` columns mirror the
     /// unscheduled ones (zero deltas, zero moved instructions).
     pub measure_scheduled: bool,
-    /// Worker threads (`None` = available parallelism).
-    pub threads: Option<usize>,
 }
 
 impl SweepConfig {
@@ -80,7 +78,6 @@ impl SweepConfig {
             block_scales: vec![1],
             base: MachineConfig::default(),
             measure_scheduled: true,
-            threads: None,
         }
     }
 
@@ -351,8 +348,7 @@ pub fn run_sweep(
     }
     let wall = std::time::Instant::now();
     let cache = CompileCache::new();
-    let threads =
-        cfg.threads.unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get()));
+    let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
     let pipeline = cfg.base.pipeline.name();
     let cells = cfg.cells();
     // The kernel, scale and scaled block counts of entry `e` at scale
@@ -729,6 +725,20 @@ pub(crate) fn cell_from_json(v: &Json) -> Result<SweepCell, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A panicking job costs only its own slot: the single worker that
+    /// ran it goes on to drain every later job, and results come back in
+    /// index order.
+    #[test]
+    fn a_worker_keeps_draining_after_a_panicking_job() {
+        let results = pool(1, 4, |i| {
+            if i == 0 {
+                panic!("job {i} failed");
+            }
+            Ok(i * 10)
+        });
+        assert_eq!(results, [Err("panicked: job 0 failed".to_string()), Ok(10), Ok(20), Ok(30)]);
+    }
 
     /// A job's two block counts build one program: the second lift is
     /// the first one handed back, equal to a fresh lift of either build.

@@ -227,15 +227,14 @@ static PANICKER: PanickingKernel = PanickingKernel;
 
 /// (f) A panicking measurement costs exactly its own cell: the sweep
 /// reports it as a structured error naming the kernel, shape and panic
-/// message, and the worker pool keeps draining the remaining jobs
-/// (proved by the measurement store receiving the kernel queued *after*
-/// the panicking one on a single worker thread).
+/// message, and the kernel queued *after* the panicking one is still
+/// measured and saved. That a worker keeps draining jobs after one of
+/// them panics is `sweep::pool`'s own unit test.
 #[test]
 fn a_panicking_kernel_costs_one_cell_not_the_pool() {
     let mut cfg = SweepConfig::paper(&[SHAPE_A]);
     cfg.entries =
         vec![SuiteEntry { kernel: &PANICKER, blocks_small: 1, blocks_large: 2 }, dotprod_example()];
-    cfg.threads = Some(1);
 
     let dir = std::env::temp_dir().join(format!("subword-sweep-panic-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -280,7 +279,6 @@ fn a_failing_shared_mmx_only_job_costs_only_its_kernels_cells() {
     let mut cfg = SweepConfig::paper(&[SHAPE_A, SHAPE_D]);
     let e = dotprod_example();
     cfg.entries = vec![SuiteEntry { kernel: &WRONG_GOLDEN, ..e }, e];
-    cfg.threads = Some(1);
 
     let dir = std::env::temp_dir().join(format!("subword-sweep-golden-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

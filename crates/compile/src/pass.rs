@@ -501,13 +501,10 @@ fn finish_plan(
 pub(crate) type RoutePair = (Option<ByteRoute>, Option<ByteRoute>);
 
 /// Convert kept-body routes into the per-instruction [`StepRouting`] the
-/// scheduler's hazard model runs on (plain gather modes, exactly what
+/// scheduler's hazard model runs on (exactly the routing
 /// [`SpuProgram::single_loop`] programs).
 pub(crate) fn route_steps(routes: &[RoutePair]) -> Vec<StepRouting> {
-    routes
-        .iter()
-        .map(|&(route_a, route_b)| StepRouting { route_a, route_b, ..StepRouting::default() })
-        .collect()
+    routes.iter().map(|&(route_a, route_b)| StepRouting { route_a, route_b }).collect()
 }
 
 /// Permute an SPU program's loop states to match a scheduled kept-body

@@ -37,6 +37,18 @@ pub enum SimError {
         /// Program counter of the faulting access.
         pc: usize,
     },
+    /// A multiply latency of the machine's configuration is above
+    /// [`MachineConfig::MAX_MUL_LATENCY`](crate::MachineConfig::MAX_MUL_LATENCY);
+    /// the run is refused before it executes anything.
+    LatencyAboveBound {
+        /// The `MachineConfig` field: `mmx_mul_latency` or
+        /// `scalar_mul_latency`.
+        field: &'static str,
+        /// Its configured value.
+        latency: u64,
+        /// The bound it exceeds.
+        bound: u64,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -52,6 +64,9 @@ impl fmt::Display for SimError {
             SimError::Spu { pc, err } => write!(f, "pc {pc}: SPU error: {err}"),
             SimError::SpuNotFitted { pc } => {
                 write!(f, "pc {pc}: SPU MMIO access but no SPU fitted")
+            }
+            SimError::LatencyAboveBound { field, latency, bound } => {
+                write!(f, "MachineConfig::{field} = {latency} is above the bound of {bound} cycles")
             }
         }
     }

@@ -48,10 +48,14 @@ pub struct MachineConfig {
     /// Crossbar shape of the fitted SPU.
     pub crossbar: CrossbarShape,
     /// MMX multiply latency in cycles (P55C: 3, pipelined). Both models
-    /// time a 0 as 1 ([`crate::issue::IssueRules::of`]).
+    /// time a 0 as 1 ([`crate::issue::IssueRules::of`]), and every run
+    /// refuses a value above [`MachineConfig::MAX_MUL_LATENCY`] with
+    /// [`SimError::LatencyAboveBound`].
     pub mmx_mul_latency: u64,
     /// Scalar multiply cost in cycles (Pentium `imul`: ~9, blocking).
-    /// Both models time a 0 as 1.
+    /// Both models time a 0 as 1, and every run refuses a value above
+    /// [`MachineConfig::MAX_MUL_LATENCY`] with
+    /// [`SimError::LatencyAboveBound`].
     pub scalar_mul_latency: u64,
     /// Cycle budget guard against runaway programs.
     pub max_cycles: u64,
@@ -87,6 +91,13 @@ impl Default for MachineConfig {
 }
 
 impl MachineConfig {
+    /// Largest multiply latency, in cycles, a run accepts for either
+    /// latency field. It is far above any latency studied (the `all`
+    /// sensitivity section goes up to 15), and it bounds the
+    /// out-of-order model's start ring, whose span follows the longest
+    /// latency (DESIGN.md §14).
+    pub const MAX_MUL_LATENCY: u64 = 1024;
+
     /// The paper's baseline: MMX Pentium without SPU.
     pub fn mmx_only() -> Self {
         Self::default()
@@ -226,14 +237,27 @@ impl Machine {
         }
     }
 
-    /// Reset per-run state (statistics, scoreboard, cycle counter).
-    /// Predictor and architectural state persist across runs.
-    pub(crate) fn begin_run(&mut self) {
+    /// Reset per-run state (statistics, scoreboard, cycle counter), or
+    /// refuse the run when a multiply latency is above
+    /// [`MachineConfig::MAX_MUL_LATENCY`]. Every engine and both models
+    /// start here, so none of them ever times such a latency. Predictor
+    /// and architectural state persist across runs.
+    pub(crate) fn begin_run(&mut self) -> Result<(), SimError> {
+        let IssueRules { mmx_mul_latency, scalar_mul_latency } = self.rules;
+        for (field, latency) in
+            [("mmx_mul_latency", mmx_mul_latency), ("scalar_mul_latency", scalar_mul_latency)]
+        {
+            if latency > MachineConfig::MAX_MUL_LATENCY {
+                let bound = MachineConfig::MAX_MUL_LATENCY;
+                return Err(SimError::LatencyAboveBound { field, latency, bound });
+            }
+        }
         self.stats = SimStats::default();
         self.translation = crate::translate::TranslationStats::default();
         self.ooo = OooStats::default();
         self.mm_ready = [0; 8];
         self.cycle = 0;
+        Ok(())
     }
 
     /// Finalise and return the run's statistics.
@@ -346,15 +370,14 @@ impl Machine {
 
     // ---- operand fetch with SPU routing ---------------------------------
 
-    /// First MMX operand (destination-as-source), honouring `route_a` and
-    /// the post-gather operand mode (§6 extension).
+    /// First MMX operand (destination-as-source): the crossbar gather of
+    /// `route_a` when the SPU routes it, else the register itself.
     #[inline]
     fn mmx_operand_a(&self, dst: subword_isa::reg::MmReg, routing: &StepRouting) -> u64 {
-        let v = match routing.route_a {
+        match routing.route_a {
             Some(r) => r.apply(&self.regs.spu_view()),
             None => self.regs.read_mm(dst),
-        };
-        routing.mode_a.apply(v)
+        }
     }
 
     // ---- execution -------------------------------------------------------
@@ -370,13 +393,10 @@ impl Machine {
             Instr::Mmx { op, dst, src } => {
                 let a = self.mmx_operand_a(*dst, routing);
                 let b = match src {
-                    MmxOperand::Reg(r) => {
-                        let v = match routing.route_b {
-                            Some(rt) => rt.apply(&self.regs.spu_view()),
-                            None => self.regs.read_mm(*r),
-                        };
-                        routing.mode_b.apply(v)
-                    }
+                    MmxOperand::Reg(r) => match routing.route_b {
+                        Some(rt) => rt.apply(&self.regs.spu_view()),
+                        None => self.regs.read_mm(*r),
+                    },
                     MmxOperand::Mem(m) => {
                         let addr = self.ea(m);
                         self.load_mem(addr, 8, pc)?
@@ -869,66 +889,6 @@ mod tests {
         m.regs.write_mm(MM0, from_iwords([9, 9, 9, 9]));
         m.run(&prog).unwrap();
         assert_eq!(m.mem.read_i16s(0x200, 4).unwrap(), vec![4, 3, 2, 1]);
-    }
-
-    /// §6 extension: operand modes. Sign extension replaces the
-    /// unpack+shift widening idiom; negation turns an add into a
-    /// subtract.
-    #[test]
-    fn operand_modes_extension() {
-        use subword_spu::microcode::{OperandMode, SpuState};
-        use subword_spu::IDLE_STATE;
-
-        // One state: movq mm1, mm0 with route_b = words [w2, w3, -, -]
-        // and SignExtendW -> mm1 = [sx(w2), sx(w3)] as dwords.
-        let hi_words = ByteRoute::from_reg_words([(MM0, 2), (MM0, 3), (MM0, 0), (MM0, 0)]);
-        let prog = SpuProgram {
-            name: "widen".into(),
-            states: vec![(
-                0,
-                SpuState::routed(0, None, Some(hi_words), IDLE_STATE, IDLE_STATE)
-                    .with_modes(OperandMode::Gather, OperandMode::SignExtendW),
-            )],
-            counter_init: [1, 1],
-            entry: 0,
-            window_base: 0,
-        };
-        let mut b = ProgramBuilder::new("modes");
-        emit_spu_go(&mut b, 0, &prog);
-        b.movq_rr(MM1, MM0);
-        b.halt();
-        let p = b.finish().unwrap();
-        let mut m = Machine::new(MachineConfig::with_spu(SHAPE_D));
-        m.install_spu_program(0, &prog).unwrap();
-        m.regs.write_mm(MM0, from_iwords([7, 8, -5, -32768]));
-        m.run(&p).unwrap();
-        let d = subword_isa::lane::idwords_of(m.regs.read_mm(MM1));
-        assert_eq!(d, [-5, -32768]);
-
-        // Negation: paddw with NegateW on operand B behaves as psubw.
-        let ident = ByteRoute::identity(MM2);
-        let prog = SpuProgram {
-            name: "neg".into(),
-            states: vec![(
-                0,
-                SpuState::routed(0, None, Some(ident), IDLE_STATE, IDLE_STATE)
-                    .with_modes(OperandMode::Gather, OperandMode::NegateW),
-            )],
-            counter_init: [1, 1],
-            entry: 0,
-            window_base: 0,
-        };
-        let mut b = ProgramBuilder::new("neg");
-        emit_spu_go(&mut b, 0, &prog);
-        b.mmx_rr(MmxOp::Paddw, MM1, MM2);
-        b.halt();
-        let p = b.finish().unwrap();
-        let mut m = Machine::new(MachineConfig::with_spu(SHAPE_D));
-        m.install_spu_program(0, &prog).unwrap();
-        m.regs.write_mm(MM1, from_iwords([100, 200, 300, -400]));
-        m.regs.write_mm(MM2, from_iwords([1, -2, 30, 4]));
-        m.run(&p).unwrap();
-        assert_eq!(iwords_of(m.regs.read_mm(MM1)), [99, 202, 270, -404]);
     }
 
     #[test]

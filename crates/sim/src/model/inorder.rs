@@ -107,7 +107,7 @@ impl Machine {
         engine: HazardEngine,
         mut on_slot: impl FnMut(Issued),
     ) -> Result<SimStats, SimError> {
-        self.begin_run();
+        self.begin_run()?;
         // Predecode once per run: class flags, register masks and static
         // pairing legality for every instruction (see [`crate::decode`]).
         // The reference engine must stay independent of the predecode

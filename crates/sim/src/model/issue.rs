@@ -386,6 +386,49 @@ mod tests {
         }
     }
 
+    /// Every engine and both models refuse a multiply latency above
+    /// `MachineConfig::MAX_MUL_LATENCY` with an error naming the field
+    /// and the bound; at the bound itself the run completes and times
+    /// the whole latency.
+    #[test]
+    fn latencies_above_the_bound_are_refused_on_both_models() {
+        use crate::machine::{ExecEngine, Machine};
+        use crate::model::PipelineKind;
+        use crate::SimError;
+        let bound = MachineConfig::MAX_MUL_LATENCY;
+        let p = assemble(
+            "t",
+            "mov r0, 3\nimul r0, r0\nadd r1, r0\npmullw mm0, mm1\npaddw mm2, mm0\nhalt\n",
+        )
+        .unwrap();
+        for (engine, pipeline) in [
+            (ExecEngine::Reference, PipelineKind::InOrder),
+            (ExecEngine::Decoded, PipelineKind::InOrder),
+            (ExecEngine::Threaded, PipelineKind::InOrder),
+            (ExecEngine::default(), PipelineKind::OutOfOrder),
+        ] {
+            for field in ["mmx_mul_latency", "scalar_mul_latency"] {
+                let run = |latency: u64| {
+                    let mut cfg = MachineConfig { engine, pipeline, ..MachineConfig::default() };
+                    match field {
+                        "mmx_mul_latency" => cfg.mmx_mul_latency = latency,
+                        _ => cfg.scalar_mul_latency = latency,
+                    }
+                    Machine::new(cfg).run(&p)
+                };
+                for latency in [bound + 1, 1 << 40, u64::MAX / 2, u64::MAX] {
+                    assert_eq!(
+                        run(latency),
+                        Err(SimError::LatencyAboveBound { field, latency, bound }),
+                        "{engine:?}/{pipeline:?} {field} = {latency}"
+                    );
+                }
+                let at_bound = run(bound).unwrap();
+                assert!(at_bound.cycles > bound, "{engine:?}/{pipeline:?} {field}: {at_bound:?}");
+            }
+        }
+    }
+
     #[test]
     fn operand_ready_is_max_over_mask() {
         let mut mm_ready = [0u64; 8];

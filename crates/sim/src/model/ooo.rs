@@ -229,17 +229,14 @@ struct OooTiming {
     completion: u64,
 }
 
-/// Largest up-front start ring. Its span follows the multiply
-/// latencies; a longer span grows the ring on demand.
-const PRESIZE_LIMIT: u64 = 1 << 12;
-
 impl OooTiming {
     fn new(rules: IssueRules) -> OooTiming {
         // A ROB's worth of back-to-back longest-latency ops spans this
-        // many cycles past the dispatch frontier; a longer span grows
+        // many cycles past the dispatch frontier (at most 24 × 1025
+        // under `MachineConfig::MAX_MUL_LATENCY`); a longer span grows
         // the ring.
         let longest = rules.scalar_mul_latency.max(rules.mmx_mul_latency);
-        let span = (ROB_ENTRIES as u64).saturating_mul(longest + 1);
+        let span = ROB_ENTRIES as u64 * (longest + 1);
         OooTiming {
             rules,
             fetch: 0,
@@ -248,7 +245,7 @@ impl OooTiming {
             rob: VecDeque::with_capacity(ROB_ENTRIES),
             rs: BinaryHeap::with_capacity(RS_ENTRIES),
             sb: VecDeque::with_capacity(STORE_BUFFER),
-            started: StartRing::new(span.min(PRESIZE_LIMIT)),
+            started: StartRing::new(span),
             mm_avail: [0; 8],
             gp_avail: [0; 16],
             flags_avail: 0,
@@ -462,7 +459,7 @@ impl Machine {
     /// differ, and the OoO-internal pressure counters are left in
     /// [`Machine::ooo`].
     pub(crate) fn run_ooo(&mut self, program: &Program) -> Result<SimStats, SimError> {
-        self.begin_run();
+        self.begin_run()?;
         let decoded = DecodedProgram::decode(program);
         let use_routing = self.spu.is_some() && decoded.any_spu_routable;
         let mut tm = OooTiming::new(self.rules);

@@ -257,12 +257,7 @@ mod tests {
     use subword_isa::reg::gp::*;
     use subword_isa::reg::MmReg::*;
 
-    const S: StepRouting = StepRouting {
-        route_a: None,
-        route_b: None,
-        mode_a: subword_spu::microcode::OperandMode::Gather,
-        mode_b: subword_spu::microcode::OperandMode::Gather,
-    };
+    const S: StepRouting = StepRouting { route_a: None, route_b: None };
 
     fn mmx(op: MmxOp, d: subword_isa::reg::MmReg, s: subword_isa::reg::MmReg) -> Instr {
         Instr::Mmx { op, dst: d, src: MmxOperand::Reg(s) }
@@ -383,7 +378,7 @@ mod tests {
             S,
             StepRouting { route_a: Some(gather), ..S },
             StepRouting { route_b: Some(gather), ..S },
-            StepRouting { route_a: Some(gather), route_b: Some(gather), ..S },
+            StepRouting { route_a: Some(gather), route_b: Some(gather) },
         ];
         for i0 in &pool {
             for r0 in &routings {
@@ -414,7 +409,7 @@ mod tests {
         // Both lanes gather from MM0/MM1: each register reported once.
         let gather = ByteRoute::from_reg_words([(MM0, 0), (MM1, 0), (MM0, 1), (MM1, 1)]);
         let i = mmx(MmxOp::Paddw, MM2, MM3);
-        let r = StepRouting { route_a: Some(gather), route_b: Some(gather), ..S };
+        let r = StepRouting { route_a: Some(gather), route_b: Some(gather) };
         assert_eq!(effective_reads(&i, &r), vec![RegRef::Mm(MM0), RegRef::Mm(MM1)]);
         // Same base and index register: one GP read.
         let st = Instr::MovqStore { addr: Mem::bisd(R0, R0, 2, 0), src: MM1 };

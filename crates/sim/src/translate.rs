@@ -245,7 +245,7 @@ impl Machine {
     /// faults. In-order only: [`Machine::run`] sends the out-of-order
     /// model elsewhere before choosing an engine.
     pub(crate) fn run_threaded(&mut self, program: &Program) -> Result<SimStats, SimError> {
-        self.begin_run();
+        self.begin_run()?;
         let decoded = DecodedProgram::decode(program);
         let mut tr = Translator::new(program);
         self.translation.regions = tr.regions.len() as u64;

@@ -16,7 +16,7 @@
 //! of the SPU control registers, allowing for fast context switching").
 
 use crate::crossbar::{ByteRoute, CrossbarShape};
-use crate::microcode::{OperandMode, SpuState, IDLE_STATE, NUM_STATES};
+use crate::microcode::{SpuState, IDLE_STATE, NUM_STATES};
 use crate::program::{SpuError, SpuProgram};
 
 /// Number of contexts every controller holds (the paper evaluates a
@@ -50,7 +50,7 @@ impl SpuContext {
     /// is current.
     fn routing_of(&self, state: u8) -> StepRouting {
         let s = self.states[state as usize];
-        StepRouting { route_a: s.route_a, route_b: s.route_b, mode_a: s.mode_a, mode_b: s.mode_b }
+        StepRouting { route_a: s.route_a, route_b: s.route_b }
     }
 
     /// One controller step from `(state, counters)`: decrement the
@@ -71,17 +71,15 @@ impl SpuContext {
     }
 }
 
-/// The routing decision for one issued instruction.
+/// The routing decision for one issued instruction: the two crossbar
+/// routes of the current state. A routed operand is the gathered value
+/// itself; nothing transforms it on the way to the functional unit.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StepRouting {
     /// Routing for the first operand lane (`None` = straight).
     pub route_a: Option<ByteRoute>,
     /// Routing for the second operand lane (`None` = straight).
     pub route_b: Option<ByteRoute>,
-    /// Post-gather mode for operand A (extension; default = plain gather).
-    pub mode_a: OperandMode,
-    /// Post-gather mode for operand B.
-    pub mode_b: OperandMode,
 }
 
 impl StepRouting {
@@ -91,7 +89,9 @@ impl StepRouting {
     }
 }
 
-/// Usage counters for Table 3-style accounting.
+/// Usage counters for Table 3-style accounting. Each one is reported:
+/// the simulator copies them into its run statistics as `spu_steps`,
+/// `spu_routed` and `spu_activations`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SpuUsage {
     /// Controller steps taken (= dynamic instructions executed under GO).
@@ -101,8 +101,6 @@ pub struct SpuUsage {
     pub routed_steps: u64,
     /// GO activations.
     pub activations: u64,
-    /// Context switches performed.
-    pub context_switches: u64,
 }
 
 /// The SPU controller with its contexts and run state.
@@ -149,9 +147,6 @@ impl SpuController {
     /// field). Deactivates the controller.
     pub fn select_context(&mut self, slot: usize) {
         assert!(slot < self.contexts.len(), "context {slot} out of range");
-        if slot != self.active {
-            self.usage.context_switches += 1;
-        }
         self.active = slot;
         self.go = false;
         self.state = IDLE_STATE;
@@ -391,7 +386,7 @@ mod tests {
         }
         c.select_context(1);
         assert!(!c.is_active(), "context switch deactivates");
-        assert_eq!(c.usage.context_switches, 1);
+        assert_eq!(c.active_context(), 1);
         c.activate();
         for _ in 0..5 {
             assert!(c.is_active());

@@ -14,6 +14,13 @@
 //! The paper's control-memory sizing formula `128 × (15 + K)` is exposed as
 //! [`control_memory_bits`]: 15 = 1 (CNTRx) + 7 + 7 (next-state fields).
 //!
+//! Those four fields are the whole word. Paper §6 names operand modes as
+//! a possible extension (*"additional modes could be added to the SPU,
+//! like sign extension, negation, or even more complex operations"*);
+//! the evaluated SPU has none, and neither does this one: a routed
+//! operand reaches the functional unit exactly as the crossbar gathered
+//! it.
+//!
 //! For the memory-mapped interface each state is serialised to four 64-bit
 //! words ([`SpuState::encode_words`] / [`SpuState::decode_words`]); this is
 //! a software transport format, distinct from the hardware bit-width
@@ -30,64 +37,6 @@ pub const NUM_STATES: usize = 128;
 /// values"* (paper §4).
 pub const IDLE_STATE: u8 = 127;
 
-/// Post-gather operand transformation — the paper's §6 extension hook
-/// (*"additional modes could be added to the SPU, like sign extension,
-/// negation, or even more complex operations"*).
-///
-/// Modes act on the 64-bit value the crossbar gathered, before it reaches
-/// the functional unit. They cost two extra control bits per operand per
-/// micro-word ([`SpuState::hw_bits_with_modes`]) — the base Table 1
-/// formula covers the mode-free unit.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum OperandMode {
-    /// Plain gather (the paper's base SPU).
-    #[default]
-    Gather,
-    /// Sign-extend gathered words 0 and 1 into the two dword lanes.
-    SignExtendW,
-    /// Lane-wise 16-bit negation of the gathered value.
-    NegateW,
-}
-
-impl OperandMode {
-    /// Apply the mode to a gathered operand value.
-    #[inline]
-    pub fn apply(self, v: u64) -> u64 {
-        match self {
-            OperandMode::Gather => v,
-            OperandMode::SignExtendW => {
-                let w0 = v as u16 as i16 as i32 as u32;
-                let w1 = (v >> 16) as u16 as i16 as i32 as u32;
-                w0 as u64 | (w1 as u64) << 32
-            }
-            OperandMode::NegateW => {
-                let mut out = 0u64;
-                for i in 0..4 {
-                    let w = (v >> (16 * i)) as u16;
-                    out |= (w.wrapping_neg() as u64) << (16 * i);
-                }
-                out
-            }
-        }
-    }
-
-    fn encode(self) -> u64 {
-        match self {
-            OperandMode::Gather => 0,
-            OperandMode::SignExtendW => 1,
-            OperandMode::NegateW => 2,
-        }
-    }
-
-    fn decode(bits: u64) -> OperandMode {
-        match bits & 3 {
-            1 => OperandMode::SignExtendW,
-            2 => OperandMode::NegateW,
-            _ => OperandMode::Gather,
-        }
-    }
-}
-
 /// One horizontal micro-code word (paper Figure 6).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct SpuState {
@@ -98,10 +47,6 @@ pub struct SpuState {
     pub route_a: Option<ByteRoute>,
     /// Routing for the second operand lane; `None` = straight.
     pub route_b: Option<ByteRoute>,
-    /// Post-gather mode for operand A (extension; `Gather` = paper base).
-    pub mode_a: OperandMode,
-    /// Post-gather mode for operand B.
-    pub mode_b: OperandMode,
     /// Successor when the selected counter reaches zero.
     pub next0: u8,
     /// Successor otherwise.
@@ -111,15 +56,7 @@ pub struct SpuState {
 impl Default for SpuState {
     /// A "straight" state that parks the controller in idle.
     fn default() -> Self {
-        SpuState {
-            cntr: 0,
-            route_a: None,
-            route_b: None,
-            mode_a: OperandMode::Gather,
-            mode_b: OperandMode::Gather,
-            next0: IDLE_STATE,
-            next1: IDLE_STATE,
-        }
+        SpuState { cntr: 0, route_a: None, route_b: None, next0: IDLE_STATE, next1: IDLE_STATE }
     }
 }
 
@@ -137,14 +74,7 @@ impl SpuState {
         next0: u8,
         next1: u8,
     ) -> SpuState {
-        SpuState { cntr, route_a, route_b, next0, next1, ..Default::default() }
-    }
-
-    /// Attach operand modes (extension).
-    pub fn with_modes(mut self, mode_a: OperandMode, mode_b: OperandMode) -> SpuState {
-        self.mode_a = mode_a;
-        self.mode_b = mode_b;
-        self
+        SpuState { cntr, route_a, route_b, next0, next1 }
     }
 
     /// True if either operand lane is routed.
@@ -155,17 +85,14 @@ impl SpuState {
     /// Serialise to the four-word MMIO transport format.
     ///
     /// * word 0: bit 0 = CNTRx; bits 8..15 = next0; bits 16..23 = next1;
-    ///   bit 24 = route A present; bit 25 = route B present;
-    ///   bits 26..28 = mode A; bits 28..30 = mode B.
+    ///   bit 24 = route A present; bit 25 = route B present. Every other
+    ///   bit, 26..31 among them, is reserved: zero here, ignored by
+    ///   [`SpuState::decode_words`].
     /// * word 1: route A byte selectors (selector `i` in bits `8i..8i+8`).
     /// * word 2: route B byte selectors.
-    /// * word 3: reserved (zero).
+    /// * word 3: reserved (zero here, ignored on decode).
     pub fn encode_words(&self) -> [u64; 4] {
-        let mut w0 = (self.cntr as u64 & 1)
-            | (self.next0 as u64) << 8
-            | (self.next1 as u64) << 16
-            | self.mode_a.encode() << 26
-            | self.mode_b.encode() << 28;
+        let mut w0 = (self.cntr as u64 & 1) | (self.next0 as u64) << 8 | (self.next1 as u64) << 16;
         let mut w1 = 0u64;
         let mut w2 = 0u64;
         if let Some(r) = self.route_a {
@@ -179,7 +106,8 @@ impl SpuState {
         [w0, w1, w2, 0]
     }
 
-    /// Deserialise from the four-word MMIO transport format.
+    /// Deserialise from the four-word MMIO transport format. Reserved
+    /// bits and word 3 do not affect the result.
     pub fn decode_words(w: [u64; 4]) -> SpuState {
         let cntr = (w[0] & 1) as u8;
         let next0 = ((w[0] >> 8) & 0x7f) as u8;
@@ -188,27 +116,13 @@ impl SpuState {
             if w[0] & (1 << 24) != 0 { Some(ByteRoute(w[1].to_le_bytes())) } else { None };
         let route_b =
             if w[0] & (1 << 25) != 0 { Some(ByteRoute(w[2].to_le_bytes())) } else { None };
-        SpuState {
-            cntr,
-            route_a,
-            route_b,
-            mode_a: OperandMode::decode(w[0] >> 26),
-            mode_b: OperandMode::decode(w[0] >> 28),
-            next0,
-            next1,
-        }
+        SpuState { cntr, route_a, route_b, next0, next1 }
     }
 
     /// Hardware width of one micro-word for a given interconnect shape:
-    /// `15 + K` bits (the paper's formula; mode-free base unit).
+    /// `15 + K` bits (the paper's formula).
     pub fn hw_bits(shape: &CrossbarShape) -> u32 {
         15 + shape.control_bits()
-    }
-
-    /// Micro-word width with the operand-mode extension fitted: two more
-    /// bits per operand lane pair served.
-    pub fn hw_bits_with_modes(shape: &CrossbarShape) -> u32 {
-        Self::hw_bits(shape) + 4
     }
 }
 
@@ -266,6 +180,31 @@ mod tests {
         w[0] |= 0xff00; // garbage in the high bit of next0's byte
         let s = SpuState::decode_words(w);
         assert_eq!(s.next0, 0x7f);
+    }
+
+    /// Reserved bits carry nothing: setting any of word 0's bits 26..31,
+    /// or any bit of word 3, decodes to the same state.
+    #[test]
+    fn reserved_bits_are_ignored_on_decode() {
+        let states = [
+            SpuState::straight(1, 5, 6),
+            SpuState::routed(
+                0,
+                Some(ByteRoute([0, 1, 8, 9, 2, 3, 10, 11])),
+                Some(ByteRoute::identity(MM3)),
+                IDLE_STATE,
+                2,
+            ),
+        ];
+        for s in states {
+            let clean = s.encode_words();
+            for high in (26..32).map(|bit| 1u64 << bit).chain([0x3f << 26]) {
+                let mut w = clean;
+                w[0] |= high;
+                w[3] = 0xdead_beef_0bad_f00d;
+                assert_eq!(SpuState::decode_words(w), s, "word 0 | {high:#x}");
+            }
+        }
     }
 
     #[test]

@@ -45,8 +45,7 @@ proptest! {
         }
     }
 
-    /// Microcode words survive the MMIO transport encoding, operand modes
-    /// included.
+    /// Microcode words survive the MMIO transport encoding.
     #[test]
     fn microcode_roundtrip(
         cntr in 0u8..2,
@@ -54,39 +53,9 @@ proptest! {
         next1 in 0u8..128,
         ra in proptest::option::of(arb_route()),
         rb in proptest::option::of(arb_route()),
-        ma in 0u8..3,
-        mb in 0u8..3,
     ) {
-        use subword_spu::microcode::OperandMode;
-        let mode = |m: u8| match m {
-            1 => OperandMode::SignExtendW,
-            2 => OperandMode::NegateW,
-            _ => OperandMode::Gather,
-        };
-        let s = SpuState {
-            cntr,
-            route_a: ra,
-            route_b: rb,
-            mode_a: mode(ma),
-            mode_b: mode(mb),
-            next0,
-            next1,
-        };
+        let s = SpuState { cntr, route_a: ra, route_b: rb, next0, next1 };
         prop_assert_eq!(SpuState::decode_words(s.encode_words()), s);
-    }
-
-    /// Operand modes are pure value transforms: Gather is identity,
-    /// NegateW is an involution, SignExtendW preserves the low word.
-    #[test]
-    fn operand_mode_laws(v: u64) {
-        use subword_spu::microcode::OperandMode;
-        prop_assert_eq!(OperandMode::Gather.apply(v), v);
-        prop_assert_eq!(OperandMode::NegateW.apply(OperandMode::NegateW.apply(v)), v);
-        let sx = OperandMode::SignExtendW.apply(v);
-        prop_assert_eq!(sx as u16, v as u16);
-        // Both dword lanes are proper sign extensions.
-        prop_assert_eq!((sx as u32) as i32, (v as u16 as i16) as i32);
-        prop_assert_eq!(((sx >> 32) as u32) as i32, ((v >> 16) as u16 as i16) as i32);
     }
 
     /// A single-loop program steps exactly `body × trips` times, routes

@@ -8,28 +8,11 @@
 //! which reuse the eight MMX registers across loops — so this module
 //! computes classic per-instruction live-in sets over the program's CFG.
 
-use subword_isa::instr::{Instr, RegRef};
+use subword_isa::instr::Instr;
 use subword_isa::program::Program;
 
 /// Bitmask over the eight MMX registers.
 pub type MmMask = u8;
-
-fn reads_mask(i: &Instr) -> MmMask {
-    let mut m = 0;
-    for r in i.reads() {
-        if let RegRef::Mm(reg) = r {
-            m |= 1 << reg.index();
-        }
-    }
-    m
-}
-
-fn writes_mask(i: &Instr) -> MmMask {
-    match i.writes() {
-        Some(RegRef::Mm(r)) => 1 << r.index(),
-        _ => 0,
-    }
-}
 
 /// Successor instruction indices of `i` (fall-through and/or branch
 /// target). `halt` has none; running off the end has none.
@@ -63,7 +46,8 @@ pub fn mm_live_in(p: &Program) -> Vec<MmMask> {
             for s in successors(p, i).into_iter().flatten() {
                 out |= live_in[s];
             }
-            let new = reads_mask(&p.instrs[i]) | (out & !writes_mask(&p.instrs[i]));
+            let ins = &p.instrs[i];
+            let new = ins.read_mask().mm | (out & !ins.write_mask().mm);
             if new != live_in[i] {
                 live_in[i] = new;
                 changed = true;

@@ -214,27 +214,6 @@ pub struct StaticMix {
     pub branches: usize,
 }
 
-impl fmt::Display for Program {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "; program {} ({} instructions)", self.name, self.instrs.len())?;
-        for (i, ins) in self.instrs.iter().enumerate() {
-            for (li, pos) in self.label_pos.iter().enumerate() {
-                if *pos == Some(i) {
-                    writeln!(f, "{}:", self.label_names[li])?;
-                }
-            }
-            writeln!(f, "    {ins}")?;
-        }
-        // Labels bound to the end of the program.
-        for (li, pos) in self.label_pos.iter().enumerate() {
-            if *pos == Some(self.instrs.len()) {
-                writeln!(f, "{}:", self.label_names[li])?;
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,10 +283,11 @@ mod tests {
         assert!(b.finish().is_err());
     }
 
+    /// A program prints through the disassembler, labels included.
     #[test]
     fn display_includes_labels() {
         let p = tiny_loop();
-        let s = p.to_string();
+        let s = crate::asm::disassemble(&p);
         assert!(s.contains("loop:"));
         assert!(s.contains("paddw mm0, mm1"));
     }

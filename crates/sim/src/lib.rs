@@ -38,7 +38,6 @@ pub mod memory;
 pub mod model;
 pub mod regfile;
 pub mod stats;
-pub mod trace;
 pub mod translate;
 
 // The issue-rule and pairing modules moved under the pipeline-model

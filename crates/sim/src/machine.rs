@@ -22,11 +22,10 @@ use subword_spu::CrossbarShape;
 /// tests enforce this over the full kernel suite.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecEngine {
-    /// The original allocating `Vec<RegRef>` path, kept as the oracle
-    /// ([`Machine::run_reference`]).
+    /// The original allocating `Vec<RegRef>` path, kept as the oracle.
     Reference,
     /// Predecoded metadata + mask-based checks, stepped one slot at a
-    /// time ([`Machine::run_decoded`]).
+    /// time.
     Decoded,
     /// Record and replay: each straight-line region's issue slots are
     /// recorded from the decoded stepper once per entry state, and
@@ -114,6 +113,26 @@ impl MachineConfig {
     }
 }
 
+/// A [`MachineConfig`] fixed at [`Machine::new`]. It reads as the
+/// config through `Deref` and cannot be written, because the machine
+/// derives its issue rules, SPU and predictor from it once.
+///
+/// ```compile_fail,E0594
+/// use subword_sim::{Machine, MachineConfig};
+///
+/// let mut m = Machine::new(MachineConfig::default());
+/// m.cfg.scalar_mul_latency = 100;
+/// ```
+pub struct FrozenConfig(MachineConfig);
+
+impl std::ops::Deref for FrozenConfig {
+    type Target = MachineConfig;
+
+    fn deref(&self) -> &MachineConfig {
+        &self.0
+    }
+}
+
 /// Effect of executing one instruction (control-flow outcome).
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct ExecEffect {
@@ -125,8 +144,8 @@ pub(crate) struct ExecEffect {
 
 /// The simulated machine.
 pub struct Machine {
-    /// Configuration (fixed at construction).
-    pub cfg: MachineConfig,
+    /// Configuration, read-only after construction.
+    pub cfg: FrozenConfig,
     /// Architectural registers.
     pub regs: RegFile,
     /// Physical memory.
@@ -183,21 +202,7 @@ impl Machine {
             cycle: 0,
             rules: IssueRules::of(&cfg),
             mmio_store_gen: 0,
-            cfg,
-        }
-    }
-
-    /// Install an SPU program host-side into context `ctx`: it is staged
-    /// in the MMIO image (so an in-program GO store finds it) and loaded
-    /// into the controller (so [`SpuController::activate`] also works).
-    pub fn install_spu_program(
-        &mut self,
-        ctx: usize,
-        prog: &subword_spu::SpuProgram,
-    ) -> Result<(), SimError> {
-        match &mut self.spu {
-            Some(s) => s.install_program(ctx, prog).map_err(|err| SimError::Spu { pc: 0, err }),
-            None => Err(SimError::SpuNotFitted { pc: 0 }),
+            cfg: FrozenConfig(cfg),
         }
     }
 
@@ -734,6 +739,7 @@ mod tests {
         );
 
         let mut b_ = ProgramBuilder::new("dot");
+        emit_spu_setup(&mut b_, 0, &spu_prog);
         b_.mov_ri(R0, trips as i32);
         emit_spu_go(&mut b_, 0, &spu_prog);
         let l = b_.bind_here("loop");
@@ -746,7 +752,6 @@ mod tests {
         let prog = b_.finish().unwrap();
 
         let mut m = Machine::new(MachineConfig::with_spu(SHAPE_D));
-        m.install_spu_program(0, &spu_prog).unwrap();
         m.regs.write_mm(MM0, from_iwords([a, b, c, d]));
         m.regs.write_mm(MM1, from_iwords([e, f_, g, h]));
         let s = m.run(&prog).unwrap();
@@ -822,13 +827,13 @@ mod tests {
         let swap = ByteRoute::from_reg_words([(MM0, 3), (MM0, 2), (MM0, 1), (MM0, 0)]);
         let spu_prog = SpuProgram::single_loop("rev", &[(None, Some(swap))], 1);
         let mut b = ProgramBuilder::new("serial");
+        emit_spu_setup(&mut b, 0, &spu_prog);
         emit_spu_go(&mut b, 0, &spu_prog);
         // This movq would otherwise pair with the GO store.
         b.movq_rr(MM1, MM0);
         b.halt();
         let prog = b.finish().unwrap();
         let mut m = Machine::new(MachineConfig::with_spu(SHAPE_D));
-        m.install_spu_program(0, &spu_prog).unwrap();
         m.regs.write_mm(MM0, from_iwords([1, 2, 3, 4]));
         m.run(&prog).unwrap();
         assert_eq!(iwords_of(m.regs.read_mm(MM1)), [4, 3, 2, 1]);
@@ -842,12 +847,12 @@ mod tests {
         let col0 = ByteRoute::from_reg_words([(MM0, 0), (MM1, 0), (MM2, 0), (MM3, 0)]);
         let spu_prog = SpuProgram::single_loop("col", &[(None, Some(col0))], 1);
         let mut b = ProgramBuilder::new("gather");
+        emit_spu_setup(&mut b, 0, &spu_prog);
         emit_spu_go(&mut b, 0, &spu_prog);
         b.movq_rr(MM4, MM4);
         b.halt();
         let prog = b.finish().unwrap();
         let mut m = Machine::new(MachineConfig::with_spu(SHAPE_D));
-        m.install_spu_program(0, &spu_prog).unwrap();
         for (i, r) in [MM0, MM1, MM2, MM3].into_iter().enumerate() {
             m.regs.write_mm(r, from_iwords([10 * (i as i16 + 1), -1, -1, -1]));
         }
@@ -860,13 +865,13 @@ mod tests {
         let gather = ByteRoute::from_reg_words([(MM1, 3), (MM1, 2), (MM1, 1), (MM1, 0)]);
         let spu_prog = SpuProgram::single_loop("st", &[(Some(gather), None)], 1);
         let mut b = ProgramBuilder::new("store-routed");
+        emit_spu_setup(&mut b, 0, &spu_prog);
         emit_spu_go(&mut b, 0, &spu_prog);
         b.mov_ri(R0, 0x200);
         b.movq_store(subword_isa::Mem::base(R0), MM0);
         b.halt();
         let prog = b.finish().unwrap();
         let mut m = Machine::new(MachineConfig::with_spu(SHAPE_D));
-        m.install_spu_program(0, &spu_prog).unwrap();
         m.regs.write_mm(MM1, from_iwords([1, 2, 3, 4]));
         m.regs.write_mm(MM0, from_iwords([9, 9, 9, 9]));
         m.run(&prog).unwrap();
@@ -878,13 +883,13 @@ mod tests {
         assert_eq!(m.mem.read_i16s(0x200, 4).unwrap(), vec![9, 9, 9, 9]);
 
         let mut b = ProgramBuilder::new("store-routed2");
+        emit_spu_setup(&mut b, 0, &spu_prog);
         b.mov_ri(R0, 0x200);
         emit_spu_go(&mut b, 0, &spu_prog);
         b.movq_store(subword_isa::Mem::base(R0), MM0);
         b.halt();
         let prog = b.finish().unwrap();
         let mut m = Machine::new(MachineConfig::with_spu(SHAPE_D));
-        m.install_spu_program(0, &spu_prog).unwrap();
         m.regs.write_mm(MM1, from_iwords([1, 2, 3, 4]));
         m.regs.write_mm(MM0, from_iwords([9, 9, 9, 9]));
         m.run(&prog).unwrap();
@@ -912,6 +917,7 @@ mod tests {
             trips,
         );
         let mut b = ProgramBuilder::new("spu");
+        emit_spu_setup(&mut b, 0, &spu_prog);
         b.mov_ri(R0, trips as i32);
         emit_spu_go(&mut b, 0, &spu_prog);
         let l = b.bind_here("loop");
@@ -921,7 +927,6 @@ mod tests {
         b.halt();
         let spu_prog_isa = b.finish().unwrap();
         let mut m1 = Machine::new(MachineConfig::with_spu(SHAPE_D));
-        m1.install_spu_program(0, &spu_prog).unwrap();
         let s1 = m1.run(&spu_prog_isa).unwrap();
 
         assert!(s1.cycles < s0.cycles, "SPU {} cycles should beat MMX {}", s1.cycles, s0.cycles);

@@ -17,7 +17,6 @@ use crate::machine::{ExecEffect, Machine};
 use crate::model::issue::IssueRules;
 use crate::model::pipeline::{can_pair, can_pair_ref, effective_read_mask, effective_reads};
 use crate::stats::SimStats;
-use crate::trace::{SlotTrace, TraceEntry};
 use subword_isa::instr::{Instr, RegRef};
 use subword_isa::program::Program;
 use subword_spu::controller::StepRouting;
@@ -36,69 +35,81 @@ enum HazardEngine {
     Reference,
 }
 
-/// One issue slot as [`Machine::step_slot`] issued it: what the threaded
-/// engine records as a trace and [`Machine::run_traced`] reports.
+/// One issue slot as the in-order stepper issued it: what the threaded
+/// engine records as a trace and [`Machine::run_traced`] hands out.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct Issued {
+pub struct Issued {
     /// `pc` of the U-pipe instruction.
-    pub(crate) u: usize,
+    pub u: usize,
     /// `pc` of the V-pipe instruction when the slot dual-issued.
-    pub(crate) v: Option<usize>,
+    pub v: Option<usize>,
     /// Whether the SPU routed an operand of the U and of the V
     /// instruction.
-    pub(crate) routed: [bool; 2],
+    pub routed: [bool; 2],
     /// Cycle at which the slot issued (after its stall).
-    pub(crate) cycle: u64,
+    pub cycle: u64,
     /// Scoreboard stall cycles before issue.
-    pub(crate) stall_before: u64,
+    pub stall_before: u64,
     /// Cycles the slot occupied (1, or the blocking `imul` latency).
-    pub(crate) slot_cycles: u64,
+    pub slot_cycles: u64,
     /// Mispredict penalty charged after the slot.
-    pub(crate) mispredict_penalty: u64,
+    pub mispredict_penalty: u64,
+}
+
+impl Issued {
+    /// One-line rendering of the slot issued from `program` (the
+    /// `pipeline_viz` example's rows).
+    pub fn render(&self, program: &Program) -> String {
+        let mark = |pc: usize, routed: bool| {
+            format!("{}{}", program.instrs[pc], if routed { "  «routed»" } else { "" })
+        };
+        let mut s = format!("c{:>5}  U: {:<38}", self.cycle, mark(self.u, self.routed[0]));
+        match self.v {
+            Some(v) => s.push_str(&format!("V: {}", mark(v, self.routed[1]))),
+            None => s.push_str("V: —"),
+        }
+        if self.stall_before > 0 {
+            s.push_str(&format!("   [stall {}]", self.stall_before));
+        }
+        if self.slot_cycles > 1 {
+            s.push_str(&format!("   [blocks {} cycles]", self.slot_cycles));
+        }
+        if self.mispredict_penalty > 0 {
+            s.push_str(&format!("   [mispredict +{}]", self.mispredict_penalty));
+        }
+        s
+    }
 }
 
 impl Machine {
-    /// Run on the decoded engine: predecoded metadata + mask-based
-    /// hazard checks, one slot at a time (no trace replay).
-    ///
-    /// Always times the in-order model regardless of
-    /// [`MachineConfig::pipeline`](crate::MachineConfig::pipeline) — it
-    /// is (with [`Machine::run_reference`]) the in-order oracle the
-    /// threaded engine and the out-of-order model are differentially
-    /// compared against.
-    pub fn run_decoded(&mut self, program: &Program) -> Result<SimStats, SimError> {
+    /// The decoded engine
+    /// ([`ExecEngine::Decoded`](crate::ExecEngine::Decoded)): predecoded
+    /// metadata and mask-based hazard checks, one slot at a time, no
+    /// trace replay. With the reference engine, it is the in-order oracle
+    /// the threaded engine and the out-of-order model are compared
+    /// against.
+    pub(crate) fn run_decoded(&mut self, program: &Program) -> Result<SimStats, SimError> {
         self.run_inner(program, HazardEngine::Decoded, |_| {})
     }
 
-    /// Run on the reference hazard engine: the original allocating
-    /// `Vec<RegRef>` scoreboard / pairing path, with no predecoded
-    /// fast paths. Slower by design; exists as the oracle the other
-    /// engines are differentially tested against (identical [`SimStats`],
-    /// identical architectural results, over the full kernel suite).
-    pub fn run_reference(&mut self, program: &Program) -> Result<SimStats, SimError> {
+    /// The reference engine
+    /// ([`ExecEngine::Reference`](crate::ExecEngine::Reference)): the
+    /// original allocating `Vec<RegRef>` scoreboard and pairing path,
+    /// with no predecoded fast paths. Slower by design; it is the oracle
+    /// the other engines are differentially tested against.
+    pub(crate) fn run_reference(&mut self, program: &Program) -> Result<SimStats, SimError> {
         self.run_inner(program, HazardEngine::Reference, |_| {})
     }
 
-    /// Run with an issue-slot trace callback (see [`crate::trace`]).
-    /// Always steps the decoded engine: a trace replay has no
-    /// per-slot boundary to report. In-order only — issue-slot traces
-    /// are an in-order concept.
+    /// Run with a callback that receives every issue slot. Always steps
+    /// the decoded engine: a trace replay has no per-slot boundary to
+    /// report. In-order only — issue slots are an in-order concept.
     pub fn run_traced(
         &mut self,
         program: &Program,
-        sink: &mut dyn FnMut(SlotTrace),
+        sink: &mut dyn FnMut(Issued),
     ) -> Result<SimStats, SimError> {
-        let entry = |pc: usize, routed: bool| TraceEntry { pc, instr: program.instrs[pc], routed };
-        self.run_inner(program, HazardEngine::Decoded, |slot| {
-            sink(SlotTrace {
-                cycle: slot.cycle,
-                u: entry(slot.u, slot.routed[0]),
-                v: slot.v.map(|v| entry(v, slot.routed[1])),
-                stall_before: slot.stall_before,
-                slot_cycles: slot.slot_cycles,
-                mispredict_penalty: slot.mispredict_penalty,
-            })
-        })
+        self.run_inner(program, HazardEngine::Decoded, sink)
     }
 
     fn run_inner(
@@ -387,5 +398,31 @@ impl Machine {
         if i.is_store() {
             self.stats.stores += 1;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Issued;
+    use subword_isa::asm::assemble;
+
+    #[test]
+    fn render_forms() {
+        let p = assemble("t", "paddw mm0, mm1\n halt\n").unwrap();
+        let slot = Issued {
+            u: 0,
+            v: None,
+            routed: [true, false],
+            cycle: 7,
+            stall_before: 2,
+            slot_cycles: 1,
+            mispredict_penalty: 4,
+        };
+        let s = slot.render(&p);
+        assert!(s.contains("paddw mm0, mm1"));
+        assert!(s.contains("«routed»"));
+        assert!(s.contains("[stall 2]"));
+        assert!(s.contains("[mispredict +4]"));
+        assert!(s.contains("V: —"));
     }
 }

@@ -19,7 +19,7 @@
 //! single home in [`crate::pipeline`] ([`can_pair`]); this module owns
 //! the *timing* half.
 //!
-//! The reference engine ([`Machine::run_reference`](crate::Machine)) is
+//! The reference engine ([`ExecEngine::Reference`](crate::ExecEngine)) is
 //! deliberately **not** a consumer: it keeps its own inline `Vec`-based
 //! logic so it remains an independent oracle for all of the above.
 //!

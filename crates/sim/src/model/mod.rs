@@ -121,17 +121,6 @@ pub struct OooStats {
     pub flushes: u64,
 }
 
-impl OooStats {
-    /// Mean ROB occupancy observed at dispatch.
-    pub fn avg_rob_occupancy(&self) -> f64 {
-        if self.dispatched == 0 {
-            0.0
-        } else {
-            self.rob_occupancy_sum as f64 / self.dispatched as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -531,7 +531,7 @@ mod tests {
     use subword_isa::reg::MmReg::*;
     use subword_isa::ProgramBuilder;
     use subword_spu::crossbar::ByteRoute;
-    use subword_spu::mmio::emit_spu_go;
+    use subword_spu::mmio::{emit_spu_go, SpuMmio, SPU_MMIO_BASE};
     use subword_spu::{SpuProgram, SHAPE_D};
 
     fn cycles(src: &str) -> (u64, u64) {
@@ -761,13 +761,23 @@ mod tests {
         b.mmx_rr(MmxOp::Paddw, MM4, MM4);
         b.halt();
         let go = b.finish().unwrap();
-        let install = |m: &mut Machine| m.install_spu_program(0, &spu_prog).unwrap();
+        // The program is staged host-side through the MMIO window, so the
+        // pinned program holds only the GO store and its neighbours.
+        let stage = |m: &mut Machine| {
+            let spu = m.spu.as_mut().unwrap();
+            let mut store = |off, v| spu.write(SPU_MMIO_BASE + off, v, 8).unwrap();
+            for (w, word) in spu_prog.states[0].1.encode_words().into_iter().enumerate() {
+                store(SpuMmio::state_word_offset(0, 0, w), word);
+            }
+            store(SpuMmio::counter_offset(0, 0), spu_prog.counter_init[0].into());
+            store(SpuMmio::counter_offset(0, 1), spu_prog.counter_init[1].into());
+        };
         #[rustfmt::skip]
         let go_ooo = OooStats {
             rob_stall_cycles: 0, rs_stall_cycles: 0, sb_stall_cycles: 0, rename_stalls: 0,
             rob_occupancy_sum: 14, rob_peak: 3, dispatched: 6, flushes: 0,
         };
         let spu = MachineConfig::with_spu(SHAPE_D);
-        assert_pinned("GO store fence", &go, spu, install, [11, 2, 1, 2, 2, 0], go_ooo);
+        assert_pinned("GO store fence", &go, spu, stage, [11, 2, 1, 2, 2, 0], go_ooo);
     }
 }

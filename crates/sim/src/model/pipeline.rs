@@ -15,8 +15,8 @@
 //! ([`effective_read_mask`], [`pair_block`]) are allocation-free and feed
 //! the hot interpreter loop; the `Vec<RegRef>` forms ([`effective_reads`],
 //! [`pair_block_ref`]) are the original, straightforwardly-auditable
-//! definitions, kept as the reference oracle: [`crate::Machine::run_reference`]
-//! executes entirely on them, and the differential tests assert the two
+//! definitions, kept as the reference oracle: the reference engine
+//! ([`crate::ExecEngine::Reference`]) executes entirely on them, and the differential tests assert the two
 //! engines produce bit-identical statistics and outputs.
 
 use subword_isa::instr::{Instr, MmxOperand, RegMask, RegRef};
@@ -208,8 +208,8 @@ pub fn pair_block(i0: &Instr, r0: &StepRouting, i1: &Instr, r1: &StepRouting) ->
 }
 
 /// Reference form of [`pair_block`]: the hazard checks run on the
-/// allocating `Vec<RegRef>` API. Used by [`crate::Machine::run_reference`]
-/// and the differential tests.
+/// allocating `Vec<RegRef>` API. Used by the reference engine
+/// ([`crate::ExecEngine::Reference`]) and the differential tests.
 pub fn pair_block_ref(
     i0: &Instr,
     r0: &StepRouting,

@@ -482,7 +482,7 @@ mod tests {
     use subword_isa::reg::MmReg::*;
     use subword_isa::ProgramBuilder;
     use subword_spu::crossbar::ByteRoute;
-    use subword_spu::mmio::{emit_spu_go, SpuMmio, CONTEXT_STRIDE, SPU_MMIO_BASE};
+    use subword_spu::mmio::{emit_spu_go, emit_spu_setup, SpuMmio, CONTEXT_STRIDE, SPU_MMIO_BASE};
     use subword_spu::{SpuProgram, SHAPE_D};
 
     fn assert_threaded_matches_reference(
@@ -538,6 +538,7 @@ mod tests {
             trips,
         );
         let mut b = ProgramBuilder::new("spu-loop");
+        emit_spu_setup(&mut b, 0, &spu_prog);
         b.mov_ri(R0, trips as i32);
         emit_spu_go(&mut b, 0, &spu_prog);
         let l = b.bind_here("loop");
@@ -548,10 +549,8 @@ mod tests {
         b.halt();
         let p = b.finish().unwrap();
 
-        let spu_prog2 = spu_prog.clone();
         let (_, tl) = assert_threaded_matches_reference(
-            move |m| {
-                m.install_spu_program(0, &spu_prog2).unwrap();
+            |m| {
                 m.regs.write_mm(MM0, from_iwords([1, 2, 3, 4]));
                 m.regs.write_mm(MM1, from_iwords([5, 6, 7, 8]));
             },
@@ -595,6 +594,7 @@ mod tests {
         let reads_mm2 =
             SpuProgram::single_loop("war", &[(None, Some(ByteRoute::identity(MM2)))], 1);
         let mut b = ProgramBuilder::new("go-first-pass");
+        emit_spu_setup(&mut b, 0, &reads_mm2);
         b.mov_ri(R1, SPU_MMIO_BASE as i32);
         b.mov_ri(R3, SpuMmio::go_config(0, 0) as i32);
         b.mov_ri(R0, 20);
@@ -608,10 +608,7 @@ mod tests {
         b.halt();
         let p = b.finish().unwrap();
 
-        let (stats, tl) = assert_threaded_matches_reference(
-            |m| m.install_spu_program(0, &reads_mm2).unwrap(),
-            &p,
-        );
+        let (stats, tl) = assert_threaded_matches_reference(|_| {}, &p);
         assert_eq!((stats.spu_activations, stats.spu_routed), (1, 1));
         assert!(tl.replays > 0, "the ordinary-memory passes should replay, got {tl:?}");
     }

@@ -23,7 +23,7 @@ use subword_compile::verify::{
 };
 use subword_kernels::suite::{all_suites, dotprod_example};
 use subword_sim::memory::MEMORY_SIZE;
-use subword_sim::trace::SlotTrace;
+use subword_sim::model::inorder::Issued;
 use subword_sim::MachineConfig;
 use subword_spu::{CrossbarShape, SHAPE_A, SHAPE_B, SHAPE_C, SHAPE_D};
 
@@ -108,12 +108,12 @@ fn traced_slots_account_for_the_run() {
             let label = format!("{name}/{}", variant.name());
             let cfg = variant.machine(&MachineConfig::default(), &SHAPE_D);
             let mut m = build.setup.machine(cfg.clone()).unwrap();
-            let mut slots: Vec<SlotTrace> = Vec::new();
+            let mut slots: Vec<Issued> = Vec::new();
             let stats = m.run_traced(program, &mut |slot| slots.push(slot)).unwrap();
             let threaded = run(program, &build.setup, cfg).unwrap();
             assert_eq!(stats, threaded.stats, "{label}: traced run differs from threaded");
 
-            let sum = |f: fn(&SlotTrace) -> u64| slots.iter().map(f).sum::<u64>();
+            let sum = |f: fn(&Issued) -> u64| slots.iter().map(f).sum::<u64>();
             let paired = slots.iter().filter(|s| s.v.is_some()).count() as u64;
             assert_eq!(sum(|s| s.stall_before), stats.stall_cycles, "{label}: stalls");
             assert_eq!(paired, stats.pairs, "{label}: pairs");

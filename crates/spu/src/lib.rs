@@ -21,9 +21,8 @@
 //!   configuration for that instruction ([`controller`], [`microcode`]).
 //!
 //! The controller is programmed through memory-mapped control registers
-//! ([`mmio`]) or host-side via [`program::SpuProgram`]. State 127 is the
-//! idle state: reaching it clears the GO bit and re-initialises the
-//! counters (paper §4).
+//! ([`mmio`]). State 127 is the idle state: reaching it clears the GO bit
+//! and re-initialises the counters (paper §4).
 
 pub mod controller;
 pub mod crossbar;

@@ -24,7 +24,7 @@
 //! machine fault).
 
 use crate::controller::{SpuController, CONTEXTS};
-use crate::microcode::{SpuState, IDLE_STATE, NUM_STATES};
+use crate::microcode::{SpuState, IDLE_STATE};
 use crate::program::{SpuError, SpuProgram};
 
 /// Base physical address of the SPU register window.
@@ -157,52 +157,38 @@ impl SpuMmio {
 
     /// Decode the staged bytes of context `ctx` into an [`SpuProgram`].
     ///
-    /// Only states actually written (non-zero words, or word0 with valid
-    /// next pointers) are considered programmed; a state whose four words
-    /// are all zero is treated as unprogrammed. Word0 == 0 decodes to
-    /// next0 = next1 = 0, which would be a self-loop on state 0 — real
-    /// programs always set next fields, so the all-zero filter is safe.
+    /// A state counts as programmed when its decoded fields differ from
+    /// an all-zero image's (counter 0, no routes, both successors state
+    /// 0), so reserved bits, which decoding ignores, never make a state
+    /// programmed. Real programs always set a next-state field, so the
+    /// filter drops none of their states.
     fn decode_context(&self, ctx: usize, window_base: u8) -> Result<SpuProgram, SpuError> {
         let st = &self.staging[ctx];
         let counter_init = [st.read_u64(0x8) as u32, st.read_u64(0x10) as u32];
         let entry = (st.read_u64(0x18) & 0x7f) as u8;
+        let unprogrammed = SpuState::decode_words([0; 4]);
         let mut states = Vec::new();
-        for s in 0..NUM_STATES - 1 {
-            let base = STATE_TABLE_OFF as usize + s * 32;
+        for s in 0..IDLE_STATE {
+            let base = STATE_TABLE_OFF as usize + s as usize * 32;
             let words = [
                 st.read_u64(base),
                 st.read_u64(base + 8),
                 st.read_u64(base + 16),
                 st.read_u64(base + 24),
             ];
-            if words == [0, 0, 0, 0] {
+            // All-zero words decode to `unprogrammed`: skip the decode.
+            if words == [0; 4] {
                 continue;
             }
-            states.push((s as u8, SpuState::decode_words(words)));
+            let state = SpuState::decode_words(words);
+            if state != unprogrammed {
+                states.push((s, state));
+            }
         }
         if states.is_empty() {
             return Err(SpuError::BadMmioImage { reason: "no programmed states" });
         }
         Ok(SpuProgram { name: format!("mmio-ctx{ctx}"), states, counter_init, entry, window_base })
-    }
-
-    /// Stage a host-built program into context `ctx`'s staging image so a
-    /// later GO write (from simulated code or [`SpuController::activate`])
-    /// finds it, and load it into the controller immediately.
-    pub fn install_program(&mut self, ctx: usize, prog: &SpuProgram) -> Result<(), SpuError> {
-        self.controller.load_program(ctx, prog)?;
-        let st = &mut self.staging[ctx];
-        st.bytes.fill(0);
-        st.bytes[0x8..0xc].copy_from_slice(&prog.counter_init[0].to_le_bytes());
-        st.bytes[0x10..0x14].copy_from_slice(&prog.counter_init[1].to_le_bytes());
-        st.bytes[0x18] = prog.entry;
-        for (id, s) in &prog.states {
-            let base = STATE_TABLE_OFF as usize + *id as usize * 32;
-            for (w, word) in s.encode_words().iter().enumerate() {
-                st.bytes[base + w * 8..base + w * 8 + 8].copy_from_slice(&word.to_le_bytes());
-            }
-        }
-        Ok(())
     }
 
     /// Byte offset (relative to [`SPU_MMIO_BASE`]) of word `w` of state `s`
@@ -333,6 +319,24 @@ mod tests {
         let err = m.write(SPU_MMIO_BASE, 1, 4).unwrap_err();
         assert!(matches!(err, SpuError::BadMmioImage { .. }));
         assert!(!m.controller.is_active());
+    }
+
+    /// Reserved bits do not program a state: a state 1 whose only
+    /// nonzero bit is reserved (in word 3, or in word 0 above the route
+    /// flags) stays unprogrammed, so entering it faults.
+    #[test]
+    fn reserved_bits_do_not_program_a_state() {
+        for (word, value) in [(3, 1), (0, 1 << 26)] {
+            let mut m = mmio();
+            let stage = |m: &mut SpuMmio, off: u32, v: u64| m.write(SPU_MMIO_BASE + off, v, 8);
+            stage(&mut m, SpuMmio::state_word_offset(0, 0, 0), 0x7f7f00).unwrap();
+            stage(&mut m, SpuMmio::entry_offset(0), 1).unwrap();
+            stage(&mut m, SpuMmio::counter_offset(0, 0), 5).unwrap();
+            stage(&mut m, SpuMmio::state_word_offset(0, 1, word), value).unwrap();
+            let err = m.write(SPU_MMIO_BASE, SpuMmio::go_config(0, 0), 4).unwrap_err();
+            assert_eq!(err, SpuError::BadEntry { entry: 1 }, "word {word} = {value:#x}");
+            assert!(!m.controller.is_active());
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use subword_isa::lane::from_iwords;
 fn trace_run(name: &str, m: &mut Machine, p: &subword_isa::Program) {
     println!("---- {name} ----");
     let mut rows = Vec::new();
-    let stats = m.run_traced(p, &mut |slot| rows.push(slot.render())).expect("run");
+    let stats = m.run_traced(p, &mut |slot| rows.push(slot.render(p))).expect("run");
     for r in &rows {
         println!("{r}");
     }

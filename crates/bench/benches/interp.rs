@@ -4,14 +4,18 @@
 //! variant under shape D) through **all three** execution engines — the
 //! allocating `Vec<RegRef>` reference path, the predecoded mask-based
 //! stepper, and the record-and-replay threaded engine — and through the
-//! out-of-order pipeline model, timing only the simulator itself.
-//! Machine construction and state initialisation, and the machine's
-//! drop, where its written memory is re-zeroed, are outside the clock.
-//! Each row reports dynamic instructions, the best-of-N wall time per
-//! column, simulated MIPS, and the threaded/decoded speedup; the
-//! engines' `SimStats` are also asserted equal, and the out-of-order
-//! run's model-invariant counts equal to theirs, so the benchmark
-//! doubles as a smoke differential.
+//! out-of-order pipeline model twice: under the threaded engine, which
+//! replays memoised region timings (`ooo`), and under the decoded
+//! engine, which times every instruction (`ooo_stepped`). Only the
+//! simulator itself is timed. Machine construction and state
+//! initialisation, and the machine's drop, where its written memory is
+//! re-zeroed, are outside the clock. Each row reports dynamic
+//! instructions, the best-of-N wall time per column, simulated MIPS, the
+//! threaded/decoded speedup and the share of the `ooo` run's
+//! instructions whose timing was replayed. The engines' `SimStats` are
+//! asserted equal, the two out-of-order runs' `SimStats` and `OooStats`
+//! equal, and the out-of-order run's model-invariant counts equal to the
+//! engines', so the benchmark doubles as a smoke differential.
 //!
 //! ```text
 //! cargo bench -p subword-bench --bench interp                      # table only
@@ -35,47 +39,66 @@ use subword_compile::verify::ENGINES;
 use subword_isa::program::Program;
 use subword_kernels::framework::KernelBuild;
 use subword_kernels::suite::{all_suites, dotprod_example};
-use subword_sim::{ExecEngine, MachineConfig, PipelineKind, SimStats};
+use subword_sim::translate::TranslationStats;
+use subword_sim::{ExecEngine, MachineConfig, OooStats, PipelineKind, SimStats};
 use subword_spu::SHAPE_D;
 
 const REPS: usize = 5;
-const SCHEMA: &str = "subword-bench-sim/v3";
+const SCHEMA: &str = "subword-bench-sim/v4";
 
 /// What one timing column runs: an engine on the in-order model, or the
-/// out-of-order model, which takes its one path whatever the engine.
+/// out-of-order model under the threaded engine (its timing replayed
+/// per region) or under the decoded engine (every instruction timed).
 #[derive(Clone, Copy)]
 enum Column {
     Engine(ExecEngine),
     Ooo,
+    OooStepped,
 }
 
 /// Every timed column: the [`ENGINES`] in order, then the out-of-order
-/// model. A benchmark row (and a baseline row) covers all of them.
-const COLUMNS: [Column; 4] = [
+/// model replayed and stepped. A benchmark row (and a baseline row)
+/// covers all of them.
+const COLUMNS: [Column; 5] = [
     Column::Engine(ENGINES[0]),
     Column::Engine(ENGINES[1]),
     Column::Engine(ENGINES[2]),
     Column::Ooo,
+    Column::OooStepped,
 ];
 const THREADED: usize = 2;
 const OOO: usize = 3;
+const OOO_STEPPED: usize = 4;
 
 impl Column {
     /// The JSON key of the column's best-of-N nanos (`reference_nanos`,
-    /// …, `ooo_nanos`).
+    /// …, `ooo_nanos`, `ooo_stepped_nanos`).
     fn key(self) -> String {
         match self {
             Column::Engine(engine) => format!("{engine:?}_nanos").to_lowercase(),
             Column::Ooo => "ooo_nanos".into(),
+            Column::OooStepped => "ooo_stepped_nanos".into(),
         }
     }
 
     fn config(self, cfg: &MachineConfig) -> MachineConfig {
+        let ooo =
+            |engine| MachineConfig { engine, pipeline: PipelineKind::OutOfOrder, ..cfg.clone() };
         match self {
             Column::Engine(engine) => MachineConfig { engine, ..cfg.clone() },
-            Column::Ooo => MachineConfig { pipeline: PipelineKind::OutOfOrder, ..cfg.clone() },
+            Column::Ooo => ooo(ExecEngine::Threaded),
+            Column::OooStepped => ooo(ExecEngine::Decoded),
         }
     }
+}
+
+/// What one column's last run left: its statistics, the out-of-order
+/// counters and the replay telemetry.
+#[derive(Clone, Copy, Default)]
+struct Ran {
+    stats: SimStats,
+    ooo: OooStats,
+    translation: TranslationStats,
 }
 
 struct Row {
@@ -83,7 +106,9 @@ struct Row {
     variant: &'static str,
     instructions: u64,
     /// Best-of-N wall nanos, indexed like [`COLUMNS`].
-    nanos: [u64; 4],
+    nanos: [u64; 5],
+    /// Share of the `ooo` run's instructions whose timing was replayed.
+    replayed: f64,
 }
 
 impl Row {
@@ -98,18 +123,19 @@ impl Row {
 }
 
 /// Best-of-N simulator wall time for one build under one configuration;
-/// returns the stats of the last run for cross-column comparison.
-fn time_run(build: &KernelBuild, cfg: MachineConfig) -> (u64, SimStats) {
+/// returns what the last run left for cross-column comparison.
+fn time_run(build: &KernelBuild, cfg: MachineConfig) -> (u64, Ran) {
     let mut best = u64::MAX;
-    let mut stats = SimStats::default();
+    let mut ran = Ran::default();
     for _ in 0..REPS {
         let mut m = build.setup.machine(cfg.clone()).expect("init in bounds");
         let t = Instant::now();
-        stats = m.run(&build.program).expect("kernel runs");
+        let stats = m.run(&build.program).expect("kernel runs");
         best = best.min(t.elapsed().as_nanos() as u64);
         build.check(&m, "bench").expect("golden outputs");
+        ran = Ran { stats, ooo: m.ooo, translation: m.translation };
     }
-    (best, stats)
+    (best, ran)
 }
 
 fn bench_build(
@@ -118,17 +144,29 @@ fn bench_build(
     build: &KernelBuild,
     cfg: &MachineConfig,
 ) -> Row {
-    let mut nanos = [0u64; 4];
-    let mut stats = [SimStats::default(); 4];
+    let mut nanos = [0u64; 5];
+    let mut ran = [Ran::default(); 5];
     for (k, col) in COLUMNS.into_iter().enumerate() {
-        (nanos[k], stats[k]) = time_run(build, col.config(cfg));
+        (nanos[k], ran[k]) = time_run(build, col.config(cfg));
     }
+    let stats = ran.map(|r| r.stats);
     assert_eq!(stats[0], stats[1], "decoded diverges from reference on {kernel}/{variant}");
     assert_eq!(stats[0], stats[2], "threaded diverges from reference on {kernel}/{variant}");
     if let Some(diff) = stats[0].count_divergence(&stats[OOO]) {
         panic!("ooo diverges from reference on {kernel}/{variant}: {diff}");
     }
-    Row { kernel, variant, instructions: stats[0].instructions, nanos }
+    let (replayed, stepped) = (&ran[OOO], &ran[OOO_STEPPED]);
+    assert_eq!(
+        replayed.stats, stepped.stats,
+        "ooo replay diverges from stepping on {kernel}/{variant}"
+    );
+    assert_eq!(
+        replayed.ooo, stepped.ooo,
+        "ooo replay diverges from stepping on {kernel}/{variant}"
+    );
+    let tl = replayed.translation;
+    let replayed = tl.replayed_slots as f64 / (tl.replayed_slots + tl.fallback_slots).max(1) as f64;
+    Row { kernel, variant, instructions: stats[0].instructions, nanos, replayed }
 }
 
 fn suite_rows() -> Vec<Row> {
@@ -155,7 +193,7 @@ fn suite_rows() -> Vec<Row> {
 
 fn to_json(rows: &[Row]) -> Json {
     let (ti, tn) = totals(rows);
-    let column_fields = |nanos: &[u64; 4]| {
+    let column_fields = |nanos: &[u64; 5]| {
         COLUMNS.iter().zip(nanos).map(|(col, &n)| (col.key(), Json::UInt(n))).collect::<Vec<_>>()
     };
     Json::Obj(vec![
@@ -187,8 +225,8 @@ fn to_json(rows: &[Row]) -> Json {
     ])
 }
 
-fn totals(rows: &[Row]) -> (u64, [u64; 4]) {
-    let mut tn = [0u64; 4];
+fn totals(rows: &[Row]) -> (u64, [u64; 5]) {
+    let mut tn = [0u64; 5];
     for r in rows {
         for (total, nanos) in tn.iter_mut().zip(r.nanos) {
             *total += nanos;
@@ -204,15 +242,15 @@ fn mips(instructions: u64, nanos: u64) -> f64 {
 /// Baseline per-column MIPS per (kernel, variant) from a saved report.
 /// Every row must carry **all** [`COLUMNS`] — missing coverage is an
 /// error, not a skip.
-fn baseline_mips(doc: &Json) -> Result<Vec<(String, [f64; 4])>, String> {
+fn baseline_mips(doc: &Json) -> Result<Vec<(String, [f64; 5])>, String> {
     let schema = doc.field("schema")?.as_str()?;
     if schema != SCHEMA {
         return Err(format!(
             "unsupported schema `{schema}` (expected {SCHEMA}; regenerate with --save)"
         ));
     }
-    let column_mips = |obj: &Json, instructions: u64| -> Result<[f64; 4], String> {
-        let mut out = [0f64; 4];
+    let column_mips = |obj: &Json, instructions: u64| -> Result<[f64; 5], String> {
+        let mut out = [0f64; 5];
         for (k, col) in COLUMNS.into_iter().enumerate() {
             let nanos = obj
                 .field(&col.key())
@@ -256,12 +294,21 @@ fn main() {
 
     let rows = suite_rows();
     println!(
-        "{:<10} {:<4} {:>12} {:>10} {:>10} {:>10} {:>8} {:>10}",
-        "kernel", "var", "instructions", "ref MIPS", "dec MIPS", "thr MIPS", "thr/dec", "ooo MIPS"
+        "{:<10} {:<4} {:>12} {:>10} {:>10} {:>10} {:>8} {:>10} {:>11} {:>9}",
+        "kernel",
+        "var",
+        "instructions",
+        "ref MIPS",
+        "dec MIPS",
+        "thr MIPS",
+        "thr/dec",
+        "ooo MIPS",
+        "ooo-st MIPS",
+        "replayed"
     );
     for r in &rows {
         println!(
-            "{:<10} {:<4} {:>12} {:>10.2} {:>10.2} {:>10.2} {:>7.2}x {:>10.2}",
+            "{:<10} {:<4} {:>12} {:>10.2} {:>10.2} {:>10.2} {:>7.2}x {:>10.2} {:>11.2} {:>8.1}%",
             r.kernel,
             r.variant,
             r.instructions,
@@ -269,12 +316,14 @@ fn main() {
             r.mips_of(1),
             r.mips_of(THREADED),
             r.speedup(),
-            r.mips_of(OOO)
+            r.mips_of(OOO),
+            r.mips_of(OOO_STEPPED),
+            100.0 * r.replayed
         );
     }
     let (ti, tn) = totals(&rows);
     println!(
-        "{:<10} {:<4} {:>12} {:>10.2} {:>10.2} {:>10.2} {:>7.2}x {:>10.2}",
+        "{:<10} {:<4} {:>12} {:>10.2} {:>10.2} {:>10.2} {:>7.2}x {:>10.2} {:>11.2}",
         "TOTAL",
         "",
         ti,
@@ -282,7 +331,8 @@ fn main() {
         mips(ti, tn[1]),
         mips(ti, tn[THREADED]),
         tn[1] as f64 / tn[THREADED].max(1) as f64,
-        mips(ti, tn[OOO])
+        mips(ti, tn[OOO]),
+        mips(ti, tn[OOO_STEPPED])
     );
 
     if let Some(path) = value_of("--baseline") {

@@ -9,6 +9,8 @@
 //! [`agree`] is the agreement check every harness applies to one
 //! variant — the three engines, then the out-of-order model — and
 //! [`check_references`] applies the exemption table across variants.
+//! [`ooo_replay_agrees`] checks the out-of-order model's timing replay
+//! against stepping.
 //! The kernel framework's measurements, the fuzz oracle, the conformance
 //! runner and the differential tests are glue over these pieces;
 //! [`differential`] is the two-program special case.
@@ -18,7 +20,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use subword_isa::program::Program;
 use subword_isa::reg::{GpReg, MmReg};
 use subword_sim::regfile::Flags;
-use subword_sim::{ExecEngine, Machine, MachineConfig, PipelineKind, SimStats};
+use subword_sim::translate::TranslationStats;
+use subword_sim::{ExecEngine, Machine, MachineConfig, OooStats, PipelineKind, SimStats};
 use subword_spu::crossbar::CrossbarShape;
 
 use crate::pass::{lift_permutes, CompileReport, TransformResult};
@@ -132,7 +135,7 @@ pub enum Compared {
     /// Also the counts every pipeline model must reproduce
     /// ([`SimStats::model_invariant_counts`]).
     Counts,
-    /// Also every other statistic.
+    /// Also every other statistic, [`OooStats`] included.
     All,
 }
 
@@ -173,6 +176,8 @@ impl TestSetup {
 pub struct ArchState {
     /// Run statistics.
     pub stats: SimStats,
+    /// The out-of-order model's counters (zero on the in-order model).
+    pub ooo: OooStats,
     /// Final MMX register file.
     pub mm: [u64; 8],
     /// Final GP register file.
@@ -197,6 +202,15 @@ impl ArchState {
 /// applied, and capture the final state. The machine is dropped before
 /// this returns, so a caller never holds more than one.
 pub fn run(program: &Program, setup: &TestSetup, cfg: MachineConfig) -> Result<ArchState, String> {
+    run_keeping_telemetry(program, setup, cfg).map(|(state, _)| state)
+}
+
+/// [`run`], also returning the run's [`TranslationStats`].
+fn run_keeping_telemetry(
+    program: &Program,
+    setup: &TestSetup,
+    cfg: MachineConfig,
+) -> Result<(ArchState, TranslationStats), String> {
     let mut m = setup.machine(cfg)?;
     let stats = m.run(program).map_err(|e| e.to_string())?;
     let outputs = setup
@@ -207,7 +221,8 @@ pub fn run(program: &Program, setup: &TestSetup, cfg: MachineConfig) -> Result<A
             Err(e) => Err(format!("output range {addr:#x}+{len}: {e:?}")),
         })
         .collect::<Result<_, _>>()?;
-    Ok(ArchState { stats, mm: m.regs.mm, gp: m.regs.gp, flags: m.regs.flags, outputs })
+    let (mm, gp, flags) = (m.regs.mm, m.regs.gp, m.regs.flags);
+    Ok((ArchState { stats, ooo: m.ooo, mm, gp, flags, outputs }, m.translation))
 }
 
 /// First difference between `a` and `b` on the `what` level, or `None`
@@ -215,6 +230,9 @@ pub fn run(program: &Program, setup: &TestSetup, cfg: MachineConfig) -> Result<A
 pub fn compare(a: &ArchState, b: &ArchState, what: Compared) -> Option<String> {
     if what == Compared::All && a.stats != b.stats {
         return Some(format!("stats differ: {:?} vs {:?}", a.stats, b.stats));
+    }
+    if what == Compared::All && a.ooo != b.ooo {
+        return Some(format!("ooo stats differ: {:?} vs {:?}", a.ooo, b.ooo));
     }
     if what == Compared::Counts {
         if let Some(diff) = a.stats.count_divergence(&b.stats) {
@@ -305,13 +323,8 @@ pub fn agree(
 ) -> Result<ArchState, Disagreement> {
     let name = variant.name();
     let run_on = |engine, pipeline, label: String| {
-        let stage = format!("run {name}/{label}");
         let cfg = MachineConfig { engine, pipeline, ..cfg.clone() };
-        match contained(|| run(program, setup, cfg)) {
-            Ok(Ok(state)) => Ok(state),
-            Ok(Err(detail)) => Err(Disagreement { stage, kind: DisagreementKind::Faulted, detail }),
-            Err(detail) => Err(Disagreement { stage, kind: DisagreementKind::Panicked, detail }),
-        }
+        contained_run(format!("run {name}/{label}"), program, setup, cfg).map(|(state, _)| state)
     };
     let differed =
         |stage: String, detail| Disagreement { stage, kind: DisagreementKind::Differed, detail };
@@ -328,6 +341,52 @@ pub fn agree(
         return Err(differed(format!("compare {name}: in-order vs ooo"), diff));
     }
     Ok(state)
+}
+
+/// Run `program` panic-contained, as the `stage` of a check.
+fn contained_run(
+    stage: String,
+    program: &Program,
+    setup: &TestSetup,
+    cfg: MachineConfig,
+) -> Result<(ArchState, TranslationStats), Disagreement> {
+    match contained(|| run_keeping_telemetry(program, setup, cfg)) {
+        Ok(Ok(ran)) => Ok(ran),
+        Ok(Err(detail)) => Err(Disagreement { stage, kind: DisagreementKind::Faulted, detail }),
+        Err(detail) => Err(Disagreement { stage, kind: DisagreementKind::Panicked, detail }),
+    }
+}
+
+/// The out-of-order model's timing replay against stepping: run
+/// `program` on the out-of-order model under [`ExecEngine::Decoded`],
+/// which times every instruction, and under [`ExecEngine::Threaded`],
+/// which replays memoised region timings, each on `cfg` with only the
+/// engine and pipeline model replaced. The two must agree on
+/// [`Compared::All`]. Returns the replaying run's [`TranslationStats`],
+/// which say how much it replayed.
+///
+/// Not a leg of [`agree`]: the replay engages only from a region's 8th
+/// entry, which the fuzz generator's loops of 2–8 trips never reach, so
+/// there it would cost the fuzz oracle a second run that checks nothing.
+pub fn ooo_replay_agrees(
+    program: &Program,
+    setup: &TestSetup,
+    cfg: &MachineConfig,
+) -> Result<TranslationStats, Disagreement> {
+    let run_on = |engine| {
+        let cfg = MachineConfig { engine, pipeline: PipelineKind::OutOfOrder, ..cfg.clone() };
+        contained_run(format!("run ooo/{engine:?}"), program, setup, cfg)
+    };
+    let (stepped, _) = run_on(ExecEngine::Decoded)?;
+    let (replayed, telemetry) = run_on(ExecEngine::Threaded)?;
+    match compare(&stepped, &replayed, Compared::All) {
+        Some(detail) => Err(Disagreement {
+            stage: "compare ooo: Decoded vs Threaded".into(),
+            kind: DisagreementKind::Differed,
+            detail,
+        }),
+        None => Ok(telemetry),
+    }
 }
 
 /// Check each variant's state against the state of the variant its
@@ -477,6 +536,7 @@ mod tests {
     fn state() -> ArchState {
         ArchState {
             stats: SimStats { cycles: 10, instructions: 8, ..Default::default() },
+            ooo: OooStats::default(),
             mm: [7; 8],
             gp: [3; 16],
             flags: Flags::default(),
@@ -488,13 +548,14 @@ mod tests {
     /// [`Compared`] level that checks the field.
     type Plant = (&'static str, Compared, fn(&mut ArchState));
 
-    const PLANTS: [Plant; 6] = [
+    const PLANTS: [Plant; 7] = [
         ("output", Compared::Scalar, |s| s.outputs[0].1[2] ^= 1),
         ("gp", Compared::Scalar, |s| s.gp[5] += 1),
         ("flags", Compared::Scalar, |s| s.flags.zf = true),
         ("mm", Compared::Arch, |s| s.mm[6] += 1),
         ("count", Compared::Counts, |s| s.stats.instructions += 1),
         ("timing", Compared::All, |s| s.stats.cycles += 1),
+        ("ooo", Compared::All, |s| s.ooo.dispatched += 1),
     ];
 
     /// Every row of the exemption table, and the engine and model rows:

@@ -20,16 +20,25 @@ use subword_spu::CrossbarShape;
 /// Which execution engine [`Machine::run`] uses. All three must produce
 /// bit-identical [`SimStats`] and architectural state; the differential
 /// tests enforce this over the full kernel suite.
+///
+/// Under the out-of-order model ([`PipelineKind::OutOfOrder`]) the
+/// engine picks how that model's timing is evaluated: `Threaded`
+/// replays memoised per-region timings, and `Decoded` and `Reference`
+/// time every instruction ([`crate::model::ooo`]). Both leave identical
+/// [`SimStats`], [`Machine::ooo`] and architectural state.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecEngine {
     /// The original allocating `Vec<RegRef>` path, kept as the oracle.
+    /// Under the out-of-order model, every instruction is timed.
     Reference,
     /// Predecoded metadata + mask-based checks, stepped one slot at a
-    /// time.
+    /// time. Under the out-of-order model, every instruction is timed.
     Decoded,
     /// Record and replay: each straight-line region's issue slots are
     /// recorded from the decoded stepper once per entry state, and
     /// steady-state loop iterations replay them ([`crate::translate`]).
+    /// Under the out-of-order model, region timings are memoised and
+    /// replayed.
     #[default]
     Threaded,
 }
@@ -157,9 +166,9 @@ pub struct Machine {
     /// Statistics of the current/last run.
     pub stats: SimStats,
     /// Trace record-and-replay telemetry of the current/last threaded run
-    /// (zeroed by the other engines). Host-side observability only —
-    /// deliberately **not** part of [`SimStats`], which must stay
-    /// engine-invariant.
+    /// (zeroed by the other engines), or on the out-of-order model of
+    /// its timing memo. Host-side observability only — deliberately
+    /// **not** part of [`SimStats`], which must stay engine-invariant.
     pub translation: crate::translate::TranslationStats,
     /// Out-of-order model internals of the current/last run (zeroed by
     /// the in-order paths). Host-side observability only — same split
@@ -207,9 +216,13 @@ impl Machine {
     }
 
     /// Run `program` to `halt` on the configured engine
-    /// ([`MachineConfig::engine`]; threaded by default). Statistics are
-    /// reset at entry and returned (they also remain readable in
-    /// [`Machine::stats`]); architectural state persists across runs.
+    /// ([`MachineConfig::engine`]; threaded by default) and pipeline
+    /// model ([`MachineConfig::pipeline`]; in-order by default). On the
+    /// out-of-order model the threaded engine replays memoised region
+    /// timings and the other two time every instruction, with identical
+    /// results. Statistics are reset at entry and returned (they also
+    /// remain readable in [`Machine::stats`]); architectural state
+    /// persists across runs.
     ///
     /// ```
     /// use subword_sim::{Machine, MachineConfig};
@@ -230,8 +243,10 @@ impl Machine {
     pub fn run(&mut self, program: &Program) -> Result<SimStats, SimError> {
         // Pipeline model first: the engines are alternative evaluators
         // of the *in-order* timing semantics, so under the out-of-order
-        // model they all collapse onto the one OoO path (architectural
-        // results are engine- and model-invariant either way).
+        // model they all take the one OoO path, where the engine only
+        // chooses between replaying and stepping its timing
+        // (architectural results are engine- and model-invariant either
+        // way).
         if self.cfg.pipeline == PipelineKind::OutOfOrder {
             return self.run_ooo(program);
         }

@@ -11,7 +11,7 @@
 //! semantics stay in [`crate::machine`] (`Machine::exec`); this file
 //! is purely *when*, never *what*.
 
-use crate::decode::{ClassFlags, DecodedInstr, DecodedProgram};
+use crate::decode::{DecodedInstr, DecodedProgram};
 use crate::error::SimError;
 use crate::machine::{ExecEffect, Machine};
 use crate::model::issue::IssueRules;
@@ -248,7 +248,7 @@ impl Machine {
         let eff0 = self.exec(program, i0, &routing0, pc0)?;
         let (u_mmx, routable0) = match engine {
             HazardEngine::Decoded => {
-                self.account(d0.flags);
+                self.stats.count(d0.flags);
                 (d0.flags.is_mmx(), d0.routable)
             }
             HazardEngine::Reference => {
@@ -271,7 +271,7 @@ impl Machine {
                 let eff1 = self.exec(program, &i1, &routing1, pc1)?;
                 let routable1 = match engine {
                     HazardEngine::Decoded => {
-                        self.account(d1.flags);
+                        self.stats.count(d1.flags);
                         v_mmx = d1.flags.is_mmx();
                         d1.routable
                     }
@@ -346,32 +346,6 @@ impl Machine {
             }
         }
         t
-    }
-
-    /// Statistics accounting from the predecoded class-flags byte.
-    pub(crate) fn account(&mut self, flags: ClassFlags) {
-        let stats = &mut self.stats;
-        stats.instructions += 1;
-        if flags.is_mmx() {
-            stats.mmx_instructions += 1;
-            if flags.is_realignment() {
-                stats.mmx_realignments += 1;
-            }
-            if flags.is_mmx_multiply() {
-                stats.mmx_multiplies += 1;
-            }
-        } else {
-            stats.scalar_instructions += 1;
-        }
-        if flags.is_scalar_multiply() {
-            stats.scalar_multiplies += 1;
-        }
-        if flags.is_load() {
-            stats.loads += 1;
-        }
-        if flags.is_store() {
-            stats.stores += 1;
-        }
     }
 
     /// Reference-engine accounting, straight off the instruction's class

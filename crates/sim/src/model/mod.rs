@@ -33,12 +33,19 @@
 //! The model is selected by [`MachineConfig::pipeline`]
 //! (default [`PipelineKind::InOrder`], so every pre-existing baseline
 //! stays bit-identical), orthogonally to the execution *engine*
-//! ([`crate::ExecEngine`]), which only picks how the in-order semantics
-//! are evaluated (reference / decoded / trace-threaded).
+//! ([`crate::ExecEngine`]), which picks how the semantics are evaluated
+//! (reference / decoded / trace-threaded).
 //! [`Machine::run`](crate::Machine::run) checks the model first: under
 //! [`PipelineKind::OutOfOrder`] every engine setting takes the one
-//! out-of-order run path, so no engine ever sees that model (threaded
-//! traces bake in in-order pairing decisions and could not replay it).
+//! out-of-order run path, so the in-order engines never see that model
+//! (threaded traces bake in in-order pairing decisions and could not
+//! replay it). On that path the engine picks how the timing is
+//! evaluated: [`ExecEngine::Threaded`](crate::ExecEngine::Threaded), the
+//! default, replays memoised per-region timings ([`ooo`]'s timing
+//! replay), while [`ExecEngine::Decoded`](crate::ExecEngine::Decoded)
+//! and [`ExecEngine::Reference`](crate::ExecEngine::Reference) time
+//! every instruction. Both give bit-identical statistics, so the
+//! stepping engines are the replay's oracle.
 //!
 //! The PR 3 static scheduler deliberately stays bound to the in-order
 //! model: its acceptance test is [`issue::replay_order`] on the

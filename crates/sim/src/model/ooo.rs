@@ -59,6 +59,23 @@
 //! are folded into the statistics as soon as the dispatch frontier
 //! passes them.
 //!
+//! # Timing replay
+//!
+//! Under [`ExecEngine::Threaded`], the default engine, a run memoises
+//! this timing per straight-line region (the `memo` submodule, DESIGN.md
+//! §14): from a region's 8th entry on it executes the region first,
+//! then looks its timing up by the entry state taken relative to the
+//! dispatch frontier plus the region's dynamic inputs, and on a hit
+//! applies the recorded statistics and exit state instead of timing
+//! each instruction. Under [`ExecEngine::Decoded`] and
+//! [`ExecEngine::Reference`] every instruction is timed, so those
+//! engines are the oracle the replay is checked against: both paths
+//! leave bit-identical [`SimStats`], [`OooStats`], architectural state
+//! and faults.
+//!
+//! [`ExecEngine::Threaded`]: crate::ExecEngine::Threaded
+//! [`ExecEngine::Decoded`]: crate::ExecEngine::Decoded
+//! [`ExecEngine::Reference`]: crate::ExecEngine::Reference
 //! [`effective_mispredict_penalty`]: crate::MachineConfig::effective_mispredict_penalty
 //! [`IssueRules`]: crate::issue::IssueRules
 //! [`RegMask`]: subword_isa::instr::RegMask
@@ -68,7 +85,7 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use crate::decode::{DecodedInstr, DecodedProgram};
 use crate::error::SimError;
-use crate::machine::Machine;
+use crate::machine::{ExecEffect, ExecEngine, Machine};
 use crate::model::issue::IssueRules;
 use crate::model::pipeline::effective_read_mask;
 use crate::model::OooStats;
@@ -76,6 +93,9 @@ use crate::stats::SimStats;
 use subword_isa::instr::{Instr, RegMask};
 use subword_isa::program::Program;
 use subword_spu::mmio::in_mmio_range;
+
+mod memo;
+use memo::Memo;
 
 /// Reorder-buffer entries (in-flight instructions).
 const ROB_ENTRIES: usize = 24;
@@ -88,6 +108,16 @@ const ISSUE_WIDTH: u64 = 3;
 const RETIRE_WIDTH: u64 = 3;
 /// Store-buffer entries (stores dispatched but not yet retired).
 const STORE_BUFFER: usize = 8;
+/// How far one instruction can move `max(fetch, last_retire)` beyond the
+/// longest multiply latency. Every cycle the timing state holds is at or
+/// below that maximum, so the instruction dispatches at most 1 past it
+/// (a resource wait or the rename width), starts at most
+/// `(ROB_ENTRIES - 1) / ISSUE_WIDTH` full cycles later (only its ≤ 23
+/// in-flight elders can hold a start at or after its dispatch) and
+/// retires at most 1 past its result (the retire width). `instr`
+/// asserts it in debug builds; the timing memo defers a region only when
+/// this bound keeps its frontier within `max_cycles`.
+const ADVANCE_SLACK: u64 = (ROB_ENTRIES as u64 - 1) / ISSUE_WIDTH + 2;
 
 /// An in-flight (dispatched, not yet retired) store buffer entry.
 #[derive(Clone, Copy)]
@@ -221,12 +251,11 @@ struct OooTiming {
     scalar_mul_free: u64,
     mem_port_free: u64,
     shifter_free: u64,
-    /// In-order retirement frontier + per-cycle retire count.
+    /// In-order retirement frontier + per-cycle retire count. The
+    /// retire cycle of the youngest instruction, and so the run's final
+    /// cycle count once the program halts.
     last_retire: u64,
     retire_n: u64,
-    /// Retire cycle of the youngest retired instruction (== the run's
-    /// final cycle count once the program halts).
-    completion: u64,
 }
 
 impl OooTiming {
@@ -255,7 +284,6 @@ impl OooTiming {
             shifter_free: 0,
             last_retire: 0,
             retire_n: 0,
-            completion: 0,
         }
     }
 
@@ -288,11 +316,12 @@ impl OooTiming {
         let f = d.flags;
         let mmio = addr.is_some_and(in_mmio_range);
         let plain_store = f.is_store() && !mmio;
+        let reach = self.fetch.max(self.last_retire);
 
         // ---- dispatch: rename + allocate ROB/RS/SB entries ------------
         // An MMIO access fences: it dispatches only once every older
         // instruction has retired.
-        let mut t = if mmio { self.fetch.max(self.completion) } else { self.fetch };
+        let mut t = if mmio { self.fetch.max(self.last_retire) } else { self.fetch };
         let mut resource_stalled = false;
         loop {
             self.free_before(t);
@@ -435,7 +464,6 @@ impl OooTiming {
             self.retire_n = 1;
         }
         self.last_retire = retire;
-        self.completion = retire;
         self.rob.push_back(retire);
         if let Some(addr) = addr.filter(|_| plain_store) {
             self.sb.push_back(SbEntry { retire, addr, size: d.mem_bytes.into(), data_ready: end });
@@ -448,6 +476,13 @@ impl OooTiming {
 
         // Cycles below the dispatch frontier are final: fold them.
         self.started.fold_below(self.fetch, penalty_stats);
+        debug_assert!(
+            self.fetch.max(self.last_retire)
+                <= reach
+                    + self.rules.scalar_mul_latency.max(self.rules.mmx_mul_latency)
+                    + ADVANCE_SLACK,
+            "one instruction moved the timing state past ADVANCE_SLACK"
+        );
         end
     }
 }
@@ -457,48 +492,44 @@ impl Machine {
     /// ([`crate::model::ooo`]). Architectural results are bit-identical
     /// to every in-order engine; only the timing-derived statistics
     /// differ, and the OoO-internal pressure counters are left in
-    /// [`Machine::ooo`].
+    /// [`Machine::ooo`]. Under [`ExecEngine::Threaded`] region timings
+    /// replay from the memo, whose telemetry is left in
+    /// [`Machine::translation`]; the other engines time every
+    /// instruction, with the same results.
     pub(crate) fn run_ooo(&mut self, program: &Program) -> Result<SimStats, SimError> {
         self.begin_run()?;
         let decoded = DecodedProgram::decode(program);
-        let use_routing = self.spu.is_some() && decoded.any_spu_routable;
         let mut tm = OooTiming::new(self.rules);
+        let threaded = self.cfg.engine == ExecEngine::Threaded;
+        // The timing memo is built at the run's `ENGAGE_AT`-th taken
+        // backward branch, so a run that loops less never pays for one.
+        let mut memo: Option<Memo> = None;
+        let mut back_edges = 0;
         let mut pc = 0usize;
         loop {
+            if let Some(memo) = &mut memo {
+                if let Some(r) = memo.engaged_at(pc) {
+                    if self.run_region(program, &decoded, &mut tm, memo, r, &mut pc)? {
+                        continue;
+                    }
+                }
+                memo.materialise(&mut tm);
+            }
             if tm.fetch > self.cfg.max_cycles {
                 return Err(SimError::MaxCyclesExceeded { pc, limit: self.cfg.max_cycles });
             }
-            let Some(i) = program.instrs.get(pc).copied() else {
+            let Some(i) = program.instrs.get(pc) else {
                 return Err(SimError::NoHalt);
             };
             if matches!(i, Instr::Halt) {
                 break;
             }
-            let d = *decoded.get(pc);
-
-            // The controller advances once per issued instruction —
-            // the same trajectory as the in-order engines, because the
-            // functional loop *is* program order.
-            let routing = self.take_routing();
-            let reads = if use_routing && routing.routes_anything() && d.routable {
-                effective_read_mask(&i, &routing)
-            } else {
-                d.reads
-            };
-            // Resolved against the *current* registers, before `exec`,
-            // which therefore sees the same address.
-            let addr = i.mem_operand().map(|m| self.ea(m));
-
-            // Functional execution (shared with the in-order engines).
-            let eff = self.exec(program, &i, &routing, pc)?;
-            self.account(d.flags);
-            if d.flags.is_scalar_multiply() {
-                // Same definition as in-order: `imul` is unpairable
-                // there, so this is scalar_multiplies × extra either way.
-                self.stats.imul_block_cycles += self.rules.imul_extra_cycles();
+            let (eff, reads, addr) = self.ooo_exec(program, &decoded, pc)?;
+            count(&mut self.stats, decoded.get(pc), &self.rules);
+            let exec_end = tm.instr(decoded.get(pc), reads, addr, &mut self.stats, &mut self.ooo);
+            if threaded {
+                self.translation.fallback_slots += 1;
             }
-
-            let exec_end = tm.instr(&d, reads, addr, &mut self.stats, &mut self.ooo);
 
             // Branch resolution: predictor updates in program order
             // (bit-identical mispredict sequence); a mispredict costs a
@@ -507,21 +538,69 @@ impl Machine {
                 tm.fetch = tm.fetch.max(exec_end + pen);
                 self.ooo.flushes += 1;
             }
-            pc += 1;
-            if let Some(target) = eff.redirect {
-                pc = target;
+            match eff.redirect {
+                Some(target) => {
+                    if threaded && memo.is_none() && target <= pc {
+                        back_edges += 1;
+                        if back_edges == memo::ENGAGE_AT {
+                            let built = Memo::new(program, &decoded, &self.rules);
+                            self.translation.regions = built.regions() as u64;
+                            memo = Some(built);
+                        }
+                    }
+                    pc = target;
+                }
+                None => pc += 1,
             }
         }
         tm.started.fold_below(u64::MAX, &mut self.stats);
-        self.cycle = tm.completion;
+        self.cycle = tm.last_retire;
         Ok(self.finish_run())
+    }
+
+    /// Execute the instruction at `pc`, returning its effect and what its
+    /// timing reads: the routed register reads and the effective address
+    /// of its memory operand.
+    #[inline]
+    fn ooo_exec(
+        &mut self,
+        program: &Program,
+        decoded: &DecodedProgram,
+        pc: usize,
+    ) -> Result<(ExecEffect, RegMask, Option<u32>), SimError> {
+        let i = program.instrs[pc];
+        let d = decoded.get(pc);
+        // The controller advances once per issued instruction — the same
+        // trajectory as the in-order engines, because the functional
+        // loop *is* program order.
+        let routing = self.take_routing();
+        let reads = if routing.routes_anything() && d.routable {
+            effective_read_mask(&i, &routing)
+        } else {
+            d.reads
+        };
+        // Resolved against the *current* registers, before `exec`, which
+        // therefore sees the same address.
+        let addr = i.mem_operand().map(|m| self.ea(m));
+        let eff = self.exec(program, &i, &routing, pc)?;
+        Ok((eff, reads, addr))
+    }
+}
+
+/// Count one executed instruction `d` on the out-of-order model.
+fn count(stats: &mut SimStats, d: &DecodedInstr, rules: &IssueRules) {
+    stats.count(d.flags);
+    if d.flags.is_scalar_multiply() {
+        // Same definition as in-order: `imul` is unpairable there, so
+        // this is scalar_multiplies × extra either way.
+        stats.imul_block_cycles += rules.imul_extra_cycles();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::StartRing;
-    use crate::machine::{Machine, MachineConfig};
+    use crate::machine::{ExecEngine, Machine, MachineConfig};
     use crate::model::{OooStats, PipelineKind};
     use crate::SimStats;
     use subword_isa::asm::assemble;
@@ -667,22 +746,27 @@ mod tests {
     /// `mmx_active_cycles`, `stall_cycles`.
     type Timing = [u64; 6];
 
-    /// Run `p` on the out-of-order model (after `prepare`) and assert its
-    /// timing fields and its whole [`OooStats`].
+    /// Run `p` on the out-of-order model (after `prepare`), stepping its
+    /// timing and replaying it, and assert its timing fields and its
+    /// whole [`OooStats`] on both paths.
     fn assert_pinned(
         name: &str,
         p: &Program,
         cfg: MachineConfig,
-        prepare: impl FnOnce(&mut Machine),
+        prepare: impl Fn(&mut Machine),
         timing: Timing,
         ooo: OooStats,
     ) {
-        let mut m = Machine::new(MachineConfig { pipeline: PipelineKind::OutOfOrder, ..cfg });
-        prepare(&mut m);
-        let s = m.run(p).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let got = [s.cycles, s.pairs, s.singles, s.mmx_pairs, s.mmx_active_cycles, s.stall_cycles];
-        assert_eq!(got, timing, "{name}: timing fields");
-        assert_eq!(m.ooo, ooo, "{name}: OooStats");
+        for engine in [ExecEngine::Decoded, ExecEngine::Threaded] {
+            let cfg = MachineConfig { engine, pipeline: PipelineKind::OutOfOrder, ..cfg.clone() };
+            let mut m = Machine::new(cfg);
+            prepare(&mut m);
+            let s = m.run(p).unwrap_or_else(|e| panic!("{name}/{engine:?}: {e}"));
+            let got =
+                [s.cycles, s.pairs, s.singles, s.mmx_pairs, s.mmx_active_cycles, s.stall_cycles];
+            assert_eq!(got, timing, "{name}/{engine:?}: timing fields");
+            assert_eq!(m.ooo, ooo, "{name}/{engine:?}: OooStats");
+        }
     }
 
     fn asm(body: &str) -> Program {
@@ -698,7 +782,8 @@ mod tests {
     /// structure — store buffer, reservation stations, reorder buffer,
     /// fetch redirects, store-to-load forwarding and the MMIO fence — so
     /// a change to how the timing is computed cannot change what it
-    /// computes. `BENCH_cycles_ooo.json` gates only per-block cycles,
+    /// computes. Each is asserted stepped and replayed; the loop's
+    /// 50 trips are where the replay engages. `BENCH_cycles_ooo.json` gates only per-block cycles,
     /// and no suite kernel fills the store buffer.
     #[test]
     fn timing_is_pinned() {

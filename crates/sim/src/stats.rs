@@ -4,6 +4,8 @@
 use std::fmt;
 use std::ops::{AddAssign, Sub};
 
+use crate::decode::ClassFlags;
+
 /// Counters collected over a simulation run.
 ///
 /// All the quantities the paper's evaluation reports are derivable from
@@ -75,6 +77,33 @@ pub const TIMING_COUNTERS: [&str; 7] = [
 ];
 
 impl SimStats {
+    /// Count one executed instruction of class `flags`: the instruction
+    /// class, multiply, load and store counters.
+    #[inline]
+    pub(crate) fn count(&mut self, flags: ClassFlags) {
+        self.instructions += 1;
+        if flags.is_mmx() {
+            self.mmx_instructions += 1;
+            if flags.is_realignment() {
+                self.mmx_realignments += 1;
+            }
+            if flags.is_mmx_multiply() {
+                self.mmx_multiplies += 1;
+            }
+        } else {
+            self.scalar_instructions += 1;
+        }
+        if flags.is_scalar_multiply() {
+            self.scalar_multiplies += 1;
+        }
+        if flags.is_load() {
+            self.loads += 1;
+        }
+        if flags.is_store() {
+            self.stores += 1;
+        }
+    }
+
     /// Every counter with its field name, in declaration order — the one
     /// list the report schema, the conformance `expect` keys and the
     /// field-wise arithmetic derive from.

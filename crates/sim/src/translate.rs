@@ -115,6 +115,12 @@ const NO_V: u32 = u32::MAX;
 /// Host-side telemetry of the threaded engine (see
 /// [`Machine::translation`]). Not part of [`SimStats`]: the simulated
 /// machine's statistics must be identical across engines.
+///
+/// On the out-of-order model the same fields describe its timing memo
+/// ([`crate::model::ooo`]): a translation is a region timing recorded,
+/// a replay one applied from the memo, and a slot is one instruction,
+/// its timing replayed or computed one instruction at a time (`aborts`
+/// stays 0, and `regions` is 0 until the run builds its memo).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TranslationStats {
     /// Straight-line regions in the program's partition.
@@ -200,11 +206,36 @@ struct Trace {
     prefixes: Vec<(usize, Account)>,
 }
 
-/// Per-run translation state: the region partition and the trace caches.
-struct Translator {
-    regions: Vec<Region>,
+/// A program's straight-line region partition ([`regions_of`]), indexed
+/// by start `pc`: what the threaded engine records traces over, and what
+/// the out-of-order model memoises its timing over
+/// ([`crate::model::ooo`]).
+pub(crate) struct RegionIndex {
+    pub(crate) regions: Vec<Region>,
     /// `pc` → region index for region *starts* (`u32::MAX` elsewhere).
     region_at: Vec<u32>,
+}
+
+impl RegionIndex {
+    pub(crate) fn new(program: &Program) -> RegionIndex {
+        let regions = regions_of(program);
+        let mut region_at = vec![u32::MAX; program.instrs.len() + 1];
+        for (k, r) in regions.iter().enumerate() {
+            region_at[r.start] = k as u32;
+        }
+        RegionIndex { regions, region_at }
+    }
+
+    /// Index of the region that starts at `pc`, if one does.
+    #[inline]
+    pub(crate) fn starting_at(&self, pc: usize) -> Option<usize> {
+        self.region_at.get(pc).copied().filter(|&r| r != u32::MAX).map(|r| r as usize)
+    }
+}
+
+/// Per-run translation state: the region partition and the trace caches.
+struct Translator {
+    index: RegionIndex,
     caches: Vec<Vec<Trace>>,
     /// Regions that can never replay (barriers, no slot to record).
     never: Vec<bool>,
@@ -212,17 +243,14 @@ struct Translator {
 
 impl Translator {
     fn new(program: &Program) -> Translator {
-        let regions = regions_of(program);
-        let mut region_at = vec![u32::MAX; program.instrs.len() + 1];
-        for (k, r) in regions.iter().enumerate() {
-            region_at[r.start] = k as u32;
-        }
-        let never = regions
+        let index = RegionIndex::new(program);
+        let never = index
+            .regions
             .iter()
             .map(|r| r.kind == RegionKind::Barrier || u_limit(r) <= r.start)
             .collect();
-        let caches = regions.iter().map(|_| Vec::new()).collect();
-        Translator { regions, region_at, caches, never }
+        let caches = index.regions.iter().map(|_| Vec::new()).collect();
+        Translator { index, caches, never }
     }
 }
 
@@ -248,15 +276,15 @@ impl Machine {
         self.begin_run()?;
         let decoded = DecodedProgram::decode(program);
         let mut tr = Translator::new(program);
-        self.translation.regions = tr.regions.len() as u64;
+        self.translation.regions = tr.index.regions.len() as u64;
         let mut pc = 0usize;
         loop {
-            let ridx = tr.region_at.get(pc).copied().unwrap_or(u32::MAX);
-            if ridx != u32::MAX
-                && !tr.never[ridx as usize]
-                && self.enter_region(program, &decoded, &mut tr, ridx as usize, &mut pc)?
-            {
-                continue;
+            if let Some(ridx) = tr.index.starting_at(pc) {
+                if !tr.never[ridx]
+                    && self.enter_region(program, &decoded, &mut tr, ridx, &mut pc)?
+                {
+                    continue;
+                }
             }
             if self.step_slot(program, Some(&decoded), &mut pc)?.is_none() {
                 break;
@@ -277,7 +305,7 @@ impl Machine {
         ridx: usize,
         pc: &mut usize,
     ) -> Result<bool, SimError> {
-        let region = tr.regions[ridx];
+        let region = tr.index.regions[ridx];
         let Some(sig) = self.entry_sig(&region) else {
             return Ok(false);
         };

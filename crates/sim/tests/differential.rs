@@ -12,19 +12,23 @@
 //! agreed state must hold the golden kernel outputs, each variant must
 //! match its reference variant on its row of the exemption table, and a
 //! scheduled variant must execute the same instructions and SPU steps as
-//! its unscheduled form in no more cycles.
+//! its unscheduled form in no more cycles. Each variant also goes through
+//! `verify::ooo_replay_agrees`: on the out-of-order model, the threaded
+//! engine's replayed timing must equal the decoded engine's stepped
+//! timing on the whole state, `OooStats` included, here and at the large
+//! block count.
 //!
 //! Over the same suite, the issue-slot trace of `Machine::run_traced`
 //! must account for the statistics of its run.
 
 use subword_compile::verify::{
-    agree, build_variants, check_references, plain_lift, run, ArchState, TestSetup, Variant,
-    ENGINES,
+    agree, build_variants, check_references, ooo_replay_agrees, plain_lift, run, ArchState,
+    TestSetup, Variant, ENGINES,
 };
 use subword_kernels::suite::{all_suites, dotprod_example};
 use subword_sim::memory::MEMORY_SIZE;
 use subword_sim::model::inorder::Issued;
-use subword_sim::MachineConfig;
+use subword_sim::{ExecEngine, Machine, MachineConfig, PipelineKind, SimError};
 use subword_spu::{CrossbarShape, SHAPE_A, SHAPE_B, SHAPE_C, SHAPE_D};
 
 /// The matrix under `shape`, with all of memory as the output.
@@ -43,8 +47,10 @@ fn suite_matrix(shape: &CrossbarShape) {
             .iter()
             .map(|(variant, program)| {
                 let label = format!("{name}/{}-{}", variant.name(), shape.name);
-                let state = agree(*variant, program, &setup, &variant.machine(&base, shape))
+                let cfg = variant.machine(&base, shape);
+                let state = agree(*variant, program, &setup, &cfg)
                     .unwrap_or_else(|d| panic!("{label}: {d}"));
+                ooo_replay_agrees(program, &setup, &cfg).unwrap_or_else(|d| panic!("{label}: {d}"));
                 build.check_state(&state, &label).unwrap_or_else(|err| panic!("{err}"));
                 (*variant, state)
             })
@@ -91,6 +97,30 @@ fn suite_matrix_shape_d() {
     suite_matrix(&SHAPE_D);
 }
 
+/// Every suite kernel at its large block count, all four variants under
+/// shape D: the out-of-order model's replayed timing equals its stepped
+/// timing on the whole state, and replays most of each run.
+#[test]
+fn ooo_replay_matches_stepping_at_large_block_count() {
+    let mut entries = all_suites();
+    entries.push(dotprod_example());
+    for e in entries {
+        let name = e.kernel.name();
+        let build = e.kernel.build(e.blocks_large);
+        let built = build_variants(build.program.clone(), &Variant::ALL, &SHAPE_D, &plain_lift)
+            .unwrap_or_else(|err| panic!("{name}: {err}"));
+        let setup = TestSetup { outputs: vec![(0, MEMORY_SIZE)], ..build.setup.clone() };
+        for (variant, program) in &built.programs {
+            let label = format!("{name}/{}", variant.name());
+            let cfg = variant.machine(&MachineConfig::default(), &SHAPE_D);
+            let tl =
+                ooo_replay_agrees(program, &setup, &cfg).unwrap_or_else(|d| panic!("{label}: {d}"));
+            let share = tl.replayed_slots as f64 / (tl.replayed_slots + tl.fallback_slots) as f64;
+            assert!(share > 0.5, "{label}: replayed {share:.3} of the run: {tl:?}");
+        }
+    }
+}
+
 /// Every suite kernel, MMX-only and lifted at shape D: the traced slots
 /// add up to the run's stall, slot-mix, instruction and cycle counts, and
 /// the traced run's statistics equal the threaded engine's.
@@ -129,7 +159,11 @@ fn traced_slots_account_for_the_run() {
 }
 
 /// The engines also agree on error classification (runaway-program
-/// guard), not just successful runs.
+/// guard), not just successful runs. On the out-of-order model, a run
+/// that replays timing faults like one that steps it, and leaves the same
+/// `SimStats` and `OooStats` behind: on a 20-instruction loop whose cycle
+/// limit falls inside an iteration after the memo has engaged, and on a
+/// loop whose load leaves memory in its 65th iteration.
 #[test]
 fn engines_agree_on_max_cycles_fault() {
     let p = subword_isa::asm::assemble("t", "l:\n jmp l\n halt\n").unwrap();
@@ -139,4 +173,46 @@ fn engines_agree_on_max_cycles_fault() {
     });
     assert_eq!(faults[0], faults[1]);
     assert_eq!(faults[0], faults[2]);
+
+    let body = "pmullw mm0, mm1\n paddw mm2, mm0\n movq mm3, [r1]\n paddw mm3, mm2\n \
+                movq [r1+8], mm3\n psllq mm4, 3\n add r2, 7\n imul r3, r2\n pxor mm5, mm4\n \
+                movq mm6, [r1+8]\n paddw mm6, mm5\n punpcklwd mm7, mm6\n add r4, r3\n \
+                mov [r1+16], r4\n psrlq mm1, 1\n por mm1, mm7\n";
+    let mid_iteration =
+        format!("mov r0, 1000\nmov r1, 256\nl:\n {body} sub r0, 1\n jnz l\n halt\n");
+    let off_the_end = format!(
+        "mov r0, 1000\nmov r1, 0\nl:\n {body} add r1, 0x10000\n sub r0, 1\n jnz l\n halt\n"
+    );
+    let ooo_fault = |src: &str, max_cycles, engine| {
+        let p = subword_isa::asm::assemble("t", src).unwrap();
+        let cfg = MachineConfig {
+            engine,
+            pipeline: PipelineKind::OutOfOrder,
+            max_cycles,
+            ..MachineConfig::default()
+        };
+        let mut m = Machine::new(cfg);
+        let err = m.run(&p).expect_err("the run faults");
+        (err, m.stats, m.ooo, m.translation.replays)
+    };
+    for (name, src, max_cycles) in
+        [("mid-iteration", &mid_iteration, 777), ("load", &off_the_end, u64::MAX)]
+    {
+        let (err, stats, ooo, _) = ooo_fault(src, max_cycles, ExecEngine::Decoded);
+        let (replay_err, replay_stats, replay_ooo, replays) =
+            ooo_fault(src, max_cycles, ExecEngine::Threaded);
+        assert!(replays > 0, "{name}: the memo never engaged");
+        assert_eq!(replay_err, err, "{name}");
+        assert_eq!(replay_stats, stats, "{name}");
+        assert_eq!(replay_ooo, ooo, "{name}");
+        match (name, &err) {
+            ("mid-iteration", &SimError::MaxCyclesExceeded { pc, .. }) => {
+                assert!((3..19).contains(&pc), "{name}: the limit fell at pc {pc}")
+            }
+            ("load", &SimError::MemOutOfBounds { pc, addr, .. }) => {
+                assert_eq!((pc, addr, stats.branches), (4, 0x40_0000, 64), "{name}")
+            }
+            _ => panic!("{name}: unexpected fault {err:?}"),
+        }
+    }
 }

@@ -21,7 +21,9 @@
 //! staging image into the controller, validates it against the crossbar
 //! shape, and activates. A validation failure leaves the controller
 //! inactive and is reported to the caller (the simulator surfaces it as a
-//! machine fault).
+//! machine fault). A GO that re-arms a context whose staging bytes and
+//! window base are unchanged since its last successful GO only
+//! activates: the controller already holds that decode.
 
 use crate::controller::{SpuController, CONTEXTS};
 use crate::microcode::{SpuState, IDLE_STATE};
@@ -83,16 +85,27 @@ impl Staging {
 
 /// The memory-mapped front-end wrapping an [`SpuController`].
 pub struct SpuMmio {
-    /// The wrapped controller.
+    /// The wrapped controller. Program it through [`SpuMmio::write`]: a
+    /// GO that re-arms an unchanged context keeps whatever the
+    /// controller holds for it.
     pub controller: SpuController,
     staging: Vec<Staging>,
     config: u64,
+    /// Per context, the window base of the last GO that committed its
+    /// current staging bytes into the controller; `None` once a store
+    /// into the context's region changes them, and before any GO.
+    committed: [Option<u8>; CONTEXTS],
 }
 
 impl SpuMmio {
     /// Wrap a controller.
     pub fn new(controller: SpuController) -> SpuMmio {
-        SpuMmio { controller, staging: vec![Staging::default(); CONTEXTS], config: 0 }
+        SpuMmio {
+            controller,
+            staging: vec![Staging::default(); CONTEXTS],
+            config: 0,
+            committed: [None; CONTEXTS],
+        }
     }
 
     /// Handle a store of `size` bytes (1, 2, 4 or 8) at `addr`.
@@ -123,6 +136,7 @@ impl SpuMmio {
         }
         self.staging[ctx].bytes[within..within + size]
             .copy_from_slice(&value.to_le_bytes()[..size]);
+        self.committed[ctx] = None;
         Ok(false)
     }
 
@@ -147,10 +161,15 @@ impl SpuMmio {
         u64::from_le_bytes(b)
     }
 
-    /// Decode a staged context image into a program, load and activate it.
+    /// Decode a staged context image into a program, load and activate
+    /// it; or only activate it, when the controller already holds the
+    /// decode of these staging bytes at this window base.
     fn commit_and_activate(&mut self, ctx: usize, window_base: u8) -> Result<(), SpuError> {
-        let prog = self.decode_context(ctx, window_base)?;
-        self.controller.load_program(ctx, &prog)?;
+        if self.committed[ctx] != Some(window_base) {
+            let prog = self.decode_context(ctx, window_base)?;
+            self.controller.load_program(ctx, &prog)?;
+            self.committed[ctx] = Some(window_base);
+        }
         self.controller.activate();
         Ok(())
     }
@@ -335,6 +354,76 @@ mod tests {
             stage(&mut m, SpuMmio::state_word_offset(0, 1, word), value).unwrap();
             let err = m.write(SPU_MMIO_BASE, SpuMmio::go_config(0, 0), 4).unwrap_err();
             assert_eq!(err, SpuError::BadEntry { entry: 1 }, "word {word} = {value:#x}");
+            assert!(!m.controller.is_active());
+        }
+    }
+
+    /// Walk the active program to idle; how many of its steps route.
+    fn routed_steps(m: &mut SpuMmio) -> usize {
+        let mut routed = 0;
+        while m.controller.is_active() {
+            routed += usize::from(m.controller.on_issue().routes_anything());
+        }
+        routed
+    }
+
+    /// A GO re-arms the context it committed last without restaging, and
+    /// a store into the context's region between two GOs takes effect on
+    /// the second: here a new CNTR0 and a rewritten state word.
+    #[test]
+    fn a_restage_between_gos_takes_effect() {
+        let mut m = mmio();
+        write_program_via_stores(&mut m, 0);
+        let go = |m: &mut SpuMmio| m.write(SPU_MMIO_BASE, SpuMmio::go_config(0, 0), 4);
+        go(&mut m).unwrap();
+        assert_eq!(routed_steps(&mut m), 20);
+        go(&mut m).unwrap();
+        assert_eq!(routed_steps(&mut m), 20, "re-armed from the committed decode");
+
+        m.write(SPU_MMIO_BASE + SpuMmio::counter_offset(0, 0), 12, 4).unwrap();
+        go(&mut m).unwrap();
+        assert_eq!(routed_steps(&mut m), 8, "the new CNTR0 counts");
+
+        let straight = SpuState::straight(0, IDLE_STATE, 2).encode_words();
+        for (w, word) in straight.into_iter().enumerate() {
+            m.write(SPU_MMIO_BASE + SpuMmio::state_word_offset(0, 1, w), word, 8).unwrap();
+        }
+        go(&mut m).unwrap();
+        assert_eq!(routed_steps(&mut m), 4, "state 1 no longer routes");
+        assert_eq!(m.controller.usage.activations, 4);
+    }
+
+    /// A GO under another window base commits the context again.
+    #[test]
+    fn a_new_window_base_recommits() {
+        let mut m = mmio();
+        // One routed state whose sources (mm1, mm2) lie in the windows
+        // based at both mm0 and mm1.
+        let route = ByteRoute::from_reg_words([(MM1, 0), (MM2, 0), (MM1, 1), (MM2, 1)]);
+        let state = SpuState::routed(0, Some(route), None, IDLE_STATE, 0);
+        for (w, word) in state.encode_words().into_iter().enumerate() {
+            m.write(SPU_MMIO_BASE + SpuMmio::state_word_offset(0, 0, w), word, 8).unwrap();
+        }
+        m.write(SPU_MMIO_BASE + SpuMmio::counter_offset(0, 0), 1, 4).unwrap();
+        for wb in [0, 1, 1, 0] {
+            m.write(SPU_MMIO_BASE, SpuMmio::go_config(0, wb), 4).unwrap();
+            assert_eq!(m.controller.window_base(), wb);
+        }
+    }
+
+    /// A bad image faults on every GO, not only on the first: no record
+    /// of a failed commit survives it.
+    #[test]
+    fn a_bad_image_faults_on_every_go() {
+        let mut m = mmio();
+        write_program_via_stores(&mut m, 0);
+        m.write(SPU_MMIO_BASE, SpuMmio::go_config(0, 0), 4).unwrap();
+        assert_eq!(routed_steps(&mut m), 20);
+        // ENTRY now names state 5, which is not programmed.
+        m.write(SPU_MMIO_BASE + SpuMmio::entry_offset(0), 5, 4).unwrap();
+        for _ in 0..2 {
+            let err = m.write(SPU_MMIO_BASE, SpuMmio::go_config(0, 0), 4).unwrap_err();
+            assert_eq!(err, SpuError::BadEntry { entry: 5 });
             assert!(!m.controller.is_active());
         }
     }

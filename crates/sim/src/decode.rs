@@ -16,9 +16,6 @@
 //! * `reads` / `writes` — the instruction's nominal register sets as
 //!   bitmasks (`u8` MMX + `u16` GP), feeding the scoreboard and the
 //!   RAW/WAR pairing checks without allocation;
-//! * `mem_bytes` — the width of the memory operand, which the
-//!   out-of-order store buffer disambiguates by (the effective address
-//!   is the only per-execution part of a memory reference);
 //! * `pairable_next` — whether `(pc, pc+1)` may dual-issue when the SPU
 //!   routes neither slot. While the controller is idle (or its current
 //!   states route nothing) the dynamic pairing test collapses to this
@@ -33,7 +30,7 @@
 //! bit-for-bit.
 
 use crate::pipeline::can_pair;
-use subword_isa::instr::{Instr, MmxOperand, RegMask};
+use subword_isa::instr::{Instr, RegMask};
 use subword_isa::program::Program;
 use subword_spu::controller::StepRouting;
 
@@ -161,9 +158,6 @@ pub struct DecodedInstr {
     pub reads: RegMask,
     /// Register writes as a bitmask (at most one bit set).
     pub writes: RegMask,
-    /// Bytes the memory operand accesses; 0 without one
-    /// ([`Instr::mem_operand`]).
-    pub mem_bytes: u8,
     /// Whether the SPU interconnect can route this instruction's operands
     /// ([`Instr::spu_routable`]).
     pub routable: bool,
@@ -178,26 +172,9 @@ impl DecodedInstr {
             flags: ClassFlags::of(i),
             reads: i.read_mask(),
             writes: i.write_mask(),
-            mem_bytes: mem_bytes(i),
             routable: i.spu_routable(),
             pairable_next: false,
         }
-    }
-}
-
-/// Bytes `i`'s memory operand accesses; 0 without one.
-fn mem_bytes(i: &Instr) -> u8 {
-    match i {
-        Instr::Mmx { src: MmxOperand::Mem(_), .. }
-        | Instr::MovqLoad { .. }
-        | Instr::MovqStore { .. } => 8,
-        Instr::MovdLoad { .. }
-        | Instr::MovdStore { .. }
-        | Instr::Load { .. }
-        | Instr::Store { .. }
-        | Instr::StoreI { .. } => 4,
-        Instr::LoadW { .. } | Instr::StoreW { .. } => 2,
-        _ => 0,
     }
 }
 
@@ -280,7 +257,6 @@ mod tests {
             let f = ClassFlags::of(i);
             assert_eq!(f.reads_flags(), i.reads_flags(), "{i}");
             assert_eq!(f.writes_flags(), i.writes_flags(), "{i}");
-            assert_eq!(mem_bytes(i) != 0, i.mem_operand().is_some(), "{i}");
             assert_eq!(f.is_mmx(), i.is_mmx(), "{i}");
             assert_eq!(f.is_load(), i.is_load(), "{i}");
             assert_eq!(f.is_store(), i.is_store(), "{i}");
@@ -290,8 +266,6 @@ mod tests {
             assert_eq!(f.is_scalar_multiply(), i.is_scalar_multiply(), "{i}");
             assert_eq!(f.is_realignment(), i.is_realignment(), "{i}");
         }
-        let widths: Vec<u8> = p.instrs.iter().map(mem_bytes).collect();
-        assert_eq!(widths, [0, 8, 0, 0, 8, 4, 8, 2, 2, 0, 0, 0, 0]);
     }
 
     #[test]

@@ -121,11 +121,9 @@ pub struct OooStats {
     pub rob_peak: u64,
     /// Instructions dispatched (= retired: the functional executor never
     /// fetches a wrong path, so no work is thrown away; mispredicts cost
-    /// fetch-redirect bubbles, not squashed instructions).
+    /// fetch-redirect bubbles, not squashed instructions, and
+    /// [`crate::SimStats::mispredicts`] counts them).
     pub dispatched: u64,
-    /// Fetch redirects taken (mispredicted branches resolved at
-    /// execute).
-    pub flushes: u64,
 }
 
 #[cfg(test)]

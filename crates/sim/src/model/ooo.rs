@@ -19,9 +19,8 @@
 //! * a **register-availability table** over the full MMX+GP
 //!   [`RegMask`] space plus the flags — the rename view: only true
 //!   (RAW) dependencies delay execution, WAR/WAW are eliminated;
-//! * a **store buffer** (8 in-flight stores; loads disambiguate against
-//!   it by actual effective address — an oracle memory-dependence
-//!   predictor, the generous-to-OoO choice);
+//! * a **store buffer** (8 dispatched, not yet retired stores): a
+//!   capacity queue that stalls dispatch when it is full;
 //! * shared structural resources matching the in-order pipe: one
 //!   pipelined MMX multiplier, one blocking scalar multiplier (both with
 //!   the machine's [`IssueRules`] latencies), one MMX shifter, one memory
@@ -29,6 +28,13 @@
 //!
 //! The sizes are this module's constants, not configuration: every
 //! number the repository reports was measured on this one core.
+//!
+//! The one memory port starts memory ops in program order, one per
+//! cycle, and no store is a multiply, so a store's data is ready by the
+//! time the port takes the next op: every load starts after the data of
+//! every older store. The timing therefore needs no address — no
+//! forwarding, no disambiguation — only whether a memory operand lands
+//! in the SPU window.
 //!
 //! Because fetch always follows the architecturally correct path, a
 //! mispredicted branch costs a fetch-redirect bubble (resume at the
@@ -50,10 +56,10 @@
 //!
 //! # Bookkeeping cost
 //!
-//! Everything static about an instruction — its class, register sets,
-//! flag dependences and memory width — comes predecoded from
-//! [`DecodedProgram`]; per dynamic instruction the model derives only
-//! the routed read mask and the effective address. The reservation
+//! Everything static about an instruction — its class, register sets
+//! and flag dependences — comes predecoded from [`DecodedProgram`]; per
+//! dynamic instruction the model derives only the routed read mask and
+//! the window bit of a memory operand. The reservation
 //! stations are a min-heap of execution-start cycles, and the per-cycle
 //! start counts live in a power-of-two ring (`StartRing`) whose cycles
 //! are folded into the statistics as soon as the dispatch frontier
@@ -118,16 +124,6 @@ const STORE_BUFFER: usize = 8;
 /// asserts it in debug builds; the timing memo defers a region only when
 /// this bound keeps its frontier within `max_cycles`.
 const ADVANCE_SLACK: u64 = (ROB_ENTRIES as u64 - 1) / ISSUE_WIDTH + 2;
-
-/// An in-flight (dispatched, not yet retired) store buffer entry.
-#[derive(Clone, Copy)]
-struct SbEntry {
-    retire: u64,
-    addr: u32,
-    size: u32,
-    /// Cycle the store's data is available for forwarding.
-    data_ready: u64,
-}
 
 /// Executions started per cycle, `(total, mmx)`, for the cycles that
 /// are not yet final: a power-of-two ring indexed by `cycle & mask`,
@@ -232,8 +228,9 @@ struct OooTiming {
     /// Execution-start cycles of dispatched ops, earliest on top (an
     /// entry is freed once its execution begins).
     rs: BinaryHeap<Reverse<u64>>,
-    /// In-flight stores, oldest first.
-    sb: VecDeque<SbEntry>,
+    /// Retire cycles of in-flight stores outside the SPU window, oldest
+    /// first.
+    sb: VecDeque<u64>,
     /// Executions started per cycle, folded into the pairing/occupancy
     /// statistics once the cycle is final (below the dispatch frontier:
     /// no future op can start earlier than it dispatches).
@@ -292,7 +289,7 @@ impl OooTiming {
         while self.rob.front().is_some_and(|&r| r < t) {
             self.rob.pop_front();
         }
-        while self.sb.front().is_some_and(|e| e.retire < t) {
+        while self.sb.front().is_some_and(|&r| r < t) {
             self.sb.pop_front();
         }
         while self.rs.peek().is_some_and(|&Reverse(start)| start < t) {
@@ -302,19 +299,19 @@ impl OooTiming {
 
     /// Time one instruction through dispatch → execute → retire: `d` is
     /// its predecoded metadata, `reads` its (routed) register reads and
-    /// `addr` the effective address of its memory operand. Returns its
-    /// execute-complete cycle (when a dependent consumer — or a
-    /// redirected fetch — could first proceed).
+    /// `mmio` whether its memory operand lands in the SPU window.
+    /// Returns its execute-complete cycle (when a dependent consumer — or
+    /// a redirected fetch — could first proceed).
     fn instr(
         &mut self,
         d: &DecodedInstr,
         reads: RegMask,
-        addr: Option<u32>,
+        mmio: bool,
         penalty_stats: &mut SimStats,
         ooo: &mut OooStats,
     ) -> u64 {
         let f = d.flags;
-        let mmio = addr.is_some_and(in_mmio_range);
+        let mem = f.is_load() || f.is_store();
         let plain_store = f.is_store() && !mmio;
         let reach = self.fetch.max(self.last_retire);
 
@@ -344,7 +341,7 @@ impl OooTiming {
                 }
             }
             if plain_store && self.sb.len() >= STORE_BUFFER {
-                let w = self.sb.front().map(|e| e.retire).unwrap_or(t) + 1;
+                let w = self.sb.front().copied().unwrap_or(t) + 1;
                 if w > wait {
                     wait = w;
                     cause = 3;
@@ -390,18 +387,10 @@ impl OooTiming {
         if f.reads_flags() {
             ready = ready.max(self.flags_avail);
         }
-        // Loads wait for the youngest older overlapping in-flight store
-        // (exact-address disambiguation; forwarding at data-ready).
-        if let Some(addr) = addr.filter(|_| f.is_load() && !mmio) {
-            let size = u32::from(d.mem_bytes);
-            if let Some(e) =
-                self.sb.iter().rev().find(|e| e.addr < addr + size && addr < e.addr + e.size)
-            {
-                ready = ready.max(e.data_ready);
-            }
-        }
 
         // ---- execution start: structural units + start bandwidth ------
+        // One memory port, in program order: a load starts after every
+        // older store's data (its start + 1), so nothing forwards.
         let mut start = ready;
         if f.is_mmx_multiply() {
             start = start.max(self.mmx_mul_free);
@@ -412,7 +401,7 @@ impl OooTiming {
         if f.is_mmx_shifter() {
             start = start.max(self.shifter_free);
         }
-        if addr.is_some() {
+        if mem {
             start = start.max(self.mem_port_free);
         }
         let start = self.started.claim(start, ISSUE_WIDTH, f.is_mmx());
@@ -426,7 +415,7 @@ impl OooTiming {
         if f.is_mmx_shifter() {
             self.shifter_free = start + 1;
         }
-        if addr.is_some() {
+        if mem {
             self.mem_port_free = start + 1;
         }
         self.rs.push(Reverse(start));
@@ -465,8 +454,8 @@ impl OooTiming {
         }
         self.last_retire = retire;
         self.rob.push_back(retire);
-        if let Some(addr) = addr.filter(|_| plain_store) {
-            self.sb.push_back(SbEntry { retire, addr, size: d.mem_bytes.into(), data_ready: end });
+        if plain_store {
+            self.sb.push_back(retire);
         }
         if mmio {
             // The fence also holds younger dispatch until the window
@@ -524,9 +513,9 @@ impl Machine {
             if matches!(i, Instr::Halt) {
                 break;
             }
-            let (eff, reads, addr) = self.ooo_exec(program, &decoded, pc)?;
+            let (eff, reads, mmio) = self.ooo_exec(program, &decoded, pc)?;
             count(&mut self.stats, decoded.get(pc), &self.rules);
-            let exec_end = tm.instr(decoded.get(pc), reads, addr, &mut self.stats, &mut self.ooo);
+            let exec_end = tm.instr(decoded.get(pc), reads, mmio, &mut self.stats, &mut self.ooo);
             if threaded {
                 self.translation.fallback_slots += 1;
             }
@@ -536,7 +525,6 @@ impl Machine {
             // fetch-redirect bubble from the resolving execute.
             if let Some(pen) = eff.branch.and_then(|taken| self.resolve_branch(pc, taken)) {
                 tm.fetch = tm.fetch.max(exec_end + pen);
-                self.ooo.flushes += 1;
             }
             match eff.redirect {
                 Some(target) => {
@@ -559,15 +547,15 @@ impl Machine {
     }
 
     /// Execute the instruction at `pc`, returning its effect and what its
-    /// timing reads: the routed register reads and the effective address
-    /// of its memory operand.
+    /// timing reads: the routed register reads and whether its memory
+    /// operand lands in the SPU window.
     #[inline]
     fn ooo_exec(
         &mut self,
         program: &Program,
         decoded: &DecodedProgram,
         pc: usize,
-    ) -> Result<(ExecEffect, RegMask, Option<u32>), SimError> {
+    ) -> Result<(ExecEffect, RegMask, bool), SimError> {
         let i = program.instrs[pc];
         let d = decoded.get(pc);
         // The controller advances once per issued instruction — the same
@@ -581,9 +569,9 @@ impl Machine {
         };
         // Resolved against the *current* registers, before `exec`, which
         // therefore sees the same address.
-        let addr = i.mem_operand().map(|m| self.ea(m));
+        let mmio = i.mem_operand().is_some_and(|m| in_mmio_range(self.ea(m)));
         let eff = self.exec(program, &i, &routing, pc)?;
-        Ok((eff, reads, addr))
+        Ok((eff, reads, mmio))
     }
 }
 
@@ -683,10 +671,10 @@ mod tests {
     }
 
     #[test]
-    fn store_load_forwarding_orders_through_memory() {
-        // Store then load of the same address: the load must wait for
-        // the store's data. Architectural result checked against the
-        // in-order engine; timing must show the serialization.
+    fn a_load_reads_the_value_an_older_store_wrote() {
+        // Store then load of the same address: functional execution is
+        // in program order, so the load reads the stored value.
+        // `timing_is_pinned` pins the same program's timing.
         let src = r#"
             mov r0, 4096
             mov r1, 1234
@@ -743,8 +731,9 @@ mod tests {
 
     /// The timing-derived [`crate::SimStats`] fields of one run, in the
     /// order `cycles`, `pairs`, `singles`, `mmx_pairs`,
-    /// `mmx_active_cycles`, `stall_cycles`.
-    type Timing = [u64; 6];
+    /// `mmx_active_cycles`, `stall_cycles`, then `mispredicts`, the
+    /// count of its fetch redirects.
+    type Timing = [u64; 7];
 
     /// Run `p` on the out-of-order model (after `prepare`), stepping its
     /// timing and replaying it, and assert its timing fields and its
@@ -762,8 +751,15 @@ mod tests {
             let mut m = Machine::new(cfg);
             prepare(&mut m);
             let s = m.run(p).unwrap_or_else(|e| panic!("{name}/{engine:?}: {e}"));
-            let got =
-                [s.cycles, s.pairs, s.singles, s.mmx_pairs, s.mmx_active_cycles, s.stall_cycles];
+            let got = [
+                s.cycles,
+                s.pairs,
+                s.singles,
+                s.mmx_pairs,
+                s.mmx_active_cycles,
+                s.stall_cycles,
+                s.mispredicts,
+            ];
             assert_eq!(got, timing, "{name}/{engine:?}: timing fields");
             assert_eq!(m.ooo, ooo, "{name}/{engine:?}: OooStats");
         }
@@ -780,11 +776,12 @@ mod tests {
 
     /// Pins the model's full output on one short program per back-end
     /// structure — store buffer, reservation stations, reorder buffer,
-    /// fetch redirects, store-to-load forwarding and the MMIO fence — so
-    /// a change to how the timing is computed cannot change what it
-    /// computes. Each is asserted stepped and replayed; the loop's
-    /// 50 trips are where the replay engages. `BENCH_cycles_ooo.json` gates only per-block cycles,
-    /// and no suite kernel fills the store buffer.
+    /// fetch redirects, program-order memory and the MMIO fence — so a
+    /// change to how the timing is computed cannot change what it
+    /// computes. Each is asserted stepped and replayed; the loops' 50 and
+    /// 200 trips are where the replay engages. `BENCH_cycles_ooo.json`
+    /// gates only per-block cycles, and no suite kernel fills the store
+    /// buffer.
     #[test]
     fn timing_is_pinned() {
         let dflt = MachineConfig::default;
@@ -794,43 +791,62 @@ mod tests {
         #[rustfmt::skip]
         let burst_ooo = OooStats {
             rob_stall_cycles: 0, rs_stall_cycles: 0, sb_stall_cycles: 4, rename_stalls: 4,
-            rob_occupancy_sum: 74, rob_peak: 8, dispatched: 13, flushes: 0,
+            rob_occupancy_sum: 74, rob_peak: 8, dispatched: 13,
         };
-        assert_pinned("store burst", &burst, dflt(), |_| {}, [13, 0, 13, 0, 0, 51], burst_ooo);
+        assert_pinned("store burst", &burst, dflt(), |_| {}, [13, 0, 13, 0, 0, 51, 0], burst_ooo);
 
         let adds = lines(16, |i| format!("paddw mm{}, mm0", 1 + i % 7));
         let rs = asm(&format!("pmullw mm0, mm0\npmullw mm0, mm0\n{adds}"));
         #[rustfmt::skip]
         let rs_ooo = OooStats {
             rob_stall_cycles: 0, rs_stall_cycles: 4, sb_stall_cycles: 0, rename_stalls: 2,
-            rob_occupancy_sum: 158, rob_peak: 15, dispatched: 18, flushes: 0,
+            rob_occupancy_sum: 158, rob_peak: 15, dispatched: 18,
         };
-        assert_pinned("RS full", &rs, dflt(), |_| {}, [12, 5, 3, 5, 8, 79], rs_ooo);
+        assert_pinned("RS full", &rs, dflt(), |_| {}, [12, 5, 3, 5, 8, 79, 0], rs_ooo);
 
         let adds = lines(30, |i| format!("add r{}, 1", 2 + i % 14));
         let rob = asm(&format!("imul r1, r1\nimul r1, r1\n{adds}"));
         #[rustfmt::skip]
         let rob_ooo = OooStats {
             rob_stall_cycles: 14, rs_stall_cycles: 0, sb_stall_cycles: 0, rename_stalls: 4,
-            rob_occupancy_sum: 484, rob_peak: 24, dispatched: 32, flushes: 0,
+            rob_occupancy_sum: 484, rob_peak: 24, dispatched: 32,
         };
-        assert_pinned("ROB full", &rob, dflt(), |_| {}, [28, 10, 3, 0, 0, 9], rob_ooo);
+        assert_pinned("ROB full", &rob, dflt(), |_| {}, [28, 10, 3, 0, 0, 9, 0], rob_ooo);
 
         let lp = asm("mov r0, 50\ntop:\npmullw mm0, mm1\nsub r0, 1\njnz top\n");
         #[rustfmt::skip]
         let lp_ooo = OooStats {
             rob_stall_cycles: 115, rs_stall_cycles: 0, sb_stall_cycles: 0, rename_stalls: 39,
-            rob_occupancy_sum: 3085, rob_peak: 24, dispatched: 151, flushes: 2,
+            rob_occupancy_sum: 3085, rob_peak: 24, dispatched: 151,
         };
-        assert_pinned("loop", &lp, dflt(), |_| {}, [154, 12, 124, 0, 50, 921], lp_ooo);
+        assert_pinned("loop", &lp, dflt(), |_| {}, [154, 12, 124, 0, 50, 921, 2], lp_ooo);
 
-        let fwd = asm("mov r0, 4096\nmov r1, 1234\nmov [r0], r1\nmov r2, [r0]\n");
+        let mem = asm("mov r0, 4096\nmov r1, 1234\nmov [r0], r1\nmov r2, [r0]\n");
         #[rustfmt::skip]
-        let fwd_ooo = OooStats {
+        let mem_ooo = OooStats {
             rob_stall_cycles: 0, rs_stall_cycles: 0, sb_stall_cycles: 0, rename_stalls: 0,
-            rob_occupancy_sum: 10, rob_peak: 4, dispatched: 4, flushes: 0,
+            rob_occupancy_sum: 10, rob_peak: 4, dispatched: 4,
         };
-        assert_pinned("store-to-load forward", &fwd, dflt(), |_| {}, [3, 1, 2, 0, 0, 2], fwd_ooo);
+        assert_pinned("program-order memory", &mem, dflt(), |_| {}, [3, 1, 2, 0, 0, 2, 0], mem_ooo);
+
+        // A load that alternately overlaps the slow store before it and
+        // misses it times like one that always or never does: the model,
+        // and its timing memo's key, need no address.
+        let overlap = |r4: u32, toggle: u32| {
+            asm(&format!(
+                "mov r0, 4096\nmov r4, {r4}\nmov r2, 200\nmov r1, 3\ntop:\nimul r1, r1\n\
+                 mov [r0], r1\nmov r3, [r0+r4]\nxor r4, {toggle}\nsub r2, 1\njnz top\n"
+            ))
+        };
+        #[rustfmt::skip]
+        let overlap_ooo = OooStats {
+            rob_stall_cycles: 1364, rs_stall_cycles: 394, sb_stall_cycles: 0, rename_stalls: 979,
+            rob_occupancy_sum: 27744, rob_peak: 24, dispatched: 1204,
+        };
+        for (name, r4, toggle) in [("toggled", 0, 64), ("overlapping", 0, 0), ("disjoint", 64, 0)] {
+            let timing = [1805, 204, 792, 0, 0, 18594, 2];
+            assert_pinned(name, &overlap(r4, toggle), dflt(), |_| {}, timing, overlap_ooo);
+        }
 
         // A GO store between independent work: the MMIO fence waits for
         // the blocking multiply to retire and holds the routed movq back
@@ -860,9 +876,9 @@ mod tests {
         #[rustfmt::skip]
         let go_ooo = OooStats {
             rob_stall_cycles: 0, rs_stall_cycles: 0, sb_stall_cycles: 0, rename_stalls: 0,
-            rob_occupancy_sum: 14, rob_peak: 3, dispatched: 6, flushes: 0,
+            rob_occupancy_sum: 14, rob_peak: 3, dispatched: 6,
         };
         let spu = MachineConfig::with_spu(SHAPE_D);
-        assert_pinned("GO store fence", &go, spu, stage, [11, 2, 1, 2, 2, 0], go_ooo);
+        assert_pinned("GO store fence", &go, spu, stage, [11, 2, 1, 2, 2, 0, 0], go_ooo);
     }
 }

@@ -10,28 +10,20 @@
 //! * the timing state at the region's entry, relative to the dispatch
 //!   frontier `F` ([`OooTiming::encode`]);
 //! * each instruction's routed read mask and whether its memory operand
-//!   lands in the SPU window;
-//! * for each load, the youngest of its older store candidates (the
-//!   entry store buffer's entries, then the region's stores) that its
-//!   bytes overlap, if that is one of the last [`STORE_BUFFER`]. The
-//!   store buffer always holds a suffix of the candidates, at most
-//!   [`STORE_BUFFER`] long, and a load waits for the youngest
-//!   overlapping entry in it: that is this candidate if it is still
-//!   buffered, and no older overlapping candidate can be buffered when
-//!   it is not.
+//!   lands in the SPU window.
 //!
-//! Addresses are not in the key. A memo [`Entry`] holds that key, the
-//! exit state relative to the exit frontier, the frontier's advance, the
-//! terminator's execute-complete cycle (its mispredict redirect is still
-//! applied live) and the statistics deltas. The exit store buffer is the
-//! last few candidates, so a replay hands it their live addresses.
+//! The timing never reads an address, so none is in the key. A memo
+//! [`Entry`] holds that key, the exit state relative to the exit
+//! frontier, the frontier's advance, the terminator's execute-complete
+//! cycle (its mispredict redirect is still applied live) and the
+//! statistics deltas.
 //!
-//! **Chaining.** After a replay the state stays virtual: an entry, a
-//! frontier and the store buffer's addresses. The next region is looked
-//! up among that entry's links by (region, dynamic inputs) alone, since
-//! its state is that entry's exit state. `OooTiming` is materialised
-//! only on a chain miss, a mispredict that moves the frontier, a region
-//! that is stepped (barrier, `halt`, not yet engaged) and a fault.
+//! **Chaining.** After a replay the state stays virtual: an entry and a
+//! frontier. The next region is looked up among that entry's links by
+//! (region, dynamic inputs) alone, since its state is that entry's exit
+//! state. `OooTiming` is materialised only on a chain miss, a mispredict
+//! that moves the frontier, a region that is stepped (barrier, `halt`,
+//! not yet engaged) and a fault.
 //!
 //! **Faults.** A region is deferred only when [`ADVANCE_SLACK`] bounds
 //! its frontier within `max_cycles`, so `MaxCyclesExceeded` is always
@@ -41,7 +33,7 @@
 
 use std::cmp::Reverse;
 
-use super::{count, OooTiming, SbEntry, StartRing, ADVANCE_SLACK, STORE_BUFFER};
+use super::{count, OooTiming, StartRing, ADVANCE_SLACK};
 use crate::decode::{DecodedInstr, DecodedProgram};
 use crate::error::SimError;
 use crate::machine::{ExecEffect, Machine};
@@ -51,7 +43,6 @@ use crate::stats::SimStats;
 use crate::translate::RegionIndex;
 use subword_isa::instr::RegMask;
 use subword_isa::program::Program;
-use subword_spu::mmio::in_mmio_range;
 
 /// When the memo engages: a run builds it at its 8th taken backward
 /// branch, and a region's 8th entry after that is its first keyed one.
@@ -66,9 +57,6 @@ const MAX_ENTRIES_PER_REGION: usize = 64;
 /// Successor links kept per memo entry.
 const MAX_LINKS: usize = 8;
 
-/// A load's input word when its memory operand lands in the SPU window.
-const WINDOW_LOAD: u64 = u64::MAX;
-
 /// One memoised region timing.
 struct Entry {
     /// Frontier-relative entry state ([`OooTiming::encode`]).
@@ -77,9 +65,6 @@ struct Entry {
     inputs: Box<[u64]>,
     /// Frontier-relative exit state.
     exit: Box<[u64]>,
-    /// Store-buffer entries in `exit`: the region's last `exit_sb` store
-    /// candidates.
-    exit_sb: usize,
     /// Exit frontier minus entry frontier.
     advance: u64,
     /// The terminator's execute-complete cycle minus the entry frontier.
@@ -97,9 +82,8 @@ struct Entry {
 }
 
 /// The timing state after a replay, not yet materialised: `entry`'s exit
-/// state at `frontier`, with [`Memo::sb`] its store buffer's live
-/// addresses. `synced` when `OooTiming` already holds an equivalent
-/// state (right after a recording).
+/// state at `frontier`. `synced` when `OooTiming` already holds an
+/// equivalent state (right after a recording).
 #[derive(Clone, Copy)]
 struct Virtual {
     entry: u32,
@@ -121,15 +105,11 @@ pub(super) struct Memo {
     table: Vec<Vec<u32>>,
     entries: Vec<Entry>,
     virt: Option<Virtual>,
-    /// `(address, size)` of the virtual state's store-buffer entries.
-    sb: Vec<(u32, u32)>,
     /// The region being executed: its first `pc`, each executed
-    /// instruction's `(reads, addr)`, its dynamic inputs, and its store
-    /// candidates' `(address, size)`.
+    /// instruction's `(reads, mmio)` and its dynamic inputs.
     start: usize,
-    timed: Vec<(RegMask, Option<u32>)>,
+    timed: Vec<(RegMask, bool)>,
     inputs: Vec<u64>,
-    cands: Vec<(u32, u32)>,
     /// Scratch for a materialised state's key.
     key: Vec<u64>,
 }
@@ -158,11 +138,9 @@ impl Memo {
             table: vec![Vec::new(); n],
             entries: Vec::new(),
             virt: None,
-            sb: Vec::new(),
             start: 0,
             timed: Vec::new(),
             inputs: Vec::new(),
-            cands: Vec::new(),
             key: Vec::new(),
         }
     }
@@ -188,7 +166,7 @@ impl Memo {
     pub(super) fn materialise(&mut self, tm: &mut OooTiming) {
         if let Some(v) = self.virt.take() {
             if !v.synced {
-                tm.restore(&self.entries[v.entry as usize].exit, v.frontier, &self.sb);
+                tm.restore(&self.entries[v.entry as usize].exit, v.frontier);
             }
         }
     }
@@ -202,45 +180,24 @@ impl Memo {
         }
     }
 
-    /// Start executing the region at `start`: its store candidates begin
-    /// with the entry store buffer's entries that retire at or after the
-    /// frontier.
-    fn begin(&mut self, tm: &OooTiming, start: usize) {
+    /// Start executing the region at `start`.
+    fn begin(&mut self, start: usize) {
         self.start = start;
         self.timed.clear();
         self.inputs.clear();
-        self.cands.clear();
-        match self.virt {
-            Some(v) if !v.synced => self.cands.extend_from_slice(&self.sb),
-            _ => self
-                .cands
-                .extend(tm.sb.iter().filter(|e| e.retire >= tm.fetch).map(|e| (e.addr, e.size))),
-        }
     }
 
     /// Buffer one executed instruction and append its dynamic inputs: a
-    /// routable instruction's routed read mask, and a memory operand's
-    /// window bit or, for a load outside the window, how many candidates
-    /// back its youngest overlapping recent one is (0 for none). Which
-    /// instructions add words is static, so the words line up.
-    fn push(&mut self, d: &DecodedInstr, reads: RegMask, addr: Option<u32>) {
-        self.timed.push((reads, addr));
+    /// routable instruction's routed read mask and a memory operand's
+    /// window bit. Which instructions add words is static, so the words
+    /// line up.
+    fn push(&mut self, d: &DecodedInstr, reads: RegMask, mmio: bool) {
+        self.timed.push((reads, mmio));
         if d.routable {
             self.inputs.push(u64::from(reads.mm) | u64::from(reads.gp) << 8);
         }
-        let Some(addr) = addr else { return };
-        let mmio = in_mmio_range(addr);
-        let size = u32::from(d.mem_bytes);
-        if d.flags.is_load() {
-            let recent = &self.cands[self.cands.len().saturating_sub(STORE_BUFFER)..];
-            let overlap = recent.iter().rev().position(|&(a, s)| a < addr + size && addr < a + s);
-            let word = overlap.map_or(0, |back| back as u64 + 1);
-            self.inputs.push(if mmio { WINDOW_LOAD } else { word });
-        } else {
+        if d.flags.is_load() || d.flags.is_store() {
             self.inputs.push(u64::from(mmio));
-        }
-        if d.flags.is_store() && !mmio {
-            self.cands.push((addr, size));
         }
     }
 
@@ -292,8 +249,8 @@ impl Memo {
     fn step(&mut self, tm: &mut OooTiming, decoded: &DecodedProgram, m: &mut Machine) -> u64 {
         self.materialise(tm);
         let mut exec_end = 0;
-        for (k, &(reads, addr)) in self.timed.iter().enumerate() {
-            exec_end = tm.instr(decoded.get(self.start + k), reads, addr, &mut m.stats, &mut m.ooo);
+        for (k, &(reads, mmio)) in self.timed.iter().enumerate() {
+            exec_end = tm.instr(decoded.get(self.start + k), reads, mmio, &mut m.stats, &mut m.ooo);
         }
         m.translation.fallback_slots += self.timed.len() as u64;
         exec_end
@@ -325,7 +282,6 @@ impl Memo {
             rob_occupancy_sum: ooo.rob_occupancy_sum - ooo_before.rob_occupancy_sum,
             rob_peak: ooo.rob_peak,
             dispatched: ooo.dispatched - ooo_before.dispatched,
-            flushes: 0,
         };
         ooo.rob_peak = ooo.rob_peak.max(ooo_before.rob_peak);
         let id = self.entries.len() as u32;
@@ -333,7 +289,6 @@ impl Memo {
             state: self.key.as_slice().into(),
             inputs: self.inputs.as_slice().into(),
             exit: exit.into(),
-            exit_sb: tm.sb.len(),
             advance: tm.fetch - frontier,
             exec_end: exec_end - frontier,
             tail: tm.last_retire.saturating_sub(tm.fetch),
@@ -343,8 +298,6 @@ impl Memo {
         });
         self.table[r].push(id);
         m.translation.translations += 1;
-        self.keep_sb(tm.sb.len());
-        debug_assert!(self.sb.iter().map(|c| c.0).eq(tm.sb.iter().map(|e| e.addr)));
         self.virt = Some(Virtual { entry: id, frontier: tm.fetch, synced: true });
         (id, exec_end)
     }
@@ -365,16 +318,9 @@ impl Memo {
         ooo.dispatched += add.dispatched;
         m.translation.replays += 1;
         m.translation.replayed_slots += self.timed.len() as u64;
-        let (exit_sb, advance, exec_end) = (entry.exit_sb, entry.advance, entry.exec_end);
-        self.keep_sb(exit_sb);
+        let (advance, exec_end) = (entry.advance, entry.exec_end);
         self.virt = Some(Virtual { entry: e, frontier: frontier + advance, synced: false });
         frontier + exec_end
-    }
-
-    /// Keep the last `n` store candidates as the store buffer.
-    fn keep_sb(&mut self, n: usize) {
-        self.sb.clear();
-        self.sb.extend_from_slice(&self.cands[self.cands.len() - n..]);
     }
 
     /// Raise the dispatch frontier to `to` (a mispredict's fetch
@@ -408,12 +354,12 @@ impl Machine {
         if memo.reach(tm).saturating_add(span) > self.cfg.max_cycles {
             return Ok(false);
         }
-        memo.begin(tm, region.start);
+        memo.begin(region.start);
         let mut last = ExecEffect::default();
         for at in region.start..region.end {
             match self.ooo_exec(program, decoded, at) {
-                Ok((eff, reads, addr)) => {
-                    memo.push(decoded.get(at), reads, addr);
+                Ok((eff, reads, mmio)) => {
+                    memo.push(decoded.get(at), reads, mmio);
                     last = eff;
                 }
                 Err(err) => {
@@ -432,7 +378,6 @@ impl Machine {
         if let Some(taken) = last.branch {
             if let Some(pen) = self.resolve_branch(region.end - 1, taken) {
                 memo.redirect(tm, exec_end + pen);
-                self.ooo.flushes += 1;
             }
             if let Some(target) = last.redirect {
                 *pc = target;
@@ -453,11 +398,10 @@ impl OooTiming {
     }
 
     /// Append the settled state relative to the frontier `F`. Every
-    /// later read of a register, flag or unit cycle, of a store's
-    /// data-ready cycle and of `last_retire` takes a max with a cycle at
-    /// or after `F`, so those are clamped at `F`; `disp_n` counts only
-    /// when `disp_at` is `F`, and `retire_n` only when `last_retire` is
-    /// past it.
+    /// later read of a register, flag or unit cycle and of `last_retire`
+    /// takes a max with a cycle at or after `F`, so those are clamped at
+    /// `F`; `disp_n` counts only when `disp_at` is `F`, and `retire_n`
+    /// only when `last_retire` is past it.
     fn encode(&self, out: &mut Vec<u64>) {
         let f = self.fetch;
         let rel = |c: u64| c.saturating_sub(f);
@@ -468,9 +412,7 @@ impl OooTiming {
         out.extend(self.rs.iter().map(|&Reverse(start)| start - f));
         out[rs..].sort_unstable();
         out.push(self.sb.len() as u64);
-        for e in &self.sb {
-            out.extend([e.retire - f, e.size.into(), rel(e.data_ready)]);
-        }
+        out.extend(self.sb.iter().map(|&r| r - f));
         let ring = &self.started;
         let mask = ring.slots.len() as u64 - 1;
         out.push(ring.end.saturating_sub(f));
@@ -495,9 +437,8 @@ impl OooTiming {
     }
 
     /// Become the state `words` ([`OooTiming::encode`]) encodes at
-    /// frontier `f`, with `sb` the `(address, size)` of its store-buffer
-    /// entries.
-    fn restore(&mut self, words: &[u64], f: u64, sb: &[(u32, u32)]) {
+    /// frontier `f`.
+    fn restore(&mut self, words: &[u64], f: u64) {
         let mut words = words;
         let mut take = |n: usize| {
             let (head, rest) = words.split_at(n);
@@ -512,12 +453,8 @@ impl OooTiming {
         self.rs.clear();
         self.rs.extend(take(n).iter().map(|&start| Reverse(f + start)));
         let n = take(1)[0] as usize;
-        debug_assert_eq!(n, sb.len());
         self.sb.clear();
-        for (e, &(addr, size)) in take(3 * n).chunks(3).zip(sb) {
-            debug_assert_eq!(e[1], u64::from(size));
-            self.sb.push_back(SbEntry { retire: f + e[0], addr, size, data_ready: f + e[2] });
-        }
+        self.sb.extend(take(n).iter().map(|&r| f + r));
         let n = take(1)[0] as usize;
         self.started.restore(f, take(n));
         let units = [

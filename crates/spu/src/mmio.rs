@@ -119,14 +119,13 @@ impl SpuMmio {
             // CONFIG register (any width hits the low bytes).
             self.config = value;
             let ctx = ((value >> 4) & 0x3) as usize;
-            if ctx != self.controller.active_context() {
-                self.controller.select_context(ctx);
-            }
+            // Selecting a context ends the running activation, so a GO
+            // whose commit fails leaves the controller inactive.
+            self.controller.select_context(ctx);
             if value & 1 != 0 {
                 self.commit_and_activate(ctx, ((value >> 8) & 0x7) as u8)?;
                 return Ok(true);
             }
-            self.controller.deactivate();
             return Ok(false);
         }
         let ctx = (off / CONTEXT_STRIDE) as usize;
@@ -412,19 +411,28 @@ mod tests {
     }
 
     /// A bad image faults on every GO, not only on the first: no record
-    /// of a failed commit survives it.
+    /// of a failed commit survives it. Each failed GO leaves the
+    /// controller inactive, also when it arrives while the earlier
+    /// activation is still running.
     #[test]
     fn a_bad_image_faults_on_every_go() {
-        let mut m = mmio();
-        write_program_via_stores(&mut m, 0);
-        m.write(SPU_MMIO_BASE, SpuMmio::go_config(0, 0), 4).unwrap();
-        assert_eq!(routed_steps(&mut m), 20);
-        // ENTRY now names state 5, which is not programmed.
-        m.write(SPU_MMIO_BASE + SpuMmio::entry_offset(0), 5, 4).unwrap();
-        for _ in 0..2 {
-            let err = m.write(SPU_MMIO_BASE, SpuMmio::go_config(0, 0), 4).unwrap_err();
-            assert_eq!(err, SpuError::BadEntry { entry: 5 });
-            assert!(!m.controller.is_active());
+        for running in [false, true] {
+            let mut m = mmio();
+            write_program_via_stores(&mut m, 0);
+            m.write(SPU_MMIO_BASE, SpuMmio::go_config(0, 0), 4).unwrap();
+            if running {
+                m.controller.on_issue();
+                assert!(m.controller.is_active());
+            } else {
+                assert_eq!(routed_steps(&mut m), 20);
+            }
+            // ENTRY now names state 5, which is not programmed.
+            m.write(SPU_MMIO_BASE + SpuMmio::entry_offset(0), 5, 4).unwrap();
+            for _ in 0..2 {
+                let err = m.write(SPU_MMIO_BASE, SpuMmio::go_config(0, 0), 4).unwrap_err();
+                assert_eq!(err, SpuError::BadEntry { entry: 5 }, "running: {running}");
+                assert!(!m.controller.is_active(), "running: {running}");
+            }
         }
     }
 

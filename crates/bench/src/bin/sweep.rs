@@ -57,11 +57,12 @@
 //!
 //! The process asserts the sweep's invariants before emitting anything:
 //!
-//! * the lifting pass ran **exactly once per freshly simulated (kernel,
+//! * the lifting pass ran **exactly once per freshly measured (kernel,
 //!   shape)**: the second block count reused the first one's lift, which
 //!   only holds while kernels keep the block count out of their programs
 //!   (a kernel that writes it back lifts twice), and store-replayed
-//!   cells compile nothing at all;
+//!   cells compile nothing at all. Every measured cell lifts, although
+//!   the shapes that lift a kernel alike share one simulated run;
 //! * the list scheduler never *costs* cycles: on every cell, both the
 //!   scheduled MMX-only and scheduled MMX+SPU variants finish in at
 //!   most the unscheduled cycle count;
@@ -242,8 +243,8 @@ fn main() {
     match report.sim_ips() {
         Some(ips) => eprintln!(
             "sweep: {fresh} simulated cells count {} instructions at {:.2} MIPS on the {ran_on} \
-             (a cell counts its eight checked runs, the MMX-only runs its shapes share \
-             included; checked-run time: set-up, simulation, output capture and golden \
+             (a cell counts its eight checked runs, those it shares with its kernel's other \
+             shapes included; checked-run time: set-up, simulation, output capture and golden \
              check, summed over workers; store-replayed cells excluded)",
             report.total_sim_instructions(),
             ips / 1e6,
@@ -264,7 +265,7 @@ fn main() {
     eprintln!("\nscheduling report (per-block, scheduled vs. unscheduled):");
     eprintln!("{}", sched_table(&report));
 
-    // One compilation per freshly simulated (kernel, shape): a kernel's
+    // One compilation per freshly measured (kernel, shape): a kernel's
     // two block counts build one program, so the second lift reuses the
     // first — and store-replayed cells compile nothing, so on a fully
     // warm store this is zero. A kernel whose program depends on its

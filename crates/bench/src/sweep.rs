@@ -8,22 +8,25 @@
 //!
 //! * [`SweepConfig`] names the kernels, shapes, block scales and machine
 //!   parameters to cover;
-//! * [`run_sweep`] probes the measurement store for every cell, then
-//!   runs the simulation jobs the missed cells need on a dynamic worker
-//!   pool: jobs are pulled from a shared queue by `min(jobs, cores)`
-//!   workers, so a slow kernel (FFT1024) never serializes the rest of
-//!   the matrix behind it (rayon would be the off-the-shelf choice here;
-//!   the build container has no network access, so the pool is ~30
-//!   lines of `std::thread` — see DESIGN.md §4);
+//! * [`run_sweep`] probes the measurement store for every cell, lifts
+//!   the missed cells, then runs the simulation jobs they need on a
+//!   dynamic worker pool: jobs are pulled from a shared queue by
+//!   `min(jobs, cores)` workers, so a slow kernel (FFT1024) never
+//!   serializes the rest of the matrix behind it (rayon would be the
+//!   off-the-shelf choice here; the build container has no network
+//!   access, so the pool is ~30 lines of `std::thread` — see DESIGN.md
+//!   §4);
 //! * the paper's methodology (§5.2.1) runs each routine once on the
 //!   plain MMX machine and varies only the SPU re-coding, so the sweep
 //!   follows it: the MMX-only half of a measurement
 //!   ([`measure_mmx_only`]) runs once per (kernel, scale), shared by
-//!   that kernel's cells under every shape, and only the lifted half
-//!   ([`measure_lifted`]) runs per cell;
+//!   that kernel's cells under every shape, and the lifted half runs
+//!   once per distinct re-coding: the shape reaches a run only through
+//!   the programs its lift emitted, so the cells of one kernel and scale
+//!   whose lifts are equal share one run ([`CompiledHalf::run`]);
 //! * a measurement's two block counts run one program (the count is a
 //!   setup input, see [`subword_kernels::framework::BLOCKS`]), so every
-//!   lifted job lifts through a per-sweep [`CompileCache`] that hands the
+//!   cell lifts through a per-sweep [`CompileCache`] that hands the
 //!   first lift to the second: the lifting pass runs **once per cell**;
 //! * results land in a [`SweepReport`] — a plain-data, JSON-serializable
 //!   table of [`MeasurementRecord`]s — the sweep's only product: both
@@ -40,8 +43,8 @@ use subword_compile::verify::contained;
 use subword_compile::{lift_permutes, TransformResult};
 use subword_isa::program::Program;
 use subword_kernels::framework::{
-    measure_lifted, measure_mmx_only, Cached, HostNanos, MeasureOpts, Measurement,
-    MeasurementRecord,
+    compile_lifted, measure_mmx_only, Cached, CompiledHalf, HostNanos, Kernel, MeasureOpts,
+    Measurement, MeasurementRecord,
 };
 use subword_kernels::suite::{all_suites, dotprod_example, family_suite, Family, SuiteEntry};
 use subword_sim::{MachineConfig, SimStats};
@@ -141,11 +144,11 @@ pub struct CacheStats {
 /// A miss runs [`lift_permutes`] and stores the lift with the program it
 /// was lifted from. The next request under the same key takes the entry
 /// out: it is a hit only if its program equals the stored one, and a
-/// miss (lifted afresh, never served the stored lift) otherwise. A lifted
-/// job's second block count is therefore a hit exactly when the kernel
-/// keeps its block count out of the program
+/// miss (lifted afresh, never served the stored lift) otherwise. A cell's
+/// second block count is therefore a hit exactly when the kernel keeps
+/// its block count out of the program
 /// ([`subword_kernels::Kernel::build`]), and an entry lives only from a
-/// job's first lift to its second. MMX-only jobs never lift.
+/// cell's first lift to its second. MMX-only halves never lift.
 /// Concurrent scales of one kernel share a key and may take each other's
 /// entries, so only one-scale sweeps have exact hit and miss counts.
 #[derive(Default)]
@@ -310,11 +313,114 @@ enum Probe {
     Miss(Option<CellKey>),
 }
 
+/// A half to simulate.
+#[derive(Clone, Copy)]
+enum Job {
+    /// The MMX-only half of entry `.0` at scale index `.1`.
+    MmxOnly(usize, usize),
+    /// The lifted half compiled for measured cell `.0`, the first of the
+    /// cells of its kernel and scale whose lifts are equal.
+    Lifted(usize),
+}
+
+/// A cell the store missed.
+struct Measured {
+    /// Its index in report order.
+    cell: usize,
+    /// Its own lift, or why the lift failed.
+    compiled: Result<CompiledHalf, String>,
+    /// The jobs whose halves it joins.
+    mmx_only: usize,
+    lifted: usize,
+}
+
+/// What a sweep simulates: every cell's probe and, for the cells the
+/// store missed, the halves they join.
+struct Plan {
+    probes: Vec<Result<Probe, String>>,
+    measured: Vec<Measured>,
+    jobs: Vec<Job>,
+}
+
+/// The kernel, scale and scaled block counts of entry `e` at scale index
+/// `c`.
+fn run_of(cfg: &SweepConfig, e: usize, c: usize) -> (&'static dyn Kernel, u64, u64, u64) {
+    let (entry, scale) = (&cfg.entries[e], cfg.block_scales[c]);
+    (entry.kernel, scale, entry.blocks_small * scale, entry.blocks_large * scale)
+}
+
+/// Probe the store for every cell, lift every cell it missed (both block
+/// counts through `cache`), and group the missed cells of each kernel
+/// and scale into one MMX-only job and one lifted job per distinct lift.
+/// A cell whose lift failed is a group of its own, whose job fails.
+fn plan(
+    cfg: &SweepConfig,
+    store: Option<&MeasurementStore>,
+    cache: &CompileCache,
+    threads: usize,
+) -> Plan {
+    let pipeline = cfg.base.pipeline.name();
+    let cells = cfg.cells();
+    let probes = pool(threads, cells.len(), |i| {
+        let Some(st) = store else { return Ok(Probe::Miss(None)) };
+        let (e, s, c) = cells[i];
+        let (kernel, scale, small, large) = run_of(cfg, e, c);
+        let shape = &cfg.shapes[s];
+        let key = cell_key(kernel, small, large, shape, &cfg.base, scale, cfg.measure_scheduled);
+        Ok(match st.load(key, kernel.name(), shape.name, scale, pipeline) {
+            Some(cell) => Probe::Hit(Box::new(cell)),
+            None => Probe::Miss(Some(key)),
+        })
+    });
+
+    let missed: Vec<usize> =
+        (0..cells.len()).filter(|&i| matches!(probes[i], Ok(Probe::Miss(_)))).collect();
+    let compiled = pool(threads, missed.len(), |m| {
+        let (e, s, c) = cells[missed[m]];
+        let (kernel, _, small, large) = run_of(cfg, e, c);
+        let lift =
+            |program: &Program, shape: &CrossbarShape| cache.lift(kernel.name(), program, shape);
+        let opts = MeasureOpts {
+            base: cfg.base.clone(),
+            lift: Some(&lift),
+            scheduled: cfg.measure_scheduled,
+        };
+        compile_lifted(kernel, small, large, &cfg.shapes[s], &opts)
+    });
+
+    // Jobs in kernel-major order, each (kernel, scale)'s MMX-only job
+    // before its lifted ones.
+    let mut jobs = Vec::new();
+    let mut mmx_jobs = HashMap::new();
+    let mut measured: Vec<Measured> = Vec::with_capacity(missed.len());
+    for (cell, compiled) in missed.into_iter().zip(compiled) {
+        let (e, _, c) = cells[cell];
+        let mmx_only = *mmx_jobs.entry((e, c)).or_insert_with(|| {
+            jobs.push(Job::MmxOnly(e, c));
+            jobs.len() - 1
+        });
+        let shares = |job: &Job| match (*job, &compiled) {
+            (Job::Lifted(first), Ok(half)) => {
+                let first = &measured[first];
+                let (fe, _, fc) = cells[first.cell];
+                (fe, fc) == (e, c) && first.compiled.as_ref().is_ok_and(|f| f.same_programs(half))
+            }
+            _ => false,
+        };
+        let lifted = jobs.iter().position(shares).unwrap_or_else(|| {
+            jobs.push(Job::Lifted(measured.len()));
+            jobs.len() - 1
+        });
+        measured.push(Measured { cell, compiled, mmx_only, lifted });
+    }
+    Plan { probes, measured, jobs }
+}
+
 /// Execute the job matrix, optionally against a cross-run
 /// [`MeasurementStore`]. See the module docs for the orchestration
 /// model; an error names the first failing cell as `kernel/shape X`.
 ///
-/// The sweep makes three passes over one worker pool:
+/// The sweep makes four passes over one worker pool:
 ///
 /// 1. **Probe.** With a store attached, every cell derives its content
 ///    hash ([`crate::store::cell_key`] over the built kernel bodies,
@@ -325,17 +431,26 @@ enum Probe {
 ///    stale-version) entry leaves the cell to be measured; the store
 ///    counts each lookup ([`MeasurementStore::stats`]). Without a store,
 ///    every cell is measured.
-/// 2. **Simulate.** One MMX-only job per (kernel, scale) with a cell to
+/// 2. **Compile.** Every cell to measure lifts its kernel for its shape
+///    ([`compile_lifted`], both block counts through the sweep's
+///    [`CompileCache`]). The cells of one kernel and scale whose lifts
+///    are equal ([`CompiledHalf::same_programs`]) form one group.
+/// 3. **Simulate.** One MMX-only job per (kernel, scale) with a cell to
 ///    measure ([`measure_mmx_only`], which no crossbar shape reaches),
-///    and one lifted job per such cell ([`measure_lifted`]). A 4-shape
-///    sweep runs 20 simulations per kernel instead of 32, and a fully
-///    warm store runs none.
-/// 3. **Join.** Each measured cell joins its two halves
-///    ([`Measurement::join`]) and is written back to the store.
+///    and one lifted job per group, which runs its first cell's lift on
+///    that cell's shape ([`CompiledHalf::run`]). A cold full matrix runs
+///    13 MMX-only and 25 lifted halves where measuring each cell whole
+///    would run 52 of each, and a fully warm store runs none.
+/// 4. **Join.** Each measured cell joins its two halves
+///    ([`Measurement::join`]), the lifted one credited with its own
+///    lift's report and moved count
+///    ([`subword_kernels::framework::HalfMeasurement::compiled_as`]), and
+///    is written back to the store.
 ///
-/// Failures stay per cell. A panic or error in a probe or a lifted job
-/// fails its cell; one in an MMX-only job fails the measured cells of
-/// that kernel and scale. Every other cell still runs and is saved.
+/// Failures stay per cell. A panic or error in a probe or a lift fails
+/// its cell; one in a simulated half fails the measured cells that join
+/// it: all of a kernel and scale's for an MMX-only half, a group's for a
+/// lifted one. Every other cell still runs and is saved.
 pub fn run_sweep(
     cfg: &SweepConfig,
     store: Option<&MeasurementStore>,
@@ -351,69 +466,39 @@ pub fn run_sweep(
     let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
     let pipeline = cfg.base.pipeline.name();
     let cells = cfg.cells();
-    // The kernel, scale and scaled block counts of entry `e` at scale
-    // index `c`.
-    let run_of = |e: usize, c: usize| {
-        let (entry, scale) = (&cfg.entries[e], cfg.block_scales[c]);
-        (entry.kernel, scale, entry.blocks_small * scale, entry.blocks_large * scale)
-    };
+    let Plan { probes, measured, jobs } = plan(cfg, store, &cache, threads);
 
-    let probes = pool(threads, cells.len(), |i| {
-        let Some(st) = store else { return Ok(Probe::Miss(None)) };
-        let (e, s, c) = cells[i];
-        let (kernel, scale, small, large) = run_of(e, c);
-        let shape = &cfg.shapes[s];
-        let key = cell_key(kernel, small, large, shape, &cfg.base, scale, cfg.measure_scheduled);
-        Ok(match st.load(key, kernel.name(), shape.name, scale, pipeline) {
-            Some(cell) => Probe::Hit(Box::new(cell)),
-            None => Probe::Miss(Some(key)),
-        })
-    });
-
-    // Jobs as (entry, scale index, shape), the MMX-only ones without a
-    // shape, in kernel-major order. `measured` pairs each cell to measure
-    // with its MMX-only and lifted jobs.
-    let mut jobs: Vec<(usize, usize, Option<CrossbarShape>)> = Vec::new();
-    let mut mmx_jobs = HashMap::new();
-    let mut measured = Vec::new();
-    for (i, &(e, s, c)) in cells.iter().enumerate() {
-        if let Ok(Probe::Miss(_)) = probes[i] {
-            let mmx_only = *mmx_jobs.entry((e, c)).or_insert_with(|| {
-                jobs.push((e, c, None));
-                jobs.len() - 1
-            });
-            jobs.push((e, c, Some(cfg.shapes[s])));
-            measured.push((i, mmx_only, jobs.len() - 1));
+    let halves = pool(threads, jobs.len(), |j| match jobs[j] {
+        Job::MmxOnly(e, c) => {
+            let (kernel, _, small, large) = run_of(cfg, e, c);
+            let opts = MeasureOpts {
+                base: cfg.base.clone(),
+                lift: None,
+                scheduled: cfg.measure_scheduled,
+            };
+            measure_mmx_only(kernel, small, large, &opts)
         }
-    }
-    let halves = pool(threads, jobs.len(), |j| {
-        let (e, c, shape) = jobs[j];
-        let (kernel, _, small, large) = run_of(e, c);
-        let lift =
-            |program: &Program, shape: &CrossbarShape| cache.lift(kernel.name(), program, shape);
-        let opts = MeasureOpts {
-            base: cfg.base.clone(),
-            lift: Some(&lift),
-            scheduled: cfg.measure_scheduled,
-        };
-        match shape {
-            None => measure_mmx_only(kernel, small, large, &opts),
-            Some(shape) => measure_lifted(kernel, small, large, &shape, &opts),
+        Job::Lifted(m) => {
+            let (e, _, c) = cells[measured[m].cell];
+            let compiled = measured[m].compiled.as_ref().map_err(String::clone)?;
+            compiled.run(run_of(cfg, e, c).0, &cfg.base)
         }
     });
 
     let joined = pool(threads, measured.len(), |m| {
-        let (i, mmx_only, lifted) = measured[m];
-        let (e, s, c) = cells[i];
-        let (kernel, scale, ..) = run_of(e, c);
+        let Measured { cell: i, compiled, mmx_only, lifted } = &measured[m];
+        let (e, s, c) = cells[*i];
+        let (kernel, scale, ..) = run_of(cfg, e, c);
         let half = |j: usize| halves[j].as_ref().map_err(String::clone);
+        let mmx_only = half(*mmx_only)?;
+        let lifted = half(*lifted)?.compiled_as(compiled.as_ref().map_err(String::clone)?);
         let cell = SweepCell {
             shape: cfg.shapes[s].name.to_string(),
             scale,
             pipeline: pipeline.to_string(),
-            record: Measurement::join(kernel, half(mmx_only)?, half(lifted)?).record(),
+            record: Measurement::join(kernel, mmx_only, &lifted).record(),
         };
-        if let (Some(st), Ok(Probe::Miss(Some(key)))) = (store, &probes[i]) {
+        if let (Some(st), Ok(Probe::Miss(Some(key)))) = (store, &probes[*i]) {
             st.save(*key, &cell);
         }
         Ok(cell)
@@ -468,9 +553,11 @@ impl SweepReport {
     /// run simulated; store-replayed cells count nothing, so a fully warm
     /// sweep gives 0. Each cell counts its eight runs (four with
     /// `measure_scheduled` off). The four MMX-only runs of one (kernel,
-    /// scale) back the cells of all its shapes and count in each of
-    /// them, so this is a sum over cells, above what the process
-    /// simulated.
+    /// scale) back the cells of all its shapes, and its four lifted runs
+    /// the cells of every shape that lifts it alike; a shared run counts
+    /// in each cell it backs, so this is a sum over cells, above what the
+    /// process simulated (a cold full matrix: 19,594,952 here, 5,233,020
+    /// simulated).
     pub fn total_sim_instructions(&self) -> u64 {
         self.fresh_cells().map(|c| c.record.sim_instructions).sum()
     }
@@ -479,8 +566,8 @@ impl SweepReport {
     /// runs: [`SweepReport::total_sim_instructions`] per host second of
     /// those cells' `wall_nanos`, which time each whole checked run —
     /// machine set-up, simulation, output capture and golden check —
-    /// summed across workers. A shared MMX-only run adds its
-    /// instructions and its time to every cell that reads it, alike. It
+    /// summed across workers. A shared run adds its instructions and its
+    /// time to every cell that reads it, alike. It
     /// is thus a per-run rate independent of how many workers the sweep
     /// ran on, and a lower bound on the bare interpreter's (contention
     /// can push it lower still). `None` when every cell was replayed
@@ -795,6 +882,103 @@ mod tests {
         cache.lift("DotProd", &p.program, &subword_spu::SHAPE_A).unwrap();
         cache.lift("DotProd", &p.program, &subword_spu::SHAPE_D).unwrap();
         assert_eq!(cache.stats().misses, 2);
+    }
+
+    /// For each of `cfg`'s entries, the number of distinct lifted jobs its
+    /// measured cells join in `plan`.
+    fn lifted_jobs_per_entry(cfg: &SweepConfig, plan: &Plan) -> Vec<usize> {
+        let cells = cfg.cells();
+        let mut jobs = vec![std::collections::BTreeSet::new(); cfg.entries.len()];
+        for m in &plan.measured {
+            assert!(matches!(plan.jobs[m.lifted], Job::Lifted(_)));
+            jobs[cells[m.cell].0].insert(m.lifted);
+        }
+        jobs.iter().map(|j| j.len()).collect()
+    }
+
+    /// For each of `cfg`'s entries, the number of distinct lifts across
+    /// its shapes, lifted afresh: the programs `key` picks.
+    fn distinct_lifts(cfg: &SweepConfig, key: fn(TransformResult) -> Vec<Program>) -> Vec<usize> {
+        let distinct = |e: &SuiteEntry| {
+            let program = e.kernel.build(e.blocks_small).program;
+            let mut lifts = Vec::new();
+            for shape in &cfg.shapes {
+                let lift = key(lift_permutes(&program, shape).unwrap());
+                if !lifts.contains(&lift) {
+                    lifts.push(lift);
+                }
+            }
+            lifts.len()
+        };
+        cfg.entries.iter().map(distinct).collect()
+    }
+
+    /// The simulation plan: a cold full matrix lifts every cell once
+    /// (reused for its second block count) and runs one MMX-only half
+    /// per kernel and one lifted half per distinct lift of a kernel: 13
+    /// and 25 halves, where simulating each cell's lift would run 52.
+    /// Report-equality tests cannot see a return to one lifted half per
+    /// cell; this one can.
+    #[test]
+    fn a_sweep_simulates_each_distinct_lift_once() {
+        let cfg = SweepConfig::full_matrix();
+        let cache = CompileCache::new();
+        let cold = plan(&cfg, None, &cache, 2);
+        assert_eq!(cache.stats(), CacheStats { hits: 52, misses: 52 });
+        let mmx_only = cold.jobs.iter().filter(|j| matches!(j, Job::MmxOnly(..))).count();
+        assert_eq!((mmx_only, cold.jobs.len() - mmx_only), (13, 25));
+
+        // The shapes that share each lifted half. `bench/tests/sweep.rs`
+        // checks the sharing on FIR12, SAD and DotProd, which between
+        // them cover every grouping.
+        let cells = cfg.cells();
+        let groups = |kernel: &str| {
+            let mut groups: Vec<(usize, Vec<&str>)> = Vec::new();
+            for m in &cold.measured {
+                let (e, s, _) = cells[m.cell];
+                if cfg.entries[e].kernel.name() == kernel {
+                    match groups.iter_mut().find(|(job, _)| *job == m.lifted) {
+                        Some((_, shapes)) => shapes.push(cfg.shapes[s].name),
+                        None => groups.push((m.lifted, vec![cfg.shapes[s].name])),
+                    }
+                }
+            }
+            groups.into_iter().map(|(_, shapes)| shapes).collect::<Vec<_>>()
+        };
+        assert_eq!(groups("FFT1024"), [["A", "B", "C", "D"]]);
+        assert_eq!(groups("DotProd"), [["A", "B", "C", "D"]]);
+        assert_eq!(groups("YUV2RGB"), [["A"], ["B"], ["C"], ["D"]]);
+        assert_eq!(groups("FIR12"), [["A", "C"], ["B", "D"]]);
+        assert_eq!(groups("SAD"), [vec!["A"], vec!["B"], vec!["C", "D"]]);
+        // The groups are the distinct (lifted, scheduled-lifted) pairs.
+        let pair = |t: TransformResult| vec![t.program, t.scheduled.program];
+        assert_eq!(lifted_jobs_per_entry(&cfg, &cold), distinct_lifts(&cfg, pair));
+
+        // Without the scheduled variants a group keys on the lifted
+        // program alone.
+        let mut cfg = cfg;
+        cfg.measure_scheduled = false;
+        let unscheduled = plan(&cfg, None, &CompileCache::new(), 2);
+        let lifted = |t: TransformResult| vec![t.program];
+        assert_eq!(lifted_jobs_per_entry(&cfg, &unscheduled), distinct_lifts(&cfg, lifted));
+    }
+
+    /// Cells the store serves are neither lifted nor simulated.
+    #[test]
+    fn store_served_cells_lift_nothing() {
+        let mut cfg = SweepConfig::full(&[subword_spu::SHAPE_A, subword_spu::SHAPE_D]);
+        cfg.entries = vec![dotprod_example()];
+        let dir = std::env::temp_dir().join(format!("subword-sweep-plan-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = MeasurementStore::open(&dir).unwrap();
+        run_sweep(&cfg, Some(&store)).unwrap();
+
+        let cache = CompileCache::new();
+        let warm = plan(&cfg, Some(&store), &cache, 2);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(warm.probes.iter().all(|p| matches!(p, Ok(Probe::Hit(_)))));
+        assert!(warm.measured.is_empty() && warm.jobs.is_empty());
+        assert_eq!(cache.stats(), CacheStats::default());
     }
 
     /// Shape geometry wider than its field is a parse error naming the

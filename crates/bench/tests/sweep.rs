@@ -9,7 +9,7 @@ use subword_bench::sweep::{run_sweep, CacheStats, CompileCache, SweepConfig, Swe
 use subword_kernels::framework::{measure, Kernel, KernelBuild, MeasureOpts};
 use subword_kernels::suite::{dotprod_example, paper_suite, Family, SuiteEntry};
 use subword_sim::PipelineKind;
-use subword_spu::crossbar::CANONICAL_SHAPES;
+use subword_spu::crossbar::{CrossbarShape, CANONICAL_SHAPES};
 use subword_spu::{SHAPE_A, SHAPE_D};
 
 /// (a) Cached vs uncached compilation yields identical `Measurement`s —
@@ -85,6 +85,32 @@ fn ooo_sweep_matches_the_committed_ooo_baseline() {
     cfg.base.pipeline = PipelineKind::OutOfOrder;
     let report = run_sweep(&cfg, None).unwrap();
     assert_matches_baseline(&report, "BENCH_cycles_ooo.json");
+}
+
+/// (b″) Sharing lifted halves is invisible on the out-of-order model
+/// too, which `BENCH_cycles_ooo.json`'s per-block cycles alone would not
+/// show: a 4-shape ooo sweep equals single-shape ooo sweeps, which share
+/// no lifted half, cell for cell. FIR12 lifts alike under shapes {A, C}
+/// and {B, D}, SAD under {A}, {B} and {C, D}, and DotProd under all four,
+/// so the three cover every grouping.
+#[test]
+fn ooo_sweep_sharing_lifted_halves_equals_single_shape_sweeps() {
+    let ooo = |shapes: &[CrossbarShape]| {
+        let mut cfg = SweepConfig::full(shapes);
+        cfg.entries.retain(|e| ["FIR12", "SAD", "DotProd"].contains(&e.kernel.name()));
+        assert_eq!(cfg.entries.len(), 3);
+        cfg.base.pipeline = PipelineKind::OutOfOrder;
+        run_sweep(&cfg, None).unwrap()
+    };
+    let report = ooo(&CANONICAL_SHAPES);
+    for shape in CANONICAL_SHAPES {
+        let single = ooo(&[shape]);
+        let swept = report.for_shape(shape.name);
+        assert_eq!(single.cells.len(), swept.len());
+        for (independent, cell) in single.cells.iter().zip(swept) {
+            assert_eq!(independent, cell, "{} under shape {}", cell.kernel(), shape.name);
+        }
+    }
 }
 
 /// Gate `report` with the committed cycles baseline `file` (at the
@@ -292,6 +318,47 @@ fn a_failing_shared_mmx_only_job_costs_only_its_kernels_cells() {
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(store.stats().misses, 4, "every cell was probed");
     assert_eq!(saved, 2, "DotProd's two cells were measured and saved");
+}
+
+/// (i) A failing lifted half, which the cells of every shape that lifts
+/// a kernel alike share, fails those cells and no others. SAD lifts alike
+/// under shapes C and D only, and its plain lifted run there is its
+/// longest: with `max_cycles` at the longest of its other runs, the
+/// {C, D} half faults, the error names shape C, and the A and B cells
+/// are measured and saved.
+#[test]
+fn a_failing_shared_lifted_half_costs_only_its_groups_cells() {
+    let mut cfg = SweepConfig::pixel(&CANONICAL_SHAPES);
+    cfg.entries.retain(|e| e.kernel.name() == "SAD");
+    let unlimited = run_sweep(&cfg, None).unwrap();
+    let (mut others, mut cd) = (0, u64::MAX);
+    for c in &unlimited.cells {
+        let r = &c.record;
+        let mmx_only = r.baseline_total.cycles.max(r.sched_baseline_total.cycles);
+        let lifted = r.spu_total.cycles.max(r.sched_spu_total.cycles);
+        if ["C", "D"].contains(&c.shape.as_str()) {
+            others = others.max(mmx_only);
+            cd = cd.min(r.spu_total.cycles);
+        } else {
+            others = others.max(mmx_only).max(lifted);
+        }
+    }
+    assert!(others < cd, "SAD's {{C, D}} lifted run must be its longest: {others} vs {cd}");
+    cfg.base.max_cycles = others;
+
+    let dir = std::env::temp_dir().join(format!("subword-sweep-group-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = MeasurementStore::open(&dir).unwrap();
+    let Err(err) = run_sweep(&cfg, Some(&store)) else {
+        panic!("a faulting lifted half must surface as a sweep error");
+    };
+    assert!(err.starts_with("SAD/shape C: lifted/"), "{err}");
+    assert!(err.contains("exceeded cycle budget"), "{err}");
+
+    let saved = std::fs::read_dir(&dir).unwrap().count();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(store.stats().misses, 4, "every cell was probed");
+    assert_eq!(saved, 2, "the A and B cells were measured and saved");
 }
 
 /// (d) The v3 scheduled columns hold the orchestration claims: the list

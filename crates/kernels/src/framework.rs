@@ -15,8 +15,16 @@
 //! A measurement has two halves, split by [`Variant::is_lifted`]: the
 //! MMX-only half ([`measure_mmx_only`]) runs on a machine without the SPU
 //! and so does not depend on the crossbar shape, and the lifted half
-//! ([`measure_lifted`]) runs once per shape. [`Measurement::join`] puts
-//! them together; [`measure`] is the two run back to back.
+//! ([`measure_lifted`]) runs on an SPU of one shape. [`Measurement::join`]
+//! puts them together; [`measure`] is the two run back to back.
+//!
+//! Each half is a compile step and a run step. The lifted half's compile
+//! step ([`compile_lifted`]) is public on its own: the shape reaches a
+//! run only through the programs its lift emitted, so a sweep compiles
+//! every shape's lift, runs one [`CompiledHalf`] for each set of shapes
+//! whose lifts are equal ([`CompiledHalf::same_programs`]), and credits
+//! each cell with its own lift's report
+//! ([`HalfMeasurement::compiled_as`]).
 
 use crate::paper::PaperRow;
 use crate::suite::Family;
@@ -227,11 +235,12 @@ pub struct Measurement {
     /// eight (baseline, SPU, and their scheduled forms, at both block
     /// counts), or four without [`MeasureOpts::scheduled`] — the
     /// simulator-throughput signal. A sweep runs a kernel's MMX-only
-    /// half once for all its shapes ([`Measurement::join`]); those shared
-    /// runs count in every measurement that reads them.
+    /// half once for all its shapes, and its lifted half once for all
+    /// the shapes that lift it alike ([`Measurement::join`]); those
+    /// shared runs count in every measurement that reads them.
     pub wall_nanos: HostNanos,
     /// Dynamic instructions those runs retired (deterministic, so it
-    /// participates in equality); a shared MMX-only run counts in every
+    /// participates in equality); a shared run counts in every
     /// measurement that reads it.
     pub sim_instructions: u64,
 }
@@ -284,10 +293,11 @@ pub struct MeasurementRecord {
     /// Host wall-clock spent in the measurement's checked simulator runs,
     /// eight in a sweep cell (exempt from equality — see [`HostNanos`]).
     /// The four MMX-only runs are shared by the cells of one kernel and
-    /// scale, and count in every cell that reads them.
+    /// scale, the four lifted runs by those of its cells whose lifts are
+    /// equal, and a shared run counts in every cell that reads it.
     pub wall_nanos: HostNanos,
-    /// Dynamic instructions those runs retired; a shared MMX-only run
-    /// counts in every cell that reads it.
+    /// Dynamic instructions those runs retired; a shared run counts in
+    /// every cell that reads it.
     pub sim_instructions: u64,
     /// MMX-only steady-state per-block counters.
     pub baseline_per_block: SimStats,
@@ -384,7 +394,7 @@ pub struct MeasureOpts<'a> {
     /// mispredict penalty, pipeline model, …) for every variant; the SPU
     /// flag and crossbar are set per variant ([`Variant::machine`]).
     pub base: MachineConfig,
-    /// Lift hook, called once per block count by [`measure_lifted`];
+    /// Lift hook, called once per block count by [`compile_lifted`];
     /// `None` runs a fresh [`plain_lift`]. The sweep plugs its
     /// compiled-program cache in here.
     pub lift: Option<LiftFn<'a>>,
@@ -400,7 +410,10 @@ pub struct MeasureOpts<'a> {
 /// One half of a [`Measurement`]: a variant and its list-scheduled form,
 /// run on one machine at both block counts. [`measure_mmx_only`] returns
 /// the MMX-only half and [`measure_lifted`] the lifted half;
-/// [`Measurement::join`] puts the two together.
+/// [`Measurement::join`] puts the two together. A half is compiled
+/// ([`compile_lifted`]) and then run ([`CompiledHalf::run`]); the sweep
+/// calls the two steps apart, to run one lifted half for every shape
+/// that lifts a kernel to the same programs.
 #[derive(Clone, Debug, PartialEq)]
 pub struct HalfMeasurement {
     /// The variant as built ([`Variant::Baseline`] or [`Variant::Lifted`]).
@@ -434,7 +447,8 @@ pub fn measure_mmx_only(
     // Neither variant is lifted, so no compile stage reads the shape, and
     // `Variant::machine` leaves the SPU unfitted whatever it is.
     let half = [Variant::Baseline, Variant::Scheduled];
-    measure_half(kernel, blocks_small, blocks_large, half, &opts.base.crossbar, opts)
+    compile_half(kernel, blocks_small, blocks_large, half, &opts.base.crossbar, opts)?
+        .run(kernel, &opts.base)
 }
 
 /// The lifted half of a measurement: [`Variant::Lifted`] (and
@@ -448,66 +462,145 @@ pub fn measure_lifted(
     shape: &CrossbarShape,
     opts: &MeasureOpts<'_>,
 ) -> Result<HalfMeasurement, String> {
-    let half = [Variant::Lifted, Variant::ScheduledLifted];
-    measure_half(kernel, blocks_small, blocks_large, half, shape, opts)
+    compile_lifted(kernel, blocks_small, blocks_large, shape, opts)?.run(kernel, &opts.base)
 }
 
-/// Run the `[plain, scheduled]` variants at two block counts; the
-/// steady-state per-block counters are the difference.
-fn measure_half(
+/// The lifted half of a measurement, compiled but not yet run: each block
+/// count's build goes through the lift hook ([`MeasureOpts::lift`]), as
+/// [`measure_lifted`] does before it runs them.
+pub fn compile_lifted(
+    kernel: &dyn Kernel,
+    blocks_small: u64,
+    blocks_large: u64,
+    shape: &CrossbarShape,
+    opts: &MeasureOpts<'_>,
+) -> Result<CompiledHalf, String> {
+    let half = [Variant::Lifted, Variant::ScheduledLifted];
+    compile_half(kernel, blocks_small, blocks_large, half, shape, opts)
+}
+
+/// A half's programs, compiled at both block counts, and what the
+/// compile stages reported: everything [`CompiledHalf::run`] needs
+/// besides the kernel's setups and goldens, which it rebuilds.
+#[derive(Debug)]
+pub struct CompiledHalf {
+    /// Each wanted variant's program, in [`Variant::ALL`] order, at the
+    /// small and at the large block count.
+    programs: [Vec<(Variant, Program)>; 2],
+    /// The crossbar shape the programs were compiled for; the lifted
+    /// variants run on an SPU of this shape.
+    shape: CrossbarShape,
+    /// Static instructions the scheduler moved, at the large block count.
+    moved: u64,
+    /// The lifting pass's report at the large block count (the lifted
+    /// half only).
+    report: Option<CompileReport>,
+    /// Block counts (small, large).
+    blocks: (u64, u64),
+}
+
+/// Build `kernel` at both block counts and compile the `[plain,
+/// scheduled]` variants of each (only `plain` without
+/// [`MeasureOpts::scheduled`]).
+fn compile_half(
     kernel: &dyn Kernel,
     blocks_small: u64,
     blocks_large: u64,
     half: [Variant; 2],
     shape: &CrossbarShape,
     opts: &MeasureOpts<'_>,
-) -> Result<HalfMeasurement, String> {
+) -> Result<CompiledHalf, String> {
     assert!(blocks_small < blocks_large);
     let wanted = if opts.scheduled { &half[..] } else { &half[..1] };
     let lift = opts.lift.unwrap_or(&plain_lift);
-    let mut wall_nanos = 0;
-    let mut sim_instructions = 0;
-    // One block count: every wanted variant's statistics, in `wanted`
-    // order, and the compile results.
-    let mut measure_at = |blocks: u64| -> Result<(Vec<SimStats>, Variants), String> {
-        let build = kernel.build(blocks);
-        let variants = build_variants(build.program.clone(), wanted, shape, lift)
-            .map_err(|e| e.to_string())?;
-        let mut stats = Vec::with_capacity(wanted.len());
-        for (variant, program) in &variants.programs {
-            let label = format!("{}/{blocks}", variant.name());
-            let t = Instant::now();
-            let state = build.run_checked(program, variant.machine(&opts.base, shape), &label)?;
-            wall_nanos += t.elapsed().as_nanos() as u64;
-            sim_instructions += state.stats.instructions;
-            stats.push(state.stats);
-        }
-        Ok((stats, variants))
+    let compile_at = |blocks: u64| -> Result<Variants, String> {
+        build_variants(kernel.build(blocks).program, wanted, shape, lift).map_err(|e| e.to_string())
     };
-    let (small, _) = measure_at(blocks_small)?;
-    let (large, variants) = measure_at(blocks_large)?;
-
-    let nblocks = blocks_large - blocks_small;
-    // A variant's steady state; the scheduled form falls back to the
-    // plain one when its runs were skipped.
-    let steady = |i: usize| {
-        let i = i.min(wanted.len() - 1);
-        let mut per_block = large[i] - small[i];
-        for (_, c) in per_block.counters_mut() {
-            *c /= nblocks;
-        }
-        VariantStats { per_block, total: large[i] }
-    };
-    let moved = if half[0].is_lifted() { variants.lifted_moved } else { variants.scheduled_moved };
-    Ok(HalfMeasurement {
-        plain: steady(0),
-        scheduled: steady(1),
+    let small = compile_at(blocks_small)?;
+    let large = compile_at(blocks_large)?;
+    let moved = if half[0].is_lifted() { large.lifted_moved } else { large.scheduled_moved };
+    Ok(CompiledHalf {
+        programs: [small.programs, large.programs],
+        shape: *shape,
         moved: moved as u64,
-        report: variants.report,
+        report: large.report,
         blocks: (blocks_small, blocks_large),
-        wall_nanos: HostNanos(wall_nanos),
-        sim_instructions,
     })
+}
+
+impl CompiledHalf {
+    /// Whether `other` compiled to the same programs at both block
+    /// counts. Two such halves of one kernel, compiled for different
+    /// shapes, simulate alike: the machines differ only in the crossbar,
+    /// which the simulator reads only to validate an SPU program at its
+    /// GO, and each lift validated its programs for its own shape
+    /// (DESIGN.md §4).
+    pub fn same_programs(&self, other: &CompiledHalf) -> bool {
+        self.programs == other.programs
+    }
+
+    /// Run every program on `kernel`'s setup at its block count, on a
+    /// machine configured by `base` (SPU-fitted, with this half's shape,
+    /// for the lifted variants), and check each run against the golden
+    /// outputs; the steady-state per-block counters are the difference
+    /// of the two block counts.
+    pub fn run(
+        &self,
+        kernel: &dyn Kernel,
+        base: &MachineConfig,
+    ) -> Result<HalfMeasurement, String> {
+        let mut wall_nanos = 0;
+        let mut sim_instructions = 0;
+        // Every program's statistics at one block count, in variant order.
+        let mut run_at = |blocks: u64, programs: &[(Variant, Program)]| {
+            let build = kernel.build(blocks);
+            let mut stats = Vec::with_capacity(programs.len());
+            for (variant, program) in programs {
+                let label = format!("{}/{blocks}", variant.name());
+                let t = Instant::now();
+                let cfg = variant.machine(base, &self.shape);
+                let state = build.run_checked(program, cfg, &label)?;
+                wall_nanos += t.elapsed().as_nanos() as u64;
+                sim_instructions += state.stats.instructions;
+                stats.push(state.stats);
+            }
+            Ok::<_, String>(stats)
+        };
+        let (blocks_small, blocks_large) = self.blocks;
+        let small = run_at(blocks_small, &self.programs[0])?;
+        let large = run_at(blocks_large, &self.programs[1])?;
+
+        let nblocks = blocks_large - blocks_small;
+        // A variant's steady state; the scheduled form falls back to the
+        // plain one when its runs were skipped.
+        let steady = |i: usize| {
+            let i = i.min(large.len() - 1);
+            let mut per_block = large[i] - small[i];
+            for (_, c) in per_block.counters_mut() {
+                *c /= nblocks;
+            }
+            VariantStats { per_block, total: large[i] }
+        };
+        Ok(HalfMeasurement {
+            plain: steady(0),
+            scheduled: steady(1),
+            moved: self.moved,
+            report: self.report.clone(),
+            blocks: self.blocks,
+            wall_nanos: HostNanos(wall_nanos),
+            sim_instructions,
+        })
+    }
+}
+
+impl HalfMeasurement {
+    /// This half's runs, credited to `compiled`, another compile of the
+    /// same programs: its lift report and moved count replace this
+    /// half's. A sweep joins each cell with the runs of the half its
+    /// programs share, and with what its own lift reported.
+    pub fn compiled_as(&self, compiled: &CompiledHalf) -> HalfMeasurement {
+        HalfMeasurement { moved: compiled.moved, report: compiled.report.clone(), ..self.clone() }
+    }
 }
 
 impl Measurement {

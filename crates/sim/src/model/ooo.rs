@@ -98,7 +98,7 @@ use crate::model::OooStats;
 use crate::stats::SimStats;
 use subword_isa::instr::{Instr, RegMask};
 use subword_isa::program::Program;
-use subword_spu::mmio::in_mmio_range;
+use subword_spu::controller::StepRouting;
 
 mod memo;
 use memo::Memo;
@@ -547,8 +547,8 @@ impl Machine {
     }
 
     /// Execute the instruction at `pc`, returning its effect and what its
-    /// timing reads: the routed register reads and whether its memory
-    /// operand lands in the SPU window.
+    /// timing reads: the routed register reads ([`routed_reads`]) and
+    /// whether its memory operand landed in the SPU window.
     #[inline]
     fn ooo_exec(
         &mut self,
@@ -557,21 +557,27 @@ impl Machine {
         pc: usize,
     ) -> Result<(ExecEffect, RegMask, bool), SimError> {
         let i = program.instrs[pc];
-        let d = decoded.get(pc);
         // The controller advances once per issued instruction — the same
         // trajectory as the in-order engines, because the functional
         // loop *is* program order.
         let routing = self.take_routing();
-        let reads = if routing.routes_anything() && d.routable {
-            effective_read_mask(&i, &routing)
-        } else {
-            d.reads
-        };
-        // Resolved against the *current* registers, before `exec`, which
-        // therefore sees the same address.
-        let mmio = i.mem_operand().is_some_and(|m| in_mmio_range(self.ea(m)));
+        // `exec` counts each SPU-window access, and a memory operand is
+        // accessed once, so the count moves exactly when it lands there.
+        let window = self.stats.mmio_accesses;
         let eff = self.exec(program, &i, &routing, pc)?;
-        Ok((eff, reads, mmio))
+        Ok((eff, routed_reads(&i, decoded.get(pc), &routing), self.stats.mmio_accesses != window))
+    }
+}
+
+/// The register reads the timing of `i` (predecoded as `d`) waits on
+/// under `routing`: its predecoded reads, unless the SPU routes one of
+/// its operands.
+#[inline(always)]
+fn routed_reads(i: &Instr, d: &DecodedInstr, routing: &StepRouting) -> RegMask {
+    if routing.routes_anything() && d.routable {
+        effective_read_mask(i, routing)
+    } else {
+        d.reads
     }
 }
 

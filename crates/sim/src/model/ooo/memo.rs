@@ -12,6 +12,15 @@
 //! * each instruction's routed read mask and whether its memory operand
 //!   lands in the SPU window.
 //!
+//! The second part is sparse. An instruction's inputs are its predecoded
+//! reads and no window access, unless the execution notes one word for
+//! it ([`Memo::note`]): routed reads that differ from the predecoded
+//! ones, or a window access. Most instructions note nothing, so
+//! executing a region costs little beyond `Machine::exec`, and a miss
+//! rebuilds the inputs from the predecoded table and the noted words.
+//! Two executions with equal noted words have equal inputs, instruction
+//! by instruction.
+//!
 //! The timing never reads an address, so none is in the key. A memo
 //! [`Entry`] holds that key, the exit state relative to the exit
 //! frontier, the frontier's advance, the terminator's execute-complete
@@ -33,8 +42,8 @@
 
 use std::cmp::Reverse;
 
-use super::{count, OooTiming, StartRing, ADVANCE_SLACK};
-use crate::decode::{DecodedInstr, DecodedProgram};
+use super::{count, routed_reads, OooTiming, StartRing, ADVANCE_SLACK};
+use crate::decode::DecodedProgram;
 use crate::error::SimError;
 use crate::machine::{ExecEffect, Machine};
 use crate::model::issue::{IssueRules, RegionKind};
@@ -61,7 +70,7 @@ const MAX_LINKS: usize = 8;
 struct Entry {
     /// Frontier-relative entry state ([`OooTiming::encode`]).
     state: Box<[u64]>,
-    /// Dynamic inputs (see [`Memo::push`]).
+    /// Noted words ([`Memo::note`]).
     inputs: Box<[u64]>,
     /// Frontier-relative exit state.
     exit: Box<[u64]>,
@@ -105,10 +114,10 @@ pub(super) struct Memo {
     table: Vec<Vec<u32>>,
     entries: Vec<Entry>,
     virt: Option<Virtual>,
-    /// The region being executed: its first `pc`, each executed
-    /// instruction's `(reads, mmio)` and its dynamic inputs.
+    /// The region being executed, `start..end`, and the words its
+    /// instructions noted so far.
     start: usize,
-    timed: Vec<(RegMask, bool)>,
+    end: usize,
     inputs: Vec<u64>,
     /// Scratch for a materialised state's key.
     key: Vec<u64>,
@@ -139,7 +148,7 @@ impl Memo {
             entries: Vec::new(),
             virt: None,
             start: 0,
-            timed: Vec::new(),
+            end: 0,
             inputs: Vec::new(),
             key: Vec::new(),
         }
@@ -180,25 +189,21 @@ impl Memo {
         }
     }
 
-    /// Start executing the region at `start`.
-    fn begin(&mut self, start: usize) {
-        self.start = start;
-        self.timed.clear();
+    /// Start executing the region `start..end`.
+    fn begin(&mut self, start: usize, end: usize) {
+        (self.start, self.end) = (start, end);
         self.inputs.clear();
     }
 
-    /// Buffer one executed instruction and append its dynamic inputs: a
-    /// routable instruction's routed read mask and a memory operand's
-    /// window bit. Which instructions add words is static, so the words
-    /// line up.
-    fn push(&mut self, d: &DecodedInstr, reads: RegMask, mmio: bool) {
-        self.timed.push((reads, mmio));
-        if d.routable {
-            self.inputs.push(u64::from(reads.mm) | u64::from(reads.gp) << 8);
-        }
-        if d.flags.is_load() || d.flags.is_store() {
-            self.inputs.push(u64::from(mmio));
-        }
+    /// Note the timing inputs of the executed instruction at `pc` whose
+    /// inputs are not its static ones (routed `reads` other than its
+    /// predecoded reads, or a window access): one word of its offset in
+    /// the region, `reads` and the window bit `mmio`.
+    #[inline]
+    fn note(&mut self, pc: usize, reads: RegMask, mmio: bool) {
+        let offset = (pc - self.start) as u64;
+        let (mm, gp) = (u64::from(reads.mm), u64::from(reads.gp));
+        self.inputs.push(offset << 32 | u64::from(mmio) << 24 | gp << 8 | mm);
     }
 
     /// Time the executed region `r` from the memo, recording it on a
@@ -234,7 +239,7 @@ impl Memo {
         let (e, exec_end) = match found {
             Some(e) => (e, self.replay(e, tm.fetch, m)),
             None if self.table[r].len() < MAX_ENTRIES_PER_REGION => self.record(tm, decoded, r, m),
-            None => return self.step(tm, decoded, m),
+            None => return self.step(tm, decoded, m, self.end),
         };
         if let Some(links) = from.map(|from| &mut self.entries[from as usize].links) {
             if links.len() < MAX_LINKS {
@@ -244,15 +249,32 @@ impl Memo {
         exec_end
     }
 
-    /// Time the buffered instructions one at a time on the live state;
-    /// returns the last one's execute-complete cycle.
-    fn step(&mut self, tm: &mut OooTiming, decoded: &DecodedProgram, m: &mut Machine) -> u64 {
+    /// Time the executed instructions `start..end` one at a time on the
+    /// live state, each with its predecoded reads and no window access
+    /// unless it noted a word; returns the last one's execute-complete
+    /// cycle.
+    fn step(
+        &mut self,
+        tm: &mut OooTiming,
+        decoded: &DecodedProgram,
+        m: &mut Machine,
+        end: usize,
+    ) -> u64 {
         self.materialise(tm);
+        let mut noted = self.inputs.iter().peekable();
         let mut exec_end = 0;
-        for (k, &(reads, mmio)) in self.timed.iter().enumerate() {
-            exec_end = tm.instr(decoded.get(self.start + k), reads, mmio, &mut m.stats, &mut m.ooo);
+        for pc in self.start..end {
+            let d = decoded.get(pc);
+            let offset = (pc - self.start) as u64;
+            let (reads, mmio) = match noted.next_if(|&&word| word >> 32 == offset) {
+                Some(&word) => {
+                    (RegMask { mm: word as u8, gp: (word >> 8) as u16 }, word >> 24 & 1 != 0)
+                }
+                None => (d.reads, false),
+            };
+            exec_end = tm.instr(d, reads, mmio, &mut m.stats, &mut m.ooo);
         }
-        m.translation.fallback_slots += self.timed.len() as u64;
+        m.translation.fallback_slots += (end - self.start) as u64;
         exec_end
     }
 
@@ -269,7 +291,7 @@ impl Memo {
     ) -> (u32, u64) {
         let (frontier, stats_before, ooo_before) = (tm.fetch, m.stats, m.ooo);
         m.ooo.rob_peak = 0;
-        let exec_end = self.step(tm, decoded, m);
+        let exec_end = self.step(tm, decoded, m, self.end);
         tm.settle(&mut m.stats);
         let mut exit = Vec::new();
         tm.encode(&mut exit);
@@ -317,7 +339,7 @@ impl Memo {
         ooo.rob_peak = ooo.rob_peak.max(add.rob_peak);
         ooo.dispatched += add.dispatched;
         m.translation.replays += 1;
-        m.translation.replayed_slots += self.timed.len() as u64;
+        m.translation.replayed_slots += (self.end - self.start) as u64;
         let (advance, exec_end) = (entry.advance, entry.exec_end);
         self.virt = Some(Virtual { entry: e, frontier: frontier + advance, synced: false });
         frontier + exec_end
@@ -354,12 +376,23 @@ impl Machine {
         if memo.reach(tm).saturating_add(span) > self.cfg.max_cycles {
             return Ok(false);
         }
-        memo.begin(region.start);
+        memo.begin(region.start, region.end);
         let mut last = ExecEffect::default();
         for at in region.start..region.end {
-            match self.ooo_exec(program, decoded, at) {
-                Ok((eff, reads, mmio)) => {
-                    memo.push(decoded.get(at), reads, mmio);
+            // `ooo_exec` written out, so that `exec` is called here
+            // directly: through an inlined `ooo_exec` the replay ran ~30%
+            // slower. An instruction notes a word only when its inputs are
+            // not the static ones.
+            let (i, d) = (&program.instrs[at], decoded.get(at));
+            let routing = self.take_routing();
+            let window = self.stats.mmio_accesses;
+            match self.exec(program, i, &routing, at) {
+                Ok(eff) => {
+                    let reads = routed_reads(i, d, &routing);
+                    let mmio = self.stats.mmio_accesses != window;
+                    if reads != d.reads || mmio {
+                        memo.note(at, reads, mmio);
+                    }
                     last = eff;
                 }
                 Err(err) => {
@@ -367,7 +400,7 @@ impl Machine {
                     for pc in region.start..at {
                         count(&mut self.stats, decoded.get(pc), &self.rules);
                     }
-                    memo.step(tm, decoded, self);
+                    memo.step(tm, decoded, self, at);
                     return Err(err);
                 }
             }

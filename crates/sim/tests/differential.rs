@@ -25,10 +25,13 @@ use subword_compile::verify::{
     agree, build_variants, check_references, ooo_replay_agrees, plain_lift, run, ArchState,
     TestSetup, Variant, ENGINES,
 };
+use subword_isa::reg::gp::{R2, R3, R4, R5};
+use subword_isa::{AluOp, Cond, Mem, ProgramBuilder};
 use subword_kernels::suite::{all_suites, dotprod_example};
 use subword_sim::memory::MEMORY_SIZE;
 use subword_sim::model::inorder::Issued;
 use subword_sim::{ExecEngine, Machine, MachineConfig, PipelineKind, SimError};
+use subword_spu::mmio::{SpuMmio, SPU_MMIO_BASE};
 use subword_spu::{CrossbarShape, SHAPE_A, SHAPE_B, SHAPE_C, SHAPE_D};
 
 /// The matrix under `shape`, with all of memory as the output.
@@ -119,6 +122,37 @@ fn ooo_replay_matches_stepping_at_large_block_count() {
             assert!(share > 0.5, "{label}: replayed {share:.3} of the run: {tl:?}");
         }
     }
+}
+
+/// A register-addressed load that lands in the SPU window on every other
+/// trip of a 40-trip loop, inside a region whose timing the out-of-order
+/// model replays. A window access is a fence, so the two kinds of trip
+/// time apart, and only the load's noted window bit tells them apart in
+/// the memo's key. Each trip begins with an absolute store to a counter
+/// register of context 3, which nothing arms: a barrier region, always
+/// stepped, whose fence drains the timing state, so the load's region is
+/// entered from the same state on every trip. No suite kernel or
+/// generated case puts a window access on the replay path: they reach
+/// the window only through absolute addresses, which are barriers.
+#[test]
+fn ooo_replay_tells_a_window_load_from_a_memory_load() {
+    let counter = |c| SPU_MMIO_BASE + SpuMmio::counter_offset(3, c);
+    let mut b = ProgramBuilder::new("window-load");
+    b.mov_ri(R2, 40);
+    b.mov_ri(R5, counter(1) as i32);
+    let top = b.bind_here("top");
+    b.store_imm(Mem::abs(counter(0)), 7);
+    b.load(R3, Mem::base(R5));
+    b.alu_rr(AluOp::Add, R4, R3);
+    b.alu_ri(AluOp::Xor, R5, (counter(1) ^ 4096) as i32);
+    b.alu_ri(AluOp::Sub, R2, 1);
+    b.jcc(Cond::Ne, top);
+    b.halt();
+    let program = b.finish().unwrap();
+    let cfg = MachineConfig::with_spu(SHAPE_D);
+    let tl =
+        ooo_replay_agrees(&program, &TestSetup::default(), &cfg).unwrap_or_else(|d| panic!("{d}"));
+    assert!(tl.replays > 0, "the load's region must replay: {tl:?}");
 }
 
 /// Every suite kernel, MMX-only and lifted at shape D: the traced slots

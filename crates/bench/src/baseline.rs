@@ -270,33 +270,39 @@ impl CyclesBaseline {
         .to_pretty()
     }
 
-    /// Parse a committed baseline document.
+    /// Parse a committed baseline document. Two rows for one (kernel,
+    /// shape, scale, pipeline model) cell are refused: the check would
+    /// count the copy as a matched cell, and a copy with lower cycles as
+    /// an improvement.
     pub fn from_json(text: &str) -> Result<CyclesBaseline, String> {
         let root = Json::parse(text)?;
         let schema = root.field("schema")?.as_str()?;
         if schema != SCHEMA {
             return Err(format!("unsupported cycles-baseline schema `{schema}`"));
         }
-        Ok(CyclesBaseline {
-            cells: root
-                .field("cells")?
-                .as_arr()?
-                .iter()
-                .map(|c| {
-                    Ok(CycleCell {
-                        kernel: c.field("kernel")?.as_str()?.to_string(),
-                        family: c.field("family")?.as_str()?.to_string(),
-                        shape: c.field("shape")?.as_str()?.to_string(),
-                        scale: c.field("scale")?.as_u64()?,
-                        pipeline: c.field("pipeline")?.as_str()?.to_string(),
-                        baseline: c.field("baseline")?.as_u64()?,
-                        spu: c.field("spu")?.as_u64()?,
-                        sched_baseline: c.field("sched_baseline")?.as_u64()?,
-                        sched_spu: c.field("sched_spu")?.as_u64()?,
-                    })
+        let cells = root
+            .field("cells")?
+            .as_arr()?
+            .iter()
+            .map(|c| {
+                Ok(CycleCell {
+                    kernel: c.field("kernel")?.as_str()?.to_string(),
+                    family: c.field("family")?.as_str()?.to_string(),
+                    shape: c.field("shape")?.as_str()?.to_string(),
+                    scale: c.field("scale")?.as_u64()?,
+                    pipeline: c.field("pipeline")?.as_str()?.to_string(),
+                    baseline: c.field("baseline")?.as_u64()?,
+                    spu: c.field("spu")?.as_u64()?,
+                    sched_baseline: c.field("sched_baseline")?.as_u64()?,
+                    sched_spu: c.field("sched_spu")?.as_u64()?,
                 })
-                .collect::<Result<Vec<_>, String>>()?,
-        })
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        let mut keys = std::collections::HashSet::new();
+        if let Some(repeated) = cells.iter().find(|c| !keys.insert(c.key())) {
+            return Err(format!("two cycles-baseline rows for {}", repeated.label()));
+        }
+        Ok(CyclesBaseline { cells })
     }
 }
 
@@ -386,6 +392,42 @@ mod tests {
         let err = ungated.check(&report).unwrap_err();
         assert!(err.regressions.is_empty());
         assert!(err.to_string().contains("not in baseline"));
+    }
+
+    /// A document that repeats a (kernel, shape, scale, pipeline model)
+    /// key fails to parse, naming the key; rows that differ in any part
+    /// of it parse.
+    #[test]
+    fn a_repeated_row_is_refused() {
+        let row = CycleCell {
+            kernel: "FIR12".into(),
+            family: "paper".into(),
+            shape: "A".into(),
+            scale: 1,
+            pipeline: "in-order".into(),
+            baseline: 10,
+            spu: 9,
+            sched_baseline: 8,
+            sched_spu: 7,
+        };
+        let mut cells = vec![row.clone()];
+        for vary in [
+            |c: &mut CycleCell| c.kernel = "SAD".into(),
+            |c: &mut CycleCell| c.shape = "B".into(),
+            |c: &mut CycleCell| c.scale = 2,
+            |c: &mut CycleCell| c.pipeline = "ooo".into(),
+        ] {
+            let mut other = row.clone();
+            vary(&mut other);
+            cells.push(other);
+        }
+        let distinct = CyclesBaseline { cells };
+        assert_eq!(CyclesBaseline::from_json(&distinct.to_json()).unwrap(), distinct);
+
+        let mut repeated = distinct.clone();
+        repeated.cells.push(CycleCell { spu: row.spu + 1000, ..row });
+        let err = CyclesBaseline::from_json(&repeated.to_json()).unwrap_err();
+        assert!(err.contains("FIR12/shape A/scale 1/in-order"), "{err}");
     }
 
     /// The pipeline model is part of a cell's key: a report checked

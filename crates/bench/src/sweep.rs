@@ -8,22 +8,22 @@
 //!
 //! * [`SweepConfig`] names the kernels, shapes, block scales and machine
 //!   parameters to cover;
-//! * [`run_sweep`] probes the measurement store for every cell, lifts
-//!   the missed cells, then runs the simulation jobs they need on a
-//!   dynamic worker pool: jobs are pulled from a shared queue by
-//!   `min(jobs, cores)` workers, so a slow kernel (FFT1024) never
-//!   serializes the rest of the matrix behind it (rayon would be the
-//!   off-the-shelf choice here; the build container has no network
-//!   access, so the pool is ~30 lines of `std::thread` — see DESIGN.md
-//!   §4);
+//! * [`run_sweep`] probes the measurement store for every cell, compiles
+//!   the halves the missed cells need, then runs them on a dynamic
+//!   worker pool: tasks are pulled from a shared queue by `min(tasks,
+//!   cores)` workers, so a slow kernel (FFT1024) never serializes the
+//!   rest of the matrix behind it (rayon would be the off-the-shelf
+//!   choice here; the build container has no network access, so the
+//!   pool is ~30 lines of `std::thread` — see DESIGN.md §4);
 //! * the paper's methodology (§5.2.1) runs each routine once on the
 //!   plain MMX machine and varies only the SPU re-coding, so the sweep
-//!   follows it: the MMX-only half of a measurement
-//!   ([`measure_mmx_only`]) runs once per (kernel, scale), shared by
-//!   that kernel's cells under every shape, and the lifted half runs
-//!   once per distinct re-coding: the shape reaches a run only through
-//!   the programs its lift emitted, so the cells of one kernel and scale
-//!   whose lifts are equal share one run ([`CompiledHalf::run`]);
+//!   follows it with one rule: it compiles a kernel's MMX-only half once
+//!   per scale and its lifted half once per cell ([`compile_half`]), and
+//!   runs each set of equal halves of one kernel and scale once
+//!   ([`CompiledHalf::same_programs`]). The MMX-only half takes no shape,
+//!   so its cells under every shape share it, and the shape reaches a
+//!   lifted run only through the programs its lift emitted, so the
+//!   shapes that lift a kernel alike share one run;
 //! * a measurement's two block counts run one program (the count is a
 //!   setup input, see [`subword_kernels::framework::BLOCKS`]), so every
 //!   cell lifts through a per-sweep [`CompileCache`] that hands the
@@ -43,8 +43,8 @@ use subword_compile::verify::contained;
 use subword_compile::{lift_permutes, TransformResult};
 use subword_isa::program::Program;
 use subword_kernels::framework::{
-    compile_lifted, measure_mmx_only, Cached, CompiledHalf, HostNanos, Kernel, MeasureOpts,
-    Measurement, MeasurementRecord,
+    compile_half, Cached, CompiledHalf, HostNanos, Kernel, MeasureOpts, Measurement,
+    MeasurementRecord,
 };
 use subword_kernels::suite::{all_suites, dotprod_example, family_suite, Family, SuiteEntry};
 use subword_sim::{MachineConfig, SimStats};
@@ -261,7 +261,7 @@ pub struct SweepReport {
     pub cells: Vec<SweepCell>,
     /// Compile-cache counters for the pass that produced this report.
     pub cache: CacheStats,
-    /// Wall clock of the whole sweep (store probes, simulation jobs and
+    /// Wall clock of the whole sweep (store probes, compiles, runs and
     /// joins, all workers; exempt from equality — see [`HostNanos`]).
     pub wall_nanos: HostNanos,
 }
@@ -313,33 +313,39 @@ enum Probe {
     Miss(Option<CellKey>),
 }
 
-/// A half to simulate.
-#[derive(Clone, Copy)]
-enum Job {
-    /// The MMX-only half of entry `.0` at scale index `.1`.
-    MmxOnly(usize, usize),
-    /// The lifted half compiled for measured cell `.0`, the first of the
-    /// cells of its kernel and scale whose lifts are equal.
-    Lifted(usize),
+/// A half of a measurement compiled for the missed cells of one kernel
+/// and scale: their MMX-only half, or one cell's lifted half.
+struct Half {
+    /// The entry it measures.
+    entry: usize,
+    /// The scale index it measures at.
+    scale: usize,
+    /// Its compile, or why it failed.
+    compiled: Result<CompiledHalf, String>,
+    /// The index in [`Plan::runs`] of the run it reads.
+    run: usize,
 }
 
 /// A cell the store missed.
 struct Measured {
     /// Its index in report order.
     cell: usize,
-    /// Its own lift, or why the lift failed.
-    compiled: Result<CompiledHalf, String>,
-    /// The jobs whose halves it joins.
+    /// The indices in [`Plan::halves`] of the halves it joins.
     mmx_only: usize,
     lifted: usize,
 }
 
 /// What a sweep simulates: every cell's probe and, for the cells the
-/// store missed, the halves they join.
+/// store missed, the halves they join and the runs those halves read.
 struct Plan {
     probes: Vec<Result<Probe, String>>,
     measured: Vec<Measured>,
-    jobs: Vec<Job>,
+    /// Kernel-major, each (kernel, scale)'s MMX-only half before its
+    /// lifted ones.
+    halves: Vec<Half>,
+    /// The halves to simulate, as indices in `halves`: the first of each
+    /// set of equal halves of one kernel and scale.
+    runs: Vec<usize>,
 }
 
 /// The kernel, scale and scaled block counts of entry `e` at scale index
@@ -349,10 +355,12 @@ fn run_of(cfg: &SweepConfig, e: usize, c: usize) -> (&'static dyn Kernel, u64, u
     (entry.kernel, scale, entry.blocks_small * scale, entry.blocks_large * scale)
 }
 
-/// Probe the store for every cell, lift every cell it missed (both block
-/// counts through `cache`), and group the missed cells of each kernel
-/// and scale into one MMX-only job and one lifted job per distinct lift.
-/// A cell whose lift failed is a group of its own, whose job fails.
+/// Probe the store for every cell; compile one MMX-only half for each
+/// kernel and scale with a missed cell and one lifted half for each
+/// missed cell (both block counts lifted through `cache`); and let each
+/// half read the run of the first half of its kernel and scale with the
+/// same programs ([`CompiledHalf::same_programs`]). A half that failed
+/// to compile equals no other, and its run fails with its error.
 fn plan(
     cfg: &SweepConfig,
     store: Option<&MeasurementStore>,
@@ -373,10 +381,23 @@ fn plan(
         })
     });
 
-    let missed: Vec<usize> =
-        (0..cells.len()).filter(|&i| matches!(probes[i], Ok(Probe::Miss(_)))).collect();
-    let compiled = pool(threads, missed.len(), |m| {
-        let (e, s, c) = cells[missed[m]];
+    // (entry, scale index, shape index) of each half to compile, the
+    // shape `None` for an MMX-only half.
+    let mut wanted = Vec::new();
+    let mut measured = Vec::new();
+    for (cell, &(e, s, c)) in cells.iter().enumerate() {
+        if !matches!(probes[cell], Ok(Probe::Miss(_))) {
+            continue;
+        }
+        let mmx_only = wanted.iter().position(|&h| h == (e, c, None)).unwrap_or_else(|| {
+            wanted.push((e, c, None));
+            wanted.len() - 1
+        });
+        wanted.push((e, c, Some(s)));
+        measured.push(Measured { cell, mmx_only, lifted: wanted.len() - 1 });
+    }
+    let compiled = pool(threads, wanted.len(), |h| {
+        let (e, c, s) = wanted[h];
         let (kernel, _, small, large) = run_of(cfg, e, c);
         let lift =
             |program: &Program, shape: &CrossbarShape| cache.lift(kernel.name(), program, shape);
@@ -385,38 +406,27 @@ fn plan(
             lift: Some(&lift),
             scheduled: cfg.measure_scheduled,
         };
-        compile_lifted(kernel, small, large, &cfg.shapes[s], &opts)
+        compile_half(kernel, small, large, s.map(|s| &cfg.shapes[s]), &opts)
     });
 
-    // Jobs in kernel-major order, each (kernel, scale)'s MMX-only job
-    // before its lifted ones.
-    let mut jobs = Vec::new();
-    let mut mmx_jobs = HashMap::new();
-    let mut measured: Vec<Measured> = Vec::with_capacity(missed.len());
-    for (cell, compiled) in missed.into_iter().zip(compiled) {
-        let (e, _, c) = cells[cell];
-        let mmx_only = *mmx_jobs.entry((e, c)).or_insert_with(|| {
-            jobs.push(Job::MmxOnly(e, c));
-            jobs.len() - 1
-        });
-        let shares = |job: &Job| match (*job, &compiled) {
-            (Job::Lifted(first), Ok(half)) => {
-                let first = &measured[first];
-                let (fe, _, fc) = cells[first.cell];
-                (fe, fc) == (e, c) && first.compiled.as_ref().is_ok_and(|f| f.same_programs(half))
-            }
-            _ => false,
+    let mut halves: Vec<Half> = Vec::with_capacity(wanted.len());
+    let mut runs = Vec::new();
+    for ((entry, scale, _), compiled) in wanted.into_iter().zip(compiled) {
+        let same = |&first: &usize| {
+            let first = &halves[first];
+            (first.entry, first.scale) == (entry, scale)
+                && matches!((&first.compiled, &compiled), (Ok(a), Ok(b)) if a.same_programs(b))
         };
-        let lifted = jobs.iter().position(shares).unwrap_or_else(|| {
-            jobs.push(Job::Lifted(measured.len()));
-            jobs.len() - 1
+        let run = runs.iter().position(same).unwrap_or_else(|| {
+            runs.push(halves.len());
+            runs.len() - 1
         });
-        measured.push(Measured { cell, compiled, mmx_only, lifted });
+        halves.push(Half { entry, scale, compiled, run });
     }
-    Plan { probes, measured, jobs }
+    Plan { probes, measured, halves, runs }
 }
 
-/// Execute the job matrix, optionally against a cross-run
+/// Measure the sweep's matrix, optionally against a cross-run
 /// [`MeasurementStore`]. See the module docs for the orchestration
 /// model; an error names the first failing cell as `kernel/shape X`.
 ///
@@ -431,26 +441,25 @@ fn plan(
 ///    stale-version) entry leaves the cell to be measured; the store
 ///    counts each lookup ([`MeasurementStore::stats`]). Without a store,
 ///    every cell is measured.
-/// 2. **Compile.** Every cell to measure lifts its kernel for its shape
-///    ([`compile_lifted`], both block counts through the sweep's
-///    [`CompileCache`]). The cells of one kernel and scale whose lifts
-///    are equal ([`CompiledHalf::same_programs`]) form one group.
-/// 3. **Simulate.** One MMX-only job per (kernel, scale) with a cell to
-///    measure ([`measure_mmx_only`], which no crossbar shape reaches),
-///    and one lifted job per group, which runs its first cell's lift on
-///    that cell's shape ([`CompiledHalf::run`]). A cold full matrix runs
-///    13 MMX-only and 25 lifted halves where measuring each cell whole
-///    would run 52 of each, and a fully warm store runs none.
+/// 2. **Compile.** [`compile_half`] compiles one MMX-only half per
+///    (kernel, scale) with a cell to measure, which no crossbar shape
+///    reaches, and one lifted half per cell to measure, both block
+///    counts lifted through the sweep's [`CompileCache`]. The halves of
+///    one kernel and scale with the same programs
+///    ([`CompiledHalf::same_programs`]) form one set.
+/// 3. **Simulate.** Each set runs once, as its first half
+///    ([`CompiledHalf::run`]). A cold full matrix runs 13 MMX-only and
+///    25 lifted halves where measuring each cell whole would run 52 of
+///    each, and a fully warm store runs none.
 /// 4. **Join.** Each measured cell joins its two halves
-///    ([`Measurement::join`]), the lifted one credited with its own
-///    lift's report and moved count
-///    ([`subword_kernels::framework::HalfMeasurement::compiled_as`]), and
-///    is written back to the store.
+///    ([`Measurement::join`]): each half's own compile, for the lift
+///    report and moved counts, with the run its set shared. The cell is
+///    written back to the store.
 ///
 /// Failures stay per cell. A panic or error in a probe or a lift fails
-/// its cell; one in a simulated half fails the measured cells that join
-/// it: all of a kernel and scale's for an MMX-only half, a group's for a
-/// lifted one. Every other cell still runs and is saved.
+/// its cell; one in an MMX-only half's compile or run fails that kernel
+/// and scale's measured cells, and one in a lifted run the cells of its
+/// set. Every other cell still runs and is saved.
 pub fn run_sweep(
     cfg: &SweepConfig,
     store: Option<&MeasurementStore>,
@@ -466,39 +475,30 @@ pub fn run_sweep(
     let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
     let pipeline = cfg.base.pipeline.name();
     let cells = cfg.cells();
-    let Plan { probes, measured, jobs } = plan(cfg, store, &cache, threads);
+    let Plan { probes, measured, halves, runs } = plan(cfg, store, &cache, threads);
 
-    let halves = pool(threads, jobs.len(), |j| match jobs[j] {
-        Job::MmxOnly(e, c) => {
-            let (kernel, _, small, large) = run_of(cfg, e, c);
-            let opts = MeasureOpts {
-                base: cfg.base.clone(),
-                lift: None,
-                scheduled: cfg.measure_scheduled,
-            };
-            measure_mmx_only(kernel, small, large, &opts)
-        }
-        Job::Lifted(m) => {
-            let (e, _, c) = cells[measured[m].cell];
-            let compiled = measured[m].compiled.as_ref().map_err(String::clone)?;
-            compiled.run(run_of(cfg, e, c).0, &cfg.base)
-        }
+    let ran = pool(threads, runs.len(), |r| {
+        let Half { entry, compiled, .. } = &halves[runs[r]];
+        compiled.as_ref().map_err(String::clone)?.run(cfg.entries[*entry].kernel, &cfg.base)
     });
 
     let joined = pool(threads, measured.len(), |m| {
-        let Measured { cell: i, compiled, mmx_only, lifted } = &measured[m];
-        let (e, s, c) = cells[*i];
+        let Measured { cell: i, mmx_only, lifted } = measured[m];
+        let (e, s, c) = cells[i];
         let (kernel, scale, ..) = run_of(cfg, e, c);
-        let half = |j: usize| halves[j].as_ref().map_err(String::clone);
-        let mmx_only = half(*mmx_only)?;
-        let lifted = half(*lifted)?.compiled_as(compiled.as_ref().map_err(String::clone)?);
+        // A half's own compile, and the run it reads.
+        let half = |h: usize| {
+            let Half { compiled, run, .. } = &halves[h];
+            let compiled = compiled.as_ref().map_err(String::clone)?;
+            Ok::<_, String>((compiled, ran[*run].as_ref().map_err(String::clone)?))
+        };
         let cell = SweepCell {
             shape: cfg.shapes[s].name.to_string(),
             scale,
             pipeline: pipeline.to_string(),
-            record: Measurement::join(kernel, mmx_only, &lifted).record(),
+            record: Measurement::join(kernel, half(mmx_only)?, half(lifted)?).record(),
         };
-        if let (Some(st), Ok(Probe::Miss(Some(key)))) = (store, &probes[*i]) {
+        if let (Some(st), Ok(Probe::Miss(Some(key)))) = (store, &probes[i]) {
             st.save(*key, &cell);
         }
         Ok(cell)
@@ -884,16 +884,15 @@ mod tests {
         assert_eq!(cache.stats().misses, 2);
     }
 
-    /// For each of `cfg`'s entries, the number of distinct lifted jobs its
-    /// measured cells join in `plan`.
-    fn lifted_jobs_per_entry(cfg: &SweepConfig, plan: &Plan) -> Vec<usize> {
-        let cells = cfg.cells();
-        let mut jobs = vec![std::collections::BTreeSet::new(); cfg.entries.len()];
+    /// For each of `cfg`'s entries, the number of distinct lifted runs its
+    /// measured cells read in `plan`.
+    fn lifted_runs_per_entry(cfg: &SweepConfig, plan: &Plan) -> Vec<usize> {
+        let mut runs = vec![std::collections::BTreeSet::new(); cfg.entries.len()];
         for m in &plan.measured {
-            assert!(matches!(plan.jobs[m.lifted], Job::Lifted(_)));
-            jobs[cells[m.cell].0].insert(m.lifted);
+            let lifted = &plan.halves[m.lifted];
+            runs[lifted.entry].insert(lifted.run);
         }
-        jobs.iter().map(|j| j.len()).collect()
+        runs.iter().map(|r| r.len()).collect()
     }
 
     /// For each of `cfg`'s entries, the number of distinct lifts across
@@ -913,22 +912,25 @@ mod tests {
         cfg.entries.iter().map(distinct).collect()
     }
 
-    /// The simulation plan: a cold full matrix lifts every cell once
-    /// (reused for its second block count) and runs one MMX-only half
-    /// per kernel and one lifted half per distinct lift of a kernel: 13
-    /// and 25 halves, where simulating each cell's lift would run 52.
-    /// Report-equality tests cannot see a return to one lifted half per
-    /// cell; this one can.
+    /// The simulation plan: a cold full matrix compiles one MMX-only half
+    /// per kernel and one lifted half per cell, each cell lifting once
+    /// (reused for its second block count), and runs each set of equal
+    /// halves once: 13 MMX-only and 25 lifted runs, where simulating each
+    /// cell whole would run 52 of each. Report-equality tests cannot see
+    /// a return to more runs; this one can.
     #[test]
     fn a_sweep_simulates_each_distinct_lift_once() {
         let cfg = SweepConfig::full_matrix();
         let cache = CompileCache::new();
         let cold = plan(&cfg, None, &cache, 2);
         assert_eq!(cache.stats(), CacheStats { hits: 52, misses: 52 });
-        let mmx_only = cold.jobs.iter().filter(|j| matches!(j, Job::MmxOnly(..))).count();
-        assert_eq!((mmx_only, cold.jobs.len() - mmx_only), (13, 25));
+        let mmx_only: std::collections::BTreeSet<usize> =
+            cold.measured.iter().map(|m| m.mmx_only).collect();
+        assert_eq!((mmx_only.len(), cold.halves.len()), (13, 13 + 52));
+        let mmx_only_runs = cold.runs.iter().filter(|h| mmx_only.contains(h)).count();
+        assert_eq!((mmx_only_runs, cold.runs.len() - mmx_only_runs), (13, 25));
 
-        // The shapes that share each lifted half. `bench/tests/sweep.rs`
+        // The shapes that share each lifted run. `bench/tests/sweep.rs`
         // checks the sharing on FIR12, SAD and DotProd, which between
         // them cover every grouping.
         let cells = cfg.cells();
@@ -937,9 +939,10 @@ mod tests {
             for m in &cold.measured {
                 let (e, s, _) = cells[m.cell];
                 if cfg.entries[e].kernel.name() == kernel {
-                    match groups.iter_mut().find(|(job, _)| *job == m.lifted) {
+                    let run = cold.halves[m.lifted].run;
+                    match groups.iter_mut().find(|(r, _)| *r == run) {
                         Some((_, shapes)) => shapes.push(cfg.shapes[s].name),
-                        None => groups.push((m.lifted, vec![cfg.shapes[s].name])),
+                        None => groups.push((run, vec![cfg.shapes[s].name])),
                     }
                 }
             }
@@ -952,7 +955,19 @@ mod tests {
         assert_eq!(groups("SAD"), [vec!["A"], vec!["B"], vec!["C", "D"]]);
         // The groups are the distinct (lifted, scheduled-lifted) pairs.
         let pair = |t: TransformResult| vec![t.program, t.scheduled.program];
-        assert_eq!(lifted_jobs_per_entry(&cfg, &cold), distinct_lifts(&cfg, pair));
+        assert_eq!(lifted_runs_per_entry(&cfg, &cold), distinct_lifts(&cfg, pair));
+
+        // Blend and Conv3x3 lift nothing under shapes C and D, so those
+        // lifts hold the MMX-only instructions. They still run as lifted
+        // halves of their own: an SPU-fitted machine times them.
+        for m in &cold.measured {
+            let (e, s, _) = cells[m.cell];
+            let (kernel, shape) = (cfg.entries[e].kernel.name(), cfg.shapes[s].name);
+            assert_ne!(cold.halves[m.lifted].run, cold.halves[m.mmx_only].run, "{kernel}/{shape}");
+        }
+        for kernel in ["Blend", "Conv3x3"] {
+            assert_eq!(groups(kernel), [vec!["A"], vec!["B"], vec!["C", "D"]], "{kernel}");
+        }
 
         // Without the scheduled variants a group keys on the lifted
         // program alone.
@@ -960,7 +975,7 @@ mod tests {
         cfg.measure_scheduled = false;
         let unscheduled = plan(&cfg, None, &CompileCache::new(), 2);
         let lifted = |t: TransformResult| vec![t.program];
-        assert_eq!(lifted_jobs_per_entry(&cfg, &unscheduled), distinct_lifts(&cfg, lifted));
+        assert_eq!(lifted_runs_per_entry(&cfg, &unscheduled), distinct_lifts(&cfg, lifted));
     }
 
     /// Cells the store serves are neither lifted nor simulated.
@@ -977,7 +992,7 @@ mod tests {
         let warm = plan(&cfg, Some(&store), &cache, 2);
         let _ = std::fs::remove_dir_all(&dir);
         assert!(warm.probes.iter().all(|p| matches!(p, Ok(Probe::Hit(_)))));
-        assert!(warm.measured.is_empty() && warm.jobs.is_empty());
+        assert!(warm.measured.is_empty() && warm.halves.is_empty() && warm.runs.is_empty());
         assert_eq!(cache.stats(), CacheStats::default());
     }
 

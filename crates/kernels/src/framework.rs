@@ -13,18 +13,15 @@
 //! measurement execute one program.
 //!
 //! A measurement has two halves, split by [`Variant::is_lifted`]: the
-//! MMX-only half ([`measure_mmx_only`]) runs on a machine without the SPU
-//! and so does not depend on the crossbar shape, and the lifted half
-//! ([`measure_lifted`]) runs on an SPU of one shape. [`Measurement::join`]
-//! puts them together; [`measure`] is the two run back to back.
-//!
-//! Each half is a compile step and a run step. The lifted half's compile
-//! step ([`compile_lifted`]) is public on its own: the shape reaches a
-//! run only through the programs its lift emitted, so a sweep compiles
-//! every shape's lift, runs one [`CompiledHalf`] for each set of shapes
-//! whose lifts are equal ([`CompiledHalf::same_programs`]), and credits
-//! each cell with its own lift's report
-//! ([`HalfMeasurement::compiled_as`]).
+//! MMX-only half runs on a machine without the SPU and so does not depend
+//! on the crossbar shape, and the lifted half runs on an SPU of one
+//! shape. Each half is compiled ([`compile_half`], with no shape for the
+//! MMX-only half) and then run ([`CompiledHalf::run`]);
+//! [`Measurement::join`] puts each half's compile and runs together.
+//! [`measure`] is those three steps for one kernel and shape. A sweep
+//! takes them apart: the shape reaches a run only through the programs
+//! its lift emitted, so it compiles every half it needs and runs one of
+//! each set of equal halves ([`CompiledHalf::same_programs`]).
 
 use crate::paper::PaperRow;
 use crate::suite::Family;
@@ -394,9 +391,9 @@ pub struct MeasureOpts<'a> {
     /// mispredict penalty, pipeline model, …) for every variant; the SPU
     /// flag and crossbar are set per variant ([`Variant::machine`]).
     pub base: MachineConfig,
-    /// Lift hook, called once per block count by [`compile_lifted`];
-    /// `None` runs a fresh [`plain_lift`]. The sweep plugs its
-    /// compiled-program cache in here.
+    /// Lift hook, called once per block count when [`compile_half`]
+    /// compiles a lifted half; `None` runs a fresh [`plain_lift`]. The
+    /// sweep plugs its compiled-program cache in here.
     pub lift: Option<LiftFn<'a>>,
     /// Also measure the list-scheduled form of both variants: eight
     /// simulator runs instead of four. Unset, the `sched_*` fields mirror
@@ -407,13 +404,10 @@ pub struct MeasureOpts<'a> {
     pub scheduled: bool,
 }
 
-/// One half of a [`Measurement`]: a variant and its list-scheduled form,
-/// run on one machine at both block counts. [`measure_mmx_only`] returns
-/// the MMX-only half and [`measure_lifted`] the lifted half;
-/// [`Measurement::join`] puts the two together. A half is compiled
-/// ([`compile_lifted`]) and then run ([`CompiledHalf::run`]); the sweep
-/// calls the two steps apart, to run one lifted half for every shape
-/// that lifts a kernel to the same programs.
+/// What running a [`CompiledHalf`] produced: steady-state statistics of a
+/// variant and its list-scheduled form, on one machine.
+/// [`Measurement::join`] puts an MMX-only half's runs and a lifted half's
+/// together.
 #[derive(Clone, Debug, PartialEq)]
 pub struct HalfMeasurement {
     /// The variant as built ([`Variant::Baseline`] or [`Variant::Lifted`]).
@@ -421,96 +415,34 @@ pub struct HalfMeasurement {
     /// Its list-scheduled form, or a copy of `plain` without
     /// [`MeasureOpts::scheduled`].
     scheduled: VariantStats,
-    /// Static instructions the scheduler moved, at the large block count.
-    moved: u64,
-    /// The lifting pass's report (the lifted half only).
-    report: Option<CompileReport>,
-    /// Block counts used (small, large).
-    blocks: (u64, u64),
     /// Host wall-clock spent in this half's checked simulator runs.
     wall_nanos: HostNanos,
     /// Dynamic instructions those runs retired.
     sim_instructions: u64,
 }
 
-/// The MMX-only half of a measurement: [`Variant::Baseline`] (and
-/// [`Variant::Scheduled`] with [`MeasureOpts::scheduled`]) at both block
-/// counts, every run checked against the golden outputs. It takes no
-/// crossbar shape: the MMX-only machine has no SPU, so one run serves
-/// every shape the kernel is measured under.
-pub fn measure_mmx_only(
+/// One half of a measurement, compiled but not yet run: `kernel` built at
+/// both block counts, and each build's variants compiled. With `shape`
+/// `None` this is the MMX-only half, [`Variant::Baseline`]; it takes no
+/// crossbar shape, because its machine has no SPU, so one run of it
+/// serves every shape the kernel is measured under. With `Some` it is
+/// the lifted half, [`Variant::Lifted`] lifted for that shape through the
+/// lift hook ([`MeasureOpts::lift`]). Either half also compiles the
+/// variant's list-scheduled form with [`MeasureOpts::scheduled`].
+pub fn compile_half(
     kernel: &dyn Kernel,
     blocks_small: u64,
     blocks_large: u64,
-    opts: &MeasureOpts<'_>,
-) -> Result<HalfMeasurement, String> {
-    // Neither variant is lifted, so no compile stage reads the shape, and
-    // `Variant::machine` leaves the SPU unfitted whatever it is.
-    let half = [Variant::Baseline, Variant::Scheduled];
-    compile_half(kernel, blocks_small, blocks_large, half, &opts.base.crossbar, opts)?
-        .run(kernel, &opts.base)
-}
-
-/// The lifted half of a measurement: [`Variant::Lifted`] (and
-/// [`Variant::ScheduledLifted`] with [`MeasureOpts::scheduled`]) on the
-/// SPU-fitted machine with crossbar `shape`, at both block counts, every
-/// run checked against the golden outputs.
-pub fn measure_lifted(
-    kernel: &dyn Kernel,
-    blocks_small: u64,
-    blocks_large: u64,
-    shape: &CrossbarShape,
-    opts: &MeasureOpts<'_>,
-) -> Result<HalfMeasurement, String> {
-    compile_lifted(kernel, blocks_small, blocks_large, shape, opts)?.run(kernel, &opts.base)
-}
-
-/// The lifted half of a measurement, compiled but not yet run: each block
-/// count's build goes through the lift hook ([`MeasureOpts::lift`]), as
-/// [`measure_lifted`] does before it runs them.
-pub fn compile_lifted(
-    kernel: &dyn Kernel,
-    blocks_small: u64,
-    blocks_large: u64,
-    shape: &CrossbarShape,
-    opts: &MeasureOpts<'_>,
-) -> Result<CompiledHalf, String> {
-    let half = [Variant::Lifted, Variant::ScheduledLifted];
-    compile_half(kernel, blocks_small, blocks_large, half, shape, opts)
-}
-
-/// A half's programs, compiled at both block counts, and what the
-/// compile stages reported: everything [`CompiledHalf::run`] needs
-/// besides the kernel's setups and goldens, which it rebuilds.
-#[derive(Debug)]
-pub struct CompiledHalf {
-    /// Each wanted variant's program, in [`Variant::ALL`] order, at the
-    /// small and at the large block count.
-    programs: [Vec<(Variant, Program)>; 2],
-    /// The crossbar shape the programs were compiled for; the lifted
-    /// variants run on an SPU of this shape.
-    shape: CrossbarShape,
-    /// Static instructions the scheduler moved, at the large block count.
-    moved: u64,
-    /// The lifting pass's report at the large block count (the lifted
-    /// half only).
-    report: Option<CompileReport>,
-    /// Block counts (small, large).
-    blocks: (u64, u64),
-}
-
-/// Build `kernel` at both block counts and compile the `[plain,
-/// scheduled]` variants of each (only `plain` without
-/// [`MeasureOpts::scheduled`]).
-fn compile_half(
-    kernel: &dyn Kernel,
-    blocks_small: u64,
-    blocks_large: u64,
-    half: [Variant; 2],
-    shape: &CrossbarShape,
+    shape: Option<&CrossbarShape>,
     opts: &MeasureOpts<'_>,
 ) -> Result<CompiledHalf, String> {
     assert!(blocks_small < blocks_large);
+    let (half, shape) = match shape {
+        Some(shape) => ([Variant::Lifted, Variant::ScheduledLifted], shape),
+        // Neither variant is lifted, so no compile stage reads the shape,
+        // and `Variant::machine` leaves the SPU unfitted whatever it is.
+        None => ([Variant::Baseline, Variant::Scheduled], &opts.base.crossbar),
+    };
     let wanted = if opts.scheduled { &half[..] } else { &half[..1] };
     let lift = opts.lift.unwrap_or(&plain_lift);
     let compile_at = |blocks: u64| -> Result<Variants, String> {
@@ -528,13 +460,39 @@ fn compile_half(
     })
 }
 
+/// A half's programs, compiled at both block counts, and what the
+/// compile stages reported: everything [`CompiledHalf::run`] needs
+/// besides the kernel's setups and goldens, which it rebuilds, and what
+/// [`Measurement::join`] reads from the compile.
+#[derive(Debug)]
+pub struct CompiledHalf {
+    /// Each wanted variant's program, in [`Variant::ALL`] order, at the
+    /// small and at the large block count.
+    programs: [Vec<(Variant, Program)>; 2],
+    /// The crossbar shape the programs were compiled for; the lifted
+    /// variants run on an SPU of this shape.
+    shape: CrossbarShape,
+    /// Static instructions the scheduler moved, at the large block count.
+    moved: u64,
+    /// The lifting pass's report at the large block count (the lifted
+    /// half only).
+    report: Option<CompileReport>,
+    /// Block counts (small, large).
+    blocks: (u64, u64),
+}
+
 impl CompiledHalf {
-    /// Whether `other` compiled to the same programs at both block
-    /// counts. Two such halves of one kernel, compiled for different
-    /// shapes, simulate alike: the machines differ only in the crossbar,
-    /// which the simulator reads only to validate an SPU program at its
-    /// GO, and each lift validated its programs for its own shape
-    /// (DESIGN.md §4).
+    /// Whether `other` compiled to the same variant-tagged programs at
+    /// both block counts. Two such halves of one kernel at one pair of
+    /// block counts simulate alike, so one run serves both: equal tags
+    /// make them halves of one kind, whose machines differ at most in the
+    /// crossbar, which the simulator reads only to validate an SPU
+    /// program at its GO, and each lift validated its programs for its
+    /// own shape (DESIGN.md §4). The tags keep an MMX-only half and a
+    /// lifted half apart even where their instructions match, as an
+    /// untransformed lift's do: the two run on different machines, and
+    /// the SPU-fitted one pays one more cycle per mispredict (paper
+    /// §5.1).
     pub fn same_programs(&self, other: &CompiledHalf) -> bool {
         self.programs == other.programs
     }
@@ -584,34 +542,23 @@ impl CompiledHalf {
         Ok(HalfMeasurement {
             plain: steady(0),
             scheduled: steady(1),
-            moved: self.moved,
-            report: self.report.clone(),
-            blocks: self.blocks,
             wall_nanos: HostNanos(wall_nanos),
             sim_instructions,
         })
     }
 }
 
-impl HalfMeasurement {
-    /// This half's runs, credited to `compiled`, another compile of the
-    /// same programs: its lift report and moved count replace this
-    /// half's. A sweep joins each cell with the runs of the half its
-    /// programs share, and with what its own lift reported.
-    pub fn compiled_as(&self, compiled: &CompiledHalf) -> HalfMeasurement {
-        HalfMeasurement { moved: compiled.moved, report: compiled.report.clone(), ..self.clone() }
-    }
-}
-
 impl Measurement {
-    /// Join `kernel`'s MMX-only and lifted halves, measured at the same
-    /// block counts, into one measurement. Its wall clock and instruction
-    /// count are the two halves' sums, so an MMX-only half joined into
-    /// several measurements counts in each of them.
+    /// Join `kernel`'s MMX-only and lifted halves, compiled at the same
+    /// block counts, into one measurement. Each half is its own compile
+    /// and the runs of a half with the same programs: the statistics come
+    /// from the runs, the moved counts and the lift report from the
+    /// compiles. The wall clock and instruction count are the two runs'
+    /// sums, so a run joined into several measurements counts in each.
     pub fn join(
         kernel: &dyn Kernel,
-        mmx_only: &HalfMeasurement,
-        lifted: &HalfMeasurement,
+        (mmx_only, mmx_only_ran): (&CompiledHalf, &HalfMeasurement),
+        (lifted, lifted_ran): (&CompiledHalf, &HalfMeasurement),
     ) -> Measurement {
         assert_eq!(
             mmx_only.blocks,
@@ -622,15 +569,15 @@ impl Measurement {
         Measurement {
             name: kernel.name(),
             family: kernel.family(),
-            baseline: mmx_only.plain,
-            spu: lifted.plain,
-            sched_baseline: mmx_only.scheduled,
-            sched_spu: lifted.scheduled,
+            baseline: mmx_only_ran.plain,
+            spu: lifted_ran.plain,
+            sched_baseline: mmx_only_ran.scheduled,
+            sched_spu: lifted_ran.scheduled,
             sched_moved: (mmx_only.moved, lifted.moved),
             report: lifted.report.clone().expect("the lifted half carries the lift report"),
             blocks: lifted.blocks,
-            wall_nanos: HostNanos(mmx_only.wall_nanos.0 + lifted.wall_nanos.0),
-            sim_instructions: mmx_only.sim_instructions + lifted.sim_instructions,
+            wall_nanos: HostNanos(mmx_only_ran.wall_nanos.0 + lifted_ran.wall_nanos.0),
+            sim_instructions: mmx_only_ran.sim_instructions + lifted_ran.sim_instructions,
         }
     }
 }
@@ -638,8 +585,9 @@ impl Measurement {
 /// Measure a kernel with the paper's methodology: the MMX-only and lifted
 /// variants (plus their scheduled forms with [`MeasureOpts::scheduled`])
 /// at two block counts, every run checked against the golden outputs;
-/// steady-state per-block counters are the difference. This is
-/// [`measure_mmx_only`] and [`measure_lifted`], joined.
+/// steady-state per-block counters are the difference. This is the
+/// sweep's compile ([`compile_half`]), run ([`CompiledHalf::run`]) and
+/// join ([`Measurement::join`]) for one kernel and shape.
 pub fn measure(
     kernel: &dyn Kernel,
     blocks_small: u64,
@@ -647,9 +595,11 @@ pub fn measure(
     shape: &CrossbarShape,
     opts: &MeasureOpts<'_>,
 ) -> Result<Measurement, String> {
-    let mmx_only = measure_mmx_only(kernel, blocks_small, blocks_large, opts)?;
-    let lifted = measure_lifted(kernel, blocks_small, blocks_large, shape, opts)?;
-    Ok(Measurement::join(kernel, &mmx_only, &lifted))
+    let mmx_only = compile_half(kernel, blocks_small, blocks_large, None, opts)?;
+    let lifted = compile_half(kernel, blocks_small, blocks_large, Some(shape), opts)?;
+    let mmx_only_ran = mmx_only.run(kernel, &opts.base)?;
+    let lifted_ran = lifted.run(kernel, &opts.base)?;
+    Ok(Measurement::join(kernel, (&mmx_only, &mmx_only_ran), (&lifted, &lifted_ran)))
 }
 
 #[cfg(test)]

@@ -21,13 +21,15 @@
 //! All measurement traffic flows through the [`sweep`] orchestration
 //! layer (DESIGN.md §4): a parallel job matrix over kernel × crossbar
 //! shape × block count that lifts each job once, and whose
-//! [`SweepReport`] is the one result every harness reads. On top of
-//! that sits the persistent, content-addressed [`store`] (DESIGN.md
-//! §13): with `sweep --cache-dir`, cells whose inputs are unchanged are
-//! replayed from disk instead of re-simulated.
+//! [`SweepReport`] is the one result every harness reads. Its passes
+//! run on the [`pool`] of workers, which the fuzz campaign shares. On
+//! top of that sits the persistent, content-addressed [`store`]
+//! (DESIGN.md §13): with `sweep --cache-dir`, cells whose inputs are
+//! unchanged are replayed from disk instead of re-simulated.
 
 pub mod baseline;
 pub mod json;
+pub mod pool;
 pub mod store;
 pub mod sweep;
 

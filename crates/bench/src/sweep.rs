@@ -9,12 +9,10 @@
 //! * [`SweepConfig`] names the kernels, shapes, block scales and machine
 //!   parameters to cover;
 //! * [`run_sweep`] probes the measurement store for every cell, compiles
-//!   the halves the missed cells need, then runs them on a dynamic
-//!   worker pool: tasks are pulled from a shared queue by `min(tasks,
-//!   cores)` workers, so a slow kernel (FFT1024) never serializes the
-//!   rest of the matrix behind it (rayon would be the off-the-shelf
-//!   choice here; the build container has no network access, so the
-//!   pool is ~30 lines of `std::thread` — see DESIGN.md §4);
+//!   the halves the missed cells need, then runs them on the crate's
+//!   dynamic worker pool ([`crate::pool`]): tasks are pulled from a
+//!   shared queue by `min(tasks, cores)` workers, so a slow kernel
+//!   (FFT1024) never serializes the rest of the matrix behind it;
 //! * the paper's methodology (§5.2.1) runs each routine once on the
 //!   plain MMX machine and varies only the SPU re-coding, so the sweep
 //!   follows it with one rule: it compiles a kernel's MMX-only half once
@@ -35,11 +33,11 @@
 //!   measurement loops.
 
 use crate::json::Json;
+use crate::pool::{pool, workers};
 use crate::store::{cell_key, CellKey, MeasurementStore};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use subword_compile::verify::contained;
 use subword_compile::{lift_permutes, TransformResult};
 use subword_isa::program::Program;
 use subword_kernels::framework::{
@@ -272,40 +270,6 @@ impl PartialEq for SweepReport {
     }
 }
 
-/// Run `job(i)` for every `i` in `0..n` on up to `threads` scoped
-/// workers that pull indices from one shared counter, so one slow job
-/// (FFT1024) never serializes the rest behind it. A panicking job costs
-/// only its own result, as `Err("panicked: …")`: an unwinding worker
-/// would leave the remaining slots unfilled and re-panic the scope join.
-/// Results come back in index order.
-fn pool<T: Send>(
-    threads: usize,
-    n: usize,
-    job: impl Fn(usize) -> Result<T, String> + Sync,
-) -> Vec<Result<T, String>> {
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<T, String>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads.max(1).min(n) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(slot) = slots.get(i) else { break };
-                let outcome =
-                    contained(|| job(i)).unwrap_or_else(|msg| Err(format!("panicked: {msg}")));
-                *slot.lock().expect("result slot poisoned") = Some(outcome);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker pool exited before finishing its jobs")
-        })
-        .collect()
-}
-
 /// What the store holds for a cell: the replayed cell, or nothing — the
 /// cell is measured, and saved under its key when a store is attached.
 enum Probe {
@@ -472,7 +436,7 @@ pub fn run_sweep(
     }
     let wall = std::time::Instant::now();
     let cache = CompileCache::new();
-    let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
+    let threads = workers();
     let pipeline = cfg.base.pipeline.name();
     let cells = cfg.cells();
     let Plan { probes, measured, halves, runs } = plan(cfg, store, &cache, threads);
@@ -812,20 +776,6 @@ pub(crate) fn cell_from_json(v: &Json) -> Result<SweepCell, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// A panicking job costs only its own slot: the single worker that
-    /// ran it goes on to drain every later job, and results come back in
-    /// index order.
-    #[test]
-    fn a_worker_keeps_draining_after_a_panicking_job() {
-        let results = pool(1, 4, |i| {
-            if i == 0 {
-                panic!("job {i} failed");
-            }
-            Ok(i * 10)
-        });
-        assert_eq!(results, [Err("panicked: job 0 failed".to_string()), Ok(10), Ok(20), Ok(30)]);
-    }
 
     /// A job's two block counts build one program: the second lift is
     /// the first one handed back, equal to a fresh lift of either build.

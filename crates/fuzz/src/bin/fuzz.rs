@@ -8,8 +8,9 @@
 //!
 //! Default run: replay the committed corpus (if `--corpus` points at
 //! one), then walk this shard's slice of the seed range. Any failure is
-//! minimized, written to `--failures-dir` (when set), and reported;
-//! exit status is 1 if anything failed, 0 on a green run.
+//! minimized, written to `--failures-dir` (when set; a repro that cannot
+//! be written is reported with its error), and reported; exit status is
+//! 1 if anything failed, 0 on a green run.
 //!
 //! Sharding: case `k` of the `N`-case campaign belongs to shard
 //! `k % n`, so `n` workers given `--shard 0/n` … `--shard (n-1)/n`
@@ -219,9 +220,10 @@ fn main() -> ExitCode {
         stats.variants,
         stats.failures.len(),
     );
-    for (f, path) in &stats.failures {
-        match path {
-            Some(p) => eprintln!("  {f}\n    repro: {}", p.display()),
+    for (f, repro) in &stats.failures {
+        match repro {
+            Some(Ok(path)) => eprintln!("  {f}\n    repro: {}", path.display()),
+            Some(Err(e)) => eprintln!("  {f}\n    repro not written: {e}"),
             None => eprintln!("  {f}"),
         }
     }

@@ -179,18 +179,20 @@ pub fn file_name(case: &FuzzCase) -> String {
     format!("seed-{:016x}.json", case.seed)
 }
 
-/// Write a repro file under `dir`; returns the path written.
+/// Write a repro file under `dir`, creating `dir` if needed; returns
+/// the path written, or an error naming that path.
 pub fn write_repro(
     dir: &Path,
     case: &FuzzCase,
     failure: Option<&FuzzFailure>,
-) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
+) -> Result<PathBuf, String> {
     let path = dir.join(file_name(case));
     let mut text = encode(case, failure).to_pretty();
     text.push('\n');
-    std::fs::write(&path, text)?;
-    Ok(path)
+    match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, text)) {
+        Ok(()) => Ok(path),
+        Err(e) => Err(format!("{}: {e}", path.display())),
+    }
 }
 
 /// Load every `.json` repro under `dir`, sorted by file name. Returns

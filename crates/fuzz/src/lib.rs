@@ -10,8 +10,10 @@
 //! Panics anywhere are contained into structured [`oracle::FuzzFailure`]
 //! records; each failure is shrunk by the built-in minimizer
 //! ([`mod@minimize`]) and persisted as a small JSON repro ([`corpus`]) that
-//! replays exactly. The `fuzz` bin shards campaigns by seed residue for
-//! CI (`--shard i/n`).
+//! replays exactly. A campaign runs its cases on the bench crate's
+//! worker pool and commits their results in seed order, so what it
+//! returns and writes does not depend on the core count. The `fuzz` bin
+//! shards campaigns by seed residue for CI (`--shard i/n`).
 
 // A `FuzzFailure` carries the whole failing `FuzzCase` by design — the
 // error *is* the repro, and it is only ever constructed on the cold
@@ -31,6 +33,7 @@ use std::path::PathBuf;
 use gen::{features, generate, FuzzCase};
 use minimize::minimize;
 use oracle::{run_case, run_case_with, FuzzFailure, Tamper};
+use subword_bench::pool::{pool, workers};
 
 /// One campaign's parameters.
 #[derive(Clone, Debug)]
@@ -72,52 +75,67 @@ pub struct CampaignStats {
     pub compacted: u64,
     /// Program variants diffed (summed over cases).
     pub variants: u64,
-    /// Failures, post-minimization, with the repro path when persisted.
-    pub failures: Vec<(FuzzFailure, Option<PathBuf>)>,
+    /// Failures, post-minimization, in seed order, each with its repro:
+    /// `None` without a failures dir, else the path written or
+    /// `path: error` for a repro that could not be written.
+    pub failures: Vec<(FuzzFailure, Option<Result<PathBuf, String>>)>,
 }
+
+/// Cases between two progress callbacks; the campaign also runs its
+/// cases on the worker pool one interval at a time.
+const PROGRESS_EVERY: usize = 500;
 
 /// Run one campaign shard. Failures never abort the walk: each is
 /// contained, minimized, persisted (when a failures dir is set) and
-/// collected.
-pub fn run_campaign(cfg: &CampaignConfig) -> CampaignStats {
-    run_campaign_with(cfg, None, &mut |_, _| {})
-}
-
-/// [`run_campaign`], with a fault-injection hook (tests) and a progress
-/// callback invoked as `(cases_done, failures_so_far)` every 500 cases.
+/// collected. `tamper` is a fault-injection hook (tests; `None` in real
+/// campaigns), and `progress` is called as `(cases_done,
+/// failures_so_far)` every 500 cases.
+///
+/// The shard's cases are generated on the calling thread, 500 at a
+/// time, and each interval's cases run on the worker [`pool`], where a
+/// failing case is also minimized. Their results are then committed in
+/// seed order, repros written here, so the stats, the progress calls and
+/// the files written are those of running the cases one by one.
 pub fn run_campaign_with(
     cfg: &CampaignConfig,
     tamper: Tamper<'_>,
     progress: &mut dyn FnMut(u64, usize),
 ) -> CampaignStats {
     assert!(cfg.shard_count > 0 && cfg.shard_index < cfg.shard_count, "bad shard spec");
+    let threads = workers();
+    let mut seeds = (0..cfg.count)
+        .filter(|k| k % cfg.shard_count == cfg.shard_index)
+        .map(|k| cfg.base_seed.wrapping_add(k));
     let mut stats = CampaignStats::default();
-    for k in 0..cfg.count {
-        if k % cfg.shard_count != cfg.shard_index {
-            continue;
+    loop {
+        let cases: Vec<FuzzCase> = seeds.by_ref().take(PROGRESS_EVERY).map(generate).collect();
+        if cases.is_empty() {
+            return stats;
         }
-        let case = generate(cfg.base_seed.wrapping_add(k));
-        match run_case_with(&case, tamper) {
-            Ok(report) => {
-                stats.lifted += report.lifted as u64;
-                stats.compacted += report.compacted as u64;
-                stats.variants += report.variants as u64;
+        let outcomes = pool(threads, cases.len(), |i| {
+            Ok(run_case_with(&cases[i], tamper).map_err(|failure| reminimize(failure, tamper)))
+        });
+        for (case, outcome) in cases.iter().zip(outcomes) {
+            match outcome.unwrap_or_else(|msg| panic!("seed {:#018x}: {msg}", case.seed)) {
+                Ok(report) => {
+                    stats.lifted += report.lifted as u64;
+                    stats.compacted += report.compacted as u64;
+                    stats.variants += report.variants as u64;
+                }
+                Err(failure) => {
+                    let repro = cfg
+                        .failures_dir
+                        .as_ref()
+                        .map(|dir| corpus::write_repro(dir, &failure.case, Some(&failure)));
+                    stats.failures.push((failure, repro));
+                }
             }
-            Err(failure) => {
-                let failure = reminimize(failure, tamper);
-                let path = cfg
-                    .failures_dir
-                    .as_ref()
-                    .and_then(|dir| corpus::write_repro(dir, &failure.case, Some(&failure)).ok());
-                stats.failures.push((failure, path));
-            }
+            stats.cases += 1;
         }
-        stats.cases += 1;
-        if stats.cases % 500 == 0 {
+        if stats.cases % PROGRESS_EVERY as u64 == 0 {
             progress(stats.cases, stats.failures.len());
         }
     }
-    stats
 }
 
 /// Shrink a failure's case and re-derive the failure record from the
@@ -137,9 +155,18 @@ fn reminimize(failure: FuzzFailure, tamper: Tamper<'_>) -> FuzzFailure {
     }
 }
 
-/// Replay a set of corpus cases (no minimization); returns the failures.
+/// Replay a set of corpus cases on the worker [`pool`] (no
+/// minimization); returns the failures in input order.
 pub fn replay(cases: &[(PathBuf, FuzzCase)]) -> Vec<(PathBuf, FuzzFailure)> {
-    cases.iter().filter_map(|(p, c)| run_case(c).err().map(|f| (p.clone(), f))).collect()
+    let outcomes = pool(workers(), cases.len(), |i| Ok(run_case(&cases[i].1).err()));
+    cases
+        .iter()
+        .zip(outcomes)
+        .filter_map(|((path, _), outcome)| {
+            let failure = outcome.unwrap_or_else(|msg| panic!("{}: {msg}", path.display()));
+            failure.map(|f| (path.clone(), f))
+        })
+        .collect()
 }
 
 /// Feature rates over the first `n` cases of a seed range — the

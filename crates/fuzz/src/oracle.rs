@@ -54,7 +54,7 @@ impl FailureKind {
 
 /// One contained failure: the case that triggered it, the stage that
 /// failed, and what happened there.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FuzzFailure {
     /// The offending case (possibly already minimized).
     pub case: FuzzCase,

@@ -12,10 +12,13 @@
 //! re-zeroed, are outside the clock. Each row reports dynamic
 //! instructions, the best-of-N wall time per column, simulated MIPS, the
 //! threaded/decoded speedup and the share of the `ooo` run's
-//! instructions whose timing was replayed. The engines' `SimStats` are
-//! asserted equal, the two out-of-order runs' `SimStats` and `OooStats`
-//! equal, and the out-of-order run's model-invariant counts equal to the
-//! engines', so the benchmark doubles as a smoke differential.
+//! instructions whose timing was replayed; under the table, the TOTAL
+//! `ooo`/`threaded` time ratio and the `ooo` runs' summed state re-keys
+//! (`TranslationStats::rekeys`, exact where the times are not). The
+//! engines' `SimStats` are asserted equal, the two out-of-order runs'
+//! `SimStats` and `OooStats` equal, and the out-of-order run's
+//! model-invariant counts equal to the engines', so the benchmark
+//! doubles as a smoke differential.
 //!
 //! ```text
 //! cargo bench -p subword-bench --bench interp                      # table only
@@ -109,6 +112,8 @@ struct Row {
     nanos: [u64; 5],
     /// Share of the `ooo` run's instructions whose timing was replayed.
     replayed: f64,
+    /// The `ooo` run's state re-keys.
+    rekeys: u64,
 }
 
 impl Row {
@@ -166,7 +171,7 @@ fn bench_build(
     );
     let tl = replayed.translation;
     let replayed = tl.replayed_slots as f64 / (tl.replayed_slots + tl.fallback_slots).max(1) as f64;
-    Row { kernel, variant, instructions: stats[0].instructions, nanos, replayed }
+    Row { kernel, variant, instructions: stats[0].instructions, nanos, replayed, rekeys: tl.rekeys }
 }
 
 fn suite_rows() -> Vec<Row> {
@@ -333,6 +338,11 @@ fn main() {
         tn[1] as f64 / tn[THREADED].max(1) as f64,
         mips(ti, tn[OOO]),
         mips(ti, tn[OOO_STEPPED])
+    );
+    println!(
+        "TOTAL ooo/threaded time {:.2}x; ooo state re-keys {}",
+        tn[OOO] as f64 / tn[THREADED].max(1) as f64,
+        rows.iter().map(|r| r.rekeys).sum::<u64>()
     );
 
     if let Some(path) = value_of("--baseline") {

@@ -365,9 +365,10 @@ fn contained_run(
 /// [`Compared::All`]. Returns the replaying run's [`TranslationStats`],
 /// which say how much it replayed.
 ///
-/// Not a leg of [`agree`]: the replay engages only from a region's 8th
-/// entry, which the fuzz generator's loops of 2–8 trips never reach, so
-/// there it would cost the fuzz oracle a second run that checks nothing.
+/// Not a leg of [`agree`]: a run builds its timing memo only at its 8th
+/// taken back edge, which the fuzz generator's loops of 2–8 trips never
+/// reach, so there it would cost the fuzz oracle a second run that
+/// checks nothing.
 pub fn ooo_replay_agrees(
     program: &Program,
     setup: &TestSetup,

@@ -1,12 +1,12 @@
 //! The out-of-order model's timing replay against stepping, on generated
-//! programs. The generator's loops run 2–8 trips, short of the 8 entries
-//! a region needs before its timing is memoised, so here every case runs
-//! 200 trips: all four compile variants of each generated case go
-//! through `verify::ooo_replay_agrees`, which runs each on the
-//! out-of-order model twice — timing every instruction under the decoded
-//! engine and replaying memoised region timings under the threaded one —
-//! and requires the whole state, `SimStats` and `OooStats` included, to
-//! be equal.
+//! programs. The generator's loops run 2–8 trips, so at most 7 taken
+//! back edges, short of the 8 a run takes before it builds its timing
+//! memo, so here every case runs 200 trips: all four compile variants
+//! of each generated case go through `verify::ooo_replay_agrees`, which
+//! runs each on the out-of-order model twice — timing every instruction
+//! under the decoded engine and replaying memoised region timings under
+//! the threaded one — and requires the whole state, `SimStats` and
+//! `OooStats` included, to be equal.
 //! The fuzz campaign never engages the replay, so this is its one
 //! generated-program check: 300 cases in a debug build, 3,000 in release.
 

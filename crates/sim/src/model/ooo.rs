@@ -69,15 +69,15 @@
 //!
 //! Under [`ExecEngine::Threaded`], the default engine, a run memoises
 //! this timing per straight-line region (the `memo` submodule, DESIGN.md
-//! §14): from a region's 8th entry on it executes the region first,
-//! then looks its timing up by the entry state taken relative to the
-//! dispatch frontier plus the region's dynamic inputs, and on a hit
-//! applies the recorded statistics and exit state instead of timing
-//! each instruction. Under [`ExecEngine::Decoded`] and
-//! [`ExecEngine::Reference`] every instruction is timed, so those
-//! engines are the oracle the replay is checked against: both paths
-//! leave bit-identical [`SimStats`], [`OooStats`], architectural state
-//! and faults.
+//! §14): once the run has taken 8 backward branches, from a region's
+//! 2nd entry on it executes the region first, then looks its timing up
+//! by the entry state taken relative to the dispatch frontier plus the
+//! region's dynamic inputs, and on a hit applies the recorded statistics
+//! and exit state instead of timing each instruction. Under
+//! [`ExecEngine::Decoded`] and [`ExecEngine::Reference`] every
+//! instruction is timed, so those engines are the oracle the replay is
+//! checked against: both paths leave bit-identical [`SimStats`],
+//! [`OooStats`], architectural state and faults.
 //!
 //! [`ExecEngine::Threaded`]: crate::ExecEngine::Threaded
 //! [`ExecEngine::Decoded`]: crate::ExecEngine::Decoded
@@ -490,7 +490,7 @@ impl Machine {
         let decoded = DecodedProgram::decode(program);
         let mut tm = OooTiming::new(self.rules);
         let threaded = self.cfg.engine == ExecEngine::Threaded;
-        // The timing memo is built at the run's `ENGAGE_AT`-th taken
+        // The timing memo is built at the run's `BUILD_AT`-th taken
         // backward branch, so a run that loops less never pays for one.
         let mut memo: Option<Memo> = None;
         let mut back_edges = 0;
@@ -530,7 +530,7 @@ impl Machine {
                 Some(target) => {
                     if threaded && memo.is_none() && target <= pc {
                         back_edges += 1;
-                        if back_edges == memo::ENGAGE_AT {
+                        if back_edges == memo::BUILD_AT {
                             let built = Memo::new(program, &decoded, &self.rules);
                             self.translation.regions = built.regions() as u64;
                             memo = Some(built);

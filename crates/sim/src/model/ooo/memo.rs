@@ -22,21 +22,26 @@
 //! by instruction.
 //!
 //! The timing never reads an address, so none is in the key. A memo
-//! [`Entry`] holds that key, the exit state relative to the exit
-//! frontier, the frontier's advance, the terminator's execute-complete
-//! cycle (its mispredict redirect is still applied live) and the
-//! statistics deltas.
+//! [`Entry`] holds that key, the terminator's execute-complete cycle, the
+//! statistics deltas (the region's instruction counts included, so a
+//! replay is one add) and the [`Exit`] states the region leaves.
 //!
-//! **Chaining.** After a replay the state stays virtual: an entry and a
-//! frontier. The next region is looked up among that entry's links by
-//! (region, dynamic inputs) alone, since its state is that entry's exit
-//! state. `OooTiming` is materialised only on a chain miss, a mispredict
-//! that moves the frontier, a region that is stepped (barrier, `halt`,
-//! not yet engaged) and a fault.
+//! **Chaining.** After a replay the state stays virtual: an exit and its
+//! frontier. The next region is looked up among that exit's links by
+//! (region, dynamic inputs) alone, since its state is the exit's state.
+//! A mispredict redirect raises the frontier by the same amount after
+//! every replay of an entry (its execute-complete cycle plus the
+//! machine's penalty, less its advance), so an entry keeps a second,
+//! redirected exit, settled at the raised frontier, with links of its
+//! own and the occupancy that settle folded. `OooTiming` is materialised
+//! only on a chain miss, a stepped region (barrier, `halt`, not yet
+//! engaged) and a fault.
 //!
 //! **Faults.** A region is deferred only when [`ADVANCE_SLACK`] bounds
 //! its frontier within `max_cycles`, so `MaxCyclesExceeded` is always
-//! raised by the stepped path. A functional fault inside a deferred
+//! raised by the stepped path. A redirected exit is materialised
+//! unsettled, as stepping leaves a redirect, and its fold is added only
+//! with the next replayed region. A functional fault inside a deferred
 //! region times the instructions before it, so the error and the
 //! statistics left behind equal the stepped path's.
 
@@ -53,18 +58,47 @@ use crate::translate::RegionIndex;
 use subword_isa::instr::RegMask;
 use subword_isa::program::Program;
 
-/// When the memo engages: a run builds it at its 8th taken backward
-/// branch, and a region's 8th entry after that is its first keyed one.
-/// Loops of a few trips (the fuzz generator's run 2–8) never pay for a
-/// memo.
-pub(super) const ENGAGE_AT: u32 = 8;
+/// When the memo is built: at a run's 8th taken backward branch. A loop
+/// of a few trips (the fuzz generator's run 2–8, so at most 7 back
+/// edges) never builds one.
+pub(super) const BUILD_AT: u32 = 8;
+
+/// A region's entries, counted from the memo's build, up to its first
+/// keyed one: a region entered only once more (straight-line code
+/// between loops) is timed one instruction at a time and never keyed.
+const ENGAGE_AT: u32 = 2;
 
 /// Memo entries kept per region; later misses are timed one
 /// instruction at a time.
 const MAX_ENTRIES_PER_REGION: usize = 64;
 
-/// Successor links kept per memo entry.
+/// Successor links kept per exit.
 const MAX_LINKS: usize = 8;
+
+/// Whether two runs of noted words are equal. Most regions note none,
+/// and an empty boxed slice points at the dangling address 8: `==` on
+/// two empty slices still calls `memcmp` with length 0, which glibc's
+/// AVX-512 `memcmp` serves with a masked load from that address, taking
+/// a fault-suppression assist on page 0 (~110 ns a compare, against
+/// ~1 ns with the empty case tested first, in a standalone `rustc -O`
+/// loop on a glibc 2.36 AVX-512 host). So the empty case never reaches
+/// `memcmp`.
+#[inline]
+fn same_words(a: &[u64], b: &[u64]) -> bool {
+    a.len() == b.len() && (a.is_empty() || a == b)
+}
+
+/// A timing state a memoised region leaves.
+struct Exit {
+    /// The state relative to its frontier ([`OooTiming::encode`]).
+    state: Box<[u64]>,
+    /// Its frontier minus the region's entry frontier.
+    advance: u64,
+    /// Its `last_retire` minus its frontier, or 0.
+    tail: u64,
+    /// `(region, entry)`: entries keyed on this state.
+    links: Vec<(u32, u32)>,
+}
 
 /// One memoised region timing.
 struct Entry {
@@ -72,31 +106,33 @@ struct Entry {
     state: Box<[u64]>,
     /// Noted words ([`Memo::note`]).
     inputs: Box<[u64]>,
-    /// Frontier-relative exit state.
-    exit: Box<[u64]>,
-    /// Exit frontier minus entry frontier.
-    advance: u64,
     /// The terminator's execute-complete cycle minus the entry frontier.
     exec_end: u64,
-    /// The exit state's `last_retire` minus the exit frontier.
-    tail: u64,
-    /// Statistics the timing added: `stall_cycles` and the occupancy
-    /// counters.
+    /// Statistics the region added: its instruction counts,
+    /// `stall_cycles` and the occupancy counters.
     stats: SimStats,
     /// [`OooStats`] the timing added; `rob_peak` is the region's own
     /// peak.
     ooo: OooStats,
-    /// `(region, entry)`: entries keyed on this entry's exit state.
-    links: Vec<(u32, u32)>,
+    /// The state the region leaves.
+    exit: Exit,
+    /// Once a run has taken it: the state after the terminator's
+    /// mispredict redirect raised the frontier past `exit`'s, settled at
+    /// the raised frontier, and the occupancy that settle folded, which
+    /// the next region replayed from it adds.
+    redirect: Option<Box<(Exit, SimStats)>>,
 }
 
-/// The timing state after a replay, not yet materialised: `entry`'s exit
-/// state at `frontier`. `synced` when `OooTiming` already holds an
-/// equivalent state (right after a recording).
+/// The timing state after a replay, not yet materialised: the exit of
+/// `entry` (its redirected exit if `redirected`) for a region entered
+/// at frontier `base`. `synced` when `OooTiming` already holds that
+/// state, possibly unsettled: right after a recording, or after a
+/// redirect whose exit is not kept yet.
 #[derive(Clone, Copy)]
 struct Virtual {
     entry: u32,
-    frontier: u64,
+    base: u64,
+    redirected: bool,
     synced: bool,
 }
 
@@ -105,10 +141,10 @@ struct Virtual {
 /// executed.
 pub(super) struct Memo {
     index: RegionIndex,
-    /// Each memoised region's instruction counts ([`count`]), added once
-    /// per completed execution.
+    /// Each memoised region's instruction counts ([`count`]), part of
+    /// every entry's statistics.
     counts: Vec<SimStats>,
-    /// Entries into each region so far.
+    /// Entries into each region since the memo was built.
     entered: Vec<u32>,
     /// Each region's entries, for lookups from a materialised state.
     table: Vec<Vec<u32>>,
@@ -171,21 +207,34 @@ impl Memo {
         (*entered >= ENGAGE_AT).then_some(r)
     }
 
+    /// `v`'s exit and that exit's frontier, if it is kept.
+    fn exit(&self, v: Virtual) -> Option<(&Exit, u64)> {
+        let e = &self.entries[v.entry as usize];
+        let exit = if v.redirected { &e.redirect.as_deref()?.0 } else { &e.exit };
+        Some((exit, v.base + exit.advance))
+    }
+
     /// Make `tm` the live timing state.
     pub(super) fn materialise(&mut self, tm: &mut OooTiming) {
-        if let Some(v) = self.virt.take() {
-            if !v.synced {
-                tm.restore(&self.entries[v.entry as usize].exit, v.frontier);
-            }
+        let Some(v) = self.virt.take().filter(|v| !v.synced) else {
+            return;
+        };
+        let e = &self.entries[v.entry as usize];
+        tm.restore(&e.exit.state, v.base + e.exit.advance);
+        if let Some((raised, _)) = e.redirect.as_deref().filter(|_| v.redirected) {
+            // Unsettled, as stepping leaves a redirect: the cycles below
+            // the raised frontier fold when the next instruction is
+            // timed, so a fault before it leaves stepping's statistics.
+            tm.fetch = v.base + raised.advance;
         }
     }
 
     /// `max(fetch, last_retire)` of the current state: no cycle it holds
     /// is later.
     fn reach(&self, tm: &OooTiming) -> u64 {
-        match self.virt {
-            Some(v) if !v.synced => v.frontier + self.entries[v.entry as usize].tail,
-            _ => tm.fetch.max(tm.last_retire),
+        match self.virt.filter(|v| !v.synced).and_then(|v| self.exit(v)) {
+            Some((exit, frontier)) => frontier + exit.tail,
+            None => tm.fetch.max(tm.last_retire),
         }
     }
 
@@ -206,6 +255,16 @@ impl Memo {
         self.inputs.push(offset << 32 | u64::from(mmio) << 24 | gp << 8 | mm);
     }
 
+    /// The entry linked from `v`'s exit for region `r` and the noted
+    /// words, and that exit's frontier.
+    fn chained(&self, v: Virtual, r: usize) -> Option<(u32, u64)> {
+        let (exit, frontier) = self.exit(v)?;
+        let &(_, e) = exit.links.iter().find(|&&(region, e)| {
+            region as usize == r && same_words(&self.entries[e as usize].inputs, &self.inputs)
+        })?;
+        Some((e, frontier))
+    }
+
     /// Time the executed region `r` from the memo, recording it on a
     /// miss; returns the terminator's execute-complete cycle.
     fn time(
@@ -215,35 +274,61 @@ impl Memo {
         r: usize,
         m: &mut Machine,
     ) -> u64 {
-        if let Some(v) = self.virt {
-            let links = &self.entries[v.entry as usize].links;
-            let inputs = &self.inputs[..];
-            let hit = links.iter().find(|&&(region, e)| {
-                region as usize == r && *self.entries[e as usize].inputs == *inputs
-            });
-            if let Some(&(_, e)) = hit {
-                return self.replay(e, v.frontier, m);
+        let from = self.virt;
+        if let Some(v) = from {
+            if let Some((e, frontier)) = self.chained(v, r) {
+                if v.redirected {
+                    let raised = self.entries[v.entry as usize].redirect.as_deref();
+                    let (_, fold) = raised.expect("a chained redirected exit is kept");
+                    m.stats += *fold;
+                }
+                return self.replay(e, frontier, m);
             }
         }
-        let from = self.virt.map(|v| v.entry);
         self.materialise(tm);
+        let unsettled = m.stats;
         tm.settle(&mut m.stats);
+        m.translation.rekeys += 1;
         self.key.clear();
         tm.encode(&mut self.key);
-        debug_assert!(from.is_none_or(|from| *self.entries[from as usize].exit == *self.key));
-        let (key, inputs) = (&self.key[..], &self.inputs[..]);
+        if let Some(v) = from.filter(|v| v.redirected) {
+            let e = &mut self.entries[v.entry as usize];
+            if e.redirect.is_none() {
+                // The state was the exit raised to the redirect: keep it
+                // settled, with what the settle folded.
+                let raised = Exit {
+                    state: self.key.as_slice().into(),
+                    advance: tm.fetch - v.base,
+                    tail: tm.last_retire.saturating_sub(tm.fetch),
+                    links: Vec::new(),
+                };
+                e.redirect = Some(Box::new((raised, m.stats - unsettled)));
+            }
+        }
+        debug_assert!(
+            from.is_none_or(|v| self.exit(v).is_some_and(|(exit, _)| *exit.state == *self.key)),
+            "a virtual state keys as its exit"
+        );
         let found = self.table[r].iter().copied().find(|&e| {
             let e = &self.entries[e as usize];
-            *e.inputs == *inputs && *e.state == *key
+            same_words(&e.inputs, &self.inputs) && *e.state == *self.key
         });
         let (e, exec_end) = match found {
             Some(e) => (e, self.replay(e, tm.fetch, m)),
             None if self.table[r].len() < MAX_ENTRIES_PER_REGION => self.record(tm, decoded, r, m),
-            None => return self.step(tm, decoded, m, self.end),
+            None => {
+                m.stats += self.counts[r];
+                return self.step(tm, decoded, m, self.end);
+            }
         };
-        if let Some(links) = from.map(|from| &mut self.entries[from as usize].links) {
-            if links.len() < MAX_LINKS {
-                links.push((r as u32, e));
+        if let Some(v) = from {
+            let from = &mut self.entries[v.entry as usize];
+            let exit = match &mut from.redirect {
+                Some(raised) if v.redirected => &mut raised.0,
+                _ => &mut from.exit,
+            };
+            if exit.links.len() < MAX_LINKS {
+                exit.links.push((r as u32, e));
             }
         }
         exec_end
@@ -279,9 +364,10 @@ impl Memo {
     }
 
     /// Time the region stepwise from the settled live state keyed in
-    /// [`Memo::key`] and keep what it did as region `r`'s new entry,
-    /// which the state then chains from. Returns the entry and the
-    /// terminator's execute-complete cycle.
+    /// [`Memo::key`] and keep what it did, its instruction counts
+    /// included, as region `r`'s new entry, which the state then chains
+    /// from. Returns the entry and the terminator's execute-complete
+    /// cycle.
     fn record(
         &mut self,
         tm: &mut OooTiming,
@@ -290,6 +376,7 @@ impl Memo {
         m: &mut Machine,
     ) -> (u32, u64) {
         let (frontier, stats_before, ooo_before) = (tm.fetch, m.stats, m.ooo);
+        m.stats += self.counts[r];
         m.ooo.rob_peak = 0;
         let exec_end = self.step(tm, decoded, m, self.end);
         tm.settle(&mut m.stats);
@@ -310,17 +397,20 @@ impl Memo {
         self.entries.push(Entry {
             state: self.key.as_slice().into(),
             inputs: self.inputs.as_slice().into(),
-            exit: exit.into(),
-            advance: tm.fetch - frontier,
             exec_end: exec_end - frontier,
-            tail: tm.last_retire.saturating_sub(tm.fetch),
             stats: m.stats - stats_before,
             ooo: added,
-            links: Vec::new(),
+            exit: Exit {
+                state: exit.into(),
+                advance: tm.fetch - frontier,
+                tail: tm.last_retire.saturating_sub(tm.fetch),
+                links: Vec::new(),
+            },
+            redirect: None,
         });
         self.table[r].push(id);
         m.translation.translations += 1;
-        self.virt = Some(Virtual { entry: id, frontier: tm.fetch, synced: true });
+        self.virt = Some(Virtual { entry: id, base: frontier, redirected: false, synced: true });
         (id, exec_end)
     }
 
@@ -340,19 +430,32 @@ impl Memo {
         ooo.dispatched += add.dispatched;
         m.translation.replays += 1;
         m.translation.replayed_slots += (self.end - self.start) as u64;
-        let (advance, exec_end) = (entry.advance, entry.exec_end);
-        self.virt = Some(Virtual { entry: e, frontier: frontier + advance, synced: false });
-        frontier + exec_end
+        self.virt = Some(Virtual { entry: e, base: frontier, redirected: false, synced: false });
+        frontier + entry.exec_end
     }
 
-    /// Raise the dispatch frontier to `to` (a mispredict's fetch
-    /// redirect), materialising the state when it moves.
+    /// Raise the dispatch frontier to `to` (the timed region's
+    /// mispredict redirect). From a replayed or recorded exit below `to`
+    /// the state moves to that entry's redirected exit: virtually when it
+    /// is kept, else live, to be kept at the next region's key.
     fn redirect(&mut self, tm: &mut OooTiming, to: u64) {
-        if self.virt.is_some_and(|v| to <= v.frontier) {
+        let Some(v) = self.virt else {
+            tm.fetch = tm.fetch.max(to);
+            return;
+        };
+        let e = &self.entries[v.entry as usize];
+        if to <= v.base + e.exit.advance {
             return;
         }
-        self.materialise(tm);
-        tm.fetch = tm.fetch.max(to);
+        if let Some((raised, _)) = e.redirect.as_deref() {
+            // The penalty is the machine's, so the raise is the entry's own.
+            debug_assert_eq!(v.base + raised.advance, to);
+            self.virt = Some(Virtual { redirected: true, synced: false, ..v });
+        } else {
+            self.materialise(tm);
+            tm.fetch = to;
+            self.virt = Some(Virtual { redirected: true, synced: true, ..v });
+        }
     }
 }
 
@@ -405,7 +508,6 @@ impl Machine {
                 }
             }
         }
-        self.stats += memo.counts[r];
         let exec_end = memo.time(tm, decoded, r, self);
         *pc = region.end;
         if let Some(taken) = last.branch {

@@ -135,6 +135,10 @@ pub struct TranslationStats {
     pub aborts: u64,
     /// Issue slots retired through the stepper, recordings included.
     pub fallback_slots: u64,
+    /// Out-of-order model only: lookups of a materialised timing state,
+    /// each an encoding of the state and a scan of the region's entries
+    /// (0 on the in-order engines).
+    pub rekeys: u64,
 }
 
 /// SPU controller component of an entry signature.
@@ -679,6 +683,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::default());
         let threaded = m.run(&p).unwrap();
         assert!(m.translation.replays > 0);
+        assert_eq!(m.translation.rekeys, 0, "only the out-of-order memo re-keys");
         let mut d = Machine::new(MachineConfig::default());
         let decoded = d.run_decoded(&p).unwrap();
         assert_eq!(d.translation, TranslationStats::default());

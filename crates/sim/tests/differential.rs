@@ -30,7 +30,7 @@ use subword_isa::{AluOp, Cond, Mem, ProgramBuilder};
 use subword_kernels::suite::{all_suites, dotprod_example};
 use subword_sim::memory::MEMORY_SIZE;
 use subword_sim::model::inorder::Issued;
-use subword_sim::{ExecEngine, Machine, MachineConfig, PipelineKind, SimError};
+use subword_sim::{ExecEngine, Machine, MachineConfig, PipelineKind, SimError, SimStats};
 use subword_spu::mmio::{SpuMmio, SPU_MMIO_BASE};
 use subword_spu::{CrossbarShape, SHAPE_A, SHAPE_B, SHAPE_C, SHAPE_D};
 
@@ -122,6 +122,25 @@ fn ooo_replay_matches_stepping_at_large_block_count() {
             assert!(share > 0.5, "{label}: replayed {share:.3} of the run: {tl:?}");
         }
     }
+}
+
+/// The replay's work on the large-block FFT1024, lifted under shape D,
+/// pinned by count: FFT's 3-trip inner loops exit through a mispredict
+/// on every trip of their outer loops, and the memo chains through those
+/// redirects, so the run keys a materialised timing state 64 times
+/// (1,876 when every redirect re-keyed) and times 647 of its 615,354
+/// instructions one at a time.
+#[test]
+fn ooo_replay_rekeys_fft1024_by_count() {
+    let e = all_suites().into_iter().find(|e| e.kernel.name() == "FFT1024").expect("in the suite");
+    let build = e.kernel.build(e.blocks_large);
+    let built = build_variants(build.program.clone(), &[Variant::Lifted], &SHAPE_D, &plain_lift)
+        .unwrap_or_else(|err| panic!("FFT1024: {err}"));
+    let (variant, program) = &built.programs[0];
+    let cfg = variant.machine(&MachineConfig::default(), &SHAPE_D);
+    let tl = ooo_replay_agrees(program, &build.setup, &cfg).unwrap_or_else(|d| panic!("{d}"));
+    assert_eq!((tl.rekeys, tl.fallback_slots), (64, 647), "{tl:?}");
+    assert_eq!(tl.replayed_slots + tl.fallback_slots, 615_354, "{tl:?}");
 }
 
 /// A register-addressed load that lands in the SPU window on every other
@@ -217,7 +236,28 @@ fn engines_agree_on_max_cycles_fault() {
     let off_the_end = format!(
         "mov r0, 1000\nmov r1, 0\nl:\n {body} add r1, 0x10000\n sub r0, 1\n jnz l\n halt\n"
     );
-    let ooo_fault = |src: &str, max_cycles, engine| {
+    for (name, src, max_cycles) in
+        [("mid-iteration", &mid_iteration, 777), ("load", &off_the_end, u64::MAX)]
+    {
+        let (err, stats) = ooo_fault_agrees(name, src, max_cycles);
+        match (name, &err) {
+            ("mid-iteration", &SimError::MaxCyclesExceeded { pc, .. }) => {
+                assert!((3..19).contains(&pc), "{name}: the limit fell at pc {pc}")
+            }
+            ("load", &SimError::MemOutOfBounds { pc, addr, .. }) => {
+                assert_eq!((pc, addr, stats.branches), (4, 0x40_0000, 64), "{name}")
+            }
+            _ => panic!("{name}: unexpected fault {err:?}"),
+        }
+    }
+}
+
+/// Run `src` on the out-of-order model with a `max_cycles` limit, timing
+/// every instruction and replaying region timings, and require both to
+/// fault alike and leave the same `SimStats` and `OooStats` after the
+/// memo has replayed. Returns the error and the statistics.
+fn ooo_fault_agrees(name: &str, src: &str, max_cycles: u64) -> (SimError, SimStats) {
+    let ooo_fault = |engine| {
         let p = subword_isa::asm::assemble("t", src).unwrap();
         let cfg = MachineConfig {
             engine,
@@ -229,24 +269,54 @@ fn engines_agree_on_max_cycles_fault() {
         let err = m.run(&p).expect_err("the run faults");
         (err, m.stats, m.ooo, m.translation.replays)
     };
-    for (name, src, max_cycles) in
-        [("mid-iteration", &mid_iteration, 777), ("load", &off_the_end, u64::MAX)]
-    {
-        let (err, stats, ooo, _) = ooo_fault(src, max_cycles, ExecEngine::Decoded);
-        let (replay_err, replay_stats, replay_ooo, replays) =
-            ooo_fault(src, max_cycles, ExecEngine::Threaded);
-        assert!(replays > 0, "{name}: the memo never engaged");
-        assert_eq!(replay_err, err, "{name}");
-        assert_eq!(replay_stats, stats, "{name}");
-        assert_eq!(replay_ooo, ooo, "{name}");
-        match (name, &err) {
-            ("mid-iteration", &SimError::MaxCyclesExceeded { pc, .. }) => {
-                assert!((3..19).contains(&pc), "{name}: the limit fell at pc {pc}")
-            }
-            ("load", &SimError::MemOutOfBounds { pc, addr, .. }) => {
-                assert_eq!((pc, addr, stats.branches), (4, 0x40_0000, 64), "{name}")
-            }
-            _ => panic!("{name}: unexpected fault {err:?}"),
-        }
+    let (err, stats, ooo, _) = ooo_fault(ExecEngine::Decoded);
+    let (replay_err, replay_stats, replay_ooo, replays) = ooo_fault(ExecEngine::Threaded);
+    assert!(replays > 0, "{name}: the memo never engaged");
+    assert_eq!(replay_err, err, "{name}");
+    assert_eq!(replay_stats, stats, "{name}");
+    assert_eq!(replay_ooo, ooo, "{name}");
+    (err, stats)
+}
+
+/// An FFT-shaped program: a 3-trip inner loop whose exit mispredicts on
+/// every trip of a 60-trip outer loop, then a region that loads through
+/// `r2` and steps it by `stride`. The memo chains through each
+/// mispredict redirect from the inner loop's redirected exit. Replayed
+/// and stepped timing agree on the whole state, and on two faults that
+/// fall in the region right after a mispredicted inner exit, where the
+/// state is a redirected exit: a cycle limit, and a load that leaves
+/// memory on the 41st outer trip, before any instruction of that region
+/// is timed.
+#[test]
+fn ooo_replay_chains_through_mispredicted_loop_exits() {
+    let fft_shaped = |base: u32, stride: u32| {
+        format!(
+            "mov r0, 60\nmov r2, {base}\nouter:\n mov r1, 3\ninner:\n pmullw mm0, mm1\n \
+             paddw mm2, mm0\n sub r1, 1\n jnz inner\n movq mm3, [r2]\n paddw mm3, mm2\n \
+             add r2, {stride}\n sub r0, 1\n jnz outer\n halt\n"
+        )
+    };
+    // `movq mm3, [r2]`, the first instruction after the inner exit.
+    const AFTER_EXIT: usize = 7;
+    let src = fft_shaped(0x1000, 8);
+    let p = subword_isa::asm::assemble("t", &src).unwrap();
+    let cfg = MachineConfig::default();
+    let tl = ooo_replay_agrees(&p, &TestSetup::default(), &cfg).unwrap_or_else(|d| panic!("{d}"));
+    let stats = run(&p, &TestSetup::default(), cfg).unwrap().stats;
+    assert_eq!(stats.mispredicts, 63, "60 inner exits and 3 more");
+    // Without chaining through the redirects, every inner exit re-keys.
+    assert_eq!(tl.rekeys, 6, "{tl:?}");
+
+    let (err, stats) = ooo_fault_agrees("cycle limit", &src, 606);
+    assert_eq!(err, SimError::MaxCyclesExceeded { pc: AFTER_EXIT, limit: 606 });
+    assert_eq!(stats.mispredicts, 52, "the limit falls late in the outer loop");
+
+    let top = MEMORY_SIZE as u32;
+    let (err, stats) =
+        ooo_fault_agrees("load", &fft_shaped(top - 40 * 0x1_0000, 0x1_0000), u64::MAX);
+    match err {
+        SimError::MemOutOfBounds { pc, addr, .. } => assert_eq!((pc, addr), (AFTER_EXIT, top)),
+        _ => panic!("unexpected fault {err:?}"),
     }
+    assert_eq!(stats.loads, 40, "{stats:?}");
 }

@@ -10,20 +10,21 @@
 //! Every machine starts from zeroed memory, but a run writes little of it
 //! (136 bytes for a fuzz case, under 388 KiB for a kernel), so zeroing all
 //! of it per machine would cost more than the simulation. Instead the
-//! process keeps a bounded free list of all-zero buffers: `Memory::new`
-//! takes one, and allocates a zeroed one only when the list is empty.
-//! Every write widens the written window `lo..hi`; every byte outside
-//! that window is zero. Dropping a `Memory` zeroes exactly the window and
+//! process keeps a free list of all-zero buffers: `Memory::new` takes
+//! one, and allocates a zeroed one only when the list is empty. Every
+//! write widens the written window `lo..hi`; every byte outside that
+//! window is zero. Dropping a `Memory` zeroes exactly the window and
 //! returns the buffer to the list, so zeroing happens at teardown and
 //! never inside a run.
 //!
-//! The list is shared by all threads. A worker pool's threads end after
-//! each batch of jobs (the fuzz campaign's 500-case intervals), and a
-//! spare kept per thread ended with its thread, so every batch allocated
-//! fresh buffers: once glibc had raised its mmap threshold past 4 MiB,
-//! each came from `calloc`, which zeroes all of it, and a pooled
-//! campaign's peak RSS grew with its length (3.1 MB at 200 cases,
-//! 15.7 MB at 20,000). [`buffers_allocated`] counts the allocations.
+//! The list is shared by all threads, so a buffer outlives the thread
+//! whose machine used it: a worker pool's threads end after each batch
+//! of jobs (the fuzz campaign's 500-case intervals), and the next
+//! batch's threads take their buffers back instead of allocating new
+//! ones, which `calloc` would zero in full. A buffer is allocated only
+//! when the list is empty, so the list never holds more buffers than
+//! the most memories that were live at once, on any number of cores.
+//! [`buffers_allocated`] counts the allocations.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -36,13 +37,8 @@ pub const MEMORY_SIZE: usize = 4 << 20;
 static ZEROS: [u8; 4096] = [0; 4096];
 
 /// All-zero buffers of [`MEMORY_SIZE`] bytes that dropped memories
-/// returned, at most [`MAX_SPARES`].
+/// returned.
 static SPARES: Mutex<Vec<Vec<u8>>> = Mutex::new(Vec::new());
-
-/// Buffers the free list keeps: more than the memories a process holds
-/// at once (one per pool worker, two in a test that compares engines).
-/// A buffer dropped beyond it is freed.
-const MAX_SPARES: usize = 8;
 
 /// Buffers allocated because the free list was empty.
 static ALLOCATED: AtomicU64 = AtomicU64::new(0);
@@ -196,11 +192,7 @@ impl Drop for Memory {
                 chunk.copy_from_slice(&ZEROS[..chunk.len()]);
             }
         }
-        let bytes = std::mem::take(&mut self.bytes);
-        let mut spares = spares();
-        if spares.len() < MAX_SPARES {
-            spares.push(bytes);
-        }
+        spares().push(std::mem::take(&mut self.bytes));
     }
 }
 

@@ -22,26 +22,22 @@
 //! by instruction.
 //!
 //! The timing never reads an address, so none is in the key. A memo
-//! [`Entry`] holds that key, the terminator's execute-complete cycle, the
-//! statistics deltas (the region's instruction counts included, so a
-//! replay is one add) and the [`Exit`] states the region leaves.
+//! [`Entry`] holds that key, the exit state relative to the exit
+//! frontier, the frontier's advance, the terminator's execute-complete
+//! cycle (its mispredict redirect is still applied live) and the
+//! statistics deltas, the region's instruction counts included, so a
+//! replay is one add.
 //!
-//! **Chaining.** After a replay the state stays virtual: an exit and its
-//! frontier. The next region is looked up among that exit's links by
-//! (region, dynamic inputs) alone, since its state is the exit's state.
-//! A mispredict redirect raises the frontier by the same amount after
-//! every replay of an entry (its execute-complete cycle plus the
-//! machine's penalty, less its advance), so an entry keeps a second,
-//! redirected exit, settled at the raised frontier, with links of its
-//! own and the occupancy that settle folded. `OooTiming` is materialised
-//! only on a chain miss, a stepped region (barrier, `halt`, not yet
-//! engaged) and a fault.
+//! **Chaining.** After a replay the state stays virtual: an entry and a
+//! frontier. The next region is looked up among that entry's links by
+//! (region, dynamic inputs) alone, since its state is that entry's exit
+//! state. `OooTiming` is materialised only on a chain miss, a mispredict
+//! that moves the frontier, a region that is stepped (barrier, `halt`,
+//! not yet engaged) and a fault.
 //!
 //! **Faults.** A region is deferred only when [`ADVANCE_SLACK`] bounds
 //! its frontier within `max_cycles`, so `MaxCyclesExceeded` is always
-//! raised by the stepped path. A redirected exit is materialised
-//! unsettled, as stepping leaves a redirect, and its fold is added only
-//! with the next replayed region. A functional fault inside a deferred
+//! raised by the stepped path. A functional fault inside a deferred
 //! region times the instructions before it, so the error and the
 //! statistics left behind equal the stepped path's.
 
@@ -72,7 +68,7 @@ const ENGAGE_AT: u32 = 2;
 /// instruction at a time.
 const MAX_ENTRIES_PER_REGION: usize = 64;
 
-/// Successor links kept per exit.
+/// Successor links kept per memo entry.
 const MAX_LINKS: usize = 8;
 
 /// Whether two runs of noted words are equal. Most regions note none,
@@ -88,51 +84,37 @@ fn same_words(a: &[u64], b: &[u64]) -> bool {
     a.len() == b.len() && (a.is_empty() || a == b)
 }
 
-/// A timing state a memoised region leaves.
-struct Exit {
-    /// The state relative to its frontier ([`OooTiming::encode`]).
-    state: Box<[u64]>,
-    /// Its frontier minus the region's entry frontier.
-    advance: u64,
-    /// Its `last_retire` minus its frontier, or 0.
-    tail: u64,
-    /// `(region, entry)`: entries keyed on this state.
-    links: Vec<(u32, u32)>,
-}
-
 /// One memoised region timing.
 struct Entry {
     /// Frontier-relative entry state ([`OooTiming::encode`]).
     state: Box<[u64]>,
     /// Noted words ([`Memo::note`]).
     inputs: Box<[u64]>,
+    /// Frontier-relative exit state.
+    exit: Box<[u64]>,
+    /// Exit frontier minus entry frontier.
+    advance: u64,
     /// The terminator's execute-complete cycle minus the entry frontier.
     exec_end: u64,
+    /// The exit state's `last_retire` minus the exit frontier.
+    tail: u64,
     /// Statistics the region added: its instruction counts,
     /// `stall_cycles` and the occupancy counters.
     stats: SimStats,
     /// [`OooStats`] the timing added; `rob_peak` is the region's own
     /// peak.
     ooo: OooStats,
-    /// The state the region leaves.
-    exit: Exit,
-    /// Once a run has taken it: the state after the terminator's
-    /// mispredict redirect raised the frontier past `exit`'s, settled at
-    /// the raised frontier, and the occupancy that settle folded, which
-    /// the next region replayed from it adds.
-    redirect: Option<Box<(Exit, SimStats)>>,
+    /// `(region, entry)`: entries keyed on this entry's exit state.
+    links: Vec<(u32, u32)>,
 }
 
-/// The timing state after a replay, not yet materialised: the exit of
-/// `entry` (its redirected exit if `redirected`) for a region entered
-/// at frontier `base`. `synced` when `OooTiming` already holds that
-/// state, possibly unsettled: right after a recording, or after a
-/// redirect whose exit is not kept yet.
+/// The timing state after a replay, not yet materialised: `entry`'s exit
+/// state at `frontier`. `synced` when `OooTiming` already holds an
+/// equivalent state (right after a recording).
 #[derive(Clone, Copy)]
 struct Virtual {
     entry: u32,
-    base: u64,
-    redirected: bool,
+    frontier: u64,
     synced: bool,
 }
 
@@ -207,34 +189,21 @@ impl Memo {
         (*entered >= ENGAGE_AT).then_some(r)
     }
 
-    /// `v`'s exit and that exit's frontier, if it is kept.
-    fn exit(&self, v: Virtual) -> Option<(&Exit, u64)> {
-        let e = &self.entries[v.entry as usize];
-        let exit = if v.redirected { &e.redirect.as_deref()?.0 } else { &e.exit };
-        Some((exit, v.base + exit.advance))
-    }
-
     /// Make `tm` the live timing state.
     pub(super) fn materialise(&mut self, tm: &mut OooTiming) {
-        let Some(v) = self.virt.take().filter(|v| !v.synced) else {
-            return;
-        };
-        let e = &self.entries[v.entry as usize];
-        tm.restore(&e.exit.state, v.base + e.exit.advance);
-        if let Some((raised, _)) = e.redirect.as_deref().filter(|_| v.redirected) {
-            // Unsettled, as stepping leaves a redirect: the cycles below
-            // the raised frontier fold when the next instruction is
-            // timed, so a fault before it leaves stepping's statistics.
-            tm.fetch = v.base + raised.advance;
+        if let Some(v) = self.virt.take() {
+            if !v.synced {
+                tm.restore(&self.entries[v.entry as usize].exit, v.frontier);
+            }
         }
     }
 
     /// `max(fetch, last_retire)` of the current state: no cycle it holds
     /// is later.
     fn reach(&self, tm: &OooTiming) -> u64 {
-        match self.virt.filter(|v| !v.synced).and_then(|v| self.exit(v)) {
-            Some((exit, frontier)) => frontier + exit.tail,
-            None => tm.fetch.max(tm.last_retire),
+        match self.virt {
+            Some(v) if !v.synced => v.frontier + self.entries[v.entry as usize].tail,
+            _ => tm.fetch.max(tm.last_retire),
         }
     }
 
@@ -255,16 +224,6 @@ impl Memo {
         self.inputs.push(offset << 32 | u64::from(mmio) << 24 | gp << 8 | mm);
     }
 
-    /// The entry linked from `v`'s exit for region `r` and the noted
-    /// words, and that exit's frontier.
-    fn chained(&self, v: Virtual, r: usize) -> Option<(u32, u64)> {
-        let (exit, frontier) = self.exit(v)?;
-        let &(_, e) = exit.links.iter().find(|&&(region, e)| {
-            region as usize == r && same_words(&self.entries[e as usize].inputs, &self.inputs)
-        })?;
-        Some((e, frontier))
-    }
-
     /// Time the executed region `r` from the memo, recording it on a
     /// miss; returns the terminator's execute-complete cycle.
     fn time(
@@ -274,41 +233,22 @@ impl Memo {
         r: usize,
         m: &mut Machine,
     ) -> u64 {
-        let from = self.virt;
-        if let Some(v) = from {
-            if let Some((e, frontier)) = self.chained(v, r) {
-                if v.redirected {
-                    let raised = self.entries[v.entry as usize].redirect.as_deref();
-                    let (_, fold) = raised.expect("a chained redirected exit is kept");
-                    m.stats += *fold;
-                }
-                return self.replay(e, frontier, m);
+        if let Some(v) = self.virt {
+            let links = &self.entries[v.entry as usize].links;
+            let hit = links.iter().find(|&&(region, e)| {
+                region as usize == r && same_words(&self.entries[e as usize].inputs, &self.inputs)
+            });
+            if let Some(&(_, e)) = hit {
+                return self.replay(e, v.frontier, m);
             }
         }
+        let from = self.virt.map(|v| v.entry);
         self.materialise(tm);
-        let unsettled = m.stats;
         tm.settle(&mut m.stats);
         m.translation.rekeys += 1;
         self.key.clear();
         tm.encode(&mut self.key);
-        if let Some(v) = from.filter(|v| v.redirected) {
-            let e = &mut self.entries[v.entry as usize];
-            if e.redirect.is_none() {
-                // The state was the exit raised to the redirect: keep it
-                // settled, with what the settle folded.
-                let raised = Exit {
-                    state: self.key.as_slice().into(),
-                    advance: tm.fetch - v.base,
-                    tail: tm.last_retire.saturating_sub(tm.fetch),
-                    links: Vec::new(),
-                };
-                e.redirect = Some(Box::new((raised, m.stats - unsettled)));
-            }
-        }
-        debug_assert!(
-            from.is_none_or(|v| self.exit(v).is_some_and(|(exit, _)| *exit.state == *self.key)),
-            "a virtual state keys as its exit"
-        );
+        debug_assert!(from.is_none_or(|from| *self.entries[from as usize].exit == *self.key));
         let found = self.table[r].iter().copied().find(|&e| {
             let e = &self.entries[e as usize];
             same_words(&e.inputs, &self.inputs) && *e.state == *self.key
@@ -321,14 +261,9 @@ impl Memo {
                 return self.step(tm, decoded, m, self.end);
             }
         };
-        if let Some(v) = from {
-            let from = &mut self.entries[v.entry as usize];
-            let exit = match &mut from.redirect {
-                Some(raised) if v.redirected => &mut raised.0,
-                _ => &mut from.exit,
-            };
-            if exit.links.len() < MAX_LINKS {
-                exit.links.push((r as u32, e));
+        if let Some(links) = from.map(|from| &mut self.entries[from as usize].links) {
+            if links.len() < MAX_LINKS {
+                links.push((r as u32, e));
             }
         }
         exec_end
@@ -397,20 +332,17 @@ impl Memo {
         self.entries.push(Entry {
             state: self.key.as_slice().into(),
             inputs: self.inputs.as_slice().into(),
+            exit: exit.into(),
+            advance: tm.fetch - frontier,
             exec_end: exec_end - frontier,
+            tail: tm.last_retire.saturating_sub(tm.fetch),
             stats: m.stats - stats_before,
             ooo: added,
-            exit: Exit {
-                state: exit.into(),
-                advance: tm.fetch - frontier,
-                tail: tm.last_retire.saturating_sub(tm.fetch),
-                links: Vec::new(),
-            },
-            redirect: None,
+            links: Vec::new(),
         });
         self.table[r].push(id);
         m.translation.translations += 1;
-        self.virt = Some(Virtual { entry: id, base: frontier, redirected: false, synced: true });
+        self.virt = Some(Virtual { entry: id, frontier: tm.fetch, synced: true });
         (id, exec_end)
     }
 
@@ -430,32 +362,19 @@ impl Memo {
         ooo.dispatched += add.dispatched;
         m.translation.replays += 1;
         m.translation.replayed_slots += (self.end - self.start) as u64;
-        self.virt = Some(Virtual { entry: e, base: frontier, redirected: false, synced: false });
-        frontier + entry.exec_end
+        let (advance, exec_end) = (entry.advance, entry.exec_end);
+        self.virt = Some(Virtual { entry: e, frontier: frontier + advance, synced: false });
+        frontier + exec_end
     }
 
-    /// Raise the dispatch frontier to `to` (the timed region's
-    /// mispredict redirect). From a replayed or recorded exit below `to`
-    /// the state moves to that entry's redirected exit: virtually when it
-    /// is kept, else live, to be kept at the next region's key.
+    /// Raise the dispatch frontier to `to` (a mispredict's fetch
+    /// redirect), materialising the state when it moves.
     fn redirect(&mut self, tm: &mut OooTiming, to: u64) {
-        let Some(v) = self.virt else {
-            tm.fetch = tm.fetch.max(to);
-            return;
-        };
-        let e = &self.entries[v.entry as usize];
-        if to <= v.base + e.exit.advance {
+        if self.virt.is_some_and(|v| to <= v.frontier) {
             return;
         }
-        if let Some((raised, _)) = e.redirect.as_deref() {
-            // The penalty is the machine's, so the raise is the entry's own.
-            debug_assert_eq!(v.base + raised.advance, to);
-            self.virt = Some(Virtual { redirected: true, synced: false, ..v });
-        } else {
-            self.materialise(tm);
-            tm.fetch = to;
-            self.virt = Some(Virtual { redirected: true, synced: true, ..v });
-        }
+        self.materialise(tm);
+        tm.fetch = tm.fetch.max(to);
     }
 }
 

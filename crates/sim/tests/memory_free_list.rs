@@ -12,8 +12,7 @@ use subword_sim::{Machine, MachineConfig};
 /// Rounds of two scoped threads, each building a machine, writing its
 /// memory and holding it until the other has built its own, allocate
 /// two buffers in all: the first round's, which every later round's
-/// new threads take back from the list, re-zeroed. With a spare kept
-/// per thread, each round's threads allocated two more.
+/// new threads take back from the list, re-zeroed.
 #[test]
 fn threads_that_end_leave_their_buffers_to_later_threads() {
     let before = buffers_allocated();

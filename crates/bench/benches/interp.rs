@@ -9,7 +9,9 @@
 //! engine, which times every instruction (`ooo_stepped`). Only the
 //! simulator itself is timed. Machine construction and state
 //! initialisation, and the machine's drop, where its written memory is
-//! re-zeroed, are outside the clock. Each row reports dynamic
+//! re-zeroed, are outside the clock. A row times its columns
+//! round-robin, one repetition of each at a time, so the host's drift
+//! moves them alike. Each row reports dynamic
 //! instructions, the best-of-N wall time per column, simulated MIPS, the
 //! threaded/decoded speedup and the share of the `ooo` run's
 //! instructions whose timing was replayed; under the table, the TOTAL
@@ -127,18 +129,24 @@ impl Row {
     }
 }
 
-/// Best-of-N simulator wall time for one build under one configuration;
-/// returns what the last run left for cross-column comparison.
-fn time_run(build: &KernelBuild, cfg: MachineConfig) -> (u64, Ran) {
-    let mut best = u64::MAX;
-    let mut ran = Ran::default();
+/// Best-of-N simulator wall time of one build in every column, timed
+/// round-robin: repetition `r` of each column runs before repetition
+/// `r + 1` of any, so host load that drifts during a row lands on all of
+/// its columns alike. Returns, per column, the best time and what the
+/// last run left for cross-column comparison.
+fn time_columns(build: &KernelBuild, cfg: &MachineConfig) -> ([u64; 5], [Ran; 5]) {
+    let configs = COLUMNS.map(|col| col.config(cfg));
+    let mut best = [u64::MAX; 5];
+    let mut ran = [Ran::default(); 5];
     for _ in 0..REPS {
-        let mut m = build.setup.machine(cfg.clone()).expect("init in bounds");
-        let t = Instant::now();
-        let stats = m.run(&build.program).expect("kernel runs");
-        best = best.min(t.elapsed().as_nanos() as u64);
-        build.check(&m, "bench").expect("golden outputs");
-        ran = Ran { stats, ooo: m.ooo, translation: m.translation };
+        for (k, cfg) in configs.iter().enumerate() {
+            let mut m = build.setup.machine(cfg.clone()).expect("init in bounds");
+            let t = Instant::now();
+            let stats = m.run(&build.program).expect("kernel runs");
+            best[k] = best[k].min(t.elapsed().as_nanos() as u64);
+            build.check(&m, "bench").expect("golden outputs");
+            ran[k] = Ran { stats, ooo: m.ooo, translation: m.translation };
+        }
     }
     (best, ran)
 }
@@ -149,11 +157,7 @@ fn bench_build(
     build: &KernelBuild,
     cfg: &MachineConfig,
 ) -> Row {
-    let mut nanos = [0u64; 5];
-    let mut ran = [Ran::default(); 5];
-    for (k, col) in COLUMNS.into_iter().enumerate() {
-        (nanos[k], ran[k]) = time_run(build, col.config(cfg));
-    }
+    let (nanos, ran) = time_columns(build, cfg);
     let stats = ran.map(|r| r.stats);
     assert_eq!(stats[0], stats[1], "decoded diverges from reference on {kernel}/{variant}");
     assert_eq!(stats[0], stats[2], "threaded diverges from reference on {kernel}/{variant}");

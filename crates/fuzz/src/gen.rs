@@ -135,10 +135,10 @@ pub const ALU_OPS: [AluOp; 7] =
 
 /// Offsets inside one SPU context region the `MmioStore` step writes to:
 /// control staging (counters, entry) below [`STATE_TABLE_OFF`] and
-/// microcode staging at and above it — the boundary
-/// `store_stages_microcode` tests sits between index 3 and 4. Offset 0
-/// (the CONFIG/GO register) is deliberately absent: the generator stages
-/// bytes, it never arms the controller with a garbage image.
+/// microcode staging at and above it, the boundary sitting between
+/// index 3 and 4. Offset 0 (the CONFIG/GO register) is deliberately
+/// absent: the generator stages bytes, it never arms the controller with
+/// a garbage image.
 pub const MMIO_OFFS: [u32; 8] = [
     0x8,                  // counter 0 staging
     0x10,                 // counter 1 staging

@@ -105,6 +105,12 @@ impl ClassFlags {
         self.0 & Self::STORE != 0
     }
 
+    /// Mirrors [`Instr::is_mem_access`]: a load or a store.
+    #[inline]
+    pub fn is_mem_access(self) -> bool {
+        self.0 & (Self::LOAD | Self::STORE) != 0
+    }
+
     /// Mirrors [`Instr::is_branch`].
     #[inline]
     pub fn is_branch(self) -> bool {
@@ -260,6 +266,7 @@ mod tests {
             assert_eq!(f.is_mmx(), i.is_mmx(), "{i}");
             assert_eq!(f.is_load(), i.is_load(), "{i}");
             assert_eq!(f.is_store(), i.is_store(), "{i}");
+            assert_eq!(f.is_mem_access(), i.is_mem_access(), "{i}");
             assert_eq!(f.is_branch(), i.is_branch(), "{i}");
             assert_eq!(f.is_mmx_multiply(), i.is_mmx_multiply(), "{i}");
             assert_eq!(f.is_mmx_shifter(), i.is_mmx_shifter(), "{i}");

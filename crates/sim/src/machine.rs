@@ -163,7 +163,9 @@ pub struct Machine {
     pub spu: Option<SpuMmio>,
     /// Branch predictor.
     pub predictor: Predictor,
-    /// Statistics of the current/last run.
+    /// Statistics of the current/last run. After a fault they hold what
+    /// the run accounted before the faulting instruction (`cycles` is
+    /// written only at `halt`), the same on every engine and model.
     pub stats: SimStats,
     /// Trace record-and-replay telemetry of the current/last threaded run
     /// (zeroed by the other engines), or on the out-of-order model of
@@ -176,19 +178,13 @@ pub struct Machine {
     /// `SimStats` is the surface the models are *compared* on.
     pub ooo: OooStats,
     /// Result-latency scoreboard for the MMX registers: cycle at which
-    /// each register's value is available.
+    /// each register's value is available. Only the in-order model's
+    /// issue procedure reads and writes it, as it reads and writes
+    /// `cycle`; `exec` touches neither.
     pub(crate) mm_ready: [u64; 8],
     pub(crate) cycle: u64,
     /// Issue-rule parameters derived from `cfg` (see [`crate::issue`]).
     pub(crate) rules: IssueRules,
-    /// Generation counter bumped on every MMIO store that stages
-    /// microcode (state-table bytes). Such a store can change a state's
-    /// routing behind an unchanged trace-entry signature, so cached
-    /// signatures embed the generation they were captured under and miss
-    /// when it moves. Control-register stores (CONFIG/counters/entry)
-    /// don't bump it: their effects are fully visible in the controller
-    /// state the signatures capture.
-    pub(crate) mmio_store_gen: u64,
 }
 
 impl Machine {
@@ -210,7 +206,6 @@ impl Machine {
             mm_ready: [0; 8],
             cycle: 0,
             rules: IssueRules::of(&cfg),
-            mmio_store_gen: 0,
             cfg: FrozenConfig(cfg),
         }
     }
@@ -222,7 +217,9 @@ impl Machine {
     /// timings and the other two time every instruction, with identical
     /// results. Statistics are reset at entry and returned (they also
     /// remain readable in [`Machine::stats`]); architectural state
-    /// persists across runs.
+    /// persists across runs. A run that faults returns the error the
+    /// stepping engines raise and leaves their statistics in
+    /// [`Machine::stats`], whichever engine ran it.
     ///
     /// ```
     /// use subword_sim::{Machine, MachineConfig};
@@ -363,9 +360,6 @@ impl Machine {
     ) -> Result<(), SimError> {
         if in_mmio_range(addr) {
             self.stats.mmio_accesses += 1;
-            if subword_spu::mmio::store_stages_microcode(addr) {
-                self.mmio_store_gen += 1;
-            }
             return match &mut self.spu {
                 Some(s) => {
                     s.write(addr, v, size).map_err(|err| SimError::Spu { pc, err })?;
@@ -402,6 +396,10 @@ impl Machine {
 
     // ---- execution -------------------------------------------------------
 
+    /// Execute `i` at `pc` under `routing`: registers, flags, memory and
+    /// the SPU window. Functional only, so both pipeline models drive it:
+    /// it reads neither the clock nor the scoreboard, which the in-order
+    /// issue procedure keeps.
     pub(crate) fn exec(
         &mut self,
         program: &Program,
@@ -424,11 +422,6 @@ impl Machine {
                     MmxOperand::Imm(v) => *v as u64,
                 };
                 let result = semantics::eval(*op, a, b);
-                // Multiply results become ready after the pipelined
-                // multiplier latency.
-                if op.is_multiply() {
-                    self.mm_ready[dst.index()] = self.rules.mul_retire(self.cycle);
-                }
                 self.regs.write_mm(*dst, result);
                 Ok(ExecEffect::default())
             }

@@ -8,8 +8,9 @@
 //! masks), reference (allocating `Vec<RegRef>` oracle) and the threaded
 //! engine, which records its traces from this loop and steps it wherever
 //! it does not replay one ([`crate::translate`]). Architectural
-//! semantics stay in [`crate::machine`] (`Machine::exec`); this file
-//! is purely *when*, never *what*.
+//! semantics stay in [`crate::machine`] (`Machine::exec`), which reads
+//! no clock; this file is purely *when*, never *what*, and owns the
+//! clock and the MMX result scoreboard.
 
 use crate::decode::{DecodedInstr, DecodedProgram};
 use crate::error::SimError;
@@ -35,8 +36,9 @@ enum HazardEngine {
     Reference,
 }
 
-/// One issue slot as the in-order stepper issued it: what the threaded
-/// engine records as a trace and [`Machine::run_traced`] hands out.
+/// One issue slot as the in-order stepper issued it: what
+/// [`Machine::run_traced`] hands out, and what the threaded engine's
+/// recordings account slot by slot.
 #[derive(Clone, Copy, Debug)]
 pub struct Issued {
     /// `pc` of the U-pipe instruction.
@@ -246,6 +248,7 @@ impl Machine {
         let routing0 = self.take_routing();
         debug_assert!(!use_routing || routing0 == r0);
         let eff0 = self.exec(program, i0, &routing0, pc0)?;
+        self.start_multiply(i0, slot_issue_cycle);
         let (u_mmx, routable0) = match engine {
             HazardEngine::Decoded => {
                 self.stats.count(d0.flags);
@@ -269,6 +272,7 @@ impl Machine {
                 let pc1 = *pc;
                 let routing1 = self.take_routing();
                 let eff1 = self.exec(program, &i1, &routing1, pc1)?;
+                self.start_multiply(&i1, slot_issue_cycle);
                 let routable1 = match engine {
                     HazardEngine::Decoded => {
                         self.stats.count(d1.flags);
@@ -322,6 +326,18 @@ impl Machine {
             slot_cycles,
             mispredict_penalty: slot_penalty,
         }))
+    }
+
+    /// Put `i`, issued at `cycle`, on the scoreboard when it is an MMX
+    /// multiply: its destination is ready after the pipelined
+    /// multiplier's latency.
+    #[inline]
+    fn start_multiply(&mut self, i: &Instr, cycle: u64) {
+        if let Instr::Mmx { op, dst, .. } = i {
+            if op.is_multiply() {
+                self.mm_ready[dst.index()] = self.rules.mul_retire(cycle);
+            }
+        }
     }
 
     /// Earliest cycle at which all of `i`'s register operands are ready

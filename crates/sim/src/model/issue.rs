@@ -286,7 +286,8 @@ pub struct Region {
 /// emits MMIO traffic with absolute addressing (`Mem::abs`), so this is
 /// exact for compiler-generated programs; hand-written programs that
 /// compute an MMIO address in a register are handled dynamically by the
-/// engines (the trace replayer guards every store's effective address).
+/// engines (the threaded engine hands every memory access whose address
+/// leaves ordinary memory to its stepper).
 pub fn is_mmio_barrier(i: &Instr) -> bool {
     i.mem_operand().is_some_and(|m| m.regs().next().is_none() && in_mmio_range(m.disp as u32))
 }

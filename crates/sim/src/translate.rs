@@ -5,27 +5,27 @@
 //! though a steady-state iteration makes exactly the same decisions as
 //! the previous one. This module keeps, per straight-line region (the
 //! scheduler's partition — [`crate::issue::regions_of`]) and per
-//! distinct entry state, a flat issue trace: the slots the stepper issued
-//! the first time the region ran from that state. Replaying a trace
-//! executes the region's instructions (register and memory semantics and
-//! the SPU controller's steps always run live) but skips the per-slot
-//! issue machinery, then applies the region's recorded statistics in one
-//! `+=`.
+//! distinct entry state, a trace: what the stepper accounted the first
+//! time the region ran from that state. Replaying a trace executes the
+//! region's instructions in program order (register and memory semantics
+//! and the SPU controller's steps always run live; `Machine::exec` reads
+//! no clock, so nothing needs an issue cycle) but skips the issue
+//! machinery, then applies the recorded account in one step.
 //!
 //! ## Recording
 //!
 //! On a region's first entry under a new signature the engine steps the
 //! region with `Machine::step_slot`, the slot loop the decoded and
-//! reference engines run, and keeps what it issued:
+//! reference engines run, and keeps:
 //!
-//! * each slot's U and V `pc` and its issue cycle relative to the entry;
-//! * the statistics delta, minus the counters a replay accounts live:
-//!   `branches`, `mispredicts` and `mispredict_cycles`, which the
-//!   terminator's branch resolution counts, and `mmio_accesses`, which
-//!   `exec` counts;
-//! * the cycle advance, minus the terminator's mispredict penalty;
-//! * at each slot led by a store, the same delta and advance so far: the
-//!   prefix a replay that aborts at that slot accounts.
+//! * the `pc` range `start..end_pc` the stepper issued;
+//! * one account of the whole range: the statistics delta minus the
+//!   counters the terminator's live branch resolution counts
+//!   (`branches`, `mispredicts` and `mispredict_cycles`), the cycle
+//!   advance minus the terminator's mispredict penalty, the exit
+//!   scoreboard relative to the entry cycle, and the number of slots;
+//! * at each slot led by a memory access, the same account so far: the
+//!   prefix a replay that stops at that slot applies.
 //!
 //! The issue procedure therefore exists once, in the stepper, and a trace
 //! carries whatever the stepper counts.
@@ -36,38 +36,38 @@
 //!
 //! * the **relative scoreboard** — each MMX register's ready cycle minus
 //!   the entry cycle (bounded by the multiplier latency);
-//! * the **SPU controller state** — active context, state id, committed
-//!   crossbar window base, and the two loop counters, *clamped* at
-//!   `span + 1`: a counter that cannot reach zero within the region
-//!   takes the same arcs no matter its exact value, so all such values
-//!   share one trace;
-//! * the **microcode store generation** — a counter bumped on every
-//!   store that stages state-table bytes in the SPU window. Such a
-//!   store can change a state's routing behind an otherwise-unchanged
-//!   signature, so traces never survive one. Control-register stores
-//!   (GO/counters/entry) don't invalidate anything: their effects are
-//!   fully visible in the controller state the signature captures, which
-//!   is what lets per-block SPU re-arm loops keep their traces warm.
+//! * the **SPU controller state** — active context, state id and the two
+//!   loop counters, *clamped* at `span + 1`: a counter that cannot reach
+//!   zero within the region takes the same arcs no matter its exact
+//!   value, so all such values share one trace;
+//! * the controller's **load count** ([`SpuController::loads`]). Only a
+//!   load changes what a context routes, and a GO loads only when it
+//!   finds a restaged image or a new window base. Staging stores and
+//!   re-arming GOs therefore keep every trace, which is what lets
+//!   per-block re-arm loops stay warm.
 //!
 //! Traces are cached per region keyed by this signature; a mismatch
-//! records afresh (up to a small cap), and dynamic events fall back to
-//! the stepper for exactly the affected slots.
+//! records afresh (up to a small cap).
 //!
-//! ## Stores into the SPU window
+//! ## The one stop rule
 //!
-//! Such a store can change the routing, and so the pairing, of every
-//! slot after it, which the signature captured at the region's entry
-//! cannot foresee:
+//! Recording and replay hand the stepper every memory access whose
+//! address leaves ordinary memory: lies past its last 8 bytes, the
+//! widest access. The SPU window lies above memory, so no access size is
+//! needed. Only such an access can fault, or change the routing of the
+//! slots after it, which the entry signature cannot foresee. Memory
+//! accesses issue only in the U pipe, so each leads its slot:
 //!
 //! * **Barrier regions** (statically identifiable SPU MMIO accesses) are
-//!   never recorded — the stepper executes them, and the store
-//!   generation moves underneath every cached signature.
-//! * A **recording** that reaches a slot led by a register-addressed
-//!   store whose effective address lands in the window stops before it
-//!   and keeps no trace; the stepper carries on from that slot.
-//! * A **replay** that reaches such a store aborts *before* it executes:
-//!   the prefix is accounted from the snapshot recorded at that slot,
-//!   and the stepper re-issues from the aborted slot with live routing.
+//!   never recorded.
+//! * A **recording** that reaches a slot led by such an access stops
+//!   before it and keeps no trace; the stepper carries on from that slot.
+//! * A **replay** that reaches one stops *before* it executes: the prefix
+//!   recorded at that slot is applied, and the stepper re-issues the slot
+//!   with live routing.
+//!
+//! A replay therefore never faults. Every fault is raised by the
+//! stepper, and leaves the statistics stepping leaves.
 //!
 //! ## Other fallbacks
 //!
@@ -89,15 +89,16 @@
 //! MIPS on loop-dominated kernels.
 //!
 //! [`MachineConfig::max_cycles`]: crate::machine::MachineConfig::max_cycles
+//! [`SpuController::loads`]: subword_spu::controller::SpuController::loads
 
 use crate::decode::DecodedProgram;
 use crate::error::SimError;
 use crate::machine::{ExecEffect, Machine};
+use crate::memory::MEMORY_SIZE;
 use crate::model::issue::{regions_of, Region, RegionKind};
 use crate::stats::SimStats;
 use subword_isa::instr::Instr;
 use subword_isa::program::Program;
-use subword_spu::mmio::in_mmio_range;
 
 /// Traces cached per region before further entry states fall back to the
 /// stepper (counter-countdown tails of SPU loops produce a few distinct
@@ -109,8 +110,9 @@ const MAX_TRACES_PER_REGION: usize = 16;
 /// simply never record.
 const MAX_MM_REL: u64 = 255;
 
-/// Sentinel for "no V slot".
-const NO_V: u32 = u32::MAX;
+/// The highest address at which an access of any size (at most 8 bytes)
+/// stays in ordinary memory (see the module docs).
+const LAST_ORDINARY: u32 = (MEMORY_SIZE - 8) as u32;
 
 /// Host-side telemetry of the threaded engine (see
 /// [`Machine::translation`]). Not part of [`SimStats`]: the simulated
@@ -131,7 +133,8 @@ pub struct TranslationStats {
     pub replays: u64,
     /// Issue slots retired through trace replay.
     pub replayed_slots: u64,
-    /// Replays aborted mid-trace (dynamic MMIO store).
+    /// Replays stopped before a memory access that leaves ordinary
+    /// memory.
     pub aborts: u64,
     /// Issue slots retired through the stepper, recordings included.
     pub fallback_slots: u64,
@@ -152,12 +155,6 @@ enum SpuSig {
         state: u8,
         /// Loop counters, clamped at `span + 1` (see module docs).
         counters: [u32; 2],
-        /// Crossbar window base the context was committed with. A GO
-        /// store re-commits the context with the CONFIG window-base
-        /// bits, which changes routing without touching staged
-        /// microcode (the store generation), so it must be part of the
-        /// signature.
-        window_base: u8,
     },
 }
 
@@ -167,46 +164,40 @@ struct EntrySig {
     /// Per-register MMX ready cycle relative to the entry cycle.
     mm_rel: [u8; 8],
     spu: SpuSig,
-    /// [`Machine`]'s MMIO store generation at capture.
-    gen: u64,
-}
-
-/// One recorded issue slot of a trace.
-#[derive(Clone, Copy, Debug)]
-struct TraceSlot {
-    /// `pc` of the U-pipe instruction.
-    u: u32,
-    /// `pc` of the V-pipe instruction, or [`NO_V`].
-    v: u32,
-    /// Issue cycle relative to region entry (stalls included).
-    rel: u64,
+    /// Programs the SPU controller had loaded at capture (0 without an
+    /// SPU).
+    loads: u64,
 }
 
 /// What the stepper accounted from a region's entry to one point of a
 /// recording, as a replay applies it in bulk.
 #[derive(Clone, Copy, Debug)]
 struct Account {
-    /// The statistics delta, minus the counters a replay accounts live:
-    /// `branches`, `mispredicts` and `mispredict_cycles` (the
-    /// terminator's branch resolution) and `mmio_accesses` (`exec`).
+    /// The statistics delta, minus the counters the terminator's live
+    /// branch resolution counts: `branches`, `mispredicts` and
+    /// `mispredict_cycles`.
     stats: SimStats,
     /// Cycles since the entry.
     cycles: u64,
+    /// Each MMX register's ready cycle minus the entry cycle, 0 for one
+    /// that was ready by the entry.
+    mm_ready: [u64; 8],
+    /// Issue slots stepped since the entry.
+    slots: u64,
 }
 
-/// A recorded region: the slot array plus everything needed to apply
-/// its effects in bulk.
+/// A recorded region: the `pc` range the stepper issued from the
+/// region's start, and what it accounted there.
 #[derive(Clone, Debug)]
 struct Trace {
     sig: EntrySig,
-    slots: Vec<TraceSlot>,
+    /// One past the last `pc` issued: where a full replay goes on when
+    /// no branch redirects.
+    end_pc: usize,
     /// A full replay, before any terminator mispredict penalty.
     whole: Account,
-    /// `pc` after a full replay when no branch redirects.
-    end_pc: usize,
-    /// The prefix before each store-led slot, with the slot's index, in
-    /// slot order: the only slots a replay can abort at. Kept apart from
-    /// `slots` so the replay loop walks a dense array.
+    /// The prefix before each slot led by a memory access, with that
+    /// slot's `pc`, in `pc` order: the only places a replay stops.
     prefixes: Vec<(usize, Account)>,
 }
 
@@ -346,17 +337,18 @@ impl Machine {
                 ctx: s.controller.active_context(),
                 state: s.controller.current_state(),
                 counters: s.controller.counters().map(|c| c.min(span + 1)),
-                window_base: s.controller.window_base(),
             },
             _ => SpuSig::Off,
         };
-        Some(EntrySig { mm_rel, spu, gen: self.mmio_store_gen })
+        let loads = self.spu.as_ref().map_or(0, |s| s.controller.loads());
+        Some(EntrySig { mm_rel, spu, loads })
     }
 
     /// Step `region` from its start at `*pc` and keep what the stepper
-    /// issued as `sig`'s trace in `cache`. Stops before a slot led by a
-    /// store into the SPU window and then keeps no trace (see the module
-    /// docs). Returns `true` if the machine advanced.
+    /// accounted as `sig`'s trace in `cache`. Stops before a slot led by
+    /// a memory access that leaves ordinary memory and then keeps no
+    /// trace (see the module docs). Returns `true` if the machine
+    /// advanced.
     ///
     /// Cold and out of line: recordings are rare, and inlining this into
     /// the replay path slows every replay.
@@ -373,70 +365,68 @@ impl Machine {
     ) -> Result<bool, SimError> {
         let (entry_stats, entry_cycle) = (self.stats, self.cycle);
         let limit = u_limit(region);
-        let mut slots = Vec::with_capacity(region.end - region.start);
         let mut prefixes = Vec::new();
-        let mut penalty = 0;
+        let (mut slots, mut penalty) = (0, 0);
         // The `pc` after the last recorded slot, before any redirect.
         let mut next = *pc;
         while next < limit {
-            if decoded.get(next).flags.is_store() {
-                if self.lands_in_window(&program.instrs[next]) {
-                    return Ok(!slots.is_empty());
+            if decoded.get(next).flags.is_mem_access() {
+                if self.leaves_memory(&program.instrs[next]) {
+                    return Ok(slots > 0);
                 }
-                prefixes.push((slots.len(), self.account_since(entry_stats, entry_cycle)));
+                prefixes.push((next, self.account_since(entry_stats, entry_cycle, slots)));
             }
             let slot = self
                 .step_slot(program, Some(decoded), pc)?
                 .expect("a region's issuable range holds no halt");
             self.translation.fallback_slots += 1;
-            slots.push(TraceSlot {
-                u: slot.u as u32,
-                v: slot.v.map_or(NO_V, |v| v as u32),
-                rel: slot.cycle - entry_cycle,
-            });
+            slots += 1;
             penalty += slot.mispredict_penalty;
             next = slot.v.unwrap_or(slot.u) + 1;
         }
-        let mut whole = self.account_since(entry_stats, entry_cycle);
+        let mut whole = self.account_since(entry_stats, entry_cycle, slots);
         whole.cycles -= penalty;
-        cache.push(Trace { sig, slots, whole, end_pc: next, prefixes });
+        cache.push(Trace { sig, end_pc: next, whole, prefixes });
         self.translation.translations += 1;
         Ok(true)
     }
 
-    /// What the machine accounted since its statistics were
-    /// `entry_stats` and its clock `entry_cycle`, as a trace keeps it.
-    fn account_since(&self, entry_stats: SimStats, entry_cycle: u64) -> Account {
+    /// What the machine accounted over `slots` issue slots since its
+    /// statistics were `entry_stats` and its clock `entry_cycle`, as a
+    /// trace keeps it.
+    fn account_since(&self, entry_stats: SimStats, entry_cycle: u64, slots: u64) -> Account {
         let stats = self.stats - entry_stats;
         Account {
-            stats: SimStats {
-                branches: 0,
-                mispredicts: 0,
-                mispredict_cycles: 0,
-                mmio_accesses: 0,
-                ..stats
-            },
+            stats: SimStats { branches: 0, mispredicts: 0, mispredict_cycles: 0, ..stats },
             cycles: self.cycle - entry_cycle,
+            mm_ready: self.mm_ready.map(|ready| ready.saturating_sub(entry_cycle)),
+            slots,
         }
     }
 
     /// Apply `account` to a replay that entered its region at
-    /// `entry_cycle`.
+    /// `entry_cycle`. A register ready by the entry is set ready at the
+    /// entry, which the issue procedure, whose clock never goes back,
+    /// cannot tell from its earlier ready cycle.
     fn apply(&mut self, account: &Account, entry_cycle: u64) {
         self.stats += account.stats;
         self.cycle = entry_cycle + account.cycles;
+        for (ready, rel) in self.mm_ready.iter_mut().zip(account.mm_ready) {
+            *ready = entry_cycle + rel;
+        }
+        self.translation.replayed_slots += account.slots;
     }
 
-    /// Whether `i`'s memory operand lands in the SPU window at the
-    /// current register state.
-    fn lands_in_window(&self, i: &Instr) -> bool {
-        i.mem_operand().is_some_and(|m| in_mmio_range(self.ea(m)))
+    /// Whether `i`'s memory operand leaves ordinary memory at the current
+    /// register state: its address lies above [`LAST_ORDINARY`].
+    fn leaves_memory(&self, i: &Instr) -> bool {
+        i.mem_operand().is_some_and(|m| self.ea(m) > LAST_ORDINARY)
     }
 
-    /// Replay `trace`: execute every recorded slot (live semantics, live
-    /// controller stepping), then apply the bulk statistics, set the
-    /// clock forward and resolve the region's terminating branch.
-    /// Returns `true` when the machine advanced.
+    /// Replay `trace`: execute its `pc` range in program order (live
+    /// semantics, live controller stepping), then apply the whole
+    /// account and resolve the region's terminating branch. Returns
+    /// `true` when the machine advanced.
     fn replay(
         &mut self,
         program: &Program,
@@ -447,29 +437,17 @@ impl Machine {
     ) -> Result<bool, SimError> {
         let entry_cycle = self.cycle;
         let mut last_eff = ExecEffect::default();
-        for (si, slot) in trace.slots.iter().enumerate() {
-            let u_pc = slot.u as usize;
-            let i0 = &program.instrs[u_pc];
-            // Dynamic-address MMIO store: the recorded routing is stale
-            // from here on. Account the completed prefix and hand the
-            // slot to the stepper.
-            if decoded.get(u_pc).flags.is_store() && self.lands_in_window(i0) {
-                return Ok(self.abort_replay(trace, si, entry_cycle, pc));
+        for at in region.start..trace.end_pc {
+            let i = &program.instrs[at];
+            if decoded.get(at).flags.is_mem_access() && self.leaves_memory(i) {
+                self.stop_replay(trace, at, entry_cycle, pc);
+                return Ok(at > region.start);
             }
-            // The clock tracks each slot's issue cycle so multiplier
-            // retires land exactly where the stepper puts them.
-            self.cycle = entry_cycle + slot.rel;
-            let routing0 = self.take_routing();
-            last_eff = self.exec(program, i0, &routing0, u_pc)?;
-            if slot.v != NO_V {
-                let v_pc = slot.v as usize;
-                let routing1 = self.take_routing();
-                last_eff = self.exec(program, &program.instrs[v_pc], &routing1, v_pc)?;
-            }
+            let routing = self.take_routing();
+            last_eff = self.exec(program, i, &routing, at)?;
         }
         self.apply(&trace.whole, entry_cycle);
         self.translation.replays += 1;
-        self.translation.replayed_slots += trace.slots.len() as u64;
         *pc = trace.end_pc;
         if matches!(region.kind, RegionKind::Loop | RegionKind::Branch) {
             let bpc = region.end - 1;
@@ -484,22 +462,19 @@ impl Machine {
         Ok(true)
     }
 
-    /// Account the `si` replayed slots of an aborted replay from the
-    /// prefix recorded at slot `si` (their execution side effects already
-    /// happened live) and position `pc` and the clock so the stepper
-    /// re-issues slot `si` exactly as if it had been stepping all along.
-    /// Returns `true` when the machine advanced.
-    fn abort_replay(&mut self, trace: &Trace, si: usize, entry_cycle: u64, pc: &mut usize) -> bool {
+    /// Stop a replay before the memory access at `at`: apply the prefix
+    /// recorded at its slot (what executed before it already happened
+    /// live) and leave `pc` there, so the stepper issues that slot
+    /// exactly as if it had been stepping all along.
+    fn stop_replay(&mut self, trace: &Trace, at: usize, entry_cycle: u64, pc: &mut usize) {
         let (_, prefix) = trace
             .prefixes
             .iter()
-            .find(|(slot, _)| *slot == si)
-            .expect("the recording snapshots every store-led slot");
+            .find(|&&(slot, _)| slot == at)
+            .expect("the recording keeps a prefix at every memory access");
         self.apply(prefix, entry_cycle);
         self.translation.aborts += 1;
-        self.translation.replayed_slots += si as u64;
-        *pc = trace.slots[si].u as usize;
-        si > 0
+        *pc = at;
     }
 }
 
@@ -540,8 +515,8 @@ mod tests {
         let got = threaded.run(program).unwrap();
 
         assert_eq!(got, want, "threaded SimStats diverged from reference");
-        assert_eq!(threaded.regs.read_mm(MM0), reference.regs.read_mm(MM0));
-        assert_eq!(threaded.regs.read_gp(R0), reference.regs.read_gp(R0));
+        assert_eq!(threaded.regs.mm, reference.regs.mm);
+        assert_eq!(threaded.regs.gp, reference.regs.gp);
         (got, threaded.translation)
     }
 
@@ -591,10 +566,10 @@ mod tests {
         assert!(tl.replays > trips / 2, "routed loop should replay, got {tl:?}");
     }
 
-    /// A register-addressed store into the SPU window mid-loop aborts the
+    /// A register-addressed store into the SPU window mid-loop stops the
     /// replay at that slot without breaking equivalence. The first pass
     /// stores to ordinary memory and records the trace; later passes
-    /// store to CNTR0 of an unused context, a control register, so the
+    /// stage CNTR0 of an unused context, which loads nothing, so the
     /// signature stays put and the trace replays up to the store.
     #[test]
     fn dynamic_mmio_store_aborts_replay() {
@@ -664,6 +639,51 @@ mod tests {
         let (stats, tl) = assert_threaded_matches_reference(|_| {}, &p);
         assert_eq!(stats.mmio_accesses, 40);
         assert_eq!((tl.replays, tl.aborts), (0, 0), "the loop should keep no trace, got {tl:?}");
+    }
+
+    /// A GO that loads a restaged program makes the loop record again.
+    /// Two passes run one routed loop, context 0 restaged between them so
+    /// that the `movq`'s routed operand reads `mm2`, which the `paddw`
+    /// before it writes, instead of `mm1`: the first pass pairs the two,
+    /// the second cannot. Both passes enter the loop in the same
+    /// controller state, so only the load count tells their signatures
+    /// apart.
+    #[test]
+    fn a_restaged_program_records_again() {
+        let trips = 20u64;
+        let reads = |src| {
+            let (straight, movq) = ((None, None), (None, Some(ByteRoute::identity(src))));
+            SpuProgram::single_loop("restage", &[straight, movq, straight, straight], trips)
+        };
+        let (first, second) = (reads(MM1), reads(MM2));
+        let mut b = ProgramBuilder::new("restage");
+        emit_spu_setup(&mut b, 0, &first);
+        b.mov_ri(R1, 2);
+        let pass = b.bind_here("pass");
+        b.mov_ri(R0, trips as i32);
+        emit_spu_go(&mut b, 0, &first);
+        let l = b.bind_here("loop");
+        b.mmx_rr(MmxOp::Paddw, MM2, MM3);
+        b.movq_rr(MM4, MM5);
+        b.alu_ri(subword_isa::op::AluOp::Sub, R0, 1);
+        b.jcc(Cond::Ne, l);
+        emit_spu_setup(&mut b, 0, &second);
+        b.alu_ri(subword_isa::op::AluOp::Sub, R1, 1);
+        b.jcc(Cond::Ne, pass);
+        b.halt();
+        let p = b.finish().unwrap();
+
+        let setup = |m: &mut Machine| {
+            m.regs.write_mm(MM1, from_iwords([1, 2, 3, 4]));
+            m.regs.write_mm(MM3, from_iwords([5, 6, 7, 8]));
+        };
+        let (stats, tl) = assert_threaded_matches_reference(setup, &p);
+        assert_eq!((stats.spu_activations, stats.spu_routed), (2, 2 * trips));
+        assert!(tl.replays > trips, "both passes should replay, got {tl:?}");
+        let mut m = Machine::new(MachineConfig::with_spu(SHAPE_D));
+        setup(&mut m);
+        m.run(&p).unwrap();
+        assert_eq!(m.regs.read_mm(MM4), m.regs.read_mm(MM2), "the second pass reads mm2");
     }
 
     #[test]

@@ -142,7 +142,9 @@ fn ooo_replay_matches_stepping_at_large_block_count() {
 /// stepped, whose fence drains the timing state, so the load's region is
 /// entered from the same state on every trip. No suite kernel or
 /// generated case puts a window access on the replay path: they reach
-/// the window only through absolute addresses, which are barriers.
+/// the window only through absolute addresses, which are barriers. The
+/// program also goes through `verify::agree`, where the in-order
+/// threaded engine stops its replays before each window load.
 #[test]
 fn ooo_replay_tells_a_window_load_from_a_memory_load() {
     let counter = |c| SPU_MMIO_BASE + SpuMmio::counter_offset(3, c);
@@ -162,6 +164,13 @@ fn ooo_replay_tells_a_window_load_from_a_memory_load() {
     let tl =
         ooo_replay_agrees(&program, &TestSetup::default(), &cfg).unwrap_or_else(|d| panic!("{d}"));
     assert!(tl.replays > 0, "the load's region must replay: {tl:?}");
+
+    agree(Variant::Baseline, &program, &TestSetup::default(), &cfg)
+        .unwrap_or_else(|d| panic!("{d}"));
+    let mut m = Machine::new(cfg);
+    m.run(&program).unwrap();
+    // The first window load stops the recording, and each later one a replay.
+    assert_eq!(m.translation.aborts, 19, "{:?}", m.translation);
 }
 
 /// Every suite kernel, MMX-only and lifted at shape D: the traced slots
@@ -201,21 +210,16 @@ fn traced_slots_account_for_the_run() {
     }
 }
 
-/// The engines also agree on error classification (runaway-program
-/// guard), not just successful runs. On the out-of-order model, a run
-/// that replays timing faults like one that steps it, and leaves the same
-/// `SimStats` and `OooStats` behind: on a 20-instruction loop whose cycle
-/// limit falls inside an iteration after the memo has engaged, and on a
-/// loop whose load leaves memory in its 65th iteration.
+/// The engines also agree on faults, not just on successful runs: each
+/// raises the same error and leaves the same `SimStats`, the threaded
+/// engine after it has replayed. So does the out-of-order model, whether
+/// it replays its timing or steps it, `OooStats` included. The programs:
+/// a one-instruction loop that runs into its cycle limit, a
+/// 20-instruction loop whose cycle limit falls inside an iteration, and
+/// a loop whose load leaves memory in its 65th iteration.
 #[test]
 fn engines_agree_on_max_cycles_fault() {
-    let p = subword_isa::asm::assemble("t", "l:\n jmp l\n halt\n").unwrap();
-    let faults = ENGINES.map(|engine| {
-        let cfg = MachineConfig { engine, max_cycles: 1000, ..Default::default() };
-        run(&p, &TestSetup::default(), cfg).unwrap_err()
-    });
-    assert_eq!(faults[0], faults[1]);
-    assert_eq!(faults[0], faults[2]);
+    inorder_fault_agrees("jmp", "l:\n jmp l\n halt\n", 1000);
 
     let body = "pmullw mm0, mm1\n paddw mm2, mm0\n movq mm3, [r1]\n paddw mm3, mm2\n \
                 movq [r1+8], mm3\n psllq mm4, 3\n add r2, 7\n imul r3, r2\n pxor mm5, mm4\n \
@@ -229,6 +233,7 @@ fn engines_agree_on_max_cycles_fault() {
     for (name, src, max_cycles) in
         [("mid-iteration", &mid_iteration, 777), ("load", &off_the_end, u64::MAX)]
     {
+        inorder_fault_agrees(name, src, max_cycles);
         let (err, stats) = ooo_fault_agrees(name, src, max_cycles);
         match (name, &err) {
             ("mid-iteration", &SimError::MaxCyclesExceeded { pc, .. }) => {
@@ -238,6 +243,25 @@ fn engines_agree_on_max_cycles_fault() {
                 assert_eq!((pc, addr, stats.branches), (4, 0x40_0000, 64), "{name}")
             }
             _ => panic!("{name}: unexpected fault {err:?}"),
+        }
+    }
+}
+
+/// Run `src` on the three in-order [`ENGINES`] with a `max_cycles`
+/// limit, and require all three to fault alike and leave the same
+/// `SimStats`, the threaded engine after it has replayed.
+fn inorder_fault_agrees(name: &str, src: &str, max_cycles: u64) {
+    let p = subword_isa::asm::assemble("t", src).unwrap();
+    let [(err, stats, _), others @ ..] = ENGINES.map(|engine| {
+        let mut m = Machine::new(MachineConfig { engine, max_cycles, ..MachineConfig::default() });
+        let err = m.run(&p).expect_err("the run faults");
+        (err, m.stats, m.translation.replays)
+    });
+    for (engine, (other_err, other_stats, replays)) in ENGINES[1..].iter().zip(others) {
+        assert_eq!(other_err, err, "{name}: {engine:?}");
+        assert_eq!(other_stats, stats, "{name}: {engine:?}");
+        if *engine == ExecEngine::Threaded {
+            assert!(replays > 0, "{name}: the threaded engine never replayed");
         }
     }
 }

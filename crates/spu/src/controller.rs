@@ -31,7 +31,6 @@ pub struct SpuContext {
     states: Box<[SpuState; NUM_STATES]>,
     counter_init: [u32; 2],
     entry: u8,
-    window_base: u8,
 }
 
 impl Default for SpuContext {
@@ -40,7 +39,6 @@ impl Default for SpuContext {
             states: Box::new([SpuState::default(); NUM_STATES]),
             counter_init: [1, 1],
             entry: 0,
-            window_base: 0,
         }
     }
 }
@@ -114,6 +112,8 @@ pub struct SpuController {
     go: bool,
     state: u8,
     counters: [u32; 2],
+    /// Programs loaded into any context ([`SpuController::loads`]).
+    loads: u64,
     /// Usage statistics.
     pub usage: SpuUsage,
 }
@@ -128,6 +128,7 @@ impl SpuController {
             go: false,
             state: IDLE_STATE,
             counters: [1, 1],
+            loads: 0,
             usage: SpuUsage::default(),
         }
     }
@@ -139,8 +140,18 @@ impl SpuController {
         ctx.states = prog.dense_states();
         ctx.counter_init = prog.counter_init;
         ctx.entry = prog.entry;
-        ctx.window_base = prog.window_base;
+        self.loads += 1;
         Ok(())
+    }
+
+    /// Programs loaded so far: the successful [`load_program`] calls.
+    /// Nothing else changes what a context routes, so two moments with
+    /// the same count and the same live state (active context, state,
+    /// counters) route alike until the next load.
+    ///
+    /// [`load_program`]: SpuController::load_program
+    pub fn loads(&self) -> u64 {
+        self.loads
     }
 
     /// Select the active context (models the config-register context
@@ -254,11 +265,6 @@ impl SpuController {
         let (next, _) = ctx.advance(self.state, self.counters);
         let second = if next == IDLE_STATE { StepRouting::default() } else { ctx.routing_of(next) };
         (ctx.routing_of(self.state), second)
-    }
-
-    /// Window base register of the active context.
-    pub fn window_base(&self) -> u8 {
-        self.contexts[self.active].window_base
     }
 }
 

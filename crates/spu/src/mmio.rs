@@ -23,7 +23,9 @@
 //! inactive and is reported to the caller (the simulator surfaces it as a
 //! machine fault). A GO that re-arms a context whose staging bytes and
 //! window base are unchanged since its last successful GO only
-//! activates: the controller already holds that decode.
+//! activates: the controller already holds that decode, and its load
+//! count ([`SpuController::loads`]) stays put. A staging store changes
+//! nothing the controller routes until the next GO loads it.
 
 use crate::controller::{SpuController, CONTEXTS};
 use crate::microcode::{SpuState, IDLE_STATE};
@@ -48,19 +50,6 @@ const _: () = assert!(CONTEXTS == 4);
 #[inline]
 pub fn in_mmio_range(addr: u32) -> bool {
     (SPU_MMIO_BASE..SPU_MMIO_BASE.wrapping_add(SPU_MMIO_SIZE)).contains(&addr)
-}
-
-/// Does a store to `addr` stage **microcode** (state-table bytes), as
-/// opposed to the control registers — CONFIG, counters, entry state —
-/// in a context's first [`STATE_TABLE_OFF`] bytes? Control-register
-/// effects are fully visible in the controller's observable state
-/// (go/context/state/counters), which the threaded engine's trace entry
-/// signatures capture; only microcode writes can change a state's
-/// routing behind an unchanged signature, so only they need to
-/// invalidate cached traces.
-#[inline]
-pub fn store_stages_microcode(addr: u32) -> bool {
-    in_mmio_range(addr) && (addr - SPU_MMIO_BASE) % CONTEXT_STRIDE >= STATE_TABLE_OFF
 }
 
 /// Staging image for one context (raw bytes written by software).
@@ -378,6 +367,7 @@ mod tests {
         assert_eq!(routed_steps(&mut m), 20);
         go(&mut m).unwrap();
         assert_eq!(routed_steps(&mut m), 20, "re-armed from the committed decode");
+        assert_eq!(m.controller.loads(), 1, "a re-arm loads nothing");
 
         m.write(SPU_MMIO_BASE + SpuMmio::counter_offset(0, 0), 12, 4).unwrap();
         go(&mut m).unwrap();
@@ -390,9 +380,11 @@ mod tests {
         go(&mut m).unwrap();
         assert_eq!(routed_steps(&mut m), 4, "state 1 no longer routes");
         assert_eq!(m.controller.usage.activations, 4);
+        assert_eq!(m.controller.loads(), 3, "each restage loads once");
     }
 
-    /// A GO under another window base commits the context again.
+    /// A GO under another window base commits the context again, and a
+    /// GO under the base it committed last only re-arms.
     #[test]
     fn a_new_window_base_recommits() {
         let mut m = mmio();
@@ -404,9 +396,9 @@ mod tests {
             m.write(SPU_MMIO_BASE + SpuMmio::state_word_offset(0, 0, w), word, 8).unwrap();
         }
         m.write(SPU_MMIO_BASE + SpuMmio::counter_offset(0, 0), 1, 4).unwrap();
-        for wb in [0, 1, 1, 0] {
+        for (wb, loads) in [(0, 1), (1, 2), (1, 2), (0, 3)] {
             m.write(SPU_MMIO_BASE, SpuMmio::go_config(0, wb), 4).unwrap();
-            assert_eq!(m.controller.window_base(), wb);
+            assert_eq!(m.controller.loads(), loads, "window base {wb}");
         }
     }
 

@@ -91,26 +91,23 @@ impl Json {
         out
     }
 
+    /// Append the value to `out`, indented by `indent` spaces per level
+    /// (`None`: on one line). Indentation, numbers and escape-free string
+    /// runs go straight into `out`: nothing is allocated per value.
     fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        let (nl, pad, pad_in) = match indent {
-            Some(w) => ("\n", " ".repeat(w * depth), " ".repeat(w * (depth + 1))),
-            None => ("", String::new(), String::new()),
-        };
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::UInt(v) => {
-                let _ = write!(out, "{v}");
-            }
+            Json::UInt(v) => write_u64(out, *v),
             Json::Num(v) => {
                 assert!(v.is_finite(), "non-finite number in JSON tree");
-                let mut repr = format!("{v}");
+                let start = out.len();
+                let _ = write!(out, "{v}");
                 // Keep floats visually (and parse-wise) distinct from
                 // integers.
-                if !repr.contains(['.', 'e', 'E']) {
-                    repr.push_str(".0");
+                if !out[start..].contains(['.', 'e', 'E']) {
+                    out.push_str(".0");
                 }
-                out.push_str(&repr);
             }
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
@@ -123,12 +120,10 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(nl);
-                    out.push_str(&pad_in);
+                    new_line(out, indent, depth + 1);
                     item.write(out, indent, depth + 1);
                 }
-                out.push_str(nl);
-                out.push_str(&pad);
+                new_line(out, indent, depth);
                 out.push(']');
             }
             Json::Obj(members) => {
@@ -141,8 +136,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(nl);
-                    out.push_str(&pad_in);
+                    new_line(out, indent, depth + 1);
                     write_escaped(out, k);
                     out.push(':');
                     if indent.is_some() {
@@ -150,20 +144,19 @@ impl Json {
                     }
                     v.write(out, indent, depth + 1);
                 }
-                out.push_str(nl);
-                out.push_str(&pad);
+                new_line(out, indent, depth);
                 out.push('}');
             }
         }
     }
 
     /// Parse a JSON document (must consume all non-whitespace input).
+    /// Every error names the byte offset of its fault.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let value = parse_value(text, &mut pos, 0)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
             return Err(format!("trailing garbage at byte {pos}"));
         }
         Ok(value)
@@ -180,21 +173,60 @@ impl std::fmt::Display for Json {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// A line break and `indent × depth` spaces; nothing on one line.
+fn new_line(out: &mut String, indent: Option<usize>, depth: usize) {
+    const SPACES: &str = "                                ";
+    if let Some(width) = indent {
+        out.push('\n');
+        let mut pad = width * depth;
+        while pad > 0 {
+            let run = pad.min(SPACES.len());
+            out.push_str(&SPACES[..run]);
+            pad -= run;
         }
     }
+}
+
+/// `v` in decimal, as `{v}` formats it, without the formatting
+/// machinery: a report is mostly integers.
+fn write_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("digits are ASCII"));
+}
+
+/// `s` as a JSON string. Each run of characters that need no escape is
+/// copied as one slice: every character escaped is ASCII, so a run ends
+/// on a character boundary.
+fn write_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -217,13 +249,14 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
 /// corrupted document would overflow the stack instead of erroring.
 const MAX_DEPTH: usize = 256;
 
-fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    if depth > MAX_DEPTH {
-        return Err(format!("nesting deeper than {MAX_DEPTH} levels"));
-    }
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let b = text.as_bytes();
     skip_ws(b, pos);
+    if depth > MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {pos}"));
+    }
     match b.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
+        None => Err(format!("unexpected end of input at byte {pos}")),
         Some(b'{') => {
             *pos += 1;
             let mut members = Vec::new();
@@ -234,10 +267,10 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> 
             }
             loop {
                 skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, b':')?;
-                let value = parse_value(b, pos, depth + 1)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 members.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -259,7 +292,7 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> 
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos, depth + 1)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -271,7 +304,7 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> 
                 }
             }
         }
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
+        Some(b'"') => Ok(Json::Str(parse_string(text, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_lit(b, pos, "null", Json::Null),
@@ -288,17 +321,29 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, 
     }
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+/// One string. Each run of bytes up to the next `"` or `\` is copied as
+/// one slice: the input is a `&str` and both bytes are ASCII, so a run
+/// ends on a character boundary. A `\u` escape's errors name the byte of
+/// its first hex digit.
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let b = text.as_bytes();
+    let start = *pos;
     expect(b, pos, b'"')?;
     let mut out = String::new();
     loop {
+        let run = *pos;
+        while b.get(*pos).is_some_and(|&c| c != b'"' && c != b'\\') {
+            *pos += 1;
+        }
+        out.push_str(&text[run..*pos]);
         match b.get(*pos) {
-            None => return Err("unterminated string".to_string()),
+            None => return Err(format!("unterminated string at byte {start}")),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            // The run stopped at a `\`.
+            Some(_) => {
                 *pos += 1;
                 match b.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -310,40 +355,29 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let mut code = parse_hex4(b, *pos + 1)?;
+                        let at = *pos + 1;
+                        let mut code = parse_hex4(b, at)?;
                         *pos += 4;
                         // RFC 8259: non-BMP characters arrive as a
                         // surrogate pair of \u escapes.
                         if (0xD800..0xDC00).contains(&code) {
                             if b.get(*pos + 1..*pos + 3) != Some(br"\u") {
-                                return Err("lone high surrogate".to_string());
+                                return Err(format!("lone high surrogate at byte {at}"));
                             }
                             let low = parse_hex4(b, *pos + 3)?;
                             if !(0xDC00..0xE000).contains(&low) {
-                                return Err("bad low surrogate".to_string());
+                                return Err(format!("bad low surrogate at byte {}", *pos + 3));
                             }
                             code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
                             *pos += 6;
                         }
-                        out.push(char::from_u32(code).ok_or("bad \\u code point")?);
+                        let c = char::from_u32(code)
+                            .ok_or_else(|| format!("bad \\u code point at byte {at}"))?;
+                        out.push(c);
                     }
                     _ => return Err(format!("bad escape at byte {pos}")),
                 }
                 *pos += 1;
-            }
-            Some(_) => {
-                // Advance one UTF-8 scalar. It spans at most four bytes, so
-                // only those are decoded: validating the whole rest of the
-                // input for every character made parsing quadratic.
-                let window = &b[*pos..b.len().min(*pos + 4)];
-                let s = match std::str::from_utf8(window) {
-                    Ok(s) => s,
-                    Err(e) => std::str::from_utf8(&window[..e.valid_up_to()])
-                        .expect("the prefix up to the first error is valid"),
-                };
-                let c = s.chars().next().ok_or("invalid UTF-8")?;
-                out.push(c);
-                *pos += c.len_utf8();
             }
         }
     }
@@ -400,12 +434,16 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             return Err(format!("expected an exponent digit at byte {pos}"));
         }
     }
-    let text = std::str::from_utf8(&b[start..*pos]).expect("a number is ASCII");
     if integer {
-        if let Ok(v) = text.parse::<u64>() {
+        // Read the digits in hand; a value above `u64::MAX` is a float.
+        let exact = b[start..*pos]
+            .iter()
+            .try_fold(0u64, |v, &d| v.checked_mul(10)?.checked_add(u64::from(d - b'0')));
+        if let Some(v) = exact {
             return Ok(Json::UInt(v));
         }
     }
+    let text = std::str::from_utf8(&b[start..*pos]).expect("a number is ASCII");
     text.parse::<f64>().map(Json::Num).map_err(|_| format!("bad number `{text}` at byte {start}"))
 }
 
@@ -459,7 +497,19 @@ mod tests {
             ("\"\\u00e\"", "byte 3"),
         ] {
             let err = Json::parse(text).expect_err(text);
-            assert!(err.contains(at), "{text}: {err}");
+            assert!(err.ends_with(&format!(" at {at}")), "{text}: {err}");
+        }
+        // Every other fault names its byte too.
+        let deep = "[".repeat(300);
+        for (text, err) in [
+            ("[1, ", "unexpected end of input at byte 4"),
+            ("[\"abc", "unterminated string at byte 1"),
+            ("[\"x\\ud83d\"]", "lone high surrogate at byte 5"),
+            ("\"\\ud83d\\u0041\"", "bad low surrogate at byte 9"),
+            ("[\"\\udc00\"]", "bad \\u code point at byte 4"),
+            (deep.as_str(), "nesting deeper than 256 levels at byte 257"),
+        ] {
+            assert_eq!(Json::parse(text).expect_err(text), err, "{text}");
         }
         // The forms the grammar allows still parse.
         for (text, value) in [
@@ -473,6 +523,80 @@ mod tests {
             ("\"\\u004A\"", Json::Str("J".into())),
         ] {
             assert_eq!(Json::parse(text), Ok(value), "{text}");
+        }
+    }
+
+    /// `Json::parse` and `Json::to_pretty` run in linear time: per byte,
+    /// a ~256 KiB document costs at most 8x a ~1 KiB one built from the
+    /// same unit. A decode that re-validates the rest of the input for
+    /// every character, as the parser once did, fails this many times
+    /// over.
+    #[test]
+    fn parse_and_write_scale_linearly() {
+        let unit = r#"{"text": "héllo wörld \"q\" \\ \/ \b\f\n\r\t \u00e9 \ud83d\ude00 😀 café ∑ 日本 😀, then a long run of plain text that goes on for a while before it ends", "counts": [0, 7, 42, 18446744073709551615], "ratio": -2.5e-3, "mean": 0.125, "nested": {"a": [[{"b": null, "c": true, "d": false}]], "e": [], "f": {}}}"#;
+        let doc = |bytes: usize| format!("[{}]", vec![unit; bytes / unit.len()].join(", "));
+        // Nanoseconds per byte of `text` to parse it and to write its
+        // tree, each the best of five.
+        let per_byte = |text: &str| {
+            let (mut parse, mut write) = (u128::MAX, u128::MAX);
+            for _ in 0..5 {
+                let start = std::time::Instant::now();
+                let value = Json::parse(text).unwrap();
+                parse = parse.min(start.elapsed().as_nanos());
+                let start = std::time::Instant::now();
+                std::hint::black_box(value.to_pretty());
+                write = write.min(start.elapsed().as_nanos());
+            }
+            (parse as f64 / text.len() as f64, write as f64 / text.len() as f64)
+        };
+        let (small, large) = (doc(1 << 10), doc(256 << 10));
+        assert!(Json::parse(&small).unwrap().as_arr().unwrap().len() >= 3);
+        let (parse_small, write_small) = per_byte(&small);
+        let (parse_large, write_large) = per_byte(&large);
+        for (what, at_small, at_large) in
+            [("parse", parse_small, parse_large), ("to_pretty", write_small, write_large)]
+        {
+            assert!(
+                at_large <= 8.0 * at_small,
+                "{what}: {at_large:.1} ns/byte at {} bytes, {at_small:.1} at {} bytes",
+                large.len(),
+                small.len()
+            );
+        }
+    }
+
+    /// The committed JSON files are exactly what the writer makes of
+    /// them, so `sweep --write-baseline`, the interp bench's `--save` and
+    /// `corpus::write_repro` (which appends one newline) reproduce them
+    /// byte for byte.
+    #[test]
+    fn committed_files_are_writer_fixpoints() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut files: Vec<(std::path::PathBuf, bool)> =
+            ["BENCH_cycles.json", "BENCH_cycles_ooo.json", "BENCH_sim.json"]
+                .iter()
+                .map(|f| (root.join(f), false))
+                .collect();
+        for entry in std::fs::read_dir(root.join("crates/fuzz/corpus")).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|x| x == "json") {
+                files.push((path, true));
+            }
+        }
+        assert!(files.len() > 3, "the fuzz corpus holds no JSON file");
+        for (path, repro) in files {
+            let text = std::fs::read_to_string(&path).unwrap();
+            let text = if repro { text.strip_suffix('\n').unwrap() } else { text.as_str() };
+            let written = Json::parse(text).unwrap().to_pretty();
+            let differs = written.bytes().zip(text.bytes()).position(|(a, b)| a != b);
+            assert!(
+                written == text,
+                "{}: the writer's {} bytes differ from the file's {} from byte {}",
+                path.display(),
+                written.len(),
+                text.len(),
+                differs.unwrap_or(written.len().min(text.len()))
+            );
         }
     }
 

@@ -158,63 +158,98 @@ pub fn cell_key_salted(
     measure_scheduled: bool,
     pipeline_version: u32,
 ) -> CellKey {
-    let mut h = Fnv64::new();
-    h.write_str("subword-store");
-    h.write_u64(pipeline_version as u64);
-    h.write_str(kernel.name());
-    h.write_str(kernel.family().name());
-    h.write_u64(blocks_small);
-    h.write_u64(blocks_large);
-    h.write_u64(scale);
-    h.write_u64(measure_scheduled as u64);
-    // Both block-count variants in full: canonical body bytes plus the
-    // machine-state initialisation and golden outputs the measurement
-    // checks against. A changed workload generator or refimpl changes
-    // the goldens, hence the key, even when the program body is
-    // untouched.
-    for blocks in [blocks_small, blocks_large] {
-        let build = kernel.build(blocks);
-        h.write_bytes(&canonical_bytes(&build.program));
-        h.write_u64(build.setup.mem_init.len() as u64);
-        for (addr, bytes) in &build.setup.mem_init {
-            h.write_u64(*addr as u64);
-            h.write_bytes(bytes);
+    KernelDigest::new(
+        kernel,
+        blocks_small,
+        blocks_large,
+        scale,
+        measure_scheduled,
+        pipeline_version,
+    )
+    .key(shape, base)
+}
+
+/// What the [`cell_key`]s of one kernel at one scale share: the hash
+/// state after the salt, the identity fields and both builds, which
+/// [`KernelDigest::key`] continues with a shape and a machine config. A
+/// sweep's probe builds each kernel twice per scale this way, not twice
+/// per cell.
+pub(crate) struct KernelDigest(u64);
+
+impl KernelDigest {
+    /// The digest under the version salt `pipeline_version`.
+    pub(crate) fn new(
+        kernel: &dyn Kernel,
+        blocks_small: u64,
+        blocks_large: u64,
+        scale: u64,
+        measure_scheduled: bool,
+        pipeline_version: u32,
+    ) -> KernelDigest {
+        let mut h = Fnv64::new();
+        h.write_str("subword-store");
+        h.write_u64(pipeline_version as u64);
+        h.write_str(kernel.name());
+        h.write_str(kernel.family().name());
+        h.write_u64(blocks_small);
+        h.write_u64(blocks_large);
+        h.write_u64(scale);
+        h.write_u64(measure_scheduled as u64);
+        // Both block-count variants in full: canonical body bytes plus the
+        // machine-state initialisation and golden outputs the measurement
+        // checks against. A changed workload generator or refimpl changes
+        // the goldens, hence the key, even when the program body is
+        // untouched.
+        for blocks in [blocks_small, blocks_large] {
+            let build = kernel.build(blocks);
+            h.write_bytes(&canonical_bytes(&build.program));
+            h.write_u64(build.setup.mem_init.len() as u64);
+            for (addr, bytes) in &build.setup.mem_init {
+                h.write_u64(*addr as u64);
+                h.write_bytes(bytes);
+            }
+            h.write_u64(build.setup.reg_init.len() as u64);
+            for (r, v) in &build.setup.reg_init {
+                h.write_str(&format!("{r:?}"));
+                h.write_u64(*v as u64);
+            }
+            h.write_u64(build.setup.mm_init.len() as u64);
+            for (r, v) in &build.setup.mm_init {
+                h.write_str(&format!("{r:?}"));
+                h.write_u64(*v);
+            }
+            h.write_u64(build.setup.outputs.len() as u64);
+            for (addr, len) in &build.setup.outputs {
+                h.write_u64(*addr as u64);
+                h.write_u64(*len as u64);
+            }
+            h.write_u64(build.expected.len() as u64);
+            for (addr, bytes) in &build.expected {
+                h.write_u64(*addr as u64);
+                h.write_bytes(bytes);
+            }
         }
-        h.write_u64(build.setup.reg_init.len() as u64);
-        for (r, v) in &build.setup.reg_init {
-            h.write_str(&format!("{r:?}"));
-            h.write_u64(*v as u64);
-        }
-        h.write_u64(build.setup.mm_init.len() as u64);
-        for (r, v) in &build.setup.mm_init {
-            h.write_str(&format!("{r:?}"));
-            h.write_u64(*v);
-        }
-        h.write_u64(build.setup.outputs.len() as u64);
-        for (addr, len) in &build.setup.outputs {
-            h.write_u64(*addr as u64);
-            h.write_u64(*len as u64);
-        }
-        h.write_u64(build.expected.len() as u64);
-        for (addr, bytes) in &build.expected {
-            h.write_u64(*addr as u64);
-            h.write_bytes(bytes);
-        }
+        KernelDigest(h.finish())
     }
-    hash_shape(&mut h, shape);
-    // Every MachineConfig field participates: any micro-architectural
-    // parameter shifts the simulated numbers.
-    h.write_u64(base.mispredict_penalty);
-    h.write_u64(base.spu_fitted as u64);
-    hash_shape(&mut h, &base.crossbar);
-    h.write_u64(base.mmx_mul_latency);
-    h.write_u64(base.scalar_mul_latency);
-    h.write_u64(base.max_cycles);
-    h.write_u64(base.btb_entries as u64);
-    h.write_str(&format!("{:?}", base.predictor_kind));
-    h.write_str(&format!("{:?}", base.engine));
-    h.write_str(base.pipeline.name());
-    CellKey(h.finish())
+
+    /// The key of the cell under `shape` on `base`-configured machines.
+    pub(crate) fn key(&self, shape: &CrossbarShape, base: &MachineConfig) -> CellKey {
+        let mut h = Fnv64(self.0);
+        hash_shape(&mut h, shape);
+        // Every MachineConfig field participates: any micro-architectural
+        // parameter shifts the simulated numbers.
+        h.write_u64(base.mispredict_penalty);
+        h.write_u64(base.spu_fitted as u64);
+        hash_shape(&mut h, &base.crossbar);
+        h.write_u64(base.mmx_mul_latency);
+        h.write_u64(base.scalar_mul_latency);
+        h.write_u64(base.max_cycles);
+        h.write_u64(base.btb_entries as u64);
+        h.write_str(&format!("{:?}", base.predictor_kind));
+        h.write_str(&format!("{:?}", base.engine));
+        h.write_str(base.pipeline.name());
+        CellKey(h.finish())
+    }
 }
 
 fn hash_shape(h: &mut Fnv64, shape: &CrossbarShape) {
@@ -430,6 +465,9 @@ mod tests {
             base,
             cell_key(e.kernel, e.blocks_small, e.blocks_large, &shape_a, &cfg, 1, true)
         );
+        // Pinned, so that a store filled by an earlier build keeps
+        // serving: a change here orphans every stored entry.
+        assert_eq!(base.to_string(), "502bfb521df23849");
         // Each input dimension moves the key.
         let shape = cell_key(
             e.kernel,

@@ -34,7 +34,7 @@
 
 use crate::json::Json;
 use crate::pool::{pool, workers};
-use crate::store::{cell_key, CellKey, MeasurementStore};
+use crate::store::{CellKey, KernelDigest, MeasurementStore, PIPELINE_VERSION};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -319,7 +319,8 @@ fn run_of(cfg: &SweepConfig, e: usize, c: usize) -> (&'static dyn Kernel, u64, u
     (entry.kernel, scale, entry.blocks_small * scale, entry.blocks_large * scale)
 }
 
-/// Probe the store for every cell; compile one MMX-only half for each
+/// Probe the store for every cell, hashing each kernel and scale's
+/// builds once for all its shapes; compile one MMX-only half for each
 /// kernel and scale with a missed cell and one lifted half for each
 /// missed cell (both block counts lifted through `cache`); and let each
 /// half read the run of the first half of its kernel and scale with the
@@ -333,12 +334,30 @@ fn plan(
 ) -> Plan {
     let pipeline = cfg.base.pipeline.name();
     let cells = cfg.cells();
+    // One key digest per kernel and scale, which each of its cells
+    // finishes with its shape.
+    let scales = cfg.block_scales.len();
+    let digests = match store {
+        Some(_) => pool(threads, cfg.entries.len() * scales, |d| {
+            let (kernel, scale, small, large) = run_of(cfg, d / scales, d % scales);
+            Ok(KernelDigest::new(
+                kernel,
+                small,
+                large,
+                scale,
+                cfg.measure_scheduled,
+                PIPELINE_VERSION,
+            ))
+        }),
+        None => Vec::new(),
+    };
     let probes = pool(threads, cells.len(), |i| {
         let Some(st) = store else { return Ok(Probe::Miss(None)) };
         let (e, s, c) = cells[i];
-        let (kernel, scale, small, large) = run_of(cfg, e, c);
+        let (kernel, scale, ..) = run_of(cfg, e, c);
         let shape = &cfg.shapes[s];
-        let key = cell_key(kernel, small, large, shape, &cfg.base, scale, cfg.measure_scheduled);
+        let digest = digests[e * scales + c].as_ref().map_err(String::clone)?;
+        let key = digest.key(shape, &cfg.base);
         Ok(match st.load(key, kernel.name(), shape.name, scale, pipeline) {
             Some(cell) => Probe::Hit(Box::new(cell)),
             None => Probe::Miss(Some(key)),
@@ -399,7 +418,10 @@ fn plan(
 /// 1. **Probe.** With a store attached, every cell derives its content
 ///    hash ([`crate::store::cell_key`] over the built kernel bodies,
 ///    shape, machine config, scale and variant set, salted with
-///    [`crate::store::PIPELINE_VERSION`]) and looks it up. A valid entry
+///    [`crate::store::PIPELINE_VERSION`]) and looks it up. Each kernel
+///    and scale builds its two bodies and hashes them once, up to the
+///    shape, and each of its cells finishes that digest with its shape
+///    and the machine config: 26 builds on a full matrix, not 104. A valid entry
 ///    is taken as-is, flagged [`Cached`]`(true)`: no compilation, no
 ///    simulation. A missing or invalidated (corrupt, truncated,
 ///    stale-version) entry leaves the cell to be measured; the store
@@ -421,9 +443,10 @@ fn plan(
 ///    written back to the store.
 ///
 /// Failures stay per cell. A panic or error in a probe or a lift fails
-/// its cell; one in an MMX-only half's compile or run fails that kernel
-/// and scale's measured cells, and one in a lifted run the cells of its
-/// set. Every other cell still runs and is saved.
+/// its cell; one in a kernel's key digest fails that kernel and scale's
+/// cells, one in an MMX-only half's compile or run that kernel and
+/// scale's measured cells, and one in a lifted run the cells of its set.
+/// Every other cell still runs and is saved.
 pub fn run_sweep(
     cfg: &SweepConfig,
     store: Option<&MeasurementStore>,
@@ -928,22 +951,45 @@ mod tests {
         assert_eq!(lifted_runs_per_entry(&cfg, &unscheduled), distinct_lifts(&cfg, lifted));
     }
 
-    /// Cells the store serves are neither lifted nor simulated.
+    /// Builds of [`CountedDotProd`].
+    static BUILDS: AtomicU64 = AtomicU64::new(0);
+
+    /// The Figure 5 dot product, counting its builds.
+    struct CountedDotProd;
+
+    impl Kernel for CountedDotProd {
+        fn name(&self) -> &'static str {
+            "DotProd"
+        }
+        fn family(&self) -> Family {
+            Family::Paper
+        }
+        fn build(&self, blocks: u64) -> subword_kernels::framework::KernelBuild {
+            BUILDS.fetch_add(1, Ordering::Relaxed);
+            dotprod_example().kernel.build(blocks)
+        }
+    }
+
+    /// Cells the store serves are neither lifted nor simulated, and their
+    /// probe builds each kernel twice per scale, for the key digest its
+    /// shapes share, not twice per cell.
     #[test]
     fn store_served_cells_lift_nothing() {
-        let mut cfg = SweepConfig::full(&[subword_spu::SHAPE_A, subword_spu::SHAPE_D]);
-        cfg.entries = vec![dotprod_example()];
+        let mut cfg = SweepConfig::full_matrix();
+        cfg.entries = vec![SuiteEntry { kernel: &CountedDotProd, ..dotprod_example() }];
         let dir = std::env::temp_dir().join(format!("subword-sweep-plan-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = MeasurementStore::open(&dir).unwrap();
         run_sweep(&cfg, Some(&store)).unwrap();
 
         let cache = CompileCache::new();
+        BUILDS.store(0, Ordering::Relaxed);
         let warm = plan(&cfg, Some(&store), &cache, 2);
         let _ = std::fs::remove_dir_all(&dir);
         assert!(warm.probes.iter().all(|p| matches!(p, Ok(Probe::Hit(_)))));
         assert!(warm.measured.is_empty() && warm.halves.is_empty() && warm.runs.is_empty());
         assert_eq!(cache.stats(), CacheStats::default());
+        assert_eq!((warm.probes.len(), BUILDS.load(Ordering::Relaxed)), (4, 2));
     }
 
     /// Shape geometry wider than its field is a parse error naming the
